@@ -9,9 +9,15 @@ cell's host seconds in:
 * the cold pass -- every cell through ``SweepRunner(workers=1)``, one job
   at a time: simulate, ``encode_result``, store into a fresh disk
   ``ResultCache``;
-* the warm passes -- a new runner and a new ``ResultCache`` on the same
-  directory each time: disk read, then decode.  A cell's warm time is its
-  fastest over the passes.
+* the warm passes -- at least three, :data:`WARM_READS` reads in all, each
+  read by a new runner and a new ``ResultCache`` on the same directory:
+  disk read, then decode.  The warm pass time is the sum over cells of each
+  cell's mean read.
+
+Each time is given as measured and scaled to the reference host speed by
+the bursts of ``speed.py`` around it; ``setup_scale`` is the factor for the
+set-up that ``run.py`` times.  With ``--setup-only`` the object holds only
+``setup_scale``.
 
 Every result is checked by digest as soon as its job returns, outside the
 timed region, and then dropped.
@@ -28,6 +34,7 @@ import hashlib
 import json
 import resource
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -41,16 +48,17 @@ import numpy  # noqa: E402
 
 import repro  # noqa: E402
 from repro.runner import ResultCache, SimJob, SweepRunner  # noqa: E402
+from repro.runner.pool import JobOutcome  # noqa: E402
 from repro.runner.serialization import encode_result  # noqa: E402
 
+import speed  # noqa: E402
 from cells import Cell, build_cells  # noqa: E402
 from layers import LayerTrace, install  # noqa: E402
 
-#: Untraced processes repeat the warm pass until this much warm time has
-#: been measured (and at least three times): a warm pass of the comm
-#: workloads reads a few entries in milliseconds, so one pass alone would
-#: be mostly timer and scheduler noise.
-WARM_SECONDS = 0.5
+#: Warm reads per untraced repetition, in passes over all cells (one pass
+#: when traced).  A read takes about a millisecond, shorter than the host's
+#: slow spells, so one alone would be all noise.
+WARM_READS = 300
 
 #: Taken before :func:`install` wraps them, so the benchmark's own
 #: bookkeeping never shows up in the layer trace.
@@ -64,41 +72,68 @@ def digest(value: object) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_pass(cells: List[Cell], cache_dir: str, trace: LayerTrace) -> Dict[str, object]:
-    """Submit every cell in order, one job at a time, to a fresh runner."""
-    # Start each pass without garbage left by the previous one.
-    gc.collect()
-    runner = SweepRunner(workers=1, cache=ResultCache(cache_dir))
-    cell_s: Dict[str, float] = {}
-    digests: Dict[str, str] = {}
-    errors: Dict[str, str] = {}
-    rows = []
-    for name, job in cells:
-        start, events_before = time.perf_counter(), trace.events
+class Pass:
+    """One pass over the cells: host seconds, probe marks and digests."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.cell_s: Dict[str, float] = {}
+        self.marks: Dict[str, int] = {}
+        self.digests: Dict[str, str] = {}
+        self.errors: Dict[str, str] = {}
+        self.rows: List[dict] = []
+        self.hits = self.lookups = 0
+
+    def run(
+        self, runner: SweepRunner, name: str, job: SimJob, probe: speed.SpeedProbe
+    ) -> JobOutcome:
+        """Time one cell on ``runner``, record its digest, return its outcome."""
+        self.marks[name] = probe.mark()
+        hits, misses = runner.cache.hits, runner.cache.misses
+        start = time.perf_counter()
         outcome = runner.run([job])[0]
-        cell_s[name] = time.perf_counter() - start
+        self.cell_s[name] = time.perf_counter() - start
+        probe.after(self.cell_s[name])
+        self.hits += runner.cache.hits - hits
+        self.lookups += runner.cache.hits + runner.cache.misses - hits - misses
         if outcome.ok:
-            digests[name] = digest(outcome.value)
+            self.digests[name] = digest(outcome.value)
         else:
-            errors[name] = outcome.error.strip().splitlines()[-1]
-        rows.append(
+            self.errors[name] = outcome.error.strip().splitlines()[-1]
+        return outcome
+
+
+def run_cells(
+    cells: List[Cell], cache_dir: str, trace: LayerTrace, probe: speed.SpeedProbe, warm: int
+) -> List[Pass]:
+    """The cold pass, then ``warm`` warm passes, one job at a time.
+
+    Each warm read follows a :meth:`SpeedProbe.read` of a reference file.
+    """
+    reference = Path(cache_dir) / "reference.data"
+    reference.write_text(speed.reference_document(), encoding="utf-8")
+    gc.collect()
+    cold_runner = SweepRunner(workers=1, cache=ResultCache(cache_dir))
+    passes = [Pass("cold")] + [Pass("warm") for _ in range(warm)]
+    for name, job in cells:
+        events_before = trace.events
+        outcome = passes[0].run(cold_runner, name, job, probe)
+        passes[0].rows.append(
             {
                 "cell": name,
                 "spec_hash": _spec_hash(job),
-                "host_s": cell_s[name],
+                "host_s": passes[0].cell_s[name],
                 "job_s": outcome.duration_s,
                 "iteration_time_us": getattr(outcome.value, "iteration_time_us", None),
                 "events": trace.events - events_before,
             }
         )
-    return {
-        "cell_s": cell_s,
-        "digests": digests,
-        "errors": errors,
-        "rows": rows,
-        "hits": runner.cache.hits,
-        "lookups": runner.cache.hits + runner.cache.misses,
-    }
+    gc.collect()
+    for warm_pass in passes[1:]:
+        for name, job in cells:
+            probe.read(reference)
+            warm_pass.run(SweepRunner(workers=1, cache=ResultCache(cache_dir)), name, job, probe)
+    return passes
 
 
 def main() -> int:
@@ -115,42 +150,50 @@ def main() -> int:
     cells = build_cells(args.workload, args.seed, ROOT)
     compile_s = time.perf_counter() - compile_start
     print("READY", flush=True)
+    probe = speed.SpeedProbe()
     if args.setup_only:
+        print(json.dumps({"setup_scale": probe.scale(0)}))
         return 0
 
     scratch = ROOT / ".perfbench-cache"
     scratch.mkdir(exist_ok=True)
     cache_dir = tempfile.mkdtemp(prefix=f"{args.workload}-", dir=scratch)
     try:
-        cold = run_pass(cells, cache_dir, trace)
+        passes = 1 if args.trace else max(3, round(WARM_READS / len(cells)))
+        cold, *warm = run_cells(cells, cache_dir, trace, probe, passes)
         bytes_written = sum(p.stat().st_size for p in Path(cache_dir).rglob("*.json"))
-        warm = [run_pass(cells, cache_dir, trace)]
-        warm_s = sum(warm[0]["cell_s"].values())
-        while not args.trace and (len(warm) < 3 or warm_s < WARM_SECONDS):
-            warm.append(run_pass(cells, cache_dir, trace))
-            warm_s += sum(warm[-1]["cell_s"].values())
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
+    cold_scale = {name: probe.scale(mark) for name, mark in cold.marks.items()}
+    warm_s = sum(statistics.fmean(p.cell_s[name] for p in warm) for name, _ in cells)
+    samples = [seconds for burst in probe.bursts for seconds in burst]
+    for row in cold.rows:
+        row["scale"] = cold_scale[row["cell"]]
 
     result: Dict[str, object] = {
         "workload": args.workload,
         "seed": args.seed,
         "compile_s": compile_s,
-        "cold": cold["cell_s"],
-        "job": {row["cell"]: row["job_s"] for row in cold["rows"]},
-        "warm": {name: min(p["cell_s"][name] for p in warm) for name, _ in cells},
-        "warm_total_s": warm_s,
+        "setup_scale": probe.scale(0),
+        "scale": speed.REFERENCE_S * len(samples) / sum(samples),
+        "reference_s": [statistics.fmean(burst) for burst in probe.bursts],
+        "cold": cold.cell_s,
+        "cold_scaled": {name: s * cold_scale[name] for name, s in cold.cell_s.items()},
+        "job": {row["cell"]: row["job_s"] for row in cold.rows},
+        "job_scaled": {row["cell"]: row["job_s"] * row["scale"] for row in cold.rows},
+        "warm_s": warm_s,
+        "warm_scaled_s": warm_s * probe.read_scale(),
+        "warm_total_s": sum(sum(p.cell_s.values()) for p in warm),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "passes": [
-            {"name": name, "digests": p["digests"], "errors": p["errors"]}
-            for name, p in [("cold", cold)] + [("warm", p) for p in warm]
+            {"name": p.name, "digests": p.digests, "errors": p.errors} for p in [cold, *warm]
         ],
-        "rows": cold["rows"],
+        "rows": cold.rows,
         "events": trace.events,
         "engine_s": trace.engine_s,
         "bytes_written": bytes_written,
-        "warm_hits": sum(p["hits"] for p in warm),
-        "warm_lookups": sum(p["lookups"] for p in warm),
+        "warm_hits": sum(p.hits for p in warm),
+        "warm_lookups": sum(p.lookups for p in warm),
         "versions": {
             "python": sys.version.split()[0],
             "numpy": numpy.__version__,

@@ -11,23 +11,28 @@ the model is unvalidated against hardware, so no accuracy figure is given.
 
 ``--trace 0`` prints the end-to-end metrics over repetitions, each in a
 fresh process (``passes.py``), started while ``--seconds`` allows.  Each
-repetition submits the cells in its own seed-derived order.
+repetition submits the cells in its own seed-derived order.  Every host
+time is scaled to a reference host speed by the reference code timed
+around it (``speed.py``); the unscaled figures are printed on a comment
+line.
 
 * ``cold_s`` -- the cold pass (simulate, encode, store to a fresh disk
-  cache): the sum over cells of each cell's fastest repetition;
-* ``warm_s`` -- a warm pass (new runner and cache on the same directory),
-  summed the same way over each cell's fastest warm read;
-* ``job_s_p50`` -- median over cells of the fastest cold
-  ``JobOutcome.duration_s``;
+  cache): the median over repetitions;
+* ``warm_s`` -- a warm pass (new runner and cache on the same directory):
+  the median over repetitions of each one's mean warm pass;
+* ``job_s_p50`` -- median over cells of each cell's mean cold
+  ``JobOutcome.duration_s`` over repetitions;
 * ``setup_s`` -- process start to validated job list: the median over
   set-up-only processes and the repetitions;
-* ``peak_rss_mb`` -- the highest peak resident memory of a repetition.
+* ``peak_rss_mb`` -- the median over repetitions of their peak resident
+  memory.
 
 ``--trace 1`` runs one untraced and one traced repetition and prints the
 per-layer metrics of ``layers.py`` plus ``trace.overhead_frac``.  Either
 mode also prints one ``row`` line per cell and repetition (spec hash, host
 seconds, simulated ``iteration_time_us``, events) and a ``noise`` line
-(CPU count, versions, source revision, CPU steal seconds during the run)
+(CPU count, versions, source revision, CPU steal seconds during the run,
+and per repetition its mean reference-loop time and peak memory)
 before the final result line.  ``fail_frac`` -- cells that raised or whose
 digest mismatched, over cells attempted in all passes -- is printed too and
 equals the result line's ``failed / attempted``.
@@ -129,44 +134,50 @@ def _revision() -> Dict[str, Optional[str]]:
     return {"commit": commit, "src_sha256": source.hexdigest()}
 
 
-def _fastest(reps: List[dict], key: str) -> Dict[str, float]:
-    """Each cell's fastest time under ``key`` across repetitions."""
-    best: Dict[str, float] = {}
-    for rep in reps:
-        for name, seconds in rep[key].items():
-            best[name] = min(best.get(name, seconds), seconds)
-    return best
+def _pass_times(
+    reps: List[dict], setups: List[Tuple[float, float]], scaled: bool
+) -> Dict[str, float]:
+    """The four timings over repetitions, scaled or as measured."""
+    suffix = "_scaled" if scaled else ""
+    job = {name: [rep["job" + suffix][name] for rep in reps] for name in reps[0]["job"]}
+    return {
+        "cold_s": statistics.median(sum(rep["cold" + suffix].values()) for rep in reps),
+        "warm_s": statistics.median(rep["warm" + suffix + "_s"] for rep in reps),
+        "job_s_p50": statistics.median(statistics.fmean(times) for times in job.values()),
+        "setup_s": statistics.median(s * (scale if scaled else 1.0) for s, scale in setups),
+    }
 
 
 def measure(workload: str, seed: int, seconds: float) -> Tuple[Metrics, List[dict]]:
     """End-to-end metrics over fresh-process repetitions.
 
-    Host time on a shared machine only ever gets slower than the code
-    itself, in bursts of a few seconds, so a pass time sums each cell's
-    fastest repetition; every repetition submits the cells in another
-    seed-derived order, so a burst lands on different cells each time.
+    Other tenants of a shared host slow it in spells of milliseconds to tens
+    of seconds, so each time is scaled by the host speed measured around it,
+    and every repetition submits the cells in another seed-derived order.
     """
     start = time.perf_counter()
-    setups = [spawn(workload, seed, "--setup-only")[0] for _ in range(SETUP_PROBES)]
+    setups: List[Tuple[float, float]] = []
+    for _ in range(SETUP_PROBES):
+        setup_s, probe = spawn(workload, seed, "--setup-only")
+        setups.append((setup_s, probe["setup_scale"]))
     reps: List[dict] = []
     durations: List[float] = []
     while True:
         rep_start = time.perf_counter()
         setup_s, rep = spawn(workload, seed * 1000 + len(reps))
         durations.append(time.perf_counter() - rep_start)
-        setups.append(setup_s)
+        setups.append((setup_s, rep["setup_scale"]))
         reps.append(rep)
         # Start another repetition only if it should end inside the budget.
-        if time.perf_counter() - start + statistics.median(durations) > seconds:
+        if time.perf_counter() - start + max(durations) > seconds:
             break
+    unscaled = _pass_times(reps, setups, scaled=False)
+    print("# unscaled: " + ", ".join(f"{k} = {v:.6g} s" for k, v in unscaled.items()))
     metrics: Metrics = {
-        "cold_s": (sum(_fastest(reps, "cold").values()), "s"),
-        "warm_s": (sum(_fastest(reps, "warm").values()), "s"),
-        "job_s_p50": (statistics.median(_fastest(reps, "job").values()), "s"),
-        "setup_s": (statistics.median(setups), "s"),
-        # The peak depends on where the largest jobs fall in the cell order.
-        "peak_rss_mb": (max(r["peak_rss_mb"] for r in reps), "MB"),
+        name: (value, "s") for name, value in _pass_times(reps, setups, scaled=True).items()
     }
+    # The peak depends on where the largest jobs fall in the cell order.
+    metrics["peak_rss_mb"] = (statistics.median(r["peak_rss_mb"] for r in reps), "MB")
     return metrics, reps
 
 
@@ -178,14 +189,17 @@ def measure_layers(workload: str, seed: int) -> Tuple[Metrics, List[dict]]:
     traced_s = traced["compile_s"] + sum(traced["cold"].values()) + traced["warm_total_s"]
     metrics: Metrics = {}
     for layer, self_s in layers["self_s"].items():
-        metrics[f"{layer}.self_s"] = (self_s, "s")
+        metrics[f"{layer}.self_s"] = (self_s * traced["scale"], "s")
         metrics[f"{layer}.calls"] = (layers["calls"][layer], "count")
         metrics[f"{layer}.share"] = (self_s / traced_s, "fraction")
     counts = traced["counts"]
     metrics.update(
         {
             "sim.engine.events": (traced["events"], "count"),
-            "sim.engine.ns_per_event": (1e9 * base["engine_s"] / max(base["events"], 1), "ns"),
+            "sim.engine.ns_per_event": (
+                1e9 * base["engine_s"] * base["scale"] / max(base["events"], 1),
+                "ns",
+            ),
             "training.comm.chunks": (counts.get("training.comm.chunks", 0), "count"),
             "collectives.stages.calls": (counts.get("collectives.stages.calls", 0), "count"),
             "endpoint.phase_work.calls": (counts.get("endpoint.phase_work.calls", 0), "count"),
@@ -195,7 +209,7 @@ def measure_layers(workload: str, seed: int) -> Tuple[Metrics, List[dict]]:
             ),
             "runner.cache.bytes_written": (traced["bytes_written"], "bytes"),
             "trace.overhead_frac": (
-                sum(traced["cold"].values()) / sum(base["cold"].values()) - 1.0,
+                sum(traced["cold_scaled"].values()) / sum(base["cold_scaled"].values()) - 1.0,
                 "fraction",
             ),
         }
@@ -260,6 +274,9 @@ def main() -> int:
         if steal_before is None or steal_after is None
         else steal_after - steal_before,
         "repetitions": len(reps),
+        "reference_s_mean": [statistics.fmean(rep["reference_s"]) for rep in reps],
+        "reference_s_max": [max(rep["reference_s"]) for rep in reps],
+        "peak_rss_mb": [rep["peak_rss_mb"] for rep in reps],
     }
     print(json.dumps({"noise": noise}))
     for name, (value, unit) in metrics.items():
