@@ -237,9 +237,7 @@ class DetailedBackend(NetworkBackend):
                 first_start = float(starts[0])
         assert first_start is not None
         finish = max(max(ready), earliest_start)
-        result = Reservation(start=first_start, finish=finish, num_bytes=num_bytes)
-        object.__setattr__(result, "requested", earliest_start)
-        return result
+        return Reservation(first_start, finish, num_bytes, earliest_start)
 
     def transfer(
         self,

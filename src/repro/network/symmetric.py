@@ -160,13 +160,12 @@ class SymmetricFabric(NetworkBackend):
         extra_latency = max(0, steps - 1) * pipe.latency_ns
         if extra_latency == 0:
             return reservation
-        adjusted = Reservation(
-            start=reservation.start,
-            finish=reservation.finish + extra_latency,
-            num_bytes=num_bytes,
+        return Reservation(
+            reservation.start,
+            reservation.finish + extra_latency,
+            num_bytes,
+            earliest_start,
         )
-        object.__setattr__(adjusted, "requested", earliest_start)
-        return adjusted
 
     # ------------------------------------------------------------------
     # Aggregate statistics

@@ -25,8 +25,7 @@ Both resources can operate in two modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -35,13 +34,14 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import IntervalTracer
 
 
-@dataclass(frozen=True)
-class Reservation:
-    """Outcome of a bandwidth reservation."""
+class Reservation(NamedTuple):
+    """Outcome of a bandwidth reservation (immutable, built in one call)."""
 
     start: float
     finish: float
     num_bytes: float
+    #: The earliest start the caller asked for; ``None`` when unknown.
+    requested: Optional[float] = None
 
     @property
     def duration(self) -> float:
@@ -51,10 +51,6 @@ class Reservation:
     def queuing_delay(self) -> float:
         """How long the request waited behind earlier requests."""
         return 0.0 if self.requested is None else max(0.0, self.start - self.requested)
-
-    # ``requested`` is attached post-hoc via object.__setattr__ in reserve();
-    # default None keeps the dataclass frozen-friendly.
-    requested: Optional[float] = None
 
 
 class BandwidthResource:
@@ -106,24 +102,22 @@ class BandwidthResource:
             raise ResourceError(f"{self.name}: cannot transfer negative bytes ({num_bytes})")
         start = max(earliest_start, self._next_free)
         serialization = num_bytes / self.bandwidth_gbps
-        finish = start + serialization + self.latency_ns
-        self._next_free = start + serialization
+        end = start + serialization
+        self._next_free = end
         self._busy_time += serialization
         self._bytes_moved += num_bytes
         self._requests += 1
         if self.trace is not None and serialization > 0:
-            self.trace.record(start, start + serialization)
-        reservation = Reservation(start=start, finish=finish, num_bytes=num_bytes)
-        object.__setattr__(reservation, "requested", earliest_start)
-        return reservation
+            self.trace.record(start, end)
+        return Reservation(start, end + self.latency_ns, num_bytes, earliest_start)
 
     def reserve_times(self, num_bytes: float, earliest_start: float) -> Tuple[float, float]:
         """:meth:`reserve` without the :class:`Reservation` wrapper.
 
         Identical FIFO queuing, accounting and tracing; returns the bare
         ``(start, finish)`` pair.  The detailed backend's per-message event
-        path calls this tens of thousands of times per run, where the frozen
-        dataclass construction is measurable overhead.
+        path calls this tens of thousands of times per run and needs only
+        the two times.
         """
         if num_bytes < 0:
             raise ResourceError(f"{self.name}: cannot transfer negative bytes ({num_bytes})")
@@ -280,10 +274,6 @@ class BandwidthResource:
                 f"horizon): reservations double-booked the pipe"
             )
 
-    def peek_start(self, earliest_start: float) -> float:
-        """When would a request issued at ``earliest_start`` actually start?"""
-        return max(earliest_start, self._next_free)
-
     # ------------------------------------------------------------------
     # Event mode
     # ------------------------------------------------------------------
@@ -366,7 +356,6 @@ class SlotResource:
         self.name = name
         self.num_slots = num_slots
         self._release_times: List[float] = [0.0] * num_slots
-        self._acquisitions: int = 0
         self._busy_time: float = 0.0
 
     def acquire(self, earliest_start: float, duration: float) -> Tuple[int, float, float]:
@@ -388,17 +377,12 @@ class SlotResource:
         start = max(earliest_start, earliest)
         finish = start + duration
         self._release_times[slot] = finish
-        self._acquisitions += 1
         self._busy_time += duration
         return slot, start, finish
 
     def earliest_available(self, earliest_start: float) -> float:
         """When could a new acquisition start if requested at ``earliest_start``?"""
         return max(earliest_start, min(self._release_times))
-
-    @property
-    def acquisitions(self) -> int:
-        return self._acquisitions
 
     @property
     def busy_time(self) -> float:
@@ -412,7 +396,6 @@ class SlotResource:
 
     def reset(self) -> None:
         self._release_times = [0.0] * self.num_slots
-        self._acquisitions = 0
         self._busy_time = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

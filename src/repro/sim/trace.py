@@ -5,17 +5,17 @@ over the course of two training iterations, averaged over 1K-cycle windows.
 :class:`IntervalTracer` records raw busy intervals as the simulation runs and
 :class:`UtilizationTrace` bins them into fixed windows for reporting.
 
-Recording stays a plain list append (it sits on the simulation hot path);
-all aggregation — merging, window binning, busy-time queries — is vectorized
-with numpy, so post-processing a run with hundreds of thousands of intervals
-costs O((intervals + windows) log intervals) instead of
-O(intervals x windows).
+Recording is a list append or an in-place extension of the last interval
+(it sits on the simulation hot path); all aggregation — merging, window
+binning, busy-time queries — is vectorized with numpy, so post-processing a
+run with hundreds of thousands of intervals costs
+O((intervals + windows) log intervals) instead of O(intervals x windows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -33,35 +33,44 @@ class Interval:
 
 
 class IntervalTracer:
-    """Records busy intervals on a single resource."""
+    """Records busy intervals on a single resource.
+
+    Intervals are kept as two parallel lists of starts and ends.  A new
+    interval that starts inside the last stored one (``last_start <= start
+    <= last_end``) extends it in place, so a run of back-to-back requests
+    is stored once.  That leaves the *union* of the recorded intervals --
+    the only thing any query reads -- unchanged.
+    """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._intervals: List[Tuple[float, float]] = []
-        self._last_end: float = 0.0
+        self._starts: List[float] = []
+        self._ends: List[float] = []
         self._merged: "Tuple[np.ndarray, np.ndarray] | None" = None
 
     def record(self, start: float, end: float) -> None:
         """Record a busy interval; zero-length intervals are ignored."""
         if end <= start:
             return
-        self._intervals.append((start, end))
-        if end > self._last_end:
-            self._last_end = end
+        ends = self._ends
+        if ends and self._starts[-1] <= start <= ends[-1]:
+            if end > ends[-1]:
+                ends[-1] = end
+        else:
+            self._starts.append(start)
+            ends.append(end)
         self._merged = None
 
     @property
     def intervals(self) -> List[Interval]:
-        return [Interval(s, e) for s, e in sorted(self._intervals)]
+        """The union of the recorded intervals, in time order."""
+        starts, ends = self.merged_arrays()
+        return [Interval(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
 
     @property
     def last_end(self) -> float:
-        """End of the latest-ending recorded interval (0.0 when empty).
-
-        O(1) — tracked at record time, so "time of last activity" queries do
-        not need to sort or scan the interval list.
-        """
-        return self._last_end if self._intervals else 0.0
+        """End of the latest-ending recorded interval (0.0 when empty)."""
+        return max(self._ends, default=0.0)
 
     def merged_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(starts, ends)`` of the union of recorded intervals.
@@ -71,14 +80,14 @@ class IntervalTracer:
         """
         if self._merged is not None:
             return self._merged
-        if not self._intervals:
+        if not self._starts:
             empty = np.empty(0, dtype=np.float64)
             self._merged = (empty, empty)
             return self._merged
-        raw = np.asarray(self._intervals, dtype=np.float64)
-        order = np.argsort(raw[:, 0], kind="stable")
-        starts = raw[order, 0]
-        ends = raw[order, 1]
+        raw_starts = np.asarray(self._starts, dtype=np.float64)
+        order = np.argsort(raw_starts, kind="stable")
+        starts = raw_starts[order]
+        ends = np.asarray(self._ends, dtype=np.float64)[order]
         running_end = np.maximum.accumulate(ends)
         # A new merged group begins where an interval starts strictly after
         # everything before it has ended (equal endpoints merge).
@@ -101,33 +110,14 @@ class IntervalTracer:
 
     def total_span(self) -> float:
         """Time between the first busy start and the last busy end."""
-        if not self._intervals:
+        if not self._starts:
             return 0.0
-        starts = min(s for s, _ in self._intervals)
-        ends = max(e for _, e in self._intervals)
-        return ends - starts
+        return max(self._ends) - min(self._starts)
 
     def reset(self) -> None:
-        self._intervals.clear()
-        self._last_end = 0.0
+        self._starts.clear()
+        self._ends.clear()
         self._merged = None
-
-
-def _merged_length(intervals: Sequence[Tuple[float, float]]) -> float:
-    """Length of the union of a set of intervals."""
-    if not intervals:
-        return 0.0
-    ordered = sorted(intervals)
-    total = 0.0
-    cur_start, cur_end = ordered[0]
-    for s, e in ordered[1:]:
-        if s > cur_end:
-            total += cur_end - cur_start
-            cur_start, cur_end = s, e
-        else:
-            cur_end = max(cur_end, e)
-    total += cur_end - cur_start
-    return total
 
 
 class UtilizationTrace:

@@ -19,9 +19,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Union
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
-from repro.collectives.base import CollectiveOp, CollectivePlan
+from repro.collectives.base import CollectiveOp, CollectivePlan, PhaseSpec
 from repro.collectives.planner import AUTO, algorithm_implements, plan_collective
 from repro.config.system import SystemConfig
 from repro.endpoint.base import Endpoint, PhaseWork
@@ -34,6 +34,13 @@ from repro.sim.engine import Simulator
 from repro.sim.process import Signal
 
 _collective_ids = itertools.count()
+
+#: One phase of a chunk's stage table: the plan phase, the endpoint work it
+#: costs at that chunk size, and whether it puts bytes on the fabric.
+StageRow = Tuple[PhaseSpec, PhaseWork, bool]
+
+#: A plan's phases at one chunk size, grouped into sequential stages.
+StageTable = Tuple[Tuple[StageRow, ...], ...]
 
 
 @dataclass
@@ -69,10 +76,6 @@ class CollectiveHandle:
 class _PendingCollective:
     handle: CollectiveHandle
     chunk_sizes: Deque[int] = field(default_factory=deque)
-
-    @property
-    def exhausted(self) -> bool:
-        return not self.chunk_sizes
 
 
 class CollectiveExecutor:
@@ -139,6 +142,10 @@ class CollectiveExecutor:
         self._plans: Dict[CollectiveOp, CollectivePlan] = {}
         if topology.num_nodes > 1:
             self.endpoint.configure(self._plan(CollectiveOp.ALL_REDUCE))
+        self._stage_tables: Dict[Tuple[CollectiveOp, int], StageTable] = {}
+        # Collectives with chunks left to admit, in issue order.  A
+        # collective leaves the list when its last chunk is admitted, so
+        # every entry still has chunks.
         self._pending: List[_PendingCollective] = []
         self._inflight_chunks = 0
         self._handles: List[CollectiveHandle] = []
@@ -165,6 +172,43 @@ class CollectiveExecutor:
                 network=self.system.network,
             )
         return self._plans[op]
+
+    def stage_table(self, op: CollectiveOp, chunk_size: int) -> StageTable:
+        """The stage rows of ``op``'s plan at ``chunk_size``, built once per executor.
+
+        Every chunk of that size walks the same table, so the plan's stage
+        grouping and each phase's :class:`PhaseWork` are computed once, not
+        per chunk.  The table lives on the executor rather than on the
+        (process-wide, cached) plan, so what one job builds never depends on
+        the jobs that ran before it.
+        """
+        key = (op, chunk_size)
+        table = self._stage_tables.get(key)
+        if table is None:
+            # Called through the classes, so wrappers installed on them see
+            # every table build.
+            stages = CollectivePlan.stages(self._plan(op))
+            last = len(stages) - 1
+            phase_index = 0
+            rows = []
+            for stage_index, stage in enumerate(stages):
+                stage_rows = []
+                for phase in stage:
+                    work = PhaseWork.from_phase(
+                        phase,
+                        phase_index=phase_index,
+                        chunk_bytes=chunk_size,
+                        is_first=stage_index == 0,
+                        is_last=stage_index == last,
+                    )
+                    on_fabric = work.send_bytes > 0 and self.fabric.has_dimension(
+                        phase.dimension
+                    )
+                    stage_rows.append((phase, work, on_fabric))
+                    phase_index += 1
+                rows.append(tuple(stage_rows))
+            table = self._stage_tables[key] = tuple(rows)
+        return table
 
     # ------------------------------------------------------------------
     # Issue
@@ -217,25 +261,17 @@ class CollectiveExecutor:
     # ------------------------------------------------------------------
     # Admission and chunk execution
     # ------------------------------------------------------------------
-    def _select_pending(self) -> Optional[_PendingCollective]:
-        """Pick the next collective to serve according to the scheduling policy."""
-        candidates = [p for p in self._pending if not p.exhausted]
-        if not candidates:
-            return None
-        if self.scheduling == "lifo":
-            return candidates[-1]
-        return candidates[0]
-
     def _try_admit(self) -> None:
+        """Admit chunks while the endpoint has room, LIFO or FIFO by collective."""
         capacity = self.endpoint.chunk_capacity()
-        while self._inflight_chunks < capacity:
-            pending = self._select_pending()
-            if pending is None:
-                break
-            chunk_size = pending.chunk_sizes.popleft()
-            if pending.exhausted:
-                self._pending.remove(pending)
-            self._admit_chunk(pending.handle, chunk_size)
+        pending = self._pending
+        index = -1 if self.scheduling == "lifo" else 0
+        while self._inflight_chunks < capacity and pending:
+            served = pending[index]
+            chunk_size = served.chunk_sizes.popleft()
+            if not served.chunk_sizes:
+                pending.pop(index)
+            self._admit_chunk(served.handle, chunk_size)
 
     def _admit_chunk(self, handle: CollectiveHandle, chunk_size: int) -> None:
         """Admit one chunk: it will walk its plan stages as an event chain.
@@ -257,29 +293,26 @@ class CollectiveExecutor:
 
     def _start_chunk(self, handle: CollectiveHandle, chunk_size: int, admitted_at: float) -> None:
         staged = self.endpoint.ingress(chunk_size, self.sim.now)
+        table = self.stage_table(handle.op, chunk_size)
         self.sim.schedule_at(
-            staged, self._start_stage, handle, chunk_size, 0, admitted_at
+            staged, self._start_stage, handle, table, chunk_size, 0, admitted_at
         )
 
     def _start_stage(
         self,
         handle: CollectiveHandle,
+        table: StageTable,
         chunk_size: int,
         stage_index: int,
         admitted_at: float,
     ) -> None:
         """Run one stage of the chunk's plan; chain the next stage at its finish."""
-        plan = handle.plan
-        assert plan is not None
-        stages = plan.stages()
-        if stage_index >= len(stages):
-            done_at = self.endpoint.egress(chunk_size, self.sim.now)
+        now = self.sim.now
+        if stage_index == len(table):
+            done_at = self.endpoint.egress(chunk_size, now)
             self.endpoint.activity.record(admitted_at, done_at)
             self.sim.schedule_at(done_at, self._chunk_done, handle)
             return
-        now = self.sim.now
-        stage = stages[stage_index]
-        phase_offset = sum(len(s) for s in stages[:stage_index])
         event_driven = self.fabric.event_driven
         stage_finish = now
         # Completion-token pattern: the issuing frame holds one token so a
@@ -287,17 +320,10 @@ class CollectiveExecutor:
         # drain the count to zero (and double-schedule the next stage) while
         # transfers are still being issued.
         pending = {"outstanding": 1, "finish": now}
-        for within_stage, phase in enumerate(stage):
-            work = PhaseWork.from_phase(
-                phase,
-                phase_index=phase_offset + within_stage,
-                chunk_bytes=chunk_size,
-                is_first=stage_index == 0,
-                is_last=stage_index == len(stages) - 1,
-            )
+        for phase, work, on_fabric in table[stage_index]:
             ready = self.endpoint.process_phase(work, now)
             finish = ready
-            if work.send_bytes > 0 and self.fabric.has_dimension(phase.dimension):
+            if on_fabric:
                 if event_driven:
                     pending["outstanding"] += 1
                     self.fabric.transfer(
@@ -306,7 +332,7 @@ class CollectiveExecutor:
                         work.send_bytes,
                         phase.steps,
                         self._make_transfer_callback(
-                            pending, ready, handle, chunk_size, stage_index, admitted_at
+                            pending, ready, handle, table, chunk_size, stage_index, admitted_at
                         ),
                     )
                     continue
@@ -317,18 +343,27 @@ class CollectiveExecutor:
             stage_finish = max(stage_finish, finish)
         if not event_driven:
             self.sim.schedule_at(
-                stage_finish, self._start_stage, handle, chunk_size, stage_index + 1, admitted_at
+                stage_finish,
+                self._start_stage,
+                handle,
+                table,
+                chunk_size,
+                stage_index + 1,
+                admitted_at,
             )
             return
         # Release the issuing frame's token; schedules the next stage here
         # when no transfer is still outstanding.
         pending["finish"] = max(pending["finish"], stage_finish)
-        self._release_stage_token(pending, handle, chunk_size, stage_index, admitted_at)
+        self._release_stage_token(
+            pending, handle, table, chunk_size, stage_index, admitted_at
+        )
 
     def _release_stage_token(
         self,
         pending: Dict[str, float],
         handle: CollectiveHandle,
+        table: StageTable,
         chunk_size: int,
         stage_index: int,
         admitted_at: float,
@@ -340,6 +375,7 @@ class CollectiveExecutor:
                 max(pending["finish"], self.sim.now),
                 self._start_stage,
                 handle,
+                table,
                 chunk_size,
                 stage_index + 1,
                 admitted_at,
@@ -350,6 +386,7 @@ class CollectiveExecutor:
         pending: Dict[str, float],
         ready: float,
         handle: CollectiveHandle,
+        table: StageTable,
         chunk_size: int,
         stage_index: int,
         admitted_at: float,
@@ -367,7 +404,7 @@ class CollectiveExecutor:
         def _done(network_finish: float) -> None:
             pending["finish"] = max(pending["finish"], ready, network_finish)
             self._release_stage_token(
-                pending, handle, chunk_size, stage_index, admitted_at
+                pending, handle, table, chunk_size, stage_index, admitted_at
             )
 
         return _done

@@ -148,6 +148,31 @@ class TestUncontendedArithmetic:
         )
 
 
+class TestQueuingDelay:
+    """Every backend's ``reserve`` says when the request was made."""
+
+    def test_symmetric_multi_step_reservation(self, torus_422):
+        fabric = SymmetricFabric(torus_422, NetworkConfig())
+        pipe = fabric.pipe("local")
+        first = fabric.reserve("local", 256 * KB, 0.0, steps=3)
+        second = fabric.reserve("local", 256 * KB, 0.0, steps=3)
+        serialization = 256 * KB / pipe.bandwidth_gbps
+        assert (first.requested, first.queuing_delay) == (0.0, 0.0)
+        assert second.requested == 0.0
+        assert second.queuing_delay == pytest.approx(serialization)
+        # The extra ring-step latencies move the finish, not the start.
+        assert second.finish == pytest.approx(2 * serialization + 3 * pipe.latency_ns)
+
+    def test_detailed_reservation(self, torus_422):
+        backend = DetailedBackend(torus_422, NetworkConfig())
+        first = backend.reserve("vertical", 256 * KB, 100.0, steps=2)
+        second = backend.reserve("vertical", 256 * KB, 100.0, steps=2)
+        assert (first.requested, first.start, first.queuing_delay) == (100.0, 100.0, 0.0)
+        assert second.requested == 100.0
+        assert second.start > 100.0
+        assert second.queuing_delay == second.start - 100.0
+
+
 # ---------------------------------------------------------------------------
 # Knob threading: SystemConfig, make_system, SimJob, executor, loop
 # ---------------------------------------------------------------------------

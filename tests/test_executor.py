@@ -2,10 +2,16 @@
 
 import pytest
 
-from repro.collectives.base import CollectiveOp
+from repro.collectives.base import CollectiveOp, CollectivePlan
+from repro.collectives.planner import (
+    algorithm_implements,
+    algorithms,
+    supported_algorithms,
+)
 from repro.config.presets import make_system
+from repro.endpoint.base import PhaseWork
 from repro.errors import SchedulingError
-from repro.network.topology import Torus3D
+from repro.network.topology import Torus3D, topology_from_spec
 from repro.sim.engine import Simulator
 from repro.training.comm import CollectiveExecutor
 from repro.units import KB, MB
@@ -144,3 +150,71 @@ class TestEndpointInteraction:
         done = executor.all_done_signal()
         sim.run()
         assert done.fired
+
+
+def _per_chunk_stages(plan, chunk_size, fabric):
+    """The stage rows as the executor once rebuilt them for every chunk."""
+    stages = plan.stages()
+    table = []
+    for stage_index, stage in enumerate(stages):
+        phase_offset = sum(len(s) for s in stages[:stage_index])
+        rows = []
+        for within_stage, phase in enumerate(stage):
+            work = PhaseWork.from_phase(
+                phase,
+                phase_index=phase_offset + within_stage,
+                chunk_bytes=chunk_size,
+                is_first=stage_index == 0,
+                is_last=stage_index == len(stages) - 1,
+            )
+            on_fabric = work.send_bytes > 0 and fabric.has_dimension(phase.dimension)
+            rows.append((phase, work, on_fabric))
+        table.append(tuple(rows))
+    return tuple(table)
+
+
+def _algorithm_cases():
+    """Every registered (algorithm, op) on the first fabric that supports it."""
+    fabrics = ("torus:4x2x2", "ring:8", "switch:8")
+    cases = []
+    for algorithm in algorithms():
+        for op in CollectiveOp:
+            if not algorithm_implements(algorithm, op):
+                continue
+            fabric = next(
+                spec
+                for spec in fabrics
+                if algorithm in supported_algorithms(op, topology_from_spec(spec))
+            )
+            cases.append((algorithm, op, fabric))
+    return cases
+
+
+class TestStageTables:
+    @pytest.mark.parametrize("algorithm,op,fabric", _algorithm_cases())
+    def test_table_matches_per_chunk_construction(self, algorithm, op, fabric):
+        system = make_system("ideal", algorithm=algorithm)
+        executor = CollectiveExecutor(
+            Simulator(), system, topology_from_spec(fabric), chunk_bytes=64 * KB
+        )
+        plan = executor.issue(op, 160 * KB).plan
+        for chunk_size in (64 * KB, 32 * KB):
+            assert executor.stage_table(op, chunk_size) == _per_chunk_stages(
+                plan, chunk_size, executor.fabric
+            )
+
+    def test_remainder_payload_builds_exactly_two_tables(self, monkeypatch):
+        sim, executor = _executor("ace")
+        built = []
+        stages = CollectivePlan.stages
+        monkeypatch.setattr(
+            CollectivePlan, "stages", lambda plan: built.append(plan) or stages(plan)
+        )
+        handle = executor.issue("all_reduce", 10 * 64 * KB + 5 * KB)
+        sim.run()
+        assert handle.finished and handle.num_chunks == 11
+        assert len(built) == 2
+        # Later collectives of the same operation and chunk sizes reuse them.
+        executor.issue("all_reduce", 3 * 64 * KB + 5 * KB)
+        sim.run()
+        assert len(built) == 2

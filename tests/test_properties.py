@@ -14,7 +14,7 @@ from repro.network.topology import Torus3D
 from repro.runner import SimJob
 from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthResource
-from repro.sim.trace import IntervalTracer
+from repro.sim.trace import IntervalTracer, UtilizationTrace
 
 # Keep hypothesis example counts modest so the suite stays fast.
 DEFAULT_SETTINGS = settings(max_examples=40, deadline=None)
@@ -177,6 +177,103 @@ def test_interval_tracer_busy_time_is_bounded_by_span(intervals):
     busy = tracer.busy_time()
     assert busy <= tracer.total_span() + 1e-6
     assert busy >= 0.0
+
+
+#: How an interval relates to the last non-empty one recorded before it.
+_INTERVAL_SHAPES = (
+    "back_to_back",
+    "overlapping",
+    "contained",
+    "out_of_order",
+    "zero_length",
+    "gap",
+)
+
+
+def _shaped_interval(shape, previous, fraction, length):
+    """An interval of ``shape`` relative to ``previous`` (``fraction`` in [0, 1])."""
+    prev_start, prev_end = previous
+    inside = prev_start + fraction * (prev_end - prev_start)
+    if shape == "back_to_back":
+        return prev_end, prev_end + length
+    if shape == "overlapping":
+        return inside, prev_end + length
+    if shape == "contained":
+        return inside, min(prev_end, inside + length)
+    if shape == "out_of_order":
+        start = max(0.0, prev_start - length - 100.0 * fraction)
+        return start, start + length
+    if shape == "zero_length":
+        return inside, inside - length * fraction
+    return prev_end + length, prev_end + length + 1.0 + 100.0 * fraction
+
+
+def _sorted_union(intervals):
+    """Reference union: sorted, disjoint, touching intervals merged."""
+    union = []
+    for start, end in sorted(i for i in intervals if i[1] > i[0]):
+        if union and start <= union[-1][1]:
+            union[-1][1] = max(union[-1][1], end)
+        else:
+            union.append([start, end])
+    return union
+
+
+@DEFAULT_SETTINGS
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(_INTERVAL_SHAPES),
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=0.0, max_value=100.0),
+        ),
+        max_size=40,
+    ),
+    windows=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=3000.0),
+            st.floats(min_value=0.0, max_value=1000.0),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    window_ns=st.floats(min_value=1.0, max_value=500.0),
+)
+def test_interval_tracer_keeps_the_union_of_any_record_sequence(steps, windows, window_ns):
+    tracer = IntervalTracer()
+    recorded = []
+    previous = (0.0, 0.0)
+    for shape, fraction, length in steps:
+        start, end = _shaped_interval(shape, previous, fraction, length)
+        recorded.append((start, end))
+        tracer.record(start, end)
+        if end > start:
+            previous = (start, end)
+    union = _sorted_union(recorded)
+
+    starts, ends = tracer.merged_arrays()
+    assert np.array_equal(starts, np.array([s for s, _ in union], dtype=np.float64))
+    assert np.array_equal(ends, np.array([e for _, e in union], dtype=np.float64))
+
+    # A tracer fed the union itself stores it unchanged: every query must
+    # agree with it bit for bit, and with a plain loop over the union.
+    reference = IntervalTracer()
+    for start, end in union:
+        reference.record(start, end)
+    for low, width in windows:
+        high = low + width
+        expected = sum(max(0.0, min(e, high) - max(s, low)) for s, e in union)
+        assert tracer.busy_time(low, high) == reference.busy_time(low, high)
+        assert tracer.busy_time(low, high) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+    horizon = max(low + width for low, width in windows)
+    trace = UtilizationTrace(window_ns)
+    series = trace.utilization_series([tracer], horizon)
+    assert series == trace.utilization_series([reference], horizon)
+    for index, (_, utilization) in enumerate(series):
+        low = index * window_ns
+        high = min(horizon, (index + 1) * window_ns)
+        busy = sum(max(0.0, min(e, high) - max(s, low)) for s, e in union)
+        assert utilization == pytest.approx(min(1.0, busy / (high - low)), rel=1e-6, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

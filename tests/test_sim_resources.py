@@ -87,6 +87,25 @@ class TestBandwidthResource:
         queued = pipe.reserve(10.0, 0.0)
         assert queued.queuing_delay == pytest.approx(100.0)
 
+    def test_reservation_is_immutable(self):
+        reservation = BandwidthResource("p", bandwidth_gbps=1.0).reserve(10.0, 5.0)
+        assert (reservation.duration, reservation.requested) == (10.0, 5.0)
+        for name in ("start", "finish", "num_bytes", "requested"):
+            with pytest.raises(AttributeError):
+                setattr(reservation, name, 0.0)
+
+    def test_back_to_back_requests_keep_one_trace_interval_per_busy_run(self):
+        tracer = IntervalTracer("t")
+        pipe = BandwidthResource("p", bandwidth_gbps=1.0, latency_ns=5.0, trace=tracer)
+        for _ in range(5):
+            pipe.reserve(10.0, 0.0)  # queued back to back: busy [0, 50)
+        pipe.reserve(10.0, 100.0)  # after an idle gap: [100, 110)
+        pipe.reserve(10.0, 105.0)  # queued behind it: [110, 120)
+        pipe.reserve(0.0, 200.0)  # zero bytes: no busy time at all
+        # White-box: the tracer stores one interval per busy run.
+        assert list(zip(tracer._starts, tracer._ends)) == [(0.0, 50.0), (100.0, 120.0)]
+        assert tracer.busy_time() == 70.0
+
 
 class TestSlotResource:
     def test_parallel_slots(self):
