@@ -10,7 +10,7 @@ Subcommands:
   through the shared :func:`~repro.runner.default_runner` (honouring
   ``REPRO_WORKERS`` / ``REPRO_CACHE_DIR``), check the declared invariants,
   and write the uniform machine-readable report.
-* ``expand <scenario>`` — compile a manifest (``sweep:`` blocks included) and
+* ``expand <scenario>`` — compile a manifest (``grid`` axes included) and
   print every expanded job spec without running anything; the dry-run view
   of server-side grid templating.
 * ``figures [figN|all]`` — regenerate the paper's figure/table harnesses.
@@ -214,8 +214,7 @@ def _scenario_summary(scenario: Scenario) -> Dict[str, object]:
     figures = [s.spec["figure"] for s in scenario.suites if s.kind == "figure"]
     traces: List[str] = []
     for suite in scenario.suites:
-        if suite.kind == "trace":
-            traces.extend(t for t in suite.spec["traces"] if t not in traces)
+        traces.extend(t for t in suite.spec.get("traces", ()) if t not in traces)
     return {
         "name": scenario.name,
         "suites": len(scenario.suites),

@@ -28,7 +28,7 @@ a pure roofline point:
 
 With the Table V defaults the model sits a few percent *above* the roofline
 everywhere (occupancy and fill/drain are pure adds), which is exactly the
-disagreement ``experiments/compute_validation.py`` quantifies and bounds.
+disagreement ``experiments/model_agreement.py`` quantifies and bounds.
 All unit parameters live on :class:`~repro.config.system.ComputeConfig`, so
 they thread through ``SimJob`` overrides like every other knob; invalid
 values raise :class:`~repro.errors.ConfigurationError` naming the field.

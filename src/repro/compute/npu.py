@@ -91,10 +91,6 @@ class NpuComputeEngine:
         self._task_log.append((cost.name, start, finish))
         return start, finish
 
-    def idle_until(self, time: float) -> None:
-        """Force the engine to be idle until ``time`` (used for blocking waits)."""
-        self._busy_until = max(self._busy_until, time)
-
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------

@@ -138,9 +138,6 @@ class ComputeConfig:
     def tflops_per_sm(self) -> float:
         return self.peak_tflops_fp16 / self.num_sms
 
-    def cycle_time_ns(self) -> float:
-        return cycles_to_ns(1.0, self.frequency_mhz)
-
 
 @dataclass(frozen=True)
 class MemoryConfig:

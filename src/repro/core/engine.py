@@ -164,9 +164,6 @@ class AceEngine:
     def memory_write_bytes(self) -> float:
         return self._hbm_slice.write_bytes
 
-    def fsm_utilization(self, horizon_ns: float) -> float:
-        return self.fsms.utilization(horizon_ns)
-
     def utilization(self, horizon_ns: float) -> float:
         """Fraction of time at least one chunk was being processed (Fig. 9b)."""
         if horizon_ns <= 0:

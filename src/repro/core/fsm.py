@@ -69,12 +69,6 @@ class FsmPool:
     def programmed(self) -> bool:
         return bool(self._assignment)
 
-    def fsms_for_phase(self, phase: str) -> List[int]:
-        try:
-            return list(self._assignment[phase])
-        except KeyError:
-            raise SchedulingError(f"no FSM programmed for phase {phase!r}") from None
-
     # ------------------------------------------------------------------
     # Occupancy
     # ------------------------------------------------------------------

@@ -28,14 +28,13 @@ table4    Table IV — ACE area and power
 :mod:`repro.experiments.cross_topology` extends past the paper: it sweeps
 (topology x collective algorithm x platform size) through the planner
 registry and the sweep runner; see ``run_cross_topology``.
-:mod:`repro.experiments.backend_validation` reproduces the paper's
-model-validation methodology: every (workload x topology x collective) cell
-runs on both network backends and the symmetric model must track the
-detailed one within 5 % on <= 32-NPU systems; see ``run_backend_validation``.
+:mod:`repro.experiments.model_agreement` reproduces the paper's
+model-validation methodology: every cell runs on both models of a pair
+(network backends or compute models) and the fast model must track the
+reference within a per-knob bound; see ``run_model_agreement``.
 """
 
 from repro.experiments import common
-from repro.experiments.backend_validation import run_backend_validation
 from repro.experiments.cross_topology import run_cross_topology
 from repro.experiments.fig4_microbench import run_fig4
 from repro.experiments.fig5_membw_sweep import run_fig5
@@ -44,11 +43,11 @@ from repro.experiments.fig9_dse import run_fig9a, run_fig9b
 from repro.experiments.fig10_overlap import run_fig10
 from repro.experiments.fig11_scaling import run_fig11
 from repro.experiments.fig12_dlrm_opt import run_fig12
+from repro.experiments.model_agreement import run_model_agreement
 from repro.experiments.table4_area import run_table4
 
 __all__ = [
     "common",
-    "run_backend_validation",
     "run_cross_topology",
     "run_fig4",
     "run_fig5",
@@ -58,5 +57,6 @@ __all__ = [
     "run_fig10",
     "run_fig11",
     "run_fig12",
+    "run_model_agreement",
     "run_table4",
 ]

@@ -11,7 +11,7 @@ share :func:`repro.runner.default_runner`, which is configured with the
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.config.presets import torus_shape_for_npus
 from repro.errors import ConfigurationError
@@ -146,8 +146,3 @@ def run_grid(
             compute=compute,
         )
     )
-
-
-def results_to_rows(results: Iterable[TrainingResult]) -> List[Dict[str, object]]:
-    """Flatten training results into printable rows."""
-    return [result.as_row() for result in results]

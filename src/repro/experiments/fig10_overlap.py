@@ -77,33 +77,6 @@ def run_fig10(
     return rows
 
 
-def timeline_series(
-    system_name: str,
-    workload_name: str,
-    num_npus: int = 128,
-    fast: bool = True,
-    iterations: int = 2,
-    runner: Optional[SweepRunner] = None,
-) -> Dict[str, List[tuple]]:
-    """The raw (time, utilization) series for one Fig. 10 panel."""
-    runner = runner or default_runner()
-    if fast:
-        num_npus = min(num_npus, 64)
-    result = runner.run_one(
-        training_job(
-            system_name,
-            workload_name,
-            num_npus=num_npus,
-            iterations=iterations,
-            chunk_bytes=chunk_bytes_for(workload_name, fast),
-        )
-    )
-    return {
-        "compute": result.compute_utilization_series,
-        "network": result.network_utilization_series,
-    }
-
-
 def main(fast: bool = True, runner: Optional[SweepRunner] = None) -> str:
     table = format_table(
         run_fig10(fast=fast, runner=runner),

@@ -38,7 +38,7 @@ In the uncontended case the arithmetic matches the symmetric backend
 exactly (total time = bytes / aggregate-dimension-bandwidth + steps x link
 latency); under contention the two models diverge only through FIFO
 ordering and gap utilization, which is precisely what
-``experiments/backend_validation.py`` bounds (<= 5 % on <= 32-NPU systems,
+``experiments/model_agreement.py`` bounds (<= 5 % on <= 32-NPU systems,
 the repo's analogue of the paper's model-validation claim).
 """
 

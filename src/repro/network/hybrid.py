@@ -16,7 +16,7 @@ message-level FIFO interleaving, store-and-forward hops and per-link
 observability; the cold dimensions keep closed-form speed.  This lets
 ``"hybrid"`` run fabrics far past the detailed backend's NPU cap while
 staying within a few percent of the fully detailed model on the small
-systems where both are feasible (``experiments/backend_validation.py``
+systems where both are feasible (``experiments/model_agreement.py``
 bounds the disagreement).
 
 Hot-dimension selection
@@ -111,16 +111,6 @@ class HybridBackend(NetworkBackend):
     def _is_hot(self, dimension: str) -> bool:
         """Whether ``dimension`` routes to the detailed sub-model."""
         return dimension == self.hot_dimension
-
-    @property
-    def detailed_part(self) -> DetailedBackend:
-        """The per-link sub-model carrying :attr:`hot_dimension`."""
-        return self._detailed
-
-    @property
-    def symmetric_part(self) -> SymmetricFabric:
-        """The aggregated-pipe sub-model carrying the cold dimensions."""
-        return self._pipes
 
     # ------------------------------------------------------------------
     # NetworkBackend protocol

@@ -85,7 +85,7 @@ class SymmetricFabric(NetworkBackend):
     This is the ``"symmetric"`` :class:`~repro.network.backend.NetworkBackend`:
     the fast analytical model the paper uses for every large sweep, validated
     against the ``"detailed"`` per-link backend on small systems
-    (``experiments/backend_validation.py``).
+    (``experiments/model_agreement.py``).
     """
 
     def __init__(

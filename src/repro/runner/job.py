@@ -32,7 +32,7 @@ from repro.compute.backend import (
     resolve_compute_backend_name,
     validate_compute_backend_name,
 )
-from repro.config.presets import make_system
+from repro.config.presets import make_system, torus_shape_for_npus
 from repro.config.system import AceConfig, SystemConfig
 from repro.core.area_power import AceAreaPowerModel
 from repro.errors import ConfigurationError
@@ -246,11 +246,14 @@ class SimJob:
             # Validate eagerly so a bad spec fails at submission, not in a worker.
             topology_from_spec(self.fabric)
         if self.kind in ("training", "network_drive"):
-            if self.fabric is None and self.topology is None and self.num_npus is None:
-                raise ConfigurationError(
-                    f"{self.kind} jobs need a fabric spec, an explicit topology, "
-                    f"or num_npus"
-                )
+            if self.fabric is None and self.topology is None:
+                if self.num_npus is None:
+                    raise ConfigurationError(
+                        f"{self.kind} jobs need a fabric spec, an explicit topology, "
+                        f"or num_npus"
+                    )
+                # Sizes without a canonical torus fail here, not in a worker.
+                torus_shape_for_npus(self.num_npus)
             if self.chunk_bytes is not None and self.chunk_bytes <= 0:
                 raise ConfigurationError("chunk_bytes must be positive")
         if self.trace is not None and self.kind != "training":
@@ -421,8 +424,6 @@ class SimJob:
             return topology_from_spec(self.fabric)
         if self.topology is not None:
             return torus_from_shape(self.topology)
-        from repro.config.presets import torus_shape_for_npus
-
         return torus_from_shape(torus_shape_for_npus(self.num_npus))
 
     def execute(self) -> object:

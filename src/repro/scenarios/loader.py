@@ -7,7 +7,7 @@ variable or the CLI's ``--dir`` flag.
 
 Compilation turns a validated :class:`~repro.scenarios.schema.Scenario` into
 the exact :class:`~repro.runner.SimJob` batch the hand-written harnesses
-build: ``training_grid`` suites compile through
+build: ``grid`` suites compile through
 :func:`repro.experiments.common.grid_jobs`, ``cross_topology`` through
 :func:`repro.experiments.cross_topology.cross_topology_jobs`, and so on — so
 a manifest-driven run produces byte-identical job specs (and therefore cache
@@ -20,6 +20,7 @@ resource estimates).
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import ReproError, ScenarioError
-from repro.runner import SimJob, area_power_job, network_drive_job
+from repro.runner import SimJob, area_power_job, network_drive_job, trace_job
 from repro.scenarios.schema import Scenario, Suite
 
 #: Environment variable overriding the default scenario manifest directory.
@@ -243,105 +244,28 @@ def _check_pipeline_compat(workloads: Sequence[str], parallelism: Optional[str])
             )
 
 
-def _compile_training_grid(spec: Mapping[str, object]) -> List[SimJob]:
-    from repro.experiments.common import PAPER_SYSTEMS, grid_jobs
-
-    _check_systems(tuple(spec.get("systems", PAPER_SYSTEMS)))
-    _check_workloads(tuple(spec.get("workloads", ())))
-    _check_pipeline_compat(
-        tuple(spec.get("workloads", ("resnet50", "gnmt", "dlrm"))),
-        spec.get("parallelism"),
-    )
-    return grid_jobs(
-        systems=tuple(spec.get("systems", PAPER_SYSTEMS)),
-        workloads=tuple(spec.get("workloads", ("resnet50", "gnmt", "dlrm"))),
-        sizes=tuple(spec.get("sizes", (16, 32, 64, 128))),
-        iterations=int(spec.get("iterations", 2)),
-        fast=bool(spec.get("fast", True)),
-        overlap_embedding=bool(spec.get("overlap_embedding", False)),
-        fabric=spec.get("fabric"),
-        algorithm=str(spec.get("algorithm", "auto")),
-        backend=spec.get("backend"),
-        chunk_bytes=spec.get("chunk_bytes"),
-        parallelism=spec.get("parallelism"),
-        compute=spec.get("compute"),
-    )
-
-
-def _compile_sweep(spec: Mapping[str, object]) -> List[SimJob]:
-    """Server-side grid templating: one ``grid_jobs`` batch per outer-axis cell.
+def _compile_grid(spec: Mapping[str, object]) -> List[SimJob]:
+    """The (model x size x system) grid once per outer-axis cell.
 
     The outer axes (fabric x backend x algorithm x parallelism x compute)
-    wrap the inner (workload x size x system) grid, and every combination routes
-    through :func:`repro.experiments.common.grid_jobs` — so the expansion is
-    byte-identical to hand-enumerating one ``training_grid`` suite per
-    combination, and identical specs hit identical cache keys.
+    wrap the inner grid; an absent or empty axis list means the default.
+    Workload cells route through :func:`repro.experiments.common.grid_jobs`,
+    so the expansion is byte-identical to hand-enumerating one harness batch
+    per combination, and identical specs hit identical cache keys.  Every
+    trace file is loaded — and therefore fully validated — before any job is
+    built, so a broken ``traces/<name>.json`` fails ``repro validate`` with
+    the offending node named instead of dying in a worker process.
     """
     from repro.experiments.common import PAPER_SYSTEMS, grid_jobs
 
     systems = tuple(spec.get("systems", PAPER_SYSTEMS))
     _check_systems(systems)
-    workloads = tuple(spec.get("workloads", ("resnet50", "gnmt", "dlrm")))
-    _check_workloads(workloads)
     sizes = tuple(spec.get("sizes", (16,)))
-    fabrics = tuple(spec.get("fabrics", (None,))) or (None,)
-    backends = tuple(spec.get("backends", (None,))) or (None,)
-    algorithms = tuple(spec.get("algorithms", ("auto",))) or ("auto",)
-    parallelisms = tuple(spec.get("parallelisms", (None,))) or (None,)
-    computes = tuple(spec.get("computes", (None,))) or (None,)
-    for parallelism in parallelisms:
-        _check_pipeline_compat(workloads, parallelism)
-    jobs: List[SimJob] = []
-    for fabric in fabrics:
-        for backend in backends:
-            for algorithm in algorithms:
-                for parallelism in parallelisms:
-                    for compute in computes:
-                        jobs.extend(
-                            grid_jobs(
-                                systems=systems,
-                                workloads=workloads,
-                                sizes=sizes,
-                                iterations=int(spec.get("iterations", 2)),
-                                fast=bool(spec.get("fast", True)),
-                                overlap_embedding=bool(spec.get("overlap_embedding", False)),
-                                fabric=fabric,
-                                algorithm=str(algorithm),
-                                backend=backend,
-                                chunk_bytes=spec.get("chunk_bytes"),
-                                parallelism=parallelism,
-                                compute=compute,
-                            )
-                        )
-    return jobs
-
-
-def _compile_trace(spec: Mapping[str, object]) -> List[SimJob]:
-    """Trace-driven training cells: (trace x outer axes x size x system).
-
-    Every trace file is loaded — and therefore fully validated — at compile
-    time, so a broken ``traces/<name>.json`` fails ``repro validate`` with
-    the offending node named instead of dying in a worker process.
-    """
-    from repro.experiments.common import PAPER_SYSTEMS
-    from repro.runner import trace_job
-    from repro.traces import find_trace
-    from repro.traces.cost import find_cost_table
-
-    systems = tuple(spec.get("systems", PAPER_SYSTEMS))
-    _check_systems(systems)
-    traces = tuple(spec["traces"])
-    for name in traces:
-        find_trace(name)
-    cost_table = spec.get("cost_table")
-    if cost_table is not None:
-        find_cost_table(str(cost_table))
-    sizes = tuple(spec.get("sizes", (16,)))
-    fabrics = tuple(spec.get("fabrics", (None,))) or (None,)
-    backends = tuple(spec.get("backends", (None,))) or (None,)
-    algorithms = tuple(spec.get("algorithms", ("auto",))) or ("auto",)
-    parallelisms = tuple(spec.get("parallelisms", (None,))) or (None,)
-    computes = tuple(spec.get("computes", (None,))) or (None,)
+    fabrics = tuple(spec.get("fabrics", ())) or (None,)
+    backends = tuple(spec.get("backends", ())) or (None,)
+    algorithms = tuple(spec.get("algorithms", ())) or ("auto",)
+    parallelisms = tuple(spec.get("parallelisms", ())) or (None,)
+    computes = tuple(spec.get("computes", ())) or (None,)
     if any(fabric is not None for fabric in fabrics) and len(set(sizes)) > 1:
         from repro.errors import ConfigurationError
 
@@ -349,30 +273,58 @@ def _compile_trace(spec: Mapping[str, object]) -> List[SimJob]:
             f"a fabric spec fixes the platform size; pass a single-entry "
             f"sizes instead of {sizes} (one fabric spec per size)"
         )
+    traces = tuple(spec.get("traces", ()))
+    cost_table = spec.get("cost_table")
+    workloads = tuple(spec.get("workloads", ("resnet50", "gnmt", "dlrm")))
+    if "traces" in spec:
+        from repro.traces import find_trace
+        from repro.traces.cost import find_cost_table
+
+        for name in traces:
+            find_trace(name)
+        if cost_table is not None:
+            find_cost_table(str(cost_table))
+    else:
+        _check_workloads(workloads)
+        for parallelism in parallelisms:
+            _check_pipeline_compat(workloads, parallelism)
+    iterations = int(spec.get("iterations", 2))
     jobs: List[SimJob] = []
-    for trace in traces:
-        for fabric in fabrics:
-            for backend in backends:
-                for algorithm in algorithms:
-                    for parallelism in parallelisms:
-                        for compute in computes:
-                            for num_npus in sizes:
-                                for system in systems:
-                                    jobs.append(
-                                        trace_job(
-                                            system,
-                                            trace,
-                                            num_npus=None if fabric else num_npus,
-                                            fabric=fabric,
-                                            algorithm=str(algorithm),
-                                            backend=backend,
-                                            iterations=int(spec.get("iterations", 2)),
-                                            chunk_bytes=spec.get("chunk_bytes"),
-                                            cost_table=cost_table,
-                                            parallelism=parallelism,
-                                            compute=compute,
-                                        )
-                                    )
+    for fabric, backend, algorithm, parallelism, compute in itertools.product(
+        fabrics, backends, algorithms, parallelisms, computes
+    ):
+        knobs = dict(
+            fabric=fabric,
+            algorithm=str(algorithm),
+            backend=backend,
+            chunk_bytes=spec.get("chunk_bytes"),
+            parallelism=parallelism,
+            compute=compute,
+        )
+        if "traces" in spec:
+            jobs.extend(
+                trace_job(
+                    system,
+                    trace,
+                    num_npus=None if fabric else num_npus,
+                    iterations=iterations,
+                    cost_table=cost_table,
+                    **knobs,
+                )
+                for trace, num_npus, system in itertools.product(traces, sizes, systems)
+            )
+        else:
+            jobs.extend(
+                grid_jobs(
+                    systems=systems,
+                    workloads=workloads,
+                    sizes=sizes,
+                    iterations=iterations,
+                    fast=bool(spec.get("fast", True)),
+                    overlap_embedding=bool(spec.get("overlap_embedding", False)),
+                    **knobs,
+                )
+            )
     return jobs
 
 
@@ -416,63 +368,25 @@ def _compile_cross_topology(spec: Mapping[str, object]) -> List[SimJob]:
     )
 
 
-def _resolve_backend_validation(suite: Suite) -> "CompiledFigure":
-    """A delegating suite over the backend-pair validation harness.
+def _resolve_model_agreement(suite: Suite) -> "CompiledFigure":
+    """A delegating suite over the paired-model agreement harness.
 
-    The harness pairs every cell across the two validated backends
-    (default symmetric vs detailed; the ``backends`` field selects another
-    pair, e.g. detailed vs hybrid) and reports one *comparison* row per cell
-    (``time_rel_err``, ``exposed_delta_frac``), so a manifest can assert the
-    paper-style model-validation bound with a plain ``bound`` invariant.
+    The harness runs every cell once per model of the pair and reports one
+    *comparison* row per cell (``time_rel_err``, ``exposed_delta_frac``,
+    ``slowdown_frac``), so a manifest asserts the model-validation bound
+    with plain ``bound`` invariants.  The paired jobs are built here once so
+    that a bad pair, cell or size fails at compile time.
     """
-    from repro.experiments.backend_validation import run_backend_validation
+    from repro.experiments.model_agreement import agreement_jobs, run_model_agreement
 
-    system = str(suite.spec.get("system", "ace"))
-    _check_systems((system,))
-    options: Dict[str, object] = {"system": system}
-    if "training_cells" in suite.spec:
-        options["training_cells"] = [tuple(cell) for cell in suite.spec["training_cells"]]
-    if "drive_cells" in suite.spec:
-        options["drive_cells"] = [tuple(cell) for cell in suite.spec["drive_cells"]]
-    if "iterations" in suite.spec:
-        options["iterations"] = int(suite.spec["iterations"])
-    if "backends" in suite.spec:
-        options["backends"] = tuple(str(name) for name in suite.spec["backends"])
-    pair = options.get("backends", ("symmetric", "detailed"))
+    options: Dict[str, object] = {"system": "ace", **suite.spec}
+    _check_systems((options["system"],))
+    for name in ("training_cells", "drive_cells"):
+        if name in options:
+            options[name] = [tuple(cell) for cell in options[name]]
+    agreement_jobs(**options)
     runner = FigureRunner(
-        "backend_validation",
-        run_backend_validation,
-        f"{pair[0]} vs {pair[1]} backend agreement",
-    )
-    return CompiledFigure(figure=runner, options=options)
-
-
-def _resolve_compute_validation(suite: Suite) -> "CompiledFigure":
-    """A delegating suite over the compute-backend-pair validation harness.
-
-    Mirrors ``backend_validation`` for the *compute* axis: every training
-    cell runs once per compute backend (default roofline vs execution-unit)
-    and each comparison row carries ``time_rel_err``, ``exposed_delta_frac``
-    and the signed ``eu_slowdown_frac``, so a manifest can assert both the
-    10 % agreement bound and the execution-unit-never-faster invariant with
-    plain ``bound`` invariants.
-    """
-    from repro.experiments.compute_validation import run_compute_validation
-
-    system = str(suite.spec.get("system", "ace"))
-    _check_systems((system,))
-    options: Dict[str, object] = {"system": system}
-    if "training_cells" in suite.spec:
-        options["training_cells"] = [tuple(cell) for cell in suite.spec["training_cells"]]
-    if "iterations" in suite.spec:
-        options["iterations"] = int(suite.spec["iterations"])
-    if "backends" in suite.spec:
-        options["backends"] = tuple(str(name) for name in suite.spec["backends"])
-    pair = options.get("backends", ("roofline", "execution-unit"))
-    runner = FigureRunner(
-        "compute_validation",
-        run_compute_validation,
-        f"{pair[0]} vs {pair[1]} compute-backend agreement",
+        "model_agreement", run_model_agreement, f"{options['knob']} model agreement"
     )
     return CompiledFigure(figure=runner, options=options)
 
@@ -496,9 +410,7 @@ def _compile_area_power(spec: Mapping[str, object]) -> List[SimJob]:
 
 
 _COMPILERS: Dict[str, Callable[[Mapping[str, object]], List[SimJob]]] = {
-    "training_grid": _compile_training_grid,
-    "sweep": _compile_sweep,
-    "trace": _compile_trace,
+    "grid": _compile_grid,
     "network_drive": _compile_network_drive,
     "cross_topology": _compile_cross_topology,
     "area_power": _compile_area_power,
@@ -512,10 +424,8 @@ def compile_suite(scenario: Scenario, index: int) -> CompiledSuite:
     try:
         if suite.kind == "figure":
             return CompiledSuite(suite=suite, figure=resolve_figure(suite, context))
-        if suite.kind == "backend_validation":
-            return CompiledSuite(suite=suite, figure=_resolve_backend_validation(suite))
-        if suite.kind == "compute_validation":
-            return CompiledSuite(suite=suite, figure=_resolve_compute_validation(suite))
+        if suite.kind == "model_agreement":
+            return CompiledSuite(suite=suite, figure=_resolve_model_agreement(suite))
         jobs = _COMPILERS[suite.kind](suite.spec)
     except ScenarioError:
         raise

@@ -17,7 +17,7 @@ A manifest looks like::
       "description": "Fast paper grid: resnet50 @ 16 NPUs, all five systems",
       "tags": ["paper", "fast"],
       "suites": [
-        {"kind": "training_grid", "workloads": ["resnet50"], "sizes": [16]}
+        {"kind": "grid", "workloads": ["resnet50"], "sizes": [16]}
       ],
       "invariants": [
         {"kind": "ordering", "metric": "iteration_time_us",
@@ -48,13 +48,10 @@ SCHEMA_VERSION = 1
 
 #: Suite kinds a manifest may declare.
 SUITE_KINDS = (
-    "training_grid",
-    "sweep",
-    "trace",
+    "grid",
     "network_drive",
     "cross_topology",
-    "backend_validation",
-    "compute_validation",
+    "model_agreement",
     "area_power",
     "figure",
 )
@@ -206,54 +203,14 @@ def _overrides_field(data: Mapping[str, object], name: str, context: str) -> Dic
 
 #: Per-kind (allowed, required) manifest fields, beyond the common ``kind``.
 _SUITE_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "training_grid": (
+    # The (system x workload-or-trace x size) grid under the product of the
+    # list axes; ``null`` axis entries mean the default (canonical torus /
+    # preset backend / native parallelism / preset compute model).
+    "grid": (
         (
             "systems",
             "workloads",
-            "sizes",
-            "iterations",
-            "fast",
-            "overlap_embedding",
-            "fabric",
-            "algorithm",
-            "backend",
-            "chunk_bytes",
-            "parallelism",
-            "compute",
-        ),
-        (),
-    ),
-    # Server-side grid templating: the product of every axis list expands into
-    # one ``training_grid`` batch per (fabric, backend, algorithm,
-    # parallelism) combination, compiled through the same
-    # :func:`repro.experiments.common.grid_jobs` path so expanded specs are
-    # byte-identical to hand-enumerated equivalents.  Axis entries of ``null``
-    # mean "the default" (canonical torus / preset backend / native
-    # parallelism).
-    "sweep": (
-        (
-            "systems",
-            "workloads",
-            "sizes",
-            "fabrics",
-            "backends",
-            "algorithms",
-            "parallelisms",
-            "computes",
-            "iterations",
-            "fast",
-            "overlap_embedding",
-            "chunk_bytes",
-        ),
-        (),
-    ),
-    # Trace-driven training: the same outer axes as ``sweep`` but over
-    # operator-graph traces (``traces/<name>.json``) instead of built-in
-    # workloads, compiled to :func:`repro.runner.trace_job` specs.
-    "trace": (
-        (
             "traces",
-            "systems",
             "sizes",
             "fabrics",
             "backends",
@@ -262,9 +219,11 @@ _SUITE_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
             "computes",
             "iterations",
             "chunk_bytes",
+            "fast",
+            "overlap_embedding",
             "cost_table",
         ),
-        ("traces",),
+        (),
     ),
     "network_drive": (
         (
@@ -280,16 +239,11 @@ _SUITE_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
         ("payload_bytes", "fabrics"),
     ),
     "cross_topology": (("op", "sizes", "systems", "payload_bytes", "chunk_bytes"), ()),
-    "backend_validation": (
-        ("system", "training_cells", "drive_cells", "iterations", "backends"),
-        (),
-    ),
-    # Roofline-vs-execution-unit compute-model validation (PR 3's playbook
-    # applied to compute fidelity); training cells only — the compute knob
-    # does not exist on network-drive jobs.
-    "compute_validation": (
-        ("system", "training_cells", "iterations", "backends"),
-        (),
+    # Every cell once per model of a pair; ``knob`` names the job field the
+    # pair varies and ``backends`` the pair itself.
+    "model_agreement": (
+        ("knob", "system", "training_cells", "drive_cells", "iterations", "backends"),
+        ("knob",),
     ),
     "area_power": (("ace",), ()),
     "figure": (("figure", "fast", "options"), ("figure",)),
@@ -330,47 +284,27 @@ class Suite:
     @staticmethod
     def _validate_types(kind: str, spec: Mapping[str, object], context: str) -> None:
         """Type-check the declared fields (defaults are the loader's job)."""
-        if kind == "training_grid":
+        if kind == "grid":
             _str_tuple_field(spec, "systems", context)
+            if "traces" in spec:
+                for name in ("workloads", "fast", "overlap_embedding"):
+                    if name in spec:
+                        raise ScenarioError(
+                            f"{context}: field {name!r} does not apply to 'traces' grids"
+                        )
+                _str_tuple_field(spec, "traces", context)
+            elif "cost_table" in spec:
+                raise ScenarioError(f"{context}: field 'cost_table' needs a 'traces' list")
             _str_tuple_field(spec, "workloads", context)
             _int_tuple_field(spec, "sizes", context)
+            for name in ("fabrics", "backends", "parallelisms", "computes"):
+                _opt_str_list_field(spec, name, context)
+            _str_tuple_field(spec, "algorithms", context)
             if "iterations" in spec:
                 _int_field(spec, "iterations", context)
+            _opt_int_field(spec, "chunk_bytes", context)
             _bool_field(spec, "fast", context, True)
             _bool_field(spec, "overlap_embedding", context, False)
-            _opt_str_field(spec, "fabric", context)
-            if "algorithm" in spec:
-                _str_field(spec, "algorithm", context)
-            _opt_str_field(spec, "backend", context)
-            _opt_int_field(spec, "chunk_bytes", context)
-            _opt_str_field(spec, "parallelism", context)
-            _opt_str_field(spec, "compute", context)
-        elif kind == "sweep":
-            _str_tuple_field(spec, "systems", context)
-            _str_tuple_field(spec, "workloads", context)
-            _int_tuple_field(spec, "sizes", context)
-            _opt_str_list_field(spec, "fabrics", context)
-            _opt_str_list_field(spec, "backends", context)
-            _str_tuple_field(spec, "algorithms", context)
-            _opt_str_list_field(spec, "parallelisms", context)
-            _opt_str_list_field(spec, "computes", context)
-            if "iterations" in spec:
-                _int_field(spec, "iterations", context)
-            _bool_field(spec, "fast", context, True)
-            _bool_field(spec, "overlap_embedding", context, False)
-            _opt_int_field(spec, "chunk_bytes", context)
-        elif kind == "trace":
-            _str_tuple_field(spec, "traces", context, required=True)
-            _str_tuple_field(spec, "systems", context)
-            _int_tuple_field(spec, "sizes", context)
-            _opt_str_list_field(spec, "fabrics", context)
-            _opt_str_list_field(spec, "backends", context)
-            _str_tuple_field(spec, "algorithms", context)
-            _opt_str_list_field(spec, "parallelisms", context)
-            _opt_str_list_field(spec, "computes", context)
-            if "iterations" in spec:
-                _int_field(spec, "iterations", context)
-            _opt_int_field(spec, "chunk_bytes", context)
             _opt_str_field(spec, "cost_table", context)
         elif kind == "network_drive":
             _str_tuple_field(spec, "systems", context)
@@ -378,14 +312,7 @@ class Suite:
             _opt_int_field(spec, "chunk_bytes", context)
             _str_tuple_field(spec, "fabrics", context, required=True)
             _str_tuple_field(spec, "algorithms", context)
-            backends = spec.get("backends", [])
-            if not isinstance(backends, Sequence) or isinstance(backends, str):
-                raise ScenarioError(f"{context}: field 'backends' must be a list")
-            for item in backends:
-                if item is not None and not isinstance(item, str):
-                    raise ScenarioError(
-                        f"{context}: field 'backends' entries must be strings or null"
-                    )
+            _opt_str_list_field(spec, "backends", context)
             _str_tuple_field(spec, "ops", context)
             _overrides_field(spec, "overrides", context)
         elif kind == "cross_topology":
@@ -395,7 +322,8 @@ class Suite:
             _str_tuple_field(spec, "systems", context)
             _opt_int_field(spec, "payload_bytes", context)
             _opt_int_field(spec, "chunk_bytes", context)
-        elif kind == "backend_validation":
+        elif kind == "model_agreement":
+            _str_field(spec, "knob", context)
             if "system" in spec:
                 _str_field(spec, "system", context)
             for name, kinds in (("training_cells", (str, int)), ("drive_cells", (str, str))):
@@ -419,9 +347,8 @@ class Suite:
             if "iterations" in spec:
                 _int_field(spec, "iterations", context)
             if "backends" in spec:
-                # The validated pair, e.g. ["symmetric", "detailed"] (the
-                # default) or ["detailed", "hybrid"]; name resolution against
-                # the registry happens at compile time.
+                # The model pair, e.g. ["detailed", "hybrid"]; the knob and
+                # the model names are resolved at compile time.
                 pair = spec["backends"]
                 ok = (
                     isinstance(pair, Sequence)
@@ -431,48 +358,7 @@ class Suite:
                 )
                 if not ok:
                     raise ScenarioError(
-                        f"{context}: field 'backends' must be a pair of "
-                        f"backend names, got {pair!r}"
-                    )
-        elif kind == "compute_validation":
-            if "system" in spec:
-                _str_field(spec, "system", context)
-            cells = spec.get("training_cells", [])
-            if not isinstance(cells, Sequence) or isinstance(cells, str):
-                raise ScenarioError(
-                    f"{context}: field 'training_cells' must be a list of pairs"
-                )
-            for cell in cells:
-                ok = (
-                    isinstance(cell, Sequence)
-                    and not isinstance(cell, str)
-                    and len(cell) == 2
-                    and isinstance(cell[0], str)
-                    and isinstance(cell[1], int)
-                    and not isinstance(cell[1], bool)
-                )
-                if not ok:
-                    raise ScenarioError(
-                        f"{context}: field 'training_cells' entries must be "
-                        f"[str, int] pairs, got {cell!r}"
-                    )
-            if "iterations" in spec:
-                _int_field(spec, "iterations", context)
-            if "backends" in spec:
-                # The validated pair, e.g. ["roofline", "execution-unit"]
-                # (the default); name resolution against the compute-backend
-                # registry happens at compile time.
-                pair = spec["backends"]
-                ok = (
-                    isinstance(pair, Sequence)
-                    and not isinstance(pair, str)
-                    and len(pair) == 2
-                    and all(isinstance(name, str) for name in pair)
-                )
-                if not ok:
-                    raise ScenarioError(
-                        f"{context}: field 'backends' must be a pair of "
-                        f"compute backend names, got {pair!r}"
+                        f"{context}: field 'backends' must be a pair of model names, got {pair!r}"
                     )
         elif kind == "area_power":
             _overrides_field(spec, "ace", context)

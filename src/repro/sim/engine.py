@@ -144,28 +144,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False if the queue is empty."""
-        queue = self._queue
-        heappop = heapq.heappop
-        while queue:
-            time, _, _, event = heappop(queue)
-            if event.cancelled:
-                continue
-            if time < self._now:
-                raise SimulationError(
-                    f"event time {time} precedes clock {self._now}"
-                )
-            self._now = time
-            kwargs = event.kwargs
-            if kwargs:
-                event.callback(*event.args, **kwargs)
-            else:
-                event.callback(*event.args)
-            self._processed += 1
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
 
@@ -174,9 +152,9 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
-        # Inlined _peek + step: one heap-top inspection per event instead of
-        # two, and no per-event method-call frames — this loop runs hundreds
-        # of thousands of times in a detailed-backend simulation.
+        # One heap-top inspection per event and no per-event method-call
+        # frames: this loop runs hundreds of thousands of times in a
+        # detailed-backend simulation.
         queue = self._queue
         heappop = heapq.heappop
         try:
@@ -207,12 +185,6 @@ class Simulator:
         finally:
             self._running = False
         return self._now
-
-    def _peek(self) -> Optional[Event]:
-        """Return the next non-cancelled event without removing it."""
-        while self._queue and self._queue[0][3].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0][3] if self._queue else None
 
     def reset(self) -> None:
         """Clear the queue and reset the clock to zero."""

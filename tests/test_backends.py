@@ -8,11 +8,11 @@ from repro.analysis.bandwidth import measure_network_drive
 from repro.config.presets import make_system
 from repro.config.system import NetworkConfig
 from repro.errors import ConfigurationError
-from repro.experiments.backend_validation import (
-    TOLERANCE,
-    backend_validation_jobs,
+from repro.experiments.model_agreement import (
+    KNOBS,
+    agreement_jobs,
     max_disagreement,
-    run_backend_validation,
+    run_model_agreement,
 )
 from repro.network import (
     DEFAULT_AUTO_NPU_THRESHOLD,
@@ -337,9 +337,12 @@ class TestCrossBackendEquivalence:
 # ---------------------------------------------------------------------------
 
 
+TOLERANCE = KNOBS["backend"].tolerance
+
+
 class TestBackendValidationExperiment:
     def test_jobs_come_in_backend_pairs(self):
-        jobs = backend_validation_jobs()
+        jobs = agreement_jobs("backend")
         assert len(jobs) % 2 == 0
         for index in range(0, len(jobs), 2):
             first, second = jobs[index], jobs[index + 1]
@@ -349,20 +352,21 @@ class TestBackendValidationExperiment:
 
     def test_oversized_cells_are_rejected(self):
         with pytest.raises(ConfigurationError, match="<= 32"):
-            backend_validation_jobs(training_cells=(("resnet50", 64),))
+            agreement_jobs("backend", training_cells=(("resnet50", 64),))
 
     @pytest.mark.slow
     def test_symmetric_tracks_detailed_within_tolerance(self):
         """The repo's analogue of the paper's model-validation claim."""
         runner = SweepRunner(workers=2, cache=ResultCache())
-        rows = run_backend_validation(runner=runner)
+        rows = run_model_agreement("backend", runner=runner)
         assert rows, "validation sweep produced no cells"
         assert max_disagreement(rows) <= TOLERANCE, rows
 
     @pytest.mark.slow
     def test_validation_holds_for_the_overlap_baseline_too(self):
         runner = SweepRunner(workers=2, cache=ResultCache())
-        rows = run_backend_validation(
+        rows = run_model_agreement(
+            "backend",
             system="baseline_comm_opt",
             training_cells=(("resnet50", 16), ("dlrm", 16)),
             drive_cells=(("torus:4x2x2", "all_reduce"),),

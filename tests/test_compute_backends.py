@@ -210,9 +210,9 @@ class TestExecutionUnitModel:
         )
         tr, te = roofline.kernel_time_ns(cost), eu.kernel_time_ns(cost)
         assert te >= tr
-        from repro.experiments.compute_validation import TOLERANCE
+        from repro.experiments.model_agreement import KNOBS
 
-        assert (te - tr) / tr <= TOLERANCE
+        assert (te - tr) / tr <= KNOBS["compute"].tolerance
 
     def test_inversion_round_trip(self):
         eu = _execution_unit()
@@ -398,10 +398,10 @@ class TestSimJobCompute:
         )
         roofline, eu = runner.run_values([roofline_job, eu_job])
         assert eu.total_time_ns > roofline.total_time_ns
-        from repro.experiments.compute_validation import TOLERANCE
+        from repro.experiments.model_agreement import KNOBS
 
         rel = (eu.total_time_ns - roofline.total_time_ns) / roofline.total_time_ns
-        assert rel <= TOLERANCE
+        assert rel <= KNOBS["compute"].tolerance
 
 
 class TestTraceInversion:
@@ -480,40 +480,40 @@ class TestTraceInversion:
 
 class TestComputeValidationHarness:
     def test_backend_pair_validation(self):
-        from repro.experiments.compute_validation import compute_validation_jobs
+        from repro.experiments.model_agreement import agreement_jobs
 
         with pytest.raises(ConfigurationError, match="two distinct"):
-            compute_validation_jobs(backends=("roofline",))
+            agreement_jobs("compute", backends=("roofline",))
         with pytest.raises(ConfigurationError, match="two distinct"):
-            compute_validation_jobs(backends=("roofline", "roofline"))
+            agreement_jobs("compute", backends=("roofline", "roofline"))
         with pytest.raises(ConfigurationError, match="unknown compute backend"):
-            compute_validation_jobs(backends=("roofline", "bogus"))
+            agreement_jobs("compute", backends=("roofline", "bogus"))
 
     def test_jobs_are_paired_per_cell(self):
-        from repro.experiments.compute_validation import compute_validation_jobs
+        from repro.experiments.model_agreement import agreement_jobs
 
-        jobs = compute_validation_jobs(training_cells=(("resnet50", 8), ("dlrm", 8)))
+        jobs = agreement_jobs("compute", training_cells=(("resnet50", 8), ("dlrm", 8)))
         assert len(jobs) == 4
         assert [job.compute for job in jobs] == [
             "roofline", "execution-unit", "roofline", "execution-unit",
         ]
 
     def test_single_cell_run_meets_the_bound(self):
-        from repro.experiments.compute_validation import (
-            TOLERANCE,
+        from repro.experiments.model_agreement import (
+            KNOBS,
             max_disagreement,
-            min_slowdown,
-            run_compute_validation,
+            run_model_agreement,
         )
 
-        rows = run_compute_validation(
+        rows = run_model_agreement(
+            "compute",
             training_cells=(("resnet50", 8),),
             iterations=1,
             runner=SweepRunner(workers=1, cache=ResultCache()),
         )
         assert len(rows) == 1
-        assert max_disagreement(rows) <= TOLERANCE
-        assert min_slowdown(rows) >= 0.0
+        assert max_disagreement(rows) <= KNOBS["compute"].tolerance
+        assert min(row["slowdown_frac"] for row in rows) >= 0.0
 
 
 class TestScenarioPlumbing:
@@ -536,7 +536,8 @@ class TestScenarioPlumbing:
 
         scenario = self._scenario(
             [{
-                "kind": "compute_validation",
+                "kind": "model_agreement",
+                "knob": "compute",
                 "system": "ace",
                 "training_cells": [["resnet50", 8]],
                 "iterations": 1,
@@ -544,7 +545,8 @@ class TestScenarioPlumbing:
         )
         compiled = compile_suite(scenario, 0)
         assert compiled.is_figure
-        assert compiled.figure.figure.name == "compute_validation"
+        assert compiled.figure.figure.name == "model_agreement"
+        assert compiled.figure.options["knob"] == "compute"
         assert compiled.figure.options["training_cells"] == [("resnet50", 8)]
 
     def test_training_grid_compute_key_threads_to_jobs(self):
@@ -552,9 +554,9 @@ class TestScenarioPlumbing:
 
         scenario = self._scenario(
             [{
-                "kind": "training_grid", "systems": ["ace"],
+                "kind": "grid", "systems": ["ace"],
                 "workloads": ["resnet50"], "sizes": [8],
-                "compute": "execution-unit",
+                "computes": ["execution-unit"],
             }]
         )
         jobs = scenario_jobs(scenario)
@@ -565,7 +567,7 @@ class TestScenarioPlumbing:
 
         scenario = self._scenario(
             [{
-                "kind": "sweep", "systems": ["ace"], "workloads": ["resnet50"],
+                "kind": "grid", "systems": ["ace"], "workloads": ["resnet50"],
                 "sizes": [8], "computes": ["roofline", "execution-unit"],
             }]
         )
@@ -576,8 +578,8 @@ class TestScenarioPlumbing:
         with pytest.raises(ScenarioError, match="compute"):
             self._scenario(
                 [{
-                    "kind": "training_grid", "workloads": ["resnet50"],
-                    "sizes": [8], "compute": 5,
+                    "kind": "grid", "workloads": ["resnet50"],
+                    "sizes": [8], "computes": [5],
                 }]
             )
 
@@ -585,7 +587,8 @@ class TestScenarioPlumbing:
         with pytest.raises(ScenarioError, match="training_cells"):
             self._scenario(
                 [{
-                    "kind": "compute_validation",
+                    "kind": "model_agreement",
+                    "knob": "compute",
                     "training_cells": [["resnet50", 8, "extra"]],
                 }]
             )
@@ -600,7 +603,7 @@ class TestScenarioPlumbing:
         assert len(compiled) == 1
         assert compiled[0].is_figure
         metrics = {invariant.metric for invariant in scenario.invariants}
-        assert {"time_rel_err", "exposed_delta_frac", "eu_slowdown_frac"} <= metrics
+        assert {"time_rel_err", "exposed_delta_frac", "slowdown_frac"} <= metrics
 
 
 class TestKnobsDocCrossReference:

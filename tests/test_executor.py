@@ -111,7 +111,8 @@ class TestScheduling:
         executor.issue("all_reduce", 32 * MB)
         capacity = executor.endpoint.chunk_capacity()
         max_seen = 0
-        while sim.step():
+        while sim.pending_events:
+            sim.run(max_events=1)
             max_seen = max(max_seen, executor.inflight_chunks)
         assert max_seen <= capacity
 

@@ -17,7 +17,7 @@ import pytest
 from repro.collectives.base import CollectiveOp
 from repro.config.presets import make_system
 from repro.errors import ConfigurationError, ResourceError
-from repro.experiments.backend_validation import run_backend_validation
+from repro.experiments.model_agreement import run_model_agreement
 from repro.network import (
     MAX_DETAILED_NPUS,
     MAX_HYBRID_NPUS,
@@ -173,7 +173,8 @@ class TestHybridBackend:
     def test_hybrid_tracks_detailed_within_validation_tolerance(self):
         """The new rung's analogue of the paper's model-validation claim:
         hybrid vs fully detailed agree within 5% on small cells."""
-        rows = run_backend_validation(
+        rows = run_model_agreement(
+            "backend",
             training_cells=(("resnet50", 8),),
             drive_cells=(
                 ("torus:4x2x2", "all_reduce"),
@@ -212,9 +213,9 @@ class TestHybridBackend:
 
     def test_validation_rejects_a_non_pair(self):
         with pytest.raises(ConfigurationError, match="two distinct"):
-            run_backend_validation(backends=("detailed",))
+            run_model_agreement("backend", backends=("detailed",))
         with pytest.raises(ConfigurationError, match="two distinct"):
-            run_backend_validation(backends=("detailed", "detailed"))
+            run_model_agreement("backend", backends=("detailed", "detailed"))
 
 
 class TestSpecHashPinning:

@@ -24,7 +24,7 @@ from repro.runner import SimJob
 from repro.runner.job import area_power_job, network_drive_job, training_job
 from repro.units import KB, MB
 
-#: Validation bound shared with run_backend_validation / the paper's
+#: Validation bound shared with run_model_agreement / the paper's
 #: model-validation claim (Sec. VI-A): backends agree within 5%.
 BACKEND_REL_BOUND = 0.05
 

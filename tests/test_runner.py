@@ -303,6 +303,16 @@ class TestSimJobValidation:
         with pytest.raises(ConfigurationError, match="payload_bytes"):
             SimJob(kind="network_drive", num_npus=16)
 
+    @pytest.mark.parametrize("kind", ["training", "network_drive"])
+    @pytest.mark.parametrize("num_npus", [12, 3, 0, -8])
+    def test_size_without_a_canonical_torus_rejected(self, kind, num_npus):
+        with pytest.raises(ConfigurationError, match=f"no canonical torus shape for {num_npus}"):
+            SimJob(kind=kind, workload="resnet50", payload_bytes=1024, num_npus=num_npus)
+
+    def test_fabric_or_topology_skips_the_canonical_torus(self):
+        assert SimJob(workload="resnet50", num_npus=12, fabric="switch:12").fabric == "switch:12"
+        assert SimJob(workload="resnet50", num_npus=12, topology=(3, 2, 2)).topology == (3, 2, 2)
+
     def test_unknown_override_section_rejected(self):
         with pytest.raises(ConfigurationError, match="override section"):
             SimJob(workload="resnet50", num_npus=16, overrides={"warp_drive": {}})

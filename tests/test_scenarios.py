@@ -9,6 +9,7 @@ property that any generated manifest compiles to hashable jobs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -21,8 +22,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, InvariantViolation, ScenarioError
 from repro.experiments.common import PAPER_SYSTEMS, grid_jobs
+from repro.experiments.model_agreement import agreement_jobs
 from repro.runner import ResultCache, SimJob, SweepRunner
 from repro.scenarios import (
+    SUITE_KINDS,
     Invariant,
     Scenario,
     check_invariants,
@@ -38,6 +41,34 @@ from repro.scenarios import (
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
 GOLDEN_PATH = Path(__file__).parent / "golden_values.json"
+
+
+#: (job count, SHA-256 of the newline-joined canonical job JSON) per shipped
+#: manifest, recorded before the suite kinds were folded into ``grid`` and
+#: ``model_agreement``.  The agreement manifests were recorded from the
+#: paired job lists of the two harnesses that ``model_agreement`` replaced.
+PINNED_JOB_LISTS = {
+    "backend-validation": (12, "58973e2684b2078ca1e763798bb2adf0bad271e2520a45a67663a52159770612"),
+    "compute-validation": (14, "76977c9dd26d20cf3671caff639c94ea33e3eb775158fe4eecdaeccf9d55a9fb"),
+    "cross-topology": (22, "02d63a83b7bc778c1ecf162d7c4b7b0df0bf35700c64a44cc92ec3986de183de"),
+    "detailed-contention": (8, "354cb51e2d3609686c315d15531369ab628b26a6180302a5d67f1169ca675d37"),
+    "fig10-overlap": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fig11-scaling": (20, "cb94cd4b6d9e0ada515503e6b6290d974e690f62c3766f02f17783e4077dcc81"),
+    "fig12-dlrm-opt": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fig4-microbench": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fig5-membw": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fig6-sm-sweep": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fig9-dse": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hybrid-scale": (13, "0f3de19f6c2b3d2f35a75e28f6cc174686204457b1605b9b0367a0c0be2bfa21"),
+    "megatron-tp-scaling": (9, "0b94416749b727289b12fe8ab5d193f5be63c48511a4cd3de57dc69209cc54a2"),
+    "moe-trace": (9, "90c2ae83019cf08b09fab1ec15f70a133bb4d75b8ac5f317a4e9bfcdc34a170e"),
+    "paper-fast": (5, "9fc74d1cf965d5c7cac89e457302d06a5ed8fe572df99016287a56879b20104e"),
+    "paper-full": (60, "d99c18c4c863f4c248885848d8548999bb1ea68a972548171b9a86b7c030f076"),
+    "parallelism-sweep": (128, "d8f8723a9041d8d0cf90cb628a8210f3f41abcd3679ab070a8715adec61a1fed"),
+    "pipeline-bubble": (3, "a7a4692d1a575f21227141f2900605cde8e77dd9f577bcb4d818eb60c602a62a"),
+    "table4-area": (1, "0473cdf938f1e0995b88623ead2a2ba287326e7ebe3c4c5db970b0acbac17bfb"),
+    "torus2d-fc-drive": (13, "c15e8c67229c9aad9b742f4e8d9e04ccd98018e303a9282f375278c3e640916a"),
+}
 
 
 def minimal_manifest(**overrides) -> dict:
@@ -96,13 +127,13 @@ class TestSchema:
 
     def test_unknown_suite_field_names_the_field_and_suite(self):
         data = minimal_manifest(
-            suites=[{"kind": "training_grid", "workloadz": ["resnet50"]}]
+            suites=[{"kind": "grid", "workloadz": ["resnet50"]}]
         )
         with pytest.raises(ScenarioError, match=r"suite #0.*workloadz"):
             Scenario.from_dict(data)
 
     def test_suite_field_type_error(self):
-        data = minimal_manifest(suites=[{"kind": "training_grid", "sizes": "16"}])
+        data = minimal_manifest(suites=[{"kind": "grid", "sizes": "16"}])
         with pytest.raises(ScenarioError, match="'sizes' must be a list of integers"):
             Scenario.from_dict(data)
 
@@ -131,6 +162,42 @@ class TestSchema:
     def test_suites_must_be_non_empty(self):
         with pytest.raises(ScenarioError, match="non-empty list"):
             Scenario.from_dict(minimal_manifest(suites=[]))
+
+    def test_folded_suite_kinds_are_unknown(self):
+        assert SUITE_KINDS == (
+            "grid",
+            "network_drive",
+            "cross_topology",
+            "model_agreement",
+            "area_power",
+            "figure",
+        )
+        for kind in ("training_grid", "sweep", "trace", "backend_validation", "compute_validation"):
+            data = minimal_manifest(suites=[{"kind": kind}])
+            with pytest.raises(ScenarioError, match=rf"unknown suite kind '{kind}'; expected"):
+                Scenario.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "suite, message",
+        [
+            ({"traces": ["t"], "workloads": ["resnet50"]}, "field 'workloads' does not apply"),
+            ({"traces": ["t"], "fast": True}, "field 'fast' does not apply"),
+            ({"traces": ["t"], "overlap_embedding": True}, "field 'overlap_embedding' does not"),
+            ({"cost_table": "paper-npu"}, "field 'cost_table' needs a 'traces' list"),
+        ],
+    )
+    def test_grid_rejects_fields_of_the_other_model_source(self, suite, message):
+        data = minimal_manifest(suites=[{"kind": "grid", **suite}])
+        with pytest.raises(ScenarioError, match=rf"suite #0 \(grid\): {message}"):
+            Scenario.from_dict(data)
+
+    def test_model_agreement_requires_a_known_knob(self):
+        data = minimal_manifest(suites=[{"kind": "model_agreement"}])
+        with pytest.raises(ScenarioError, match="'knob' is missing"):
+            Scenario.from_dict(data)
+        data = minimal_manifest(suites=[{"kind": "model_agreement", "knob": "fabric"}])
+        with pytest.raises(ScenarioError, match=r"suite #0.*unknown agreement knob 'fabric'"):
+            compile_scenario(Scenario.from_dict(data))
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +246,14 @@ class TestLoader:
 
     def test_unknown_system_name_fails_at_compile_time(self):
         data = minimal_manifest(
-            suites=[{"kind": "training_grid", "systems": ["acee"], "sizes": [16]}]
+            suites=[{"kind": "grid", "systems": ["acee"], "sizes": [16]}]
         )
         with pytest.raises(ScenarioError, match=r"unknown system name\(s\) \['acee'\]"):
             compile_scenario(Scenario.from_dict(data))
 
     def test_unknown_workload_name_fails_at_compile_time(self):
         data = minimal_manifest(
-            suites=[{"kind": "training_grid", "workloads": ["resnet51"], "sizes": [16]}]
+            suites=[{"kind": "grid", "workloads": ["resnet51"], "sizes": [16]}]
         )
         with pytest.raises(ScenarioError, match="unknown workload name"):
             compile_scenario(Scenario.from_dict(data))
@@ -244,9 +311,9 @@ class TestLoader:
         ]
 
     def test_sweep_expansion_matches_hand_enumerated_grids(self):
-        """A ``sweep`` block is byte-identical to one ``grid_jobs`` batch per
+        """A ``grid`` block is byte-identical to one ``grid_jobs`` batch per
         outer-axis cell (fabric x backend x algorithm x parallelism), so
-        sweep-expanded specs hit exactly the cache keys a hand-written
+        grid-expanded specs hit exactly the cache keys a hand-written
         harness would."""
         scenario = Scenario.from_dict(
             {
@@ -255,7 +322,7 @@ class TestLoader:
                 "description": "sweep templating equivalence fixture",
                 "suites": [
                     {
-                        "kind": "sweep",
+                        "kind": "grid",
                         "systems": ["ace", "ideal"],
                         "workloads": ["resnet50", "gnmt"],
                         "sizes": [16, 32],
@@ -293,6 +360,52 @@ class TestLoader:
             job.spec_hash() for job in harness_jobs
         ]
 
+    def test_grid_rejects_sizes_without_a_canonical_torus(self):
+        data = minimal_manifest(
+            suites=[
+                {"kind": "area_power"},
+                {"kind": "grid", "systems": ["ace"], "workloads": ["resnet50"], "sizes": [12]},
+            ]
+        )
+        with pytest.raises(ScenarioError, match=r"suite #1 \(grid\).*torus shape for 12 NPUs"):
+            compile_scenario(Scenario.from_dict(data))
+
+    def test_grid_fabric_spec_needs_a_single_size(self):
+        data = minimal_manifest(
+            suites=[{"kind": "grid", "fabrics": ["switch:16"], "sizes": [16, 32]}]
+        )
+        with pytest.raises(ScenarioError, match="fabric spec fixes the platform size"):
+            compile_scenario(Scenario.from_dict(data))
+
+    def test_model_agreement_rejects_drive_cells_under_compute(self):
+        data = minimal_manifest(
+            suites=[
+                {
+                    "kind": "model_agreement",
+                    "knob": "compute",
+                    "drive_cells": [["switch:16", "all_reduce"]],
+                }
+            ]
+        )
+        with pytest.raises(ScenarioError, match="compute only applies to training jobs"):
+            compile_scenario(Scenario.from_dict(data))
+
+    def test_every_shipped_manifest_matches_its_pinned_job_list(self):
+        """Every shipped manifest compiles to the exact, ordered job list it
+        compiled to when the digests were recorded: a model-agreement suite
+        contributes its paired jobs, every other suite its compiled jobs."""
+        digests = {}
+        for scenario in discover_scenarios(SCENARIO_DIR):
+            jobs = []
+            for compiled in compile_scenario(scenario):
+                if compiled.suite.kind == "model_agreement":
+                    jobs.extend(agreement_jobs(**compiled.figure.options))
+                else:
+                    jobs.extend(compiled.jobs)
+            text = "\n".join(job.to_json() for job in jobs)
+            digests[scenario.name] = (len(jobs), hashlib.sha256(text.encode()).hexdigest())
+        assert digests == PINNED_JOB_LISTS
+
     def test_sweep_rejects_pipeline_over_embedding_workloads(self):
         scenario = Scenario.from_dict(
             {
@@ -301,7 +414,7 @@ class TestLoader:
                 "description": "pipeline cannot span dlrm embedding exchange",
                 "suites": [
                     {
-                        "kind": "sweep",
+                        "kind": "grid",
                         "workloads": ["dlrm"],
                         "parallelisms": ["pipeline:2x4"],
                     }
@@ -535,7 +648,7 @@ _SIZES = st.lists(
 def manifests(draw):
     suites = [
         {
-            "kind": "training_grid",
+            "kind": "grid",
             "systems": draw(_SYSTEMS),
             "workloads": draw(_WORKLOADS),
             "sizes": draw(_SIZES),

@@ -95,11 +95,6 @@ def test_max_events_limit():
     assert sim.pending_events == 6
 
 
-def test_step_returns_false_when_empty():
-    sim = Simulator()
-    assert sim.step() is False
-
-
 def test_reset():
     sim = Simulator()
     sim.schedule(5.0, lambda: None)

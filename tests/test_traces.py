@@ -423,7 +423,7 @@ class TestTraceSuite:
                     "description": "trace suite smoke",
                     "suites": [
                         {
-                            "kind": "trace",
+                            "kind": "grid",
                             "traces": ["tiny"],
                             "systems": ["ace", "ideal"],
                             "sizes": [8],
@@ -475,7 +475,7 @@ class TestTraceSuite:
                     "name": "bad",
                     "description": "missing trace",
                     "suites": [
-                        {"kind": "trace", "traces": ["ghost"], "systems": ["ace"], "sizes": [4]}
+                        {"kind": "grid", "traces": ["ghost"], "systems": ["ace"], "sizes": [4]}
                     ],
                 }
             ),
@@ -554,7 +554,7 @@ class TestTraceCli:
         assert "traces: moe-transformer" in proc.stdout
         proc = run_cli("expand", "moe-trace", "--dir", str(REPO_ROOT / "scenarios"))
         assert proc.returncode == 0, proc.stderr
-        assert "(trace)" in proc.stdout
+        assert "(grid)" in proc.stdout
         assert '"trace":"moe-transformer"' in proc.stdout
 
     def test_run_moe_trace_scenario(self, tmp_path):
