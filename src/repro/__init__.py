@@ -100,7 +100,7 @@ from repro.workloads import (
     build_workload,
 )
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "AceConfig",

@@ -67,17 +67,13 @@ def measure_network_drive(
     payload_bytes: int = 64 * MB,
     op: CollectiveOp = CollectiveOp.ALL_REDUCE,
     chunk_bytes: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> NetworkDriveResult:
     """Run one collective in isolation and measure the achieved network drive.
 
-    ``backend`` selects the network model (``"symmetric" | "detailed" |
-    "auto"``; default: the system configuration's ``network_backend``).
+    The network model is ``system.network_backend``.
     """
     sim = Simulator()
-    executor = CollectiveExecutor(
-        sim, system, topology, chunk_bytes=chunk_bytes, backend=backend
-    )
+    executor = CollectiveExecutor(sim, system, topology, chunk_bytes=chunk_bytes)
     handle = executor.issue(op, payload_bytes)
     sim.run()
     if handle.completed_at is None:

@@ -17,7 +17,7 @@ The paper evaluates five systems on the same hardware (Table V):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.config.system import (
     AceConfig,
@@ -184,28 +184,16 @@ _FACTORIES = {
 }
 
 
-def make_system(
-    name: str,
-    algorithm: Optional[str] = None,
-    backend: Optional[str] = None,
-    compute: Optional[str] = None,
-    **overrides,
-) -> SystemConfig:
+def make_system(name: str, **sections) -> SystemConfig:
     """Build one of the Table VI configurations by name.
 
     ``name`` accepts the canonical snake_case identifiers
     (``baseline_comm_opt``, ``ace``, ...) as well as the paper's CamelCase
-    labels (``BaselineCommOpt``, ``ACE``, ``Ideal``).  ``algorithm`` pins the
-    collective algorithm the planner uses for this system (default: keep the
-    preset's ``"auto"``, i.e. the cheapest feasible plan per topology —
-    the paper's hierarchical/direct choices on the torus).  ``backend``
-    selects the network model (``"symmetric" | "detailed" | "hybrid" |
-    "auto"``; default: keep the preset's ``"symmetric"``, the paper's sweep
-    vehicle).  ``compute`` selects the kernel-timing model
-    (``"roofline" | "execution-unit" | "auto"``; default: keep the preset's
-    ``"roofline"``, the model every golden value pins).  To replace the
-    :class:`ComputeConfig` *section* (unit parameters, SM counts), call a
-    preset factory directly with ``compute=ComputeConfig(...)``.
+    labels (``BaselineCommOpt``, ``ACE``, ``Ideal``).  ``sections`` replace
+    whole configuration sections (``compute=ComputeConfig(...)``,
+    ``memory=``, ``network=``, ``ace=``).  Set a top-level field such as
+    ``network_backend`` on the result:
+    ``make_system("ace").with_overrides(network_backend="detailed")``.
     """
     key = name.strip()
     normalized = {
@@ -222,11 +210,4 @@ def make_system(
             f"unknown system configuration {name!r}; "
             f"expected one of {sorted(_FACTORIES)}"
         ) from None
-    system = factory(**overrides)
-    if algorithm is not None:
-        system = system.with_overrides(collective_algorithm=algorithm)
-    if backend is not None:
-        system = system.with_overrides(network_backend=backend)
-    if compute is not None:
-        system = system.with_overrides(compute_backend=compute)
-    return system
+    return factory(**sections)

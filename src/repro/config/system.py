@@ -405,9 +405,7 @@ class SystemConfig:
     #: Parallelisation strategy override for training runs on this platform:
     #: ``None`` (each workload's native strategy, the default), or a spec
     #: string — "data" | "model" | "hybrid" | "zero" | "pipeline" |
-    #: "pipeline:<stages>x<microbatches>".  The training loop's
-    #: ``parallelism=`` argument (and SimJob's field of the same name)
-    #: overrides this, mirroring ``network_backend`` / ``backend``.
+    #: "pipeline:<stages>x<microbatches>".  ``SimJob.parallelism`` sets it.
     parallelism: Optional[str] = None
 
     def __post_init__(self) -> None:

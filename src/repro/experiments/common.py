@@ -55,35 +55,21 @@ def grid_jobs(
     systems: Sequence[str] = PAPER_SYSTEMS,
     workloads: Sequence[str] = ("resnet50", "gnmt", "dlrm"),
     sizes: Sequence[int] = (16, 32, 64, 128),
-    iterations: int = 2,
     fast: bool = True,
-    overlap_embedding: bool = False,
-    fabric: Optional[str] = None,
-    algorithm: str = "auto",
-    backend: Optional[str] = None,
     chunk_bytes: Optional[int] = None,
-    parallelism: Optional[str] = None,
-    compute: Optional[str] = None,
+    **knobs,
 ) -> List[SimJob]:
     """Job specs for every (system, workload, size) grid cell, in grid order.
 
-    ``fabric`` (a topology spec string such as ``"switch:64"``) replaces the
-    canonical per-size torus, and ``algorithm`` pins the collective algorithm
-    (default: planner auto-selection) — together they let the paper's grids
-    be re-run on alternative fabrics.  A fabric spec fixes the platform size,
-    so it requires a single-entry ``sizes`` (otherwise every "size" cell
-    would silently be the same simulation).  ``backend`` selects the network
-    model for every cell (``"symmetric" | "detailed" | "auto"``; default:
-    the preset's symmetric model).  ``chunk_bytes`` pins one collective chunk
-    size for every cell, overriding the per-workload fast/paper default —
-    heavyweight off-paper workloads (megatron) need coarser chunks than the
-    paper trio to keep the event count tractable.  ``parallelism`` overrides
-    every cell's parallelisation strategy (``"data" | "model" | "hybrid" |
-    "zero" | "pipeline" | "pipeline:<stages>x<microbatches>"``; default: each
-    workload's native strategy).  ``compute`` selects the kernel-timing
-    model for every cell (``"roofline" | "execution-unit" | "auto"``;
-    default: the preset's roofline model).
+    ``knobs`` are :class:`~repro.runner.SimJob` fields pinned on every cell
+    (``fabric``, ``algorithm``, ``backend``, ``parallelism``, ``compute``,
+    ``iterations``, ``overlap_embedding``, ...).  A ``fabric`` spec fixes
+    the platform size, so it requires a single-entry ``sizes`` (otherwise
+    every "size" cell would silently be the same simulation).
+    ``chunk_bytes`` pins one collective chunk size for every cell, overriding
+    the per-workload ``fast`` / paper default.
     """
+    fabric = knobs.get("fabric")
     if fabric is not None and len(set(sizes)) > 1:
         raise ConfigurationError(
             f"fabric={fabric!r} fixes the platform size; pass a single-entry "
@@ -92,57 +78,21 @@ def grid_jobs(
     jobs: List[SimJob] = []
     for workload_name in workloads:
         chunk = chunk_bytes if chunk_bytes is not None else chunk_bytes_for(workload_name, fast)
-        for num_npus in sizes:
-            for system_name in systems:
-                jobs.append(
-                    SimJob(
-                        kind="training",
-                        system=system_name,
-                        workload=workload_name,
-                        num_npus=None if fabric else num_npus,
-                        fabric=fabric,
-                        algorithm=algorithm,
-                        backend=backend,
-                        iterations=iterations,
-                        chunk_bytes=chunk,
-                        overlap_embedding=overlap_embedding,
-                        parallelism=parallelism,
-                        compute=compute,
-                    )
-                )
+        jobs.extend(
+            SimJob(
+                kind="training",
+                system=system_name,
+                workload=workload_name,
+                num_npus=None if fabric else num_npus,
+                chunk_bytes=chunk,
+                **knobs,
+            )
+            for num_npus in sizes
+            for system_name in systems
+        )
     return jobs
 
 
-def run_grid(
-    systems: Sequence[str] = PAPER_SYSTEMS,
-    workloads: Sequence[str] = ("resnet50", "gnmt", "dlrm"),
-    sizes: Sequence[int] = (16, 32, 64, 128),
-    iterations: int = 2,
-    fast: bool = True,
-    overlap_embedding: bool = False,
-    fabric: Optional[str] = None,
-    algorithm: str = "auto",
-    backend: Optional[str] = None,
-    chunk_bytes: Optional[int] = None,
-    parallelism: Optional[str] = None,
-    compute: Optional[str] = None,
-    runner: Optional[SweepRunner] = None,
-) -> List[TrainingResult]:
-    """Simulate every (system, workload, size) combination and return results."""
-    runner = runner or default_runner()
-    return runner.run_values(
-        grid_jobs(
-            systems=systems,
-            workloads=workloads,
-            sizes=sizes,
-            iterations=iterations,
-            fast=fast,
-            overlap_embedding=overlap_embedding,
-            fabric=fabric,
-            algorithm=algorithm,
-            backend=backend,
-            chunk_bytes=chunk_bytes,
-            parallelism=parallelism,
-            compute=compute,
-        )
-    )
+def run_grid(runner: Optional[SweepRunner] = None, **grid) -> List[TrainingResult]:
+    """Simulate every :func:`grid_jobs` cell and return the results."""
+    return (runner or default_runner()).run_values(grid_jobs(**grid))

@@ -1,8 +1,8 @@
 """Accelerator Fabric (AF) network models.
 
 Execution backends implement the :class:`~repro.network.backend.NetworkBackend`
-protocol and are selected by name (``backend="symmetric" | "detailed" |
-"hybrid" | "auto"``) through :func:`~repro.network.backend.make_network_backend`:
+protocol and are selected by name (``network_backend="symmetric" |
+"detailed" | "hybrid" | "auto"``) through :func:`~repro.network.backend.make_network_backend`:
 
 * :class:`~repro.network.symmetric.SymmetricFabric` (``"symmetric"``) — a
   single representative-node analytical model that exploits the symmetry of
@@ -15,10 +15,6 @@ protocol and are selected by name (``backend="symmetric" | "detailed" |
   detail on the most-contended dimension only, aggregated pipes on the
   rest.  Scales past the detailed backend's cap while keeping the hot
   dimension's contention observable.
-
-:class:`~repro.network.fabric.FabricSimulator` is the standalone multi-node
-per-message model with explicit links and XYZ routing, used for routing
-studies and unit tests that need every directed link of the topology.
 """
 
 from repro.network.topology import (
@@ -43,9 +39,7 @@ from repro.network.backend import (
     validate_backend_name,
 )
 from repro.network.links import Link, LinkKind
-from repro.network.messages import Chunk, Message, Packet
-from repro.network.routing import xyz_route, ring_distance
-from repro.network.fabric import FabricSimulator
+from repro.network.routing import ring_distance
 from repro.network.detailed import DetailedBackend
 from repro.network.hybrid import HybridBackend, most_contended_dimension
 from repro.network.symmetric import DimensionPipe, SymmetricFabric
@@ -70,12 +64,7 @@ __all__ = [
     "validate_backend_name",
     "Link",
     "LinkKind",
-    "Chunk",
-    "Message",
-    "Packet",
-    "xyz_route",
     "ring_distance",
-    "FabricSimulator",
     "DetailedBackend",
     "DimensionPipe",
     "HybridBackend",

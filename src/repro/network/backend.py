@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import abc
 import os
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.config.system import NetworkConfig
 from repro.errors import ConfigurationError
@@ -76,6 +76,22 @@ VALIDATE_ACCOUNTING_ENV = "REPRO_VALIDATE_ACCOUNTING"
 def accounting_checks_enabled() -> bool:
     """Whether :data:`VALIDATE_ACCOUNTING_ENV` asks for post-run accounting checks."""
     return os.environ.get(VALIDATE_ACCOUNTING_ENV, "") not in ("", "0")
+
+
+def mean_utilization(values: Iterable[float]) -> float:
+    """Mean of per-dimension utilizations, added strictly left to right.
+
+    Not :func:`sum`: Python 3.12 made ``sum()`` over floats compensated,
+    which moves the last bit of some means.  This order gives the same bits
+    on every Python version.
+    """
+    total = 0.0
+    count = 0
+    for value in values:
+        total += value
+        count += 1
+    return total / count
+
 
 #: "auto" uses the detailed per-link model up to this many NPUs (the paper
 #: validates on small systems and sweeps with the fast model).  Raised from

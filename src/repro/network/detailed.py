@@ -1,8 +1,7 @@
 """Detailed per-link network backend (message-level, contention-aware).
 
 This is the ``"detailed"`` :class:`~repro.network.backend.NetworkBackend`:
-the execution-grade promotion of the message-level fabric model
-(:mod:`repro.network.fabric`) into the training loop.  Where the
+the message-level, per-link fabric model in the training loop.  Where the
 ``"symmetric"`` backend aggregates each fabric dimension into one analytical
 pipe, this backend instantiates the representative NPU's *physical ports* —
 one :class:`~repro.network.links.Link` per provisioned link of each active
@@ -48,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config.system import DIMENSION_LINK_CLASS, NetworkConfig
 from repro.errors import TopologyError
-from repro.network.backend import NetworkBackend, register_backend
+from repro.network.backend import NetworkBackend, mean_utilization, register_backend
 from repro.network.links import Link
 from repro.network.topology import Topology
 from repro.sim.engine import Simulator
@@ -406,10 +405,7 @@ class DetailedBackend(NetworkBackend):
         """
         if not self._ports or horizon_ns <= 0:
             return 0.0
-        per_dim = [
-            self._primary[dim].utilization(horizon_ns) for dim in self._ports
-        ]
-        return sum(per_dim) / len(per_dim)
+        return mean_utilization(self._primary[dim].utilization(horizon_ns) for dim in self._ports)
 
     def tracers(self) -> List[IntervalTracer]:
         """Busy-interval tracers, one entry per physical port.

@@ -36,7 +36,7 @@ from typing import Callable, Dict, List
 
 from repro.config.system import NetworkConfig
 from repro.errors import TopologyError
-from repro.network.backend import NetworkBackend, register_backend
+from repro.network.backend import NetworkBackend, mean_utilization, register_backend
 from repro.network.detailed import DetailedBackend
 from repro.network.symmetric import SymmetricFabric
 from repro.network.topology import Topology
@@ -189,7 +189,7 @@ class HybridBackend(NetworkBackend):
             self._pipes.pipe(dim).utilization(horizon_ns)
             for dim in self._pipes.dimensions
         )
-        return sum(values) / len(self._order)
+        return mean_utilization(values)
 
     def utilization_series(self, horizon_ns: float, window_ns: float) -> List[tuple]:
         """Windowed utilization series over both sub-models' resources."""

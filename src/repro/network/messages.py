@@ -1,4 +1,4 @@
-"""Data-granularity containers: payloads, chunks, messages and packets.
+"""Data granularity: how payloads split into chunks, messages and packets.
 
 Table III of the paper defines the granularity hierarchy ACE operates on:
 
@@ -12,152 +12,16 @@ Message   8 KB (multiple of  collective algorithm / topology
 Packet    256 B              link technology
 ========  =================  ============================================
 
-These containers carry only metadata (sizes, ids, timing); the functional
-content of collectives (the actual floating point data) is modelled separately
-in :mod:`repro.collectives.dataops` for correctness testing.
+The simulator tracks only sizes and timing; the functional content of
+collectives (the actual floating point data) is modelled separately in
+:mod:`repro.collectives.dataops` for correctness testing.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.errors import CollectiveError
-
-_chunk_ids = itertools.count()
-_message_ids = itertools.count()
-_packet_ids = itertools.count()
-
-
-@dataclass
-class Packet:
-    """The unit of transfer on a physical link."""
-
-    id: int
-    message_id: int
-    size_bytes: int
-    src: int
-    dst: int
-    dimension: str = "local"
-    injected_at: Optional[float] = None
-    delivered_at: Optional[float] = None
-
-    @property
-    def latency(self) -> Optional[float]:
-        """Injection-to-delivery time (ns), or None while in flight."""
-        if self.injected_at is None or self.delivered_at is None:
-            return None
-        return self.delivered_at - self.injected_at
-
-
-@dataclass
-class Message:
-    """The unit the collective algorithm operates on (one ring-step transfer)."""
-
-    id: int
-    chunk_id: int
-    size_bytes: int
-    src: int
-    dst: int
-    dimension: str = "local"
-    step: int = 0
-    requires_reduction: bool = False
-    created_at: float = 0.0
-    completed_at: Optional[float] = None
-
-    def packets(self, packet_bytes: int) -> List[Packet]:
-        """Split this message into link packets of at most ``packet_bytes``."""
-        if packet_bytes <= 0:
-            raise CollectiveError(f"packet size must be positive, got {packet_bytes}")
-        remaining = self.size_bytes
-        out: List[Packet] = []
-        while remaining > 0:
-            size = min(packet_bytes, remaining)
-            out.append(
-                Packet(
-                    id=next(_packet_ids),
-                    message_id=self.id,
-                    size_bytes=size,
-                    src=self.src,
-                    dst=self.dst,
-                    dimension=self.dimension,
-                )
-            )
-            remaining -= size
-        return out
-
-
-@dataclass
-class Chunk:
-    """A pipelined slice of a collective payload.
-
-    A chunk moves through the phases of the collective algorithm as a unit;
-    multiple chunks are in flight simultaneously to keep the network busy
-    (Section IV-E).
-    """
-
-    id: int
-    collective_id: int
-    size_bytes: int
-    phase_index: int = 0
-    num_phases: int = 1
-    created_at: float = 0.0
-    completed_at: Optional[float] = None
-    messages: List[Message] = field(default_factory=list)
-
-    @property
-    def done(self) -> bool:
-        """Whether the chunk has completed its final phase."""
-        return self.completed_at is not None
-
-    def advance_phase(self) -> None:
-        """Move the chunk to its next plan phase (error past the last)."""
-        if self.phase_index >= self.num_phases:
-            raise CollectiveError(
-                f"chunk {self.id} already past its final phase "
-                f"({self.phase_index}/{self.num_phases})"
-            )
-        self.phase_index += 1
-
-
-def new_chunk(collective_id: int, size_bytes: int, num_phases: int, created_at: float = 0.0) -> Chunk:
-    """Allocate a chunk with a globally unique id."""
-    if size_bytes <= 0:
-        raise CollectiveError(f"chunk size must be positive, got {size_bytes}")
-    return Chunk(
-        id=next(_chunk_ids),
-        collective_id=collective_id,
-        size_bytes=size_bytes,
-        num_phases=num_phases,
-        created_at=created_at,
-    )
-
-
-def new_message(
-    chunk_id: int,
-    size_bytes: int,
-    src: int,
-    dst: int,
-    dimension: str = "local",
-    step: int = 0,
-    requires_reduction: bool = False,
-    created_at: float = 0.0,
-) -> Message:
-    """Allocate a message with a globally unique id."""
-    if size_bytes <= 0:
-        raise CollectiveError(f"message size must be positive, got {size_bytes}")
-    return Message(
-        id=next(_message_ids),
-        chunk_id=chunk_id,
-        size_bytes=size_bytes,
-        src=src,
-        dst=dst,
-        dimension=dimension,
-        step=step,
-        requires_reduction=requires_reduction,
-        created_at=created_at,
-    )
 
 
 def split_payload(payload_bytes: int, chunk_bytes: int) -> List[int]:

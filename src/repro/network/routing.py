@@ -1,22 +1,15 @@
-"""Routing for the 3D-torus Accelerator Fabric.
+"""Ring distances on the Accelerator Fabric's rings.
 
-The paper uses dimension-ordered XYZ routing (local, then vertical, then
-horizontal) for every packet (Section V).  Routes are returned as lists of
-hops ``(src, dst, dimension)`` so the fabric simulator can charge each hop to
-the right link, and — for the baseline system — so the endpoint model can
-charge the intermediate-hop memory traffic that NVLink-style fabrics require
-(the communication library stages multi-hop data in each intermediate NPU's
-memory, Section V).
+The paper routes every packet dimension by dimension (local, then vertical,
+then horizontal; Section V), each hop taking the shorter way around its
+ring.  :func:`ring_distance` is that per-ring hop count and direction.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.errors import RoutingError
-from repro.network.topology import TORUS_DIMENSIONS, Torus3D
-
-Hop = Tuple[int, int, str]
 
 
 def ring_distance(size: int, src: int, dst: int) -> Tuple[int, int]:
@@ -36,44 +29,3 @@ def ring_distance(size: int, src: int, dst: int) -> Tuple[int, int]:
     if forward <= backward:
         return forward, +1
     return backward, -1
-
-
-def xyz_route(topology: Torus3D, src: int, dst: int) -> List[Hop]:
-    """Dimension-ordered (local, vertical, horizontal) route from ``src`` to ``dst``.
-
-    Each hop takes the shortest direction around its ring.  The returned list
-    is empty when ``src == dst``.
-    """
-    topology.validate_node(src)
-    topology.validate_node(dst)
-    hops: List[Hop] = []
-    current = src
-    for dim in TORUS_DIMENSIONS:
-        size = topology.dimension_size(dim)
-        if size == 1:
-            continue
-        cur_pos = topology.ring_position(current, dim)
-        dst_pos = topology.ring_position(dst, dim)
-        distance, direction = ring_distance(size, cur_pos, dst_pos)
-        for _ in range(distance):
-            nxt = topology.neighbor_along(current, dim, direction)
-            hops.append((current, nxt, dim))
-            current = nxt
-    if current != dst:
-        raise RoutingError(
-            f"XYZ routing failed to reach {dst} from {src} (stopped at {current})"
-        )
-    return hops
-
-
-def hop_count(topology: Torus3D, src: int, dst: int) -> int:
-    """Number of links a packet traverses from ``src`` to ``dst`` under XYZ routing."""
-    return len(xyz_route(topology, src, dst))
-
-
-def average_hop_count(topology: Torus3D, node: int = 0) -> float:
-    """Mean hop count from ``node`` to every other node (uniform traffic)."""
-    others = [n for n in topology.nodes() if n != node]
-    if not others:
-        return 0.0
-    return sum(hop_count(topology, node, dst) for dst in others) / len(others)

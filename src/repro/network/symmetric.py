@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config.system import NetworkConfig
 from repro.errors import TopologyError
-from repro.network.backend import NetworkBackend, register_backend
+from repro.network.backend import NetworkBackend, mean_utilization, register_backend
 from repro.network.topology import Topology
 from repro.sim.resources import BandwidthResource, Reservation
 from repro.sim.trace import IntervalTracer, UtilizationTrace
@@ -190,7 +190,7 @@ class SymmetricFabric(NetworkBackend):
         """Average fraction of links busy, irrespective of their bandwidth (Fig. 10)."""
         if not self._pipes or horizon_ns <= 0:
             return 0.0
-        return sum(p.utilization(horizon_ns) for p in self._pipes.values()) / len(self._pipes)
+        return mean_utilization(p.utilization(horizon_ns) for p in self._pipes.values())
 
     def tracers(self) -> List[IntervalTracer]:
         """Busy-interval tracers, one per dimension pipe.

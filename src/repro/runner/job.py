@@ -28,10 +28,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from repro.analysis.bandwidth import measure_network_drive
 from repro.collectives.base import CollectiveOp
 from repro.collectives.planner import AUTO, algorithms
-from repro.compute.backend import (
-    resolve_compute_backend_name,
-    validate_compute_backend_name,
-)
+from repro.compute.backend import resolve_compute_backend_name, validate_compute_backend_name
 from repro.config.presets import make_system, torus_shape_for_npus
 from repro.config.system import AceConfig, SystemConfig
 from repro.core.area_power import AceAreaPowerModel
@@ -50,11 +47,14 @@ _CONFIG_SCALARS = (
     "name",
     "collective_scheduling",
     "collective_launch_overhead_ns",
-    "collective_algorithm",
-    "network_backend",
     "network_backend_auto_threshold",
-    "compute_backend",
-    "parallelism",
+)
+#: (SimJob field, SystemConfig field) of each model knob a sweep cell pins.
+_JOB_KNOBS = (
+    ("algorithm", "collective_algorithm"),
+    ("backend", "network_backend"),
+    ("compute", "compute_backend"),
+    ("parallelism", "parallelism"),
 )
 
 
@@ -132,41 +132,29 @@ class SimJob:
     #: ``num_npus`` and is how non-torus fabrics are requested.
     fabric: Optional[str] = None
     #: Collective algorithm for the planner ("auto" = cheapest feasible).
-    #: Shorthand for the ``collective_algorithm`` config override.
     algorithm: str = AUTO
-    #: Network backend executing the job ("symmetric" | "detailed" | "auto").
-    #: Shorthand for the ``network_backend`` config override; ``None`` keeps
-    #: the system preset's default (symmetric) and — for spec-hash
-    #: compatibility with pre-1.2.0 job specs — is omitted from the
-    #: canonical JSON entirely.
+    #: Network backend executing the job ("symmetric" | "detailed" |
+    #: "hybrid" | "auto"); ``None`` keeps the preset's symmetric model.
     backend: Optional[str] = None
     chunk_bytes: Optional[int] = None
     # -- training jobs ---------------------------------------------------
     workload: Optional[str] = None
     #: Operator-graph trace name (``traces/<name>.json``) driving this
     #: training job instead of a built-in ``workload``; exactly one of the
-    #: two must be set.  ``None`` — like every post-1.1.0 optional knob —
-    #: is omitted from the canonical JSON, so non-trace specs hash
-    #: byte-identically to their 1.4.0 form.
+    #: two must be set.
     trace: Optional[str] = None
     #: Device cost table pricing the trace's op descriptors
     #: (see :func:`repro.traces.cost.cost_table_names`); ``None`` uses
-    #: :data:`repro.traces.cost.DEFAULT_COST_TABLE` and is omitted from the
-    #: canonical JSON.
+    #: :data:`repro.traces.cost.DEFAULT_COST_TABLE`.
     cost_table: Optional[str] = None
     iterations: int = 2
     overlap_embedding: bool = False
     #: Parallelisation strategy spec ("data" | "model" | "hybrid" | "zero" |
-    #: "pipeline" | "pipeline:<stages>x<microbatches>").  Shorthand for the
-    #: ``parallelism`` config override; ``None`` keeps the workload's native
-    #: strategy and — for spec-hash compatibility with pre-1.4.0 job specs —
-    #: is omitted from the canonical JSON entirely.
+    #: "pipeline" | "pipeline:<stages>x<microbatches>"); ``None`` keeps the
+    #: workload's native strategy.
     parallelism: Optional[str] = None
     #: Compute backend pricing training kernels ("roofline" |
-    #: "execution-unit" | "auto").  Shorthand for the ``compute_backend``
-    #: config override; ``None`` keeps the system preset's default
-    #: (roofline) and — for spec-hash compatibility with pre-1.6.0 job
-    #: specs — is omitted from the canonical JSON entirely.
+    #: "execution-unit" | "auto"); ``None`` keeps the preset's roofline model.
     compute: Optional[str] = None
     # -- network-drive jobs ----------------------------------------------
     payload_bytes: Optional[int] = None
@@ -190,58 +178,15 @@ class SimJob:
                 f"unknown collective algorithm {self.algorithm!r}; expected "
                 f"'auto' or one of {list(algorithms())}"
             )
-        override_algorithm = self.overrides.get("collective_algorithm")
-        if (
-            self.algorithm != AUTO
-            and override_algorithm is not None
-            and override_algorithm != self.algorithm
-        ):
-            raise ConfigurationError(
-                f"conflicting collective algorithms: algorithm={self.algorithm!r} "
-                f"vs overrides['collective_algorithm']={override_algorithm!r}; "
-                f"set only one"
-            )
         if self.backend is not None:
             validate_backend_name(self.backend)
-            override_backend = self.overrides.get("network_backend")
-            if override_backend is not None and override_backend != self.backend:
+        for knob in ("compute", "parallelism"):
+            if getattr(self, knob) is not None and self.kind != "training":
                 raise ConfigurationError(
-                    f"conflicting network backends: backend={self.backend!r} "
-                    f"vs overrides['network_backend']={override_backend!r}; "
-                    f"set only one"
+                    f"{knob} only applies to training jobs, not {self.kind!r}"
                 )
         if self.compute is not None:
-            if self.kind != "training":
-                raise ConfigurationError(
-                    f"compute only applies to training jobs, not {self.kind!r}"
-                )
             validate_compute_backend_name(self.compute)
-            override_compute = self.overrides.get("compute_backend")
-            if override_compute is not None and override_compute != self.compute:
-                raise ConfigurationError(
-                    f"conflicting compute backends: compute={self.compute!r} "
-                    f"vs overrides['compute_backend']={override_compute!r}; "
-                    f"set only one"
-                )
-        if self.parallelism is not None:
-            if self.kind != "training":
-                raise ConfigurationError(
-                    f"parallelism only applies to training jobs, not {self.kind!r}"
-                )
-            # Imported lazily to keep the module import graph acyclic.
-            from repro.training.parallelism import parse_parallelism
-
-            parse_parallelism(self.parallelism)
-            override_parallelism = self.overrides.get("parallelism")
-            if (
-                override_parallelism is not None
-                and override_parallelism != self.parallelism
-            ):
-                raise ConfigurationError(
-                    f"conflicting parallelism specs: parallelism="
-                    f"{self.parallelism!r} vs overrides['parallelism']="
-                    f"{override_parallelism!r}; set only one"
-                )
         if self.fabric is not None:
             # Validate eagerly so a bad spec fails at submission, not in a worker.
             topology_from_spec(self.fabric)
@@ -289,47 +234,21 @@ class SimJob:
                     f"unknown collective op {self.op!r}; expected one of "
                     f"{[o.value for o in CollectiveOp]}"
                 ) from None
+        # Presets, override fields and their values (and a parallelism spec)
+        # fail here, at submission, rather than in a worker.
+        self.build_system()
 
     # ------------------------------------------------------------------
     # Canonical serialization and hashing
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON dictionary of the spec (stable schema).
-
-        Every pre-1.2.0 field is always present.  ``backend`` (added in
-        1.2.0), ``parallelism`` (added in 1.4.0), ``trace`` /
-        ``cost_table`` (added in 1.5.0) and ``compute`` (added in 1.6.0)
-        are emitted only when set: a job that does not use the knobs
-        canonicalises to exactly the 1.1.0 JSON, so its spec hash — and
-        therefore its cache key under any fixed ``version`` salt — is
-        unchanged by the upgrades.
-        """
-        data: Dict[str, object] = {
-            "kind": self.kind,
-            "system": self.system,
-            "overrides": {k: dict(v) if isinstance(v, dict) else v
-                          for k, v in self.overrides.items()},
-            "num_npus": self.num_npus,
-            "topology": list(self.topology) if self.topology is not None else None,
-            "fabric": self.fabric,
-            "algorithm": self.algorithm,
-            "chunk_bytes": self.chunk_bytes,
-            "workload": self.workload,
-            "iterations": self.iterations,
-            "overlap_embedding": self.overlap_embedding,
-            "payload_bytes": self.payload_bytes,
-            "op": self.op,
+        """Plain-JSON dictionary of every spec field (the canonical schema)."""
+        data: Dict[str, object] = {name: getattr(self, name) for name in _FIELD_NAMES}
+        data["overrides"] = {
+            k: dict(v) if isinstance(v, dict) else v for k, v in self.overrides.items()
         }
-        if self.backend is not None:
-            data["backend"] = self.backend
-        if self.parallelism is not None:
-            data["parallelism"] = self.parallelism
-        if self.trace is not None:
-            data["trace"] = self.trace
-        if self.cost_table is not None:
-            data["cost_table"] = self.cost_table
-        if self.compute is not None:
-            data["compute"] = self.compute
+        if self.topology is not None:
+            data["topology"] = list(self.topology)
         return data
 
     def to_json(self) -> str:
@@ -338,9 +257,8 @@ class SimJob:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SimJob":
-        known = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        unknown = set(data) - known
+        kwargs = {k: v for k, v in data.items() if k in _FIELD_NAMES}
+        unknown = set(data) - set(_FIELD_NAMES)
         if unknown:
             raise ConfigurationError(f"unknown SimJob fields: {sorted(unknown)}")
         if kwargs.get("topology") is not None:
@@ -396,22 +314,10 @@ class SimJob:
                 policy,
                 comm_memory_bandwidth_gbps=changes["ace"].memory_bandwidth_gbps,
             )
-        # The job-level algorithm shorthand; an explicit collective_algorithm
-        # override wins when the shorthand is left at "auto".
-        if self.algorithm != AUTO:
-            changes["collective_algorithm"] = self.algorithm
-        # The job-level backend shorthand; an explicit network_backend
-        # override wins when the shorthand is left unset.
-        if self.backend is not None:
-            changes["network_backend"] = self.backend
-        # The job-level compute shorthand; an explicit compute_backend
-        # override wins when the shorthand is left unset.
-        if self.compute is not None:
-            changes["compute_backend"] = self.compute
-        # The job-level parallelism shorthand; an explicit parallelism
-        # override wins when the shorthand is left unset.
-        if self.parallelism is not None:
-            changes["parallelism"] = self.parallelism
+        for knob, config_field in _JOB_KNOBS:
+            value = getattr(self, knob)
+            if value is not None and value != getattr(system, config_field):
+                changes[config_field] = value
         return system.with_overrides(**changes) if changes else system
 
     def build_topology(self) -> Topology:
@@ -459,7 +365,6 @@ class SimJob:
                 iterations=self.iterations,
                 chunk_bytes=self.chunk_bytes,
                 overlap_embedding=self.overlap_embedding,
-                parallelism=self.parallelism,
             )
         if self.kind == "network_drive":
             return measure_network_drive(
@@ -491,113 +396,42 @@ def _simjob_hash(self: SimJob) -> int:
 
 SimJob.__hash__ = _simjob_hash  # type: ignore[method-assign]
 
+_FIELD_NAMES = tuple(f.name for f in fields(SimJob))
+
 
 # ---------------------------------------------------------------------------
 # Convenience constructors
 # ---------------------------------------------------------------------------
 
 
-def training_job(
-    system: str,
-    workload: str,
-    num_npus: Optional[int] = None,
-    topology: Optional[Tuple[int, int, int]] = None,
-    fabric: Optional[str] = None,
-    algorithm: str = AUTO,
-    backend: Optional[str] = None,
-    iterations: int = 2,
-    chunk_bytes: Optional[int] = None,
-    overlap_embedding: bool = False,
-    parallelism: Optional[str] = None,
-    compute: Optional[str] = None,
-    overrides: Optional[Mapping[str, object]] = None,
-) -> SimJob:
-    """A training-loop simulation job (Figs. 9b-12)."""
-    return SimJob(
-        kind="training",
-        system=system,
-        workload=workload,
-        num_npus=num_npus,
-        topology=topology,
-        fabric=fabric,
-        algorithm=algorithm,
-        backend=backend,
-        iterations=iterations,
-        chunk_bytes=chunk_bytes,
-        overlap_embedding=overlap_embedding,
-        parallelism=parallelism,
-        compute=compute,
-        overrides=overrides or {},
-    )
+def training_job(system: str, workload: str, **knobs) -> SimJob:
+    """A training-loop simulation job (Figs. 9b-12); ``knobs`` are SimJob fields."""
+    return SimJob(kind="training", system=system, workload=workload, **knobs)
 
 
-def trace_job(
-    system: str,
-    trace: str,
-    num_npus: Optional[int] = None,
-    topology: Optional[Tuple[int, int, int]] = None,
-    fabric: Optional[str] = None,
-    algorithm: str = AUTO,
-    backend: Optional[str] = None,
-    iterations: int = 2,
-    chunk_bytes: Optional[int] = None,
-    cost_table: Optional[str] = None,
-    parallelism: Optional[str] = None,
-    compute: Optional[str] = None,
-    overrides: Optional[Mapping[str, object]] = None,
-) -> SimJob:
+def trace_job(system: str, trace: str, **knobs) -> SimJob:
     """A training job driven by an operator-graph trace file.
 
-    ``trace`` names a ``traces/<name>.json`` operator graph; ``cost_table``
-    picks the device table pricing its op descriptors (default:
-    :data:`repro.traces.cost.DEFAULT_COST_TABLE`).  Everything else — the
-    system preset, fabric, collective algorithm, network backend,
-    parallelism, compute backend — behaves exactly as in
-    :func:`training_job`.
+    ``trace`` names a ``traces/<name>.json`` operator graph; ``knobs`` are
+    SimJob fields, e.g. ``cost_table`` picks the device table pricing its op
+    descriptors (default: :data:`repro.traces.cost.DEFAULT_COST_TABLE`).
     """
-    return SimJob(
-        kind="training",
-        system=system,
-        trace=trace,
-        cost_table=cost_table,
-        num_npus=num_npus,
-        topology=topology,
-        fabric=fabric,
-        algorithm=algorithm,
-        backend=backend,
-        iterations=iterations,
-        chunk_bytes=chunk_bytes,
-        parallelism=parallelism,
-        compute=compute,
-        overrides=overrides or {},
-    )
+    return SimJob(kind="training", system=system, trace=trace, **knobs)
 
 
 def network_drive_job(
     system: str,
     payload_bytes: int,
-    num_npus: Optional[int] = None,
-    topology: Optional[Tuple[int, int, int]] = None,
-    fabric: Optional[str] = None,
-    algorithm: str = AUTO,
-    backend: Optional[str] = None,
-    chunk_bytes: Optional[int] = None,
     op: CollectiveOp = CollectiveOp.ALL_REDUCE,
-    overrides: Optional[Mapping[str, object]] = None,
+    **knobs,
 ) -> SimJob:
     """A single-collective network-drive job (Figs. 4-6, 9a, cross-topology)."""
     return SimJob(
         kind="network_drive",
         system=system,
         payload_bytes=payload_bytes,
-        num_npus=num_npus,
-        topology=topology,
-        fabric=fabric,
-        algorithm=algorithm,
-        backend=backend,
-        chunk_bytes=chunk_bytes,
         op=op.value if isinstance(op, CollectiveOp) else op,
-        overrides=overrides or {},
+        **knobs,
     )
 
 

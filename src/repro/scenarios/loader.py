@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import ReproError, ScenarioError
 from repro.runner import SimJob, area_power_job, network_drive_job, trace_job
-from repro.scenarios.schema import Scenario, Suite
+from repro.scenarios.schema import GRID_AXES, Scenario, Suite
 
 #: Environment variable overriding the default scenario manifest directory.
 SCENARIO_DIR_ENV = "REPRO_SCENARIOS_DIR"
@@ -247,26 +247,23 @@ def _check_pipeline_compat(workloads: Sequence[str], parallelism: Optional[str])
 def _compile_grid(spec: Mapping[str, object]) -> List[SimJob]:
     """The (model x size x system) grid once per outer-axis cell.
 
-    The outer axes (fabric x backend x algorithm x parallelism x compute)
-    wrap the inner grid; an absent or empty axis list means the default.
-    Workload cells route through :func:`repro.experiments.common.grid_jobs`,
-    so the expansion is byte-identical to hand-enumerating one harness batch
-    per combination, and identical specs hit identical cache keys.  Every
-    trace file is loaded — and therefore fully validated — before any job is
-    built, so a broken ``traces/<name>.json`` fails ``repro validate`` with
-    the offending node named instead of dying in a worker process.
+    The outer axes (:data:`~repro.scenarios.schema.GRID_AXES`) wrap the
+    inner grid; an absent or empty axis list, or a ``null`` entry, means the
+    job field's default.  Workload cells route through
+    :func:`repro.experiments.common.grid_jobs`, so the expansion is
+    byte-identical to hand-enumerating one harness batch per combination, and
+    identical specs hit identical cache keys.  Every trace file is loaded —
+    and therefore fully validated — before any job is built, so a broken
+    ``traces/<name>.json`` fails ``repro validate`` with the offending node
+    named instead of dying in a worker process.
     """
     from repro.experiments.common import PAPER_SYSTEMS, grid_jobs
 
     systems = tuple(spec.get("systems", PAPER_SYSTEMS))
     _check_systems(systems)
     sizes = tuple(spec.get("sizes", (16,)))
-    fabrics = tuple(spec.get("fabrics", ())) or (None,)
-    backends = tuple(spec.get("backends", ())) or (None,)
-    algorithms = tuple(spec.get("algorithms", ())) or ("auto",)
-    parallelisms = tuple(spec.get("parallelisms", ())) or (None,)
-    computes = tuple(spec.get("computes", ())) or (None,)
-    if any(fabric is not None for fabric in fabrics) and len(set(sizes)) > 1:
+    axes = {field: tuple(spec.get(name, ())) or (None,) for name, field in GRID_AXES}
+    if any(fabric is not None for fabric in axes["fabric"]) and len(set(sizes)) > 1:
         from repro.errors import ConfigurationError
 
         raise ConfigurationError(
@@ -286,28 +283,20 @@ def _compile_grid(spec: Mapping[str, object]) -> List[SimJob]:
             find_cost_table(str(cost_table))
     else:
         _check_workloads(workloads)
-        for parallelism in parallelisms:
+        for parallelism in axes["parallelism"]:
             _check_pipeline_compat(workloads, parallelism)
     iterations = int(spec.get("iterations", 2))
     jobs: List[SimJob] = []
-    for fabric, backend, algorithm, parallelism, compute in itertools.product(
-        fabrics, backends, algorithms, parallelisms, computes
-    ):
-        knobs = dict(
-            fabric=fabric,
-            algorithm=str(algorithm),
-            backend=backend,
-            chunk_bytes=spec.get("chunk_bytes"),
-            parallelism=parallelism,
-            compute=compute,
-        )
+    for cell in itertools.product(*axes.values()):
+        knobs = {field: value for field, value in zip(axes, cell) if value is not None}
         if "traces" in spec:
             jobs.extend(
                 trace_job(
                     system,
                     trace,
-                    num_npus=None if fabric else num_npus,
+                    num_npus=None if "fabric" in knobs else num_npus,
                     iterations=iterations,
+                    chunk_bytes=spec.get("chunk_bytes"),
                     cost_table=cost_table,
                     **knobs,
                 )
@@ -319,8 +308,9 @@ def _compile_grid(spec: Mapping[str, object]) -> List[SimJob]:
                     systems=systems,
                     workloads=workloads,
                     sizes=sizes,
-                    iterations=iterations,
                     fast=bool(spec.get("fast", True)),
+                    chunk_bytes=spec.get("chunk_bytes"),
+                    iterations=iterations,
                     overlap_embedding=bool(spec.get("overlap_embedding", False)),
                     **knobs,
                 )
@@ -329,26 +319,28 @@ def _compile_grid(spec: Mapping[str, object]) -> List[SimJob]:
 
 
 def _compile_network_drive(spec: Mapping[str, object]) -> List[SimJob]:
-    _check_systems(tuple(spec.get("systems", ("ace",))))
-    jobs: List[SimJob] = []
-    for fabric in spec["fabrics"]:
-        for op in spec.get("ops", ("all_reduce",)):
-            for algorithm in spec.get("algorithms", ("auto",)):
-                for backend in spec.get("backends", (None,)):
-                    for system in spec.get("systems", ("ace",)):
-                        jobs.append(
-                            network_drive_job(
-                                system,
-                                int(spec["payload_bytes"]),
-                                fabric=fabric,
-                                algorithm=algorithm,
-                                backend=backend,
-                                chunk_bytes=spec.get("chunk_bytes"),
-                                op=op,
-                                overrides=spec.get("overrides") or {},
-                            )
-                        )
-    return jobs
+    systems = tuple(spec.get("systems", ("ace",)))
+    _check_systems(systems)
+    cells = itertools.product(
+        spec["fabrics"],
+        spec.get("ops", ("all_reduce",)),
+        spec.get("algorithms", ("auto",)),
+        spec.get("backends", (None,)),
+        systems,
+    )
+    return [
+        network_drive_job(
+            system,
+            int(spec["payload_bytes"]),
+            op=op,
+            fabric=fabric,
+            algorithm=algorithm,
+            backend=backend,
+            chunk_bytes=spec.get("chunk_bytes"),
+            overrides=spec.get("overrides", {}),
+        )
+        for fabric, op, algorithm, backend, system in cells
+    ]
 
 
 def _compile_cross_topology(spec: Mapping[str, object]) -> List[SimJob]:
@@ -392,18 +384,7 @@ def _resolve_model_agreement(suite: Suite) -> "CompiledFigure":
 
 
 def _compile_area_power(spec: Mapping[str, object]) -> List[SimJob]:
-    from dataclasses import fields as dataclass_fields
-
-    from repro.config.system import AceConfig
-    from repro.errors import ConfigurationError
-
     ace = spec.get("ace") or {}
-    unknown = sorted(set(ace) - {f.name for f in dataclass_fields(AceConfig)})
-    if unknown:
-        raise ConfigurationError(
-            f"unknown AceConfig field(s) {unknown} in 'ace' overrides; "
-            f"known fields: {sorted(f.name for f in dataclass_fields(AceConfig))}"
-        )
     if not ace:
         return [area_power_job()]
     return [SimJob(kind="area_power", overrides={"ace": dict(ace)})]

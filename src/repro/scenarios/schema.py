@@ -201,28 +201,27 @@ def _overrides_field(data: Mapping[str, object], name: str, context: str) -> Dic
 # Suites
 # ---------------------------------------------------------------------------
 
+#: The ``grid`` suite's outer axes, in expansion order: each manifest list
+#: and the :class:`~repro.runner.SimJob` field its entries pin.  A ``null``
+#: entry (or an absent list) keeps the field's default: the canonical
+#: torus, the preset's network and compute models, the planner's ``auto``
+#: algorithm and the workload's native parallelism.
+GRID_AXES = (
+    ("fabrics", "fabric"),
+    ("backends", "backend"),
+    ("algorithms", "algorithm"),
+    ("parallelisms", "parallelism"),
+    ("computes", "compute"),
+)
+
 #: Per-kind (allowed, required) manifest fields, beyond the common ``kind``.
 _SUITE_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    # The (system x workload-or-trace x size) grid under the product of the
-    # list axes; ``null`` axis entries mean the default (canonical torus /
-    # preset backend / native parallelism / preset compute model).
+    # The (system x workload-or-trace x size) grid once per cell of the
+    # product of the GRID_AXES lists.
     "grid": (
-        (
-            "systems",
-            "workloads",
-            "traces",
-            "sizes",
-            "fabrics",
-            "backends",
-            "algorithms",
-            "parallelisms",
-            "computes",
-            "iterations",
-            "chunk_bytes",
-            "fast",
-            "overlap_embedding",
-            "cost_table",
-        ),
+        ("systems", "workloads", "traces", "sizes")
+        + tuple(name for name, _ in GRID_AXES)
+        + ("iterations", "chunk_bytes", "fast", "overlap_embedding", "cost_table"),
         (),
     ),
     "network_drive": (
@@ -297,9 +296,8 @@ class Suite:
                 raise ScenarioError(f"{context}: field 'cost_table' needs a 'traces' list")
             _str_tuple_field(spec, "workloads", context)
             _int_tuple_field(spec, "sizes", context)
-            for name in ("fabrics", "backends", "parallelisms", "computes"):
+            for name, _ in GRID_AXES:
                 _opt_str_list_field(spec, name, context)
-            _str_tuple_field(spec, "algorithms", context)
             if "iterations" in spec:
                 _int_field(spec, "iterations", context)
             _opt_int_field(spec, "chunk_bytes", context)

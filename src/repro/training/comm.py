@@ -81,10 +81,10 @@ class _PendingCollective:
 class CollectiveExecutor:
     """Chunk-level collective execution over a pluggable network backend.
 
-    The backend is chosen by name (``backend=`` argument, falling back to
-    ``system.network_backend``): ``"symmetric"`` for the fast analytical
-    model, ``"detailed"`` for the contention-aware per-link model, ``"auto"``
-    for the size heuristic.  A pre-built backend instance may be passed as
+    The backend is ``system.network_backend``: ``"symmetric"`` for the fast
+    analytical model, ``"detailed"`` for the contention-aware per-link model,
+    ``"hybrid"`` for per-link detail on one dimension, ``"auto"`` for the
+    size heuristic.  A pre-built backend instance may be passed as
     ``fabric=``; it must have been built for the same topology the executor
     is given.
     """
@@ -97,19 +97,12 @@ class CollectiveExecutor:
         endpoint: Optional[Endpoint] = None,
         fabric: Optional[NetworkBackend] = None,
         chunk_bytes: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.sim = sim
         self.system = system
         self.topology = topology
         self.endpoint = endpoint or make_endpoint(system)
         if fabric is not None:
-            if backend is not None:
-                raise ConfigurationError(
-                    f"pass either a pre-built fabric or a backend name, not "
-                    f"both (got fabric={type(fabric).__name__} and "
-                    f"backend={backend!r})"
-                )
             fabric_topology = getattr(fabric, "topology", None)
             if (
                 fabric_topology is None
@@ -128,7 +121,7 @@ class CollectiveExecutor:
             self.fabric = fabric
         else:
             self.fabric = make_network_backend(
-                backend or system.network_backend,
+                system.network_backend,
                 topology,
                 system.network,
                 auto_threshold=system.network_backend_auto_threshold,

@@ -58,8 +58,6 @@ class TrainingLoop:
         chunk_bytes: Optional[int] = None,
         overlap_embedding: bool = False,
         utilization_window_ns: float = 50_000.0,
-        backend: Optional[str] = None,
-        parallelism: Optional[str] = None,
     ) -> None:
         if iterations <= 0:
             raise SimulationError("iterations must be positive")
@@ -69,9 +67,8 @@ class TrainingLoop:
         self.iterations = iterations
         self.overlap_embedding = overlap_embedding
         self.utilization_window_ns = utilization_window_ns
-        # ``parallelism`` overrides ``system.parallelism``, which overrides
-        # the workload's native strategy (same precedence as ``backend``).
-        requested = parallelism or system.parallelism or workload.parallelism
+        # ``system.parallelism`` overrides the workload's native strategy.
+        requested = system.parallelism or workload.parallelism
         self.parallelism: ParallelismSpec = parse_parallelism(requested)
         if self.parallelism.strategy == "pipeline" and workload.embedding is not None:
             raise ConfigurationError(
@@ -89,11 +86,7 @@ class TrainingLoop:
             time_scale=workload.compute_time_scale,
             num_npus=self.topology.num_nodes,
         )
-        # ``backend`` overrides ``system.network_backend`` for this loop only
-        # (the same shorthand SimJob.backend provides at the sweep layer).
-        self.executor = CollectiveExecutor(
-            self.sim, system, self.topology, chunk_bytes=chunk_bytes, backend=backend
-        )
+        self.executor = CollectiveExecutor(self.sim, system, self.topology, chunk_bytes=chunk_bytes)
 
         self._exposed_comm_ns = 0.0
         self._breakdowns: List[IterationBreakdown] = []
@@ -446,17 +439,11 @@ def simulate_training(
     iterations: int = 2,
     chunk_bytes: Optional[int] = None,
     overlap_embedding: bool = False,
-    backend: Optional[str] = None,
-    parallelism: Optional[str] = None,
 ) -> TrainingResult:
     """Convenience wrapper: build a loop, run it, return the result.
 
-    ``backend`` selects the network model (``"symmetric" | "detailed" |
-    "auto"``; default: the system configuration's ``network_backend``).
-    ``parallelism`` overrides the parallelisation strategy (``"data" |
-    "model" | "hybrid" | "zero" | "pipeline" |
-    "pipeline:<stages>x<microbatches>"``; default: the system configuration's
-    ``parallelism``, then the workload's native strategy).
+    The network model, compute model, collective algorithm and
+    parallelisation strategy are the ``system`` configuration's.
     """
     loop = TrainingLoop(
         system=system,
@@ -465,7 +452,5 @@ def simulate_training(
         iterations=iterations,
         chunk_bytes=chunk_bytes,
         overlap_embedding=overlap_embedding,
-        backend=backend,
-        parallelism=parallelism,
     )
     return loop.run()

@@ -174,7 +174,7 @@ class TestQueuingDelay:
 
 
 # ---------------------------------------------------------------------------
-# Knob threading: SystemConfig, make_system, SimJob, executor, loop
+# The backend knob: SystemConfig.network_backend and SimJob.backend
 # ---------------------------------------------------------------------------
 
 
@@ -183,27 +183,27 @@ class TestBackendKnob:
         assert make_system("ace").network_backend == "symmetric"
 
     def test_make_system_backend_argument(self):
-        system = make_system("ace", backend="detailed")
+        system = make_system("ace").with_overrides(network_backend="detailed")
         assert system.network_backend == "detailed"
         assert system.describe()["network_backend"] == "detailed"
 
     def test_bad_backend_fails_at_executor_construction(self, torus_222):
-        system = make_system("ace", backend="garnet")
+        system = make_system("ace").with_overrides(network_backend="garnet")
         with pytest.raises(ConfigurationError, match="unknown network backend"):
             CollectiveExecutor(Simulator(), system, torus_222)
 
     def test_executor_honours_system_backend_and_override(self, torus_222):
-        system = make_system("ace", backend="detailed")
+        system = make_system("ace").with_overrides(network_backend="detailed")
         executor = CollectiveExecutor(Simulator(), system, torus_222)
         assert isinstance(executor.fabric, DetailedBackend)
         overridden = CollectiveExecutor(
-            Simulator(), system, torus_222, backend="symmetric"
+            Simulator(), system.with_overrides(network_backend="symmetric"), torus_222
         )
         assert isinstance(overridden.fabric, SymmetricFabric)
 
     def test_auto_backend_respects_system_threshold(self):
         topology = topology_from_spec("torus:4x2x2")
-        system = make_system("ace", backend="auto").with_overrides(
+        system = make_system("ace").with_overrides(network_backend="auto").with_overrides(
             network_backend_auto_threshold=8
         )
         executor = CollectiveExecutor(Simulator(), system, topology)
@@ -215,7 +215,8 @@ class TestBackendKnob:
         assert job.build_system().network_backend == "detailed"
         with pytest.raises(ConfigurationError, match="unknown network backend"):
             SimJob(workload="resnet50", num_npus=16, backend="garnet")
-        with pytest.raises(ConfigurationError, match="conflicting network backends"):
+        # The job field is the only job-level spelling of the backend.
+        with pytest.raises(ConfigurationError, match="unknown override section 'network_backend'"):
             SimJob(
                 workload="resnet50",
                 num_npus=16,
@@ -223,21 +224,13 @@ class TestBackendKnob:
                 overrides={"network_backend": "symmetric"},
             )
 
-    def test_simjob_without_backend_keeps_pre_1_2_spec_json(self):
-        job = SimJob(workload="resnet50", num_npus=16)
-        assert "backend" not in job.to_dict()
-        tagged = SimJob(workload="resnet50", num_npus=16, backend="symmetric")
-        assert tagged.to_dict()["backend"] == "symmetric"
-        assert tagged.spec_hash() != job.spec_hash()
-
     def test_simulate_training_backend_argument(self, torus_222, resnet50_workload):
         result = simulate_training(
-            make_system("ideal"),
+            make_system("ideal").with_overrides(network_backend="detailed"),
             resnet50_workload,
             num_npus=torus_222,
             iterations=1,
             chunk_bytes=512 * KB,
-            backend="detailed",
         )
         assert result.total_time_ns > 0
 
@@ -264,14 +257,6 @@ class TestFabricTopologyMismatch:
         fabric = SymmetricFabric(Torus3D(2, 2, 2), system.network)
         executor = CollectiveExecutor(Simulator(), system, torus_222, fabric=fabric)
         assert executor.fabric is fabric
-
-    def test_fabric_and_backend_together_is_rejected(self, torus_222):
-        system = make_system("ace")
-        fabric = SymmetricFabric(torus_222, system.network)
-        with pytest.raises(ConfigurationError, match="not both"):
-            CollectiveExecutor(
-                Simulator(), system, torus_222, fabric=fabric, backend="detailed"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +285,9 @@ class TestCrossBackendEquivalence:
         durations = {}
         for backend in ("symmetric", "detailed"):
             drive = measure_network_drive(
-                make_system("ace", algorithm=algorithm, backend=backend),
+                make_system("ace").with_overrides(
+                    collective_algorithm=algorithm, network_backend=backend
+                ),
                 topology,
                 payload_bytes=4 * MB,
                 op=op,
@@ -315,7 +302,7 @@ class TestCrossBackendEquivalence:
         results = {}
         for backend in ("symmetric", "detailed"):
             results[backend] = simulate_training(
-                make_system("ace", backend=backend),
+                make_system("ace").with_overrides(network_backend=backend),
                 resnet50_workload,
                 num_npus=8,
                 iterations=2,
@@ -407,7 +394,7 @@ class TestDetailedContention:
 
     def test_concurrent_collectives_contend_per_link(self, torus_222):
         """Two concurrent all-reduces must serialise on the shared ports."""
-        system = make_system("ideal", backend="detailed")
+        system = make_system("ideal").with_overrides(network_backend="detailed")
         sim = Simulator()
         executor = CollectiveExecutor(sim, system, torus_222, chunk_bytes=256 * KB)
         solo_sim = Simulator()

@@ -1,11 +1,10 @@
-"""Tests for the pluggable compute-backend layer (spec 1.6.0).
+"""Tests for the pluggable compute-backend layer.
 
 Covers the registry and its typed errors, the execution-unit model's edge
 cases (zero-flop kernels, the roofline ridge point, the never-faster
 invariant), the measured-op inversion round trip on both backends, the
-``SimJob.compute`` knob and its spec-hash compatibility guarantee, the
-scenario plumbing, and the ``docs/KNOBS.md`` cross-reference that keeps the
-knob table in sync with the code.
+``SimJob.compute`` knob, the scenario plumbing, and the ``docs/KNOBS.md``
+cross-reference that keeps the knob table in sync with the code.
 """
 
 from __future__ import annotations
@@ -34,16 +33,9 @@ from repro.compute import (
 from repro.config.presets import make_system
 from repro.config.system import ComputeConfig
 from repro.errors import ConfigurationError, ScenarioError
-from repro.runner import (
-    SimJob,
-    SweepRunner,
-    area_power_job,
-    network_drive_job,
-    trace_job,
-    training_job,
-)
+from repro.runner import SimJob, SweepRunner, trace_job, training_job
 from repro.runner.cache import ResultCache
-from repro.units import KB, MB, SECOND, TERA
+from repro.units import KB, MB
 
 TFLOPS = 120.0
 BW_GBPS = 900.0
@@ -257,9 +249,9 @@ class TestExecutionUnitModel:
 class TestSystemThreading:
     def test_make_system_compute_keyword(self):
         assert make_system("ace").compute_backend == DEFAULT_COMPUTE_BACKEND
-        system = make_system("ace", compute="execution-unit")
+        system = make_system("ace").with_overrides(compute_backend="execution-unit")
         assert system.compute_backend == "execution-unit"
-        assert make_system("ace", compute="auto").compute_backend == "auto"
+        assert make_system("ace").with_overrides(compute_backend="auto").compute_backend == "auto"
 
     def test_system_config_rejects_empty_backend_name(self):
         with pytest.raises(ConfigurationError, match="compute_backend"):
@@ -269,7 +261,7 @@ class TestSystemThreading:
         assert make_system("ace").describe()["compute_backend"] == "roofline"
 
     def test_engine_resolves_auto_by_platform_size(self):
-        system = make_system("ace", compute="auto")
+        system = make_system("ace").with_overrides(compute_backend="auto")
         small = NpuComputeEngine(system, num_npus=8)
         large = NpuComputeEngine(system, num_npus=128)
         assert small.backend_name == "execution-unit"
@@ -278,60 +270,13 @@ class TestSystemThreading:
 
     def test_engine_execution_unit_prices_above_roofline(self):
         roofline_engine = NpuComputeEngine(make_system("ace"))
-        eu_engine = NpuComputeEngine(make_system("ace", compute="execution-unit"))
+        eu_system = make_system("ace").with_overrides(compute_backend="execution-unit")
+        eu_engine = NpuComputeEngine(eu_system)
         for cost in KERNEL_GRID:
             assert eu_engine.task_time_ns(cost) >= roofline_engine.task_time_ns(cost)
 
 
-#: (job, canonical 1.5.0 spec hash) — captured on the 1.5.0 tree.  Literals
-#: on purpose: jobs that do not set the ``compute`` knob must canonicalise to
-#: exactly their pre-1.6.0 JSON, so persistent caches survive the upgrade.
-LEGACY_PINS = (
-    (
-        training_job(
-            system="ace", workload="resnet50", num_npus=16, iterations=1,
-            chunk_bytes=1048576,
-        ),
-        "49728d5c54377c38332eeb485f38a31a495abd15aff84e777a1cb85734c70d50",
-    ),
-    (
-        training_job(
-            system="ideal", workload="gnmt", num_npus=32, backend="detailed",
-            algorithm="ring",
-        ),
-        "3b2097f04ce6400d63ba0e73e478b8292b207d0b87bcd0ca38b992e0e3f47b89",
-    ),
-    (
-        training_job(system="ace", workload="resnet50", num_npus=16, parallelism="zero"),
-        "c7dd9531fa6d5246b99a8240931bf0770eafb820569232e7b7eb1cb4f9b4528d",
-    ),
-    (
-        trace_job("ace", "dlrm-micro", num_npus=8),
-        "9838b1d1f5675e269c1c5d37ef8b233a7a5784e68424bbc7fcd27714a7a2107c",
-    ),
-    (
-        network_drive_job(
-            system="baseline_comm_opt", payload_bytes=4194304, topology=(2, 2, 2),
-            chunk_bytes=262144,
-        ),
-        "dff592f84d798876acaea1e7abd851753ff12862ab43d7ebd50e012333e0f9d6",
-    ),
-    (
-        area_power_job(),
-        "2f19260ae5abcea33c908fa92c9d25a9782f7e904fd40413cad4ef9cb99a2561",
-    ),
-)
-
-
 class TestSimJobCompute:
-    def test_legacy_spec_hashes_are_byte_identical_to_1_5_0(self):
-        for job, expected in LEGACY_PINS:
-            assert job.spec_hash(version="1.5.0") == expected
-
-    def test_canonical_json_omits_compute_when_unset(self):
-        job, _ = LEGACY_PINS[0]
-        assert '"compute"' not in job.to_json()
-
     def test_canonical_json_carries_compute_when_set(self):
         job = training_job("ace", "resnet50", num_npus=16, compute="execution-unit")
         assert '"compute":"execution-unit"' in job.to_json()
@@ -354,18 +299,12 @@ class TestSimJobCompute:
             training_job("ace", "resnet50", num_npus=16, compute="bogus")
 
     def test_conflicting_compute_override_rejected(self):
-        with pytest.raises(ConfigurationError, match="conflicting compute backends"):
+        # ``compute`` is the only job-level spelling of the compute backend.
+        with pytest.raises(ConfigurationError, match="unknown override section 'compute_backend'"):
             training_job(
                 "ace", "resnet50", num_npus=16, compute="roofline",
                 overrides={"compute_backend": "execution-unit"},
             )
-
-    def test_matching_compute_override_allowed(self):
-        job = training_job(
-            "ace", "resnet50", num_npus=16, compute="execution-unit",
-            overrides={"compute_backend": "execution-unit"},
-        )
-        assert job.build_system().compute_backend == "execution-unit"
 
     def test_build_system_threads_the_shorthand(self):
         job = training_job("ace", "resnet50", num_npus=16, compute="execution-unit")

@@ -202,7 +202,7 @@ class TestCollectiveAlgorithmKnob:
         assert make_system("ace").collective_algorithm == "auto"
 
     def test_make_system_pins_algorithm(self):
-        system = make_system("ace", algorithm="ring")
+        system = make_system("ace").with_overrides(collective_algorithm="ring")
         assert system.collective_algorithm == "ring"
 
     def test_with_overrides_round_trip(self):

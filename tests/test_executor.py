@@ -194,7 +194,7 @@ def _algorithm_cases():
 class TestStageTables:
     @pytest.mark.parametrize("algorithm,op,fabric", _algorithm_cases())
     def test_table_matches_per_chunk_construction(self, algorithm, op, fabric):
-        system = make_system("ideal", algorithm=algorithm)
+        system = make_system("ideal").with_overrides(collective_algorithm=algorithm)
         executor = CollectiveExecutor(
             Simulator(), system, topology_from_spec(fabric), chunk_bytes=64 * KB
         )

@@ -58,7 +58,7 @@ def _drive_collective(algorithm, fabric_spec, op, chunk_bytes, coalesce):
     """Completion time of one collective on a fresh detailed backend."""
     topology = topology_from_spec(fabric_spec)
     sim = Simulator()
-    system = make_system("ace", algorithm=algorithm)
+    system = make_system("ace").with_overrides(collective_algorithm=algorithm)
     fabric = DetailedBackend(topology, system.network, coalesce=coalesce)
     executor = CollectiveExecutor(
         sim, system, topology, fabric=fabric, chunk_bytes=chunk_bytes

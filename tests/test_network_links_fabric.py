@@ -1,12 +1,12 @@
-"""Links, messages and the multi-node fabric simulator."""
+"""Links, payload splitting and the symmetric fabric's dimension pipes."""
 
 import pytest
 
 from repro.config.system import NetworkConfig
-from repro.errors import CollectiveError, RoutingError
-from repro.network.fabric import FabricSimulator
+from repro.errors import CollectiveError
+from repro.network.backend import mean_utilization
 from repro.network.links import Link, LinkKind
-from repro.network.messages import new_chunk, new_message, split_payload
+from repro.network.messages import split_payload
 from repro.network.symmetric import SymmetricFabric
 from repro.network.topology import Torus3D
 
@@ -41,66 +41,6 @@ class TestMessages:
         with pytest.raises(CollectiveError):
             split_payload(0, 64)
 
-    def test_message_packets(self):
-        msg = new_message(chunk_id=0, size_bytes=1000, src=0, dst=1)
-        packets = msg.packets(256)
-        assert len(packets) == 4
-        assert sum(p.size_bytes for p in packets) == 1000
-
-    def test_chunk_phase_advance(self):
-        chunk = new_chunk(collective_id=0, size_bytes=1024, num_phases=2)
-        chunk.advance_phase()
-        chunk.advance_phase()
-        with pytest.raises(CollectiveError):
-            chunk.advance_phase()
-
-    def test_invalid_sizes(self):
-        with pytest.raises(CollectiveError):
-            new_chunk(0, 0, 1)
-        with pytest.raises(CollectiveError):
-            new_message(0, 0, 0, 1)
-
-
-class TestFabricSimulator:
-    def test_direct_send(self, torus_222):
-        fabric = FabricSimulator(torus_222, NetworkConfig())
-        delivery = fabric.send_direct(0, 1, 64 * 1024, 0.0)
-        assert delivery.hops == 1
-        assert delivery.arrived_at > delivery.departed_at
-
-    def test_routed_send_hop_count(self, torus_444):
-        fabric = FabricSimulator(torus_444, NetworkConfig())
-        far = torus_444.node_id(2, 2, 2)
-        delivery = fabric.send_routed(0, far, 4096, 0.0)
-        assert delivery.hops == 6
-
-    def test_routed_send_to_self(self, torus_222):
-        fabric = FabricSimulator(torus_222, NetworkConfig())
-        delivery = fabric.send_routed(3, 3, 1024, 5.0)
-        assert delivery.hops == 0
-        assert delivery.arrived_at == 5.0
-
-    def test_unconnected_direct_send_rejected(self, torus_444):
-        fabric = FabricSimulator(torus_444, NetworkConfig())
-        far = torus_444.node_id(2, 2, 2)
-        with pytest.raises(RoutingError):
-            fabric.send_direct(0, far, 1024, 0.0)
-
-    def test_bytes_accounting(self, torus_222):
-        fabric = FabricSimulator(torus_222, NetworkConfig())
-        fabric.send_routed(0, 7, 1000, 0.0)
-        moved = fabric.total_bytes_moved()
-        # Three hops (one per dimension) each carry the full message.
-        assert moved == pytest.approx(3000.0)
-        per_dim = fabric.per_dimension_bytes()
-        assert set(per_dim) == {"local", "vertical", "horizontal"}
-
-    def test_contention_serializes(self, torus_222):
-        fabric = FabricSimulator(torus_222, NetworkConfig())
-        first = fabric.send_direct(0, 1, 1024 * 1024, 0.0)
-        second = fabric.send_direct(0, 1, 1024 * 1024, 0.0)
-        assert second.departed_at >= first.arrived_at - fabric.link(0, 1, "local").latency_ns
-
 
 class TestSymmetricFabric:
     def test_dimension_pipes_match_table5(self, torus_444):
@@ -129,3 +69,9 @@ class TestSymmetricFabric:
         series = fabric.utilization_series(horizon_ns=100.0, window_ns=10.0)
         assert len(series) == 10
         assert series[0][1] > 0
+
+
+def test_mean_utilization_adds_left_to_right():
+    # A compensated sum (Python 3.12's sum()) would give 1 + 2e-16 here.
+    assert mean_utilization([1.0, 1e-16, 1e-16]) == 1.0 / 3
+    assert mean_utilization(iter([0.25, 0.5])) == 0.375

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from dataclasses import fields as dataclass_fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +10,9 @@ from repro.collectives import dataops
 from repro.collectives.hierarchical import hierarchical_all_reduce_plan
 from repro.collectives.ring import ring_all_reduce, ring_reduce_scatter
 from repro.config.presets import SYSTEM_CONFIG_NAMES
+from repro.errors import ConfigurationError
 from repro.network.messages import split_payload
-from repro.network.routing import hop_count, ring_distance, xyz_route
+from repro.network.routing import ring_distance
 from repro.network.topology import Torus3D
 from repro.runner import SimJob
 from repro.sim.engine import Simulator
@@ -91,29 +94,6 @@ def test_ring_distance_bounds_and_symmetry(size, src, dst):
     assert direction in (+1, -1)
     back_hops, _ = ring_distance(size, dst, src)
     assert back_hops == hops
-
-
-@DEFAULT_SETTINGS
-@given(
-    shape=st.tuples(
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=1, max_value=4),
-    ).filter(lambda s: s[0] * s[1] * s[2] >= 2),
-    data=st.data(),
-)
-def test_xyz_route_delivers_and_is_bounded(shape, data):
-    torus = Torus3D(*shape)
-    src = data.draw(st.integers(min_value=0, max_value=torus.num_nodes - 1))
-    dst = data.draw(st.integers(min_value=0, max_value=torus.num_nodes - 1))
-    route = xyz_route(torus, src, dst)
-    if src == dst:
-        assert route == []
-    else:
-        assert route[0][0] == src
-        assert route[-1][1] == dst
-    max_hops = sum(s // 2 for s in shape)
-    assert hop_count(torus, src, dst) <= max_hops
 
 
 @DEFAULT_SETTINGS
@@ -301,12 +281,20 @@ def test_simjob_hash_is_stable_under_dict_ordering(policy, ace, data):
         (name, dict(data.draw(st.permutations(items)) if items else items))
         for name, items in data.draw(st.permutations(sections))
     ]
-    job = SimJob(
-        workload="resnet50",
-        num_npus=16,
-        overrides={"policy": policy, "ace": ace},
-    )
-    reordered = SimJob(workload="resnet50", num_npus=16, overrides=dict(shuffled))
+
+    def build(overrides):
+        return SimJob(workload="resnet50", num_npus=16, overrides=overrides)
+
+    try:
+        job = build({"policy": policy, "ace": ace})
+    except ConfigurationError as exc:
+        # An invalid set (e.g. chunk_bytes below message_bytes) is rejected
+        # at construction, with the same error in every order.
+        with pytest.raises(ConfigurationError) as reordered_exc:
+            build(dict(shuffled))
+        assert str(reordered_exc.value) == str(exc)
+        return
+    reordered = build(dict(shuffled))
     assert reordered == job
     assert hash(reordered) == hash(job)
     assert reordered.to_json() == job.to_json()
@@ -375,48 +363,24 @@ def test_simjob_backend_round_trips(system, workload, num_npus, backend):
 
 @DEFAULT_SETTINGS
 @given(
-    system=st.sampled_from(SYSTEM_CONFIG_NAMES),
-    workload=st.sampled_from(("resnet50", "gnmt", "dlrm", "megatron")),
-    num_npus=st.sampled_from((16, 32, 64, 128)),
-    iterations=st.integers(1, 4),
-    backend=st.sampled_from(("symmetric", "detailed", "auto")),
+    kind=st.sampled_from(("training", "network_drive", "area_power")),
+    backend=st.one_of(st.none(), st.sampled_from(("symmetric", "detailed", "hybrid"))),
+    chunk=st.one_of(st.none(), st.integers(1024, 2**20)),
+    overlap=st.booleans(),
 )
-def test_simjob_old_version_spec_hash_is_stable(system, workload, num_npus, iterations, backend):
-    """Specs that do not use the 1.2.0 ``backend`` knob keep their pre-1.2.0
-    canonical JSON — and therefore their cache key under any fixed version
-    salt — while tagged specs always diverge from the untagged hash."""
-    import hashlib
-    import json as json_module
-
-    plain = SimJob(system=system, workload=workload, num_npus=num_npus, iterations=iterations)
-    assert "backend" not in plain.to_dict()
-    # The exact canonical JSON schema the 1.1.0 release hashed.
-    legacy_payload = json_module.dumps(
-        {
-            "kind": "training",
-            "system": system,
-            "overrides": {},
-            "num_npus": num_npus,
-            "topology": None,
-            "fabric": None,
-            "algorithm": "auto",
-            "chunk_bytes": None,
-            "workload": workload,
-            "iterations": iterations,
-            "overlap_embedding": False,
-            "payload_bytes": None,
-            "op": "all_reduce",
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+def test_simjob_canonical_json_lists_every_field(kind, backend, chunk, overlap):
+    """The canonical JSON has one key per SimJob field, set or not."""
+    job = SimJob(
+        kind=kind,
+        workload="resnet50" if kind == "training" else None,
+        num_npus=None if kind == "area_power" else 16,
+        payload_bytes=1024 if kind == "network_drive" else None,
+        backend=backend,
+        chunk_bytes=chunk,
+        overlap_embedding=overlap,
     )
-    legacy_hash = hashlib.sha256(f"1.1.0:{legacy_payload}".encode("utf-8")).hexdigest()
-    assert plain.spec_hash(version="1.1.0") == legacy_hash
-    tagged = SimJob(
-        system=system, workload=workload, num_npus=num_npus,
-        iterations=iterations, backend=backend,
-    )
-    assert tagged.spec_hash(version="1.1.0") != legacy_hash
+    assert list(job.to_dict()) == [f.name for f in dataclass_fields(SimJob)]
+    assert SimJob.from_dict(job.to_dict()) == job
 
 
 @DEFAULT_SETTINGS

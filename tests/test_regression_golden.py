@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 from pathlib import Path
 
 import pytest
@@ -182,7 +181,9 @@ def test_golden_file_has_no_stale_entries(actual_values, golden_values):
 #: golden values above compare iteration times at rel=1e-9 only; these pins
 #: also catch float drift in utilization series and breakdowns.  Together
 #: the cells cover the three endpoints, the three network backends,
-#: all-reduce and all-to-all.  Re-pin only with a modelled-behaviour change.
+#: all-reduce and all-to-all.  Utilization means add strictly left to right
+#: (``repro.network.backend.mean_utilization``), so the digests are the same
+#: on every Python version.  Re-pin only with a modelled-behaviour change.
 RESULT_PINS = {
     ("ace", "dlrm", None): (
         "7e5b0d8244e8c9caf7736eaf636ff6bd7297662359132fbc16251bd13255c033"
@@ -197,21 +198,6 @@ RESULT_PINS = {
         "84a0478c1bf93a3e11404e3bdf4ba93ebcb0dcfe244e10ef3975b2c661157d75"
     ),
 }
-
-#: Python 3.12 made ``sum()`` over floats compensated, which moves the last
-#: bit of ``network_utilization`` (a mean over dimension pipes) in two cells.
-if sys.version_info >= (3, 12):
-    RESULT_PINS.update(
-        {
-            ("ideal", "resnet50", None): (
-                "ac50e6d4480b594e5c063009b2de1b59f626344843f0b512979784506ff74b73"
-            ),
-            ("ace", "resnet50", "hybrid"): (
-                "f1bdae6e8f3c2bb6542f7e9f8863674e0127e120d0efa400876306984bca98e7"
-            ),
-        }
-    )
-
 
 @pytest.mark.parametrize("system,workload,backend", sorted(RESULT_PINS, key=str))
 def test_encoded_result_is_byte_identical(system, workload, backend):

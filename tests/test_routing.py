@@ -1,10 +1,9 @@
-"""XYZ routing on the torus."""
+"""Ring distances on the fabric's rings."""
 
 import pytest
 
 from repro.errors import RoutingError
-from repro.network.routing import average_hop_count, hop_count, ring_distance, xyz_route
-from repro.network.topology import TORUS_DIMENSIONS
+from repro.network.routing import ring_distance
 
 
 class TestRingDistance:
@@ -26,34 +25,3 @@ class TestRingDistance:
             ring_distance(0, 0, 0)
         with pytest.raises(RoutingError):
             ring_distance(4, 0, 4)
-
-
-class TestXyzRoute:
-    def test_route_reaches_destination(self, torus_444):
-        for dst in (1, 17, 63):
-            route = xyz_route(torus_444, 0, dst)
-            assert route[0][0] == 0
-            assert route[-1][1] == dst
-            # Consecutive hops chain together.
-            for (_, hop_dst, _), (next_src, _, _) in zip(route, route[1:]):
-                assert hop_dst == next_src
-
-    def test_route_respects_dimension_order(self, torus_444):
-        dst = torus_444.node_id(2, 3, 1)
-        route = xyz_route(torus_444, 0, dst)
-        dims = [dim for _, _, dim in route]
-        # local hops come before vertical hops, vertical before horizontal.
-        order = {d: i for i, d in enumerate(TORUS_DIMENSIONS)}
-        assert dims == sorted(dims, key=lambda d: order[d])
-
-    def test_route_to_self_is_empty(self, torus_444):
-        assert xyz_route(torus_444, 5, 5) == []
-
-    def test_hop_count_matches_manhattan_ring_distance(self, torus_444):
-        dst = torus_444.node_id(2, 1, 3)
-        # local 2 (shortest on ring of 4), vertical 1, horizontal 1.
-        assert hop_count(torus_444, 0, dst) == 4
-
-    def test_average_hop_count_positive(self, torus_422):
-        avg = average_hop_count(torus_422)
-        assert 1.0 < avg < sum(torus_422.shape)

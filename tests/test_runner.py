@@ -25,6 +25,7 @@ from repro.runner import (
     decode_result,
     encode_result,
     network_drive_job,
+    trace_job,
     training_job,
 )
 from repro.training.results import TrainingResult
@@ -318,11 +319,40 @@ class TestSimJobValidation:
             SimJob(workload="resnet50", num_npus=16, overrides={"warp_drive": {}})
 
     def test_unknown_override_field_fails_at_build(self):
-        job = SimJob(
-            workload="resnet50", num_npus=16, overrides={"ace": {"not_a_field": 1}}
-        )
+        # build_system runs at construction, so the job is never created.
         with pytest.raises(ConfigurationError, match="not_a_field"):
-            job.build_system()
+            SimJob(workload="resnet50", num_npus=16, overrides={"ace": {"not_a_field": 1}})
+
+    @pytest.mark.parametrize(
+        "spec,match",
+        [
+            ({"system": "nope"}, "unknown system"),
+            ({"overrides": {"network": {"link_efficency": 0.9}}}, "'network'.*link_efficency"),
+            ({"overrides": {"network": {"link_efficiency": 2.0}}}, "link_efficiency must be in"),
+            ({"parallelism": "pipeline:0x4"}, "pipeline"),
+            ({"kind": "area_power", "overrides": {"ace": {"nope": 1}}}, "'ace'.*nope"),
+        ],
+    )
+    def test_bad_system_spec_fails_at_construction(self, spec, match):
+        """Presets, override fields and values fail at submission, not in a worker."""
+        if spec.get("kind") != "area_power":
+            spec = {"workload": "resnet50", "num_npus": 16, **spec}
+        with pytest.raises(ConfigurationError, match=match):
+            SimJob(**spec)
+
+    @pytest.mark.parametrize(
+        "spelling,value",
+        [
+            ("collective_algorithm", "ring"),
+            ("network_backend", "detailed"),
+            ("compute_backend", "execution-unit"),
+            ("parallelism", "zero"),
+        ],
+    )
+    def test_removed_override_spellings_are_rejected(self, spelling, value):
+        """Each model knob has one job-level spelling: the SimJob field."""
+        with pytest.raises(ConfigurationError, match=f"unknown override section {spelling!r}"):
+            SimJob(workload="resnet50", num_npus=16, overrides={spelling: value})
 
     def test_overrides_reach_the_system(self):
         job = SimJob(
@@ -370,6 +400,60 @@ class TestSimJobValidation:
     def test_outcome_ok_property(self):
         assert JobOutcome(job=area_power_job()).ok
         assert not JobOutcome(job=area_power_job(), error="boom").ok
+
+
+#: One job of each shape, with its literal canonical JSON and its spec hash
+#: under the ``1.7.0`` salt.  The canonical JSON lists every SimJob field.
+CANONICAL_PINS = [
+    (
+        training_job(
+            "ideal", "gnmt", num_npus=32, backend="detailed", algorithm="ring",
+            parallelism="zero", compute="execution-unit",
+        ),
+        '{"algorithm":"ring","backend":"detailed","chunk_bytes":null,'
+        '"compute":"execution-unit","cost_table":null,"fabric":null,"iterations":2,'
+        '"kind":"training","num_npus":32,"op":"all_reduce","overlap_embedding":false,'
+        '"overrides":{},"parallelism":"zero","payload_bytes":null,"system":"ideal",'
+        '"topology":null,"trace":null,"workload":"gnmt"}',
+        "2c7fd49890c2b41475db8cc23ed42968ba8830559fdd8fc42ceb5ea07979a317",
+    ),
+    (
+        trace_job("ace", "dlrm-micro", num_npus=8, cost_table="a100"),
+        '{"algorithm":"auto","backend":null,"chunk_bytes":null,"compute":null,'
+        '"cost_table":"a100","fabric":null,"iterations":2,"kind":"training",'
+        '"num_npus":8,"op":"all_reduce","overlap_embedding":false,"overrides":{},'
+        '"parallelism":null,"payload_bytes":null,"system":"ace","topology":null,'
+        '"trace":"dlrm-micro","workload":null}',
+        "7178c31979b792cdc91189382386f555a0ee8b23e681eea41216cf14b69c9a09",
+    ),
+    (
+        network_drive_job(
+            "baseline_comm_opt", 4 * MB, topology=(2, 2, 2), chunk_bytes=256 * KB
+        ),
+        '{"algorithm":"auto","backend":null,"chunk_bytes":262144,"compute":null,'
+        '"cost_table":null,"fabric":null,"iterations":2,"kind":"network_drive",'
+        '"num_npus":null,"op":"all_reduce","overlap_embedding":false,"overrides":{},'
+        '"parallelism":null,"payload_bytes":4194304,"system":"baseline_comm_opt",'
+        '"topology":[2,2,2],"trace":null,"workload":null}',
+        "d47faa54baf0fe79b97223e0ad9d1936cef27111368ef44f43380c2215decc90",
+    ),
+    (
+        area_power_job(),
+        '{"algorithm":"auto","backend":null,"chunk_bytes":null,"compute":null,'
+        '"cost_table":null,"fabric":null,"iterations":2,"kind":"area_power",'
+        '"num_npus":null,"op":"all_reduce","overlap_embedding":false,"overrides":{},'
+        '"parallelism":null,"payload_bytes":null,"system":"ace","topology":null,'
+        '"trace":null,"workload":null}',
+        "ba8d5ebc9f8acd664d116ee5f3440665baf13e31b04671f50ec995e0b54bec8c",
+    ),
+]
+
+
+@pytest.mark.parametrize("job,canonical,digest", CANONICAL_PINS)
+def test_canonical_json_and_spec_hash_are_pinned(job, canonical, digest):
+    assert job.to_json() == canonical
+    assert job.spec_hash(version="1.7.0") == digest
+    assert SimJob.from_json(canonical) == job
 
 
 class TestWorkerParsing:
@@ -496,17 +580,13 @@ class TestFabricAndAlgorithmKnobs:
         assert rebuilt.spec_hash() == job.spec_hash()
 
     def test_conflicting_algorithm_and_override_rejected(self):
-        with pytest.raises(ConfigurationError, match="conflicting"):
-            network_drive_job(
-                "ace", MB, num_npus=16, algorithm="ring",
-                overrides={"collective_algorithm": "tree"},
-            )
-        # Agreeing values are fine.
-        job = network_drive_job(
-            "ace", MB, num_npus=16, algorithm="ring",
-            overrides={"collective_algorithm": "ring"},
-        )
-        assert job.build_system().collective_algorithm == "ring"
+        # ``algorithm`` is the only job-level spelling, agreeing or not.
+        for value in ("tree", "ring"):
+            with pytest.raises(ConfigurationError, match="unknown override section"):
+                network_drive_job(
+                    "ace", MB, num_npus=16, algorithm="ring",
+                    overrides={"collective_algorithm": value},
+                )
 
     def test_distinct_algorithms_hash_differently(self):
         ring = network_drive_job("ace", MB, fabric="switch:16", algorithm="ring")

@@ -44,30 +44,30 @@ GOLDEN_PATH = Path(__file__).parent / "golden_values.json"
 
 
 #: (job count, SHA-256 of the newline-joined canonical job JSON) per shipped
-#: manifest, recorded before the suite kinds were folded into ``grid`` and
-#: ``model_agreement``.  The agreement manifests were recorded from the
-#: paired job lists of the two harnesses that ``model_agreement`` replaced.
+#: manifest, recorded with every SimJob field listed (sorted keys, compact)
+#: from the job lists the manifests compiled to before the one-spelling-
+#: per-knob change.  A model-agreement manifest contributes its paired jobs.
 PINNED_JOB_LISTS = {
-    "backend-validation": (12, "58973e2684b2078ca1e763798bb2adf0bad271e2520a45a67663a52159770612"),
-    "compute-validation": (14, "76977c9dd26d20cf3671caff639c94ea33e3eb775158fe4eecdaeccf9d55a9fb"),
-    "cross-topology": (22, "02d63a83b7bc778c1ecf162d7c4b7b0df0bf35700c64a44cc92ec3986de183de"),
-    "detailed-contention": (8, "354cb51e2d3609686c315d15531369ab628b26a6180302a5d67f1169ca675d37"),
+    "backend-validation": (12, "5ae4b6165b30029410cf989701f0d24f5717c1cc1bd354a0887f33d4e0facc22"),
+    "compute-validation": (14, "ff3b0150683664bd8a7fd7d3501af9e7c1f2df7dfe067bf1f6992c9cf6a8f6c3"),
+    "cross-topology": (22, "3134e4d3dbd6c6b1ff2fab44a7da977c156832616d95bc61aa0e396f3b0007a5"),
+    "detailed-contention": (8, "bda0a0e6baf6a516c9a9e3f985a1ee70d3f5019780ddd95902ad6bfcc4f39663"),
     "fig10-overlap": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "fig11-scaling": (20, "cb94cd4b6d9e0ada515503e6b6290d974e690f62c3766f02f17783e4077dcc81"),
+    "fig11-scaling": (20, "f1c2204908c4d20c0bc591537ad39b6b09c3717c22505a3715b05422eb992bca"),
     "fig12-dlrm-opt": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "fig4-microbench": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "fig5-membw": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "fig6-sm-sweep": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "fig9-dse": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "hybrid-scale": (13, "0f3de19f6c2b3d2f35a75e28f6cc174686204457b1605b9b0367a0c0be2bfa21"),
-    "megatron-tp-scaling": (9, "0b94416749b727289b12fe8ab5d193f5be63c48511a4cd3de57dc69209cc54a2"),
-    "moe-trace": (9, "90c2ae83019cf08b09fab1ec15f70a133bb4d75b8ac5f317a4e9bfcdc34a170e"),
-    "paper-fast": (5, "9fc74d1cf965d5c7cac89e457302d06a5ed8fe572df99016287a56879b20104e"),
-    "paper-full": (60, "d99c18c4c863f4c248885848d8548999bb1ea68a972548171b9a86b7c030f076"),
-    "parallelism-sweep": (128, "d8f8723a9041d8d0cf90cb628a8210f3f41abcd3679ab070a8715adec61a1fed"),
-    "pipeline-bubble": (3, "a7a4692d1a575f21227141f2900605cde8e77dd9f577bcb4d818eb60c602a62a"),
-    "table4-area": (1, "0473cdf938f1e0995b88623ead2a2ba287326e7ebe3c4c5db970b0acbac17bfb"),
-    "torus2d-fc-drive": (13, "c15e8c67229c9aad9b742f4e8d9e04ccd98018e303a9282f375278c3e640916a"),
+    "hybrid-scale": (13, "2bc2e4f291544bee22d981e6265fe962d33a336d0dc3fc35934fb1cc5c9d41f0"),
+    "megatron-tp-scaling": (9, "23d23808465b4a16ce53d2a9e6eb97f2d8958b6e80fc234e5bd0191b627be6d7"),
+    "moe-trace": (9, "0df77a0fe149565765ba21860f32e67b6a0e4fef92bc1dea453de599815cd4d0"),
+    "paper-fast": (5, "c035e76acf3bc6ef385734cf956fe25289b5e40ad46d1af4f6aa51dc07bea23f"),
+    "paper-full": (60, "42f400d92e9c03be6c6e67367cfb0b1cf45c7ee01126ab3513d34f2157f56117"),
+    "parallelism-sweep": (128, "02a5a04253abcc142206513dfcb4c93a554f594a1bcff256f6cde243f5c2d918"),
+    "pipeline-bubble": (3, "4b5c0ae7c2a325c48c20ccf530b7b28590f5c792f5acd5e619e6fe60a16b2c04"),
+    "table4-area": (1, "6601fb173841fcff8784ed6ea50d5ef650ba052d9053f6a8c04824d0fde127c4"),
+    "torus2d-fc-drive": (13, "082403e4bf44e07fe05bd4e332f4b95ad9e611597a7dfd4996981ba7e8c9a390"),
 }
 
 
@@ -260,7 +260,7 @@ class TestLoader:
 
     def test_unknown_ace_override_field_fails_at_compile_time(self):
         data = minimal_manifest(suites=[{"kind": "area_power", "ace": {"sram_mbz": 8}}])
-        with pytest.raises(ScenarioError, match=r"unknown AceConfig field\(s\) \['sram_mbz'\]"):
+        with pytest.raises(ScenarioError, match=r"suite #0 \(area_power\).*'sram_mbz'"):
             compile_scenario(Scenario.from_dict(data))
 
     def test_fast_flag_rejected_for_fastless_figure(self):
@@ -369,6 +369,13 @@ class TestLoader:
         )
         with pytest.raises(ScenarioError, match=r"suite #1 \(grid\).*torus shape for 12 NPUs"):
             compile_scenario(Scenario.from_dict(data))
+
+    def test_grid_null_axis_entry_keeps_the_field_default(self):
+        suite = {"kind": "grid", "systems": ["ace"], "workloads": ["resnet50"]}
+        data = minimal_manifest(suites=[{**suite, "algorithms": [None, "ring"]}])
+        jobs = scenario_jobs(Scenario.from_dict(data))
+        assert [job.algorithm for job in jobs] == ["auto", "ring"]
+        assert jobs[0] == scenario_jobs(Scenario.from_dict(minimal_manifest(suites=[suite])))[0]
 
     def test_grid_fabric_spec_needs_a_single_size(self):
         data = minimal_manifest(
@@ -595,6 +602,23 @@ class TestCli:
         proc = run_cli("validate", "--dir", str(tmp_path))
         assert proc.returncode == 1
         assert "extra_field" in proc.stdout + proc.stderr
+
+    def test_validate_reports_misspelled_override_field(self, tmp_path):
+        suite = {
+            "kind": "network_drive",
+            "payload_bytes": 1048576,
+            "fabrics": ["switch:8"],
+            "overrides": {"network": {"link_efficency": 0.9}},
+        }
+        (tmp_path / "bad.json").write_text(
+            json.dumps(minimal_manifest(name="bad", suites=[suite])), encoding="utf-8"
+        )
+        proc = run_cli("validate", "--dir", str(tmp_path))
+        assert proc.returncode == 1
+        output = proc.stdout + proc.stderr
+        assert "suite #0 (network_drive)" in output
+        assert "invalid override for section 'network'" in output
+        assert "link_efficency" in output
 
     def test_run_writes_report(self, tmp_path):
         (tmp_path / "tiny.json").write_text(

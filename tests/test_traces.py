@@ -10,9 +10,8 @@ Four families:
   topological reordering of the trace's node and edge lists; malformed
   traces (cycles, unknown op kinds, negative bytes, dangling edges) raise
   :class:`~repro.errors.TraceError` naming the trace and node.
-* **Spec plumbing** — SimJob validation for the new ``trace``/``cost_table``
-  fields, and byte-identical 1.4.0 canonical JSON + spec hashes for legacy
-  (non-trace) jobs, pinned as literals.
+* **Spec plumbing** — SimJob validation for the ``trace``/``cost_table``
+  fields.
 * **Integration** — the ``trace`` scenario suite kind end to end with
   invariant ``where`` filters on trace rows, the shipped trace files, and
   the ``repro trace`` CLI verbs via subprocess.
@@ -30,14 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import build_workload, make_system, simulate_training
 from repro.errors import ConfigurationError, TraceError
-from repro.runner import (
-    SimJob,
-    SweepRunner,
-    area_power_job,
-    network_drive_job,
-    trace_job,
-    training_job,
-)
+from repro.runner import SimJob, SweepRunner, trace_job
 from repro.scenarios import find_scenario, run_scenario
 from repro.traces import (
     DEFAULT_COST_TABLE,
@@ -277,58 +269,11 @@ class TestCostTables:
 
 
 # ----------------------------------------------------------------------
-# SimJob plumbing and legacy hash stability
+# SimJob plumbing
 # ----------------------------------------------------------------------
-#: (job, canonical 1.4.0 spec hash) — captured on the 1.4.0 tree.  These are
-#: literals on purpose: the *default* (non-trace) spec surface must stay
-#: byte-identical so persistent caches survive the 1.5.0 upgrade.
-LEGACY_PINS = (
-    (
-        training_job(
-            system="ace", workload="resnet50", num_npus=16, iterations=1,
-            chunk_bytes=1048576,
-        ),
-        "52ee7d0124afd585150d739025fd19935d94865da6e8b9a93e2be21eeed736f7",
-    ),
-    (
-        training_job(
-            system="ideal", workload="gnmt", num_npus=32, backend="detailed",
-            algorithm="ring",
-        ),
-        "f7c23908de0746265733690ef815a6d15fbf70fbf408441c40b643f1e9be11c6",
-    ),
-    (
-        training_job(system="ace", workload="resnet50", num_npus=16, parallelism="zero"),
-        "b19c2d15c95d062575f16a070b8ba27ccc0ca10fb1e56b16aa6ec3837e5d3502",
-    ),
-    (
-        network_drive_job(
-            system="baseline_comm_opt", payload_bytes=4194304, topology=(2, 2, 2),
-            chunk_bytes=262144,
-        ),
-        "e8297d19769137aa23939d92de357864d6883e36da245ac83af35d8c895d698f",
-    ),
-    (
-        area_power_job(),
-        "33d65562cf2f0eff6486bf5a5eaafbf640fe10eb009f79a351316cce98b54637",
-    ),
-)
 
 
 class TestSimJobPlumbing:
-    def test_legacy_spec_hashes_are_byte_identical_to_1_4_0(self):
-        for job, expected in LEGACY_PINS:
-            assert job.spec_hash(version="1.4.0") == expected
-
-    def test_legacy_canonical_json_omits_trace_fields(self):
-        job, _ = LEGACY_PINS[0]
-        assert job.to_json() == (
-            '{"algorithm":"auto","chunk_bytes":1048576,"fabric":null,'
-            '"iterations":1,"kind":"training","num_npus":16,"op":"all_reduce",'
-            '"overlap_embedding":false,"overrides":{},"payload_bytes":null,'
-            '"system":"ace","topology":null,"workload":"resnet50"}'
-        )
-
     def test_trace_job_spec_round_trips(self):
         job = trace_job(
             system="ace", trace="moe-transformer", num_npus=16,
