@@ -62,7 +62,6 @@ class NpuComputeEngine:
         self.tracer = IntervalTracer("npu-compute")
         self._busy_until: float = 0.0
         self._total_compute_ns: float = 0.0
-        self._task_log: List[tuple] = []
 
     # ------------------------------------------------------------------
     # Timing queries (no state change)
@@ -88,7 +87,6 @@ class NpuComputeEngine:
         self._busy_until = finish
         self._total_compute_ns += duration
         self.tracer.record(start, finish)
-        self._task_log.append((cost.name, start, finish))
         return start, finish
 
     # ------------------------------------------------------------------
@@ -103,11 +101,6 @@ class NpuComputeEngine:
     def total_compute_ns(self) -> float:
         """Sum of all executed task durations (the paper's "total computation")."""
         return self._total_compute_ns
-
-    @property
-    def task_log(self) -> List[tuple]:
-        """Executed tasks as ``(name, start, finish)`` tuples."""
-        return list(self._task_log)
 
     def utilization(self, horizon_ns: float) -> float:
         """Fraction of ``horizon_ns`` the engine spent executing tasks."""
@@ -126,4 +119,3 @@ class NpuComputeEngine:
         self.tracer.reset()
         self._busy_until = 0.0
         self._total_compute_ns = 0.0
-        self._task_log.clear()

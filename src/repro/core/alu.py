@@ -12,12 +12,16 @@ from __future__ import annotations
 
 from repro.config.system import AceConfig
 from repro.errors import ResourceError
-from repro.sim.resources import BandwidthResource, Reservation
-from repro.sim.trace import IntervalTracer
 
 
 class AluArray:
-    """Streaming reduction unit array."""
+    """Streaming reduction unit array.
+
+    The array books no time of its own: the reduction cost is part of the
+    FSM occupancy the engine charges per chunk-phase
+    (:meth:`repro.core.engine.AceEngine.process_phase`).  It counts the
+    bytes it reduces.
+    """
 
     def __init__(self, config: AceConfig) -> None:
         throughput = config.alu_throughput_gbps
@@ -25,30 +29,17 @@ class AluArray:
             raise ResourceError("ALU throughput must be positive")
         self.config = config
         self.throughput_gbps = throughput
-        self.tracer = IntervalTracer("ace-alu")
-        self._pipe = BandwidthResource(
-            name="ace-alu", bandwidth_gbps=throughput, trace=self.tracer
-        )
         self._reduced_bytes = 0.0
 
-    def reduce(self, num_bytes: float, earliest_start: float) -> Reservation:
-        """Stream ``num_bytes`` of received data through the reducers."""
+    def reduce(self, num_bytes: float) -> None:
+        """Count ``num_bytes`` of received data streamed through the reducers."""
         if num_bytes < 0:
             raise ResourceError("cannot reduce a negative number of bytes")
         self._reduced_bytes += num_bytes
-        return self._pipe.reserve(num_bytes, earliest_start)
 
     @property
     def reduced_bytes(self) -> float:
         return self._reduced_bytes
 
-    @property
-    def busy_time(self) -> float:
-        return self._pipe.busy_time
-
-    def utilization(self, horizon_ns: float) -> float:
-        return self._pipe.utilization(horizon_ns)
-
     def reset(self) -> None:
-        self._pipe.reset()
         self._reduced_bytes = 0.0

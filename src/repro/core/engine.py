@@ -13,8 +13,10 @@ Timing behaviour per chunk (the walk-through of Fig. 8c):
   (128 GB/s by default) and the NPU-AFI bus.
 * **phase processing** — an FSM programmed for the phase drives the dataflow:
   received data is streamed through the ALUs (if the phase reduces) and
-  through the SRAM banks; the FSM is occupied for the duration, so the FSM
-  count bounds how many chunk-phases proceed concurrently.
+  through the SRAM banks; the FSM is occupied for the slower of the two
+  streams plus its control overhead, so the FSM count bounds how many
+  chunk-phases proceed concurrently.  The SRAM datapath and the ALUs book
+  no time of their own: their cost is inside that occupancy.
 * **egress** — the RX DMA writes the finished chunk back to main memory.
 
 The crucial difference from the baseline endpoint is *what is charged to main
@@ -36,8 +38,6 @@ from repro.errors import SchedulingError
 from repro.memory.bus import Bus
 from repro.memory.dma import DmaEngine
 from repro.memory.hbm import MemorySystem
-from repro.sim.resources import BandwidthResource
-from repro.sim.trace import IntervalTracer
 from repro.units import cycles_to_ns
 
 
@@ -53,7 +53,6 @@ class AceEngine:
         self.granularity = GranularityPolicy.from_ace_config(system.ace)
         self.fsms = FsmPool(system.ace.num_fsms)
         self.alus = AluArray(system.ace)
-        self.activity = IntervalTracer("ace-activity")
 
         # Memory-side plumbing: ACE draws a fixed slice of HBM bandwidth and
         # shares the NPU-AFI bus with regular traffic.
@@ -72,12 +71,6 @@ class AceEngine:
         )
         self.rx_dma = DmaEngine(
             "ace-rx", system.ace.rx_dma_bandwidth_gbps, self._hbm_slice, self.bus, "rx"
-        )
-
-        # SRAM datapath bandwidth (reads + writes of packets moving between
-        # port buffers, ALUs and partitions).
-        self.sram_pipe = BandwidthResource(
-            "ace-sram", system.ace.sram_bandwidth_gbps, trace=IntervalTracer("ace-sram")
         )
         self.sram: Optional[SramScratchpad] = None
         self._plan: Optional[CollectivePlan] = None
@@ -131,8 +124,9 @@ class AceEngine:
     ) -> float:
         """Run one chunk-phase through an FSM, the SRAM datapath and the ALUs.
 
-        Returns the time at which the phase's outgoing data has been handed to
-        the port buffers (i.e. is ready for link injection).
+        The SRAM and ALU streams run under the FSM occupancy, so only the FSM
+        is booked.  Returns the time at which the phase's outgoing data has
+        been handed to the port buffers (i.e. is ready for link injection).
         """
         self._require_configured()
         touched_bytes = send_bytes + reduce_bytes + forward_bytes
@@ -140,11 +134,9 @@ class AceEngine:
         alu_time = reduce_bytes / self.ace.alu_throughput_gbps if reduce_bytes else 0.0
         control_time = self.PHASE_CONTROL_OVERHEAD_CYCLES * self._cycle_ns * max(1, steps)
         duration = max(sram_time, alu_time) + control_time
-        _, start, finish = self.fsms.acquire(phase_name, earliest_start, duration)
-        if touched_bytes:
-            self.sram_pipe.reserve(touched_bytes, start)
+        _, _, finish = self.fsms.acquire(phase_name, earliest_start, duration)
         if reduce_bytes:
-            self.alus.reduce(reduce_bytes, start)
+            self.alus.reduce(reduce_bytes)
         return finish
 
     def egress(self, chunk_bytes: float, earliest_start: float) -> float:
@@ -164,12 +156,6 @@ class AceEngine:
     def memory_write_bytes(self) -> float:
         return self._hbm_slice.write_bytes
 
-    def utilization(self, horizon_ns: float) -> float:
-        """Fraction of time at least one chunk was being processed (Fig. 9b)."""
-        if horizon_ns <= 0:
-            return 0.0
-        return min(1.0, self.activity.busy_time(0.0, horizon_ns) / horizon_ns)
-
     def stats(self) -> Dict[str, float]:
         return {
             "memory_read_bytes": self.memory_read_bytes,
@@ -182,11 +168,9 @@ class AceEngine:
     def reset(self) -> None:
         self.fsms.reset()
         self.alus.reset()
-        self.activity.reset()
         self.memory.reset()
         self.bus.reset()
         self.tx_dma.reset()
         self.rx_dma.reset()
-        self.sram_pipe.reset()
         if self.sram is not None:
             self.sram.reset()

@@ -29,7 +29,6 @@ class FsmPool:
             raise ResourceError(f"need at least one FSM, got {num_fsms}")
         self.num_fsms = num_fsms
         self._assignment: Dict[str, List[int]] = {}
-        self._slots = SlotResource("ace-fsms", num_fsms)
         self._per_phase_slots: Dict[str, SlotResource] = {}
 
     # ------------------------------------------------------------------
@@ -41,8 +40,8 @@ class FsmPool:
         When the pool has at least as many FSMs as phases, each phase receives
         a dedicated group of FSMs (Section IV-F).  Smaller pools — explored in
         the Fig. 9a design-space sweep — time-share every FSM across all
-        phases, which the model represents by having all phases draw from the
-        shared global slot pool.
+        phases, which the model represents by having all phases draw from one
+        shared slot pool.
         """
         if not phase_names:
             raise SchedulingError("cannot program an FSM pool with zero phases")
@@ -77,19 +76,23 @@ class FsmPool:
         if phase not in self._per_phase_slots:
             raise SchedulingError(f"no FSM programmed for phase {phase!r}")
         slot, start, finish = self._per_phase_slots[phase].acquire(earliest_start, duration)
-        # Mirror the acquisition on the global pool for aggregate utilization.
-        self._slots.acquire(start, duration)
         return self._assignment[phase][slot], start, finish
+
+    def _pools(self) -> List[SlotResource]:
+        """The distinct slot pools; shared programming maps every phase to one."""
+        return list(dict.fromkeys(self._per_phase_slots.values()))
 
     def utilization(self, horizon_ns: float) -> float:
         """Average fraction of all FSMs busy over ``horizon_ns``."""
-        return self._slots.utilization(horizon_ns)
+        if horizon_ns <= 0:
+            return 0.0
+        return min(1.0, self.total_busy_time / (horizon_ns * self.num_fsms))
 
     @property
     def total_busy_time(self) -> float:
-        return self._slots.busy_time
+        """Summed occupancy of every FSM, in ns."""
+        return sum(pool.busy_time for pool in self._pools())
 
     def reset(self) -> None:
-        self._slots.reset()
-        for slots in self._per_phase_slots.values():
-            slots.reset()
+        for pool in self._pools():
+            pool.reset()

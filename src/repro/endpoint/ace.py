@@ -71,11 +71,6 @@ class AceEndpoint(Endpoint):
     def memory_write_bytes(self) -> float:
         return self.engine.memory_write_bytes
 
-    def utilization(self, horizon_ns: float) -> float:
-        # Chunk in-flight intervals are recorded on the shared activity tracer
-        # by the executor; mirror them into the engine for its own reporting.
-        return super().utilization(horizon_ns)
-
     def reset(self) -> None:
         self.engine.reset()
         self.activity.reset()

@@ -12,9 +12,10 @@ Memory-read accounting follows Section VI-A exactly:
 * multi-hop traffic forwarded on behalf of other NPUs (all-to-all on the
   torus) is read once more on each intermediate hop.
 
-Write traffic (staging received data, storing reduced results) is tracked for
-reporting but travels on the HBM write channel, so the 450-GB/s-to-drive-the-
-network figure of Fig. 5 is a *read* bandwidth requirement, as in the paper.
+Write traffic (staging received data, storing reduced results) is counted for
+reporting but books no HBM time: it travels on the write channel, which never
+gates the baseline, so the 450-GB/s-to-drive-the-network figure of Fig. 5 is a
+*read* bandwidth requirement, as in the paper.
 
 The processing rate is additionally capped by the SMs assigned to
 communication: each SM can drive roughly 80 GB/s of memory traffic
@@ -29,7 +30,6 @@ from repro.errors import ConfigurationError
 from repro.memory.bus import Bus
 from repro.memory.hbm import MemorySystem
 from repro.sim.resources import BandwidthResource
-from repro.sim.trace import IntervalTracer
 
 
 class BaselineEndpoint(Endpoint):
@@ -73,11 +73,8 @@ class BaselineEndpoint(Endpoint):
         )
         # The SMs running the collective kernels: their aggregate ability to
         # move data between memory and the AFI.
-        self._sm_pipe = BandwidthResource(
-            "comm-sms",
-            system.comm_sm_bandwidth_gbps,
-            trace=IntervalTracer("comm-sms"),
-        )
+        self._sm_pipe = BandwidthResource("comm-sms", system.comm_sm_bandwidth_gbps)
+        self._write_bytes = 0.0
 
     # ------------------------------------------------------------------
     # Capacity
@@ -105,8 +102,7 @@ class BaselineEndpoint(Endpoint):
             sm = self._sm_pipe.reserve(read_bytes, earliest_start)
             bus = self.bus.transfer(work.send_bytes + work.forward_bytes, earliest_start)
             finish = max(mem.finish, sm.finish, bus.finish)
-        if write_bytes > 0:
-            self._comm_memory.write(write_bytes, earliest_start)
+        self._write_bytes += write_bytes
         return finish + self.PHASE_SOFTWARE_LATENCY_NS
 
     def egress(self, chunk_bytes: float, earliest_start: float) -> float:
@@ -122,7 +118,7 @@ class BaselineEndpoint(Endpoint):
 
     @property
     def memory_write_bytes(self) -> float:
-        return self._comm_memory.write_bytes
+        return self._write_bytes
 
     @property
     def comm_sm_bandwidth_gbps(self) -> float:
@@ -132,4 +128,5 @@ class BaselineEndpoint(Endpoint):
         self.memory.reset()
         self.bus.reset()
         self._sm_pipe.reset()
+        self._write_bytes = 0.0
         self.activity.reset()

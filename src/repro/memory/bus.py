@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.sim.resources import BandwidthResource, Reservation
-from repro.sim.trace import IntervalTracer
 
 
 class Bus:
@@ -28,12 +27,10 @@ class Bus:
         self.name = name
         self.bandwidth_gbps = bandwidth_gbps
         self.transaction_overhead_ns = transaction_overhead_ns
-        self.tracer = IntervalTracer(f"bus-{name}")
         self._pipe = BandwidthResource(
             name=f"bus[{name}]",
             bandwidth_gbps=bandwidth_gbps,
             latency_ns=transaction_overhead_ns,
-            trace=self.tracer,
         )
 
     def transfer(self, num_bytes: float, earliest_start: float) -> Reservation:

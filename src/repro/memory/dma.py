@@ -8,7 +8,8 @@ and #4).
 
 A DMA transfer is rate-limited by the slowest of: the DMA engine itself, the
 NPU-AFI bus, and the HBM partition it reads from / writes to.  The engine
-reserves all three so each resource's occupancy is visible in traces.
+reserves all three so each one queues its own traffic; the slowest leg sets
+the finish time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.errors import ConfigurationError
 from repro.memory.bus import Bus
 from repro.memory.hbm import MemoryPartition
 from repro.sim.resources import BandwidthResource, Reservation
-from repro.sim.trace import IntervalTracer
 
 
 class DmaEngine:
@@ -41,10 +41,7 @@ class DmaEngine:
         self.direction = direction
         self.memory = memory
         self.bus = bus
-        self.tracer = IntervalTracer(f"dma-{name}")
-        self._engine = BandwidthResource(
-            name=f"dma[{name}]", bandwidth_gbps=bandwidth_gbps, trace=self.tracer
-        )
+        self._engine = BandwidthResource(name=f"dma[{name}]", bandwidth_gbps=bandwidth_gbps)
 
     def transfer(self, num_bytes: float, earliest_start: float) -> Reservation:
         """Move ``num_bytes``; returns the completion reservation of the slowest leg."""

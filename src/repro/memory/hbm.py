@@ -19,7 +19,6 @@ from typing import Dict
 
 from repro.errors import ConfigurationError, ResourceError
 from repro.sim.resources import BandwidthResource, Reservation
-from repro.sim.trace import IntervalTracer
 
 
 class MemoryPartition:
@@ -42,12 +41,10 @@ class MemoryPartition:
         self.name = name
         self.bandwidth_gbps = bandwidth_gbps
         self.transaction_overhead_ns = transaction_overhead_ns
-        self.tracer = IntervalTracer(f"mem-{name}")
         self._read_pipe = BandwidthResource(
             name=f"hbm[{name}].read",
             bandwidth_gbps=bandwidth_gbps,
             latency_ns=transaction_overhead_ns,
-            trace=self.tracer,
         )
         self._write_pipe = BandwidthResource(
             name=f"hbm[{name}].write",

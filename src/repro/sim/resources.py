@@ -4,9 +4,9 @@ Two resource flavours cover everything the platform model needs:
 
 * :class:`BandwidthResource` — a pipe with a fixed bandwidth (GB/s).  Requests
   of N bytes serialize through the pipe in FIFO order; the resource returns
-  the start/finish times and records busy intervals so utilization can be
-  reported afterwards.  Links, memory channels, DMA engines, buses and the
-  ACE ALU are all instances of this class.
+  the start/finish times and, given a tracer, records busy intervals so
+  utilization can be reported afterwards.  Links, memory channels, DMA
+  engines and buses are all instances of this class.
 
 * :class:`SlotResource` — a counted resource (e.g. the number of programmable
   FSMs inside ACE, or the number of SMs carved out for communication).

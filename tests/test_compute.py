@@ -15,6 +15,7 @@ from repro.compute.npu import NpuComputeEngine
 from repro.compute.roofline import RooflineModel
 from repro.config.presets import make_system
 from repro.errors import ConfigurationError, WorkloadError
+from repro.sim.trace import Interval
 
 
 class TestKernelCosts:
@@ -123,9 +124,9 @@ class TestNpuComputeEngine:
 
     def test_utilization_and_reset(self):
         engine = NpuComputeEngine(make_system("ideal"))
-        engine.execute(gemm_cost(500, 500, 500), 0.0)
+        start, finish = engine.execute(gemm_cost(500, 500, 500), 0.0)
         assert 0.0 < engine.utilization(engine.busy_until) <= 1.0
-        assert len(engine.task_log) == 1
+        assert engine.tracer.intervals == [Interval(start, finish)]
         engine.reset()
         assert engine.total_compute_ns == 0.0
-        assert engine.task_log == []
+        assert engine.tracer.intervals == []

@@ -119,6 +119,19 @@ class TestFsmPool:
         pool.acquire("phase0", 0.0, 10.0)
         assert pool.utilization(10.0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "num_fsms,phases",
+        [(2, ["phase0", "phase1", "phase2", "phase3"]), (4, ["phase0", "phase1"])],
+        ids=["shared", "dedicated"],
+    )
+    def test_busy_time_counts_each_fsm_once(self, num_fsms, phases):
+        pool = FsmPool(num_fsms)
+        pool.program(phases)
+        pool.acquire(phases[0], 0.0, 10.0)
+        pool.acquire(phases[-1], 0.0, 6.0)
+        assert pool.total_busy_time == pytest.approx(16.0)
+        assert pool.utilization(20.0) == pytest.approx(16.0 / (20.0 * num_fsms))
+
 
 class TestAluArray:
     def test_throughput_exceeds_network_injection(self):
@@ -129,10 +142,10 @@ class TestAluArray:
 
     def test_reduce_accounts_bytes(self):
         alus = AluArray(AceConfig())
-        alus.reduce(1000.0, 0.0)
+        alus.reduce(1000.0)
         assert alus.reduced_bytes == 1000.0
         with pytest.raises(ResourceError):
-            alus.reduce(-1.0, 0.0)
+            alus.reduce(-1.0)
 
 
 class TestAceEngine:

@@ -60,6 +60,15 @@ class TestBaselineEndpoint:
         endpoint.process_phase(_work(send=100.0, is_last=True), 0.0)
         assert endpoint.memory_write_bytes == pytest.approx(100.0)
 
+    def test_reset_zeroes_read_and_write_bytes(self):
+        endpoint = BaselineEndpoint(make_system("baseline_comm_opt"))
+        endpoint.process_phase(_work(send=100.0, is_last=True), 0.0)
+        assert endpoint.memory_read_bytes > 0.0
+        assert endpoint.memory_write_bytes > 0.0
+        endpoint.reset()
+        assert endpoint.memory_read_bytes == 0.0
+        assert endpoint.memory_write_bytes == 0.0
+
     def test_comp_opt_is_slower_than_comm_opt(self):
         comm_opt = BaselineEndpoint(make_system("baseline_comm_opt"))
         comp_opt = BaselineEndpoint(make_system("baseline_comp_opt"))

@@ -5,6 +5,7 @@ import pytest
 from repro.config.presets import make_system
 from repro.errors import SimulationError
 from repro.network.topology import Torus3D
+from repro.sim.trace import IntervalTracer
 from repro.training.loop import TrainingLoop, simulate_training
 from repro.training.results import IterationBreakdown, TrainingResult
 from repro.units import KB
@@ -141,6 +142,34 @@ class TestMegatronLoop:
             chunk_bytes=1024 * KB,
         )
         assert result.exposed_comm_ns > 0
+
+
+class TestRecordedTracers:
+    """Only tracers that a :class:`TrainingResult` reads may record intervals."""
+
+    @pytest.mark.parametrize("backend", ["symmetric", "detailed"])
+    @pytest.mark.parametrize("system_name", ["ace", "baseline_comm_opt", "ideal"])
+    def test_every_recording_tracer_is_read(
+        self, small_resnet, monkeypatch, system_name, backend
+    ):
+        recorded = set()
+        record = IntervalTracer.record
+
+        def spy(tracer, start, end):
+            recorded.add(tracer)
+            record(tracer, start, end)
+
+        monkeypatch.setattr(IntervalTracer, "record", spy)
+        system = make_system(system_name).with_overrides(network_backend=backend)
+        loop = TrainingLoop(system, 16, small_resnet, iterations=1, chunk_bytes=CHUNK)
+        loop.run()
+        read = loop.executor.fabric.tracers() + [
+            loop.executor.endpoint.activity,
+            loop.compute.tracer,
+        ]
+        assert recorded
+        unread = sorted(tracer.name for tracer in recorded.difference(read))
+        assert not unread, f"tracers record but no result reads them: {unread}"
 
 
 class TestTrainingResult:
