@@ -1,27 +1,27 @@
 #!/usr/bin/env python3
-"""Sweep-service benchmark: warm pool, cached lookups, concurrent clients.
+"""Runner benchmark: warm pool, cached lookups, concurrent runs.
 
-Emits ``BENCH_service.json`` — the service-layer companion to
+Emits ``BENCH_service.json`` — the runner-layer companion to
 ``BENCH_backends.json`` — with four measurements:
 
 * **cold vs warm batch latency** — the same small batch run on a fresh
   spawn-method :class:`~repro.runner.SweepRunner` (the pool spawns and the
   workers import the simulator inside the batch's wall time) and then again
-  on the now-warm persistent pool.  ``warm_speedup`` is the quantity the
-  persistent daemon buys every batch after the first;
+  on the now-warm persistent pool.  ``warm_speedup`` is what the persistent
+  pool buys every batch after the first;
   ``benchmarks/compare_bench.py --service`` gates it at >= 2x.
 * **cached-job p50** — median latency of re-running an already-cached job
   through a disk-backed cache; the write-through memory layer makes repeats
   skip the JSON re-read.
-* **concurrent-client throughput + single-flight dedup rate** — two clients
-  submit the same batch to a live daemon simultaneously; each unique spec
-  hash simulates exactly once, and every duplicate is served by the
-  single-flight table or the cache.
+* **concurrent runs + single-flight** — two runner processes start the same
+  batch at once on one cache directory; the claim files make each unique
+  spec simulate exactly once between them, and every other job is served
+  from the cache.
 * **paper-fast cache-served fraction** — a second run of the ``paper-fast``
   scenario batch must be served (almost) entirely from cache; gated at
   >= 95%.
 
-All gated quantities are same-run ratios or deterministic fractions, so the
+All gated quantities are same-run ratios or deterministic counts, so the
 gate is hardware-independent.
 
 Usage::
@@ -33,21 +33,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import statistics
 import tempfile
-import threading
 import time
 from pathlib import Path
 from typing import Dict, List
 
 from repro.runner import ResultCache, SweepRunner, network_drive_job
 from repro.scenarios import find_scenario, scenario_jobs
-from repro.service import DaemonRunner, ServiceClient, ServiceServer, SweepService
 from repro.units import KB, MB
 
 #: Workers for every pooled measurement; small on purpose so the benchmark
 #: runs on 2-core CI machines without oversubscription.
 WORKERS = 2
+
+#: Runner processes racing one batch in the concurrency measurement.
+CLIENTS = 2
 
 #: Repeats for the warm batch and the cached-lookup p50.
 WARM_REPEATS = 3
@@ -68,10 +70,9 @@ def bench_cold_vs_warm() -> Dict[str, object]:
     """Cold-start vs warm-pool latency for the same batch.
 
     The spawn start method is used for both runs so the cold number reflects
-    what every per-batch pool pays on platforms where spawn is the default
-    (and what a daemonless ``repro run`` pays there today): process spawn
-    plus a full simulator import per worker.  The warm number is the same
-    runner's next batches on its persistent, pre-imported pool.
+    what every per-batch pool pays on platforms where spawn is the default:
+    process spawn plus a full simulator import per worker.  The warm number
+    is the same runner's next batches on its persistent, pre-imported pool.
     """
     batch = _bench_batch()
     with SweepRunner(workers=WORKERS, mp_start_method="spawn") as runner:
@@ -111,61 +112,69 @@ def bench_cached_p50(cache_dir: Path) -> Dict[str, object]:
     }
 
 
-def bench_concurrent_clients(cache_dir: Path) -> Dict[str, object]:
-    """Two clients race the same batch at a live daemon.
-
-    Every job is unique within the batch but shared *across* the clients, so
-    the daemon's single-flight table (or, for late arrivals, the cache) must
-    absorb exactly half the submitted jobs: ``executed`` equals the unique
-    spec count no matter how the race interleaves.
-    """
-    batch = _bench_batch() + [
+def _concurrent_batch() -> List:
+    """Eight distinct specs; every client submits all of them."""
+    return _bench_batch() + [
         network_drive_job(
             "ace", (i + 1) * MB, topology=(4, 2, 2), chunk_bytes=256 * KB
         )
         for i in range(4)
     ]
-    service = SweepService(workers=WORKERS, cache=ResultCache(cache_dir)).start()
-    server = ServiceServer(service, port=0)
-    server.start_background()
-    host, port = server.address
-    try:
-        errors: List[Exception] = []
 
-        def one_client() -> None:
-            try:
-                runner = DaemonRunner(ServiceClient(host=host, port=port))
-                runner.run_values(batch)
-            except Exception as exc:  # surfaced after join
-                errors.append(exc)
 
-        threads = [threading.Thread(target=one_client) for _ in range(2)]
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall_s = time.perf_counter() - start
-        if errors:
-            raise errors[0]
-        stats = ServiceClient(host=host, port=port).stats()
-    finally:
-        server.stop()
-    submitted = 2 * len(batch)
-    assert stats["executed"] == len(batch), (
-        f"single-flight violated: {stats['executed']} executions for "
+def _concurrent_client(cache_dir: str, barrier, results) -> None:
+    """One runner process: start with the others, report wall and stats."""
+    runner = SweepRunner(workers=1, cache=ResultCache(cache_dir))
+    batch = _concurrent_batch()
+    barrier.wait()
+    start = time.perf_counter()
+    runner.run_values(batch)
+    stats = runner.stats.as_dict()
+    stats["wall_s"] = time.perf_counter() - start
+    results.put(stats)
+
+
+def bench_concurrent_clients(cache_dir: Path) -> Dict[str, object]:
+    """Two runner processes race the same batch on one cache directory.
+
+    Every job is unique within the batch but shared *across* the clients, so
+    the claim files (or, for late arrivals, the cache) must absorb exactly
+    half the submitted jobs: the clients' ``executed`` counts sum to the
+    unique spec count no matter how the race interleaves.
+    """
+    batch = _concurrent_batch()
+    context = multiprocessing.get_context("spawn")
+    barrier = context.Barrier(CLIENTS)
+    queue = context.Queue()
+    clients = [
+        context.Process(target=_concurrent_client, args=(str(cache_dir), barrier, queue))
+        for _ in range(CLIENTS)
+    ]
+    for client in clients:
+        client.start()
+    # Drain the queue before joining: a child blocks on exit until its
+    # queued result is read.
+    stats = [queue.get(timeout=300) for _ in clients]
+    for client in clients:
+        client.join(timeout=60)
+    if any(client.exitcode != 0 for client in clients):
+        raise RuntimeError(f"a client failed: exit codes {[c.exitcode for c in clients]}")
+    submitted = CLIENTS * len(batch)
+    executed = sum(s["executed"] for s in stats)
+    wall_s = max(s["wall_s"] for s in stats)
+    assert executed == len(batch), (
+        f"single-flight violated: {executed} executions for "
         f"{len(batch)} unique specs"
     )
     return {
-        "clients": 2,
+        "clients": CLIENTS,
         "jobs_per_client": len(batch),
         "jobs_submitted": submitted,
         "wall_s": wall_s,
         "jobs_per_s": submitted / wall_s if wall_s > 0 else 0.0,
-        "executed": stats["executed"],
-        "singleflight_hits": stats["singleflight_hits"],
-        "cache_hits": stats["cache_hits"],
-        "dedup_rate": stats["dedup_rate"],
+        "executed": executed,
+        "cache_hits": sum(s["cache_hits"] for s in stats),
+        "dedup_rate": (submitted - executed) / submitted,
     }
 
 
@@ -216,7 +225,6 @@ def format_service_bench(payload: Dict[str, object]) -> str:
             f"{results['cached_lookups']} lookups",
             f"concurrent   {concurrent['jobs_per_s']:.1f} jobs/s from "
             f"{concurrent['clients']} clients; {concurrent['executed']} executed, "
-            f"{concurrent['singleflight_hits']} single-flight hit(s), "
             f"{concurrent['cache_hits']} cache hit(s) "
             f"(dedup rate {concurrent['dedup_rate']:.2f})",
             f"paper-fast   {paper_fast['second_run_cache_hits']}/{paper_fast['jobs']} "

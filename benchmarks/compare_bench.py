@@ -23,12 +23,14 @@ the same run on the same machine, so the ratio is hardware-independent; it
 is the property the detailed hot path's coalescing/batching work bought, and
 this gate keeps it bought.
 
-The sweep-service benchmark (``BENCH_service.json``) is gated with
+The runner benchmark (``BENCH_service.json``) is gated with
 ``--service``: the warm-pool batch must be at least ``--min-warm-speedup``
-(default 2.0) faster than a cold start, and a second run of the
-``paper-fast`` batch must be served at least ``--min-cached-fraction``
-(default 0.95) from the shared cache.  Both are same-run ratios, so no
-committed baseline is needed and the gate is hardware-independent.
+(default 2.0) faster than a cold start, a second run of the ``paper-fast``
+batch must be served at least ``--min-cached-fraction`` (default 0.95) from
+the shared cache, and two runs racing one batch on one cache directory must
+execute each unique spec exactly once between them.  These are same-run
+ratios and counts, so no committed baseline is needed and the gate is
+hardware-independent.
 
 The trace-pipeline benchmark (``BENCH_traces.json``) is gated with
 ``--traces``: at every cell that has a hand-coded reference, the trace
@@ -73,7 +75,7 @@ DEFAULT_MAX_DETAILED_RATIO = 2.0
 #: formatting of the JSON snapshot only, exactly like the golden-value suite.
 SIM_REL_TOL = 1e-9
 
-#: Sweep-service gates (``--service``): minimum warm-pool speedup over a cold
+#: Runner gates (``--service``): minimum warm-pool speedup over a cold
 #: start, and minimum cache-served fraction on a second paper-fast run.
 WARM_SPEEDUP_ENV = "REPRO_BENCH_MIN_WARM_SPEEDUP"
 DEFAULT_MIN_WARM_SPEEDUP = 2.0
@@ -289,7 +291,7 @@ def main(argv=None) -> int:
         "--service",
         metavar="BENCH_service.json",
         default=None,
-        help="also (or only) gate a sweep-service benchmark payload",
+        help="also (or only) gate a runner benchmark payload",
     )
     parser.add_argument(
         "--min-warm-speedup",

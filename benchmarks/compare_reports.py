@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Assert two scenario reports are byte-identical up to timing/provenance.
 
-The service-smoke CI job runs the same scenario once through the sweep
-daemon and once inline, then feeds both reports here.  The daemon promises
+The concurrent-runs CI job runs the same scenario in two processes at once
+on one cache directory, then feeds both reports here.  One run simulates a
+spec and the other serves it from the cache, and the two must still report
 *byte-identical results*: every row's ``spec_hash`` and every simulation
 metric must match exactly — not approximately — between the two runs.  Only
 fields that describe *how* a row was obtained rather than *what* was
@@ -16,7 +17,7 @@ functions of the simulated values alone).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/compare_reports.py daemon.json inline.json
+    PYTHONPATH=src python benchmarks/compare_reports.py first.json second.json
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def diff_reports(left: Dict[str, object], right: Dict[str, object]) -> List[str]
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("left", help="first scenario report (e.g. daemon run)")
-    parser.add_argument("right", help="second scenario report (e.g. inline run)")
+    parser.add_argument("left", help="first scenario report")
+    parser.add_argument("right", help="second scenario report")
     args = parser.parse_args(argv)
     left = _load(Path(args.left))
     right = _load(Path(args.right))

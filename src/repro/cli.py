@@ -20,10 +20,6 @@ Subcommands:
   a trace JSON (the capture side of the round-trip acceptance test).
 * ``bench`` — the backend-throughput benchmark behind ``BENCH_backends.json``
   (pruning stale result-cache entries first).
-* ``serve`` — the persistent sweep daemon: a warm worker pool plus
-  single-flight dedup in front of the shared result cache; ``run`` becomes
-  a thin client against it via ``--daemon auto`` (or ``REPRO_DAEMON=auto``),
-  falling back to inline execution when no daemon answers.
 
 Every failure path prints a single ``error: ...`` line to stderr and returns
 a non-zero exit code; tracebacks are reserved for genuine bugs.
@@ -106,13 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report invariant failures without failing the run",
     )
-    p_run.add_argument(
-        "--daemon",
-        choices=["off", "auto", "require"],
-        default=None,
-        help="use a running sweep daemon: 'auto' falls back inline when none "
-        "answers, 'require' fails instead (default: $REPRO_DAEMON or 'off')",
-    )
     p_run.add_argument("--json", action="store_true", help="print the report JSON to stdout")
 
     p_expand = sub.add_parser(
@@ -181,26 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: print to stdout)",
     )
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the persistent sweep daemon (warm pool + single-flight dedup)",
-    )
-    p_serve.add_argument(
-        "--host",
-        default=None,
-        help="bind address (default: $REPRO_DAEMON_HOST or 127.0.0.1)",
-    )
-    p_serve.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="TCP port; 0 picks a free one (default: $REPRO_DAEMON_PORT or 8731)",
-    )
-    p_serve.add_argument(
-        "--workers",
-        default="auto",
-        help="warm worker processes (default: auto = one per CPU)",
-    )
     return parser
 
 
@@ -322,15 +291,7 @@ def _write_report(report: Dict[str, object], out: Optional[str], scenario_name: 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = find_scenario(args.name, args.directory)
-    # Daemon first: a reachable sweep daemon turns this invocation into a
-    # thin client (results are byte-identical to inline execution); 'auto'
-    # falls through to the inline runner when none answers.
-    from repro.service import daemon_runner_from_env
-
-    runner = daemon_runner_from_env(mode=args.daemon)
-    if runner is not None:
-        print(f"using sweep daemon at {runner.client.address}")
-    elif args.workers is not None:
+    if args.workers is not None:
         # A bespoke worker count still shares the REPRO_CACHE_DIR-configured cache.
         runner = SweepRunner(workers=args.workers, cache=cache_from_env())
     else:
@@ -543,13 +504,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return handlers[args.trace_command](args)
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import serve
-
-    serve(host=args.host, port=args.port, workers=args.workers)
-    return 0
-
-
 _COMMANDS = {
     "list": _cmd_list,
     "validate": _cmd_validate,
@@ -558,7 +512,6 @@ _COMMANDS = {
     "figures": _cmd_figures,
     "bench": _cmd_bench,
     "trace": _cmd_trace,
-    "serve": _cmd_serve,
 }
 
 

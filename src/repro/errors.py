@@ -69,12 +69,3 @@ class InvariantViolation(ScenarioError):
 class SchedulingError(SimulationError):
     """The collective or compute scheduler reached an invalid state."""
 
-
-class ServiceError(ReproError):
-    """The sweep service (daemon) failed or could not be reached.
-
-    Raised by :mod:`repro.service` for connection failures, protocol
-    mismatches, and server-side request errors; the message names the
-    daemon address so a dead or mis-pointed ``REPRO_DAEMON_PORT`` is
-    diagnosable from the error alone.
-    """

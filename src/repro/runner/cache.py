@@ -12,11 +12,11 @@ Two backends share one interface:
   results for free.
 * **disk** (``directory=...``) — persists encoded results as one JSON file
   per entry, sharded into 256 two-hex-character subdirectories
-  (``ab/<sha256>.json``) so many concurrent workers — or the sweep daemon's
-  whole client population — can share one directory without creating a
-  single huge flat listing.  Set the ``REPRO_CACHE_DIR`` environment
-  variable to give the default runner a persistent cache.  Corrupted or
-  mismatched entries are detected, counted, deleted, and treated as misses.
+  (``ab/<sha256>.json``) so many concurrent runs can share one directory
+  without creating a single huge flat listing.  Set the ``REPRO_CACHE_DIR``
+  environment variable to give the default runner a persistent cache.
+  Corrupted or mismatched entries are detected, counted, deleted, and
+  treated as misses.
 
 A disk-backed cache keeps a **write-through memory layer** in front of the
 files: every payload stored or loaded in this process is retained in memory,
@@ -30,10 +30,16 @@ published with an atomic ``os.replace``, so a reader — even one racing
 entry or a complete one, never a torn write.  Two processes storing the same
 key both write the identical deterministic entry; last rename wins.
 
-**Layout migration.**  Caches written before sharding used a flat
-``<sha256>.json`` layout.  Lookups read both layouts, and :meth:`prune`
-relocates still-valid flat entries into their shard subdirectory, so an
-existing ``REPRO_CACHE_DIR`` survives the upgrade with its contents intact.
+Runs sharing a directory also share work.  Before simulating a miss, a run
+claims its key (:meth:`~ResultCache.claim`) by creating ``ab/<sha256>.claim``
+with ``O_EXCL``; the file names the owner's host and pid.  Other runs wait
+(:meth:`~ResultCache.wait`) until the claim is released and then read the
+entry the owner stored.  The owner stores before it releases, so a released
+claim with no entry means the owner's job failed, and the waiter claims and
+simulates the spec itself.  A claim whose owner ran on this host and is no
+longer running is taken over; two waiters racing that takeover can at worst
+simulate the same deterministic spec twice.  A claim held by a process on
+another host is never taken over.
 
 The cache stores *encoded* payloads (see :mod:`repro.runner.serialization`);
 the runner decodes a fresh object per lookup so cached results are never
@@ -44,7 +50,9 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import tempfile
+import time
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Union
 
@@ -58,6 +66,9 @@ _ENTRY_SCHEMA = 1
 
 #: Hex-prefix length of the shard subdirectories (``ab/<sha256>.json``).
 _SHARD_WIDTH = 2
+
+#: Seconds between checks of a claim file another run holds.
+CLAIM_POLL_S = 0.05
 
 
 def _is_entry_name(stem: str) -> bool:
@@ -164,6 +175,67 @@ class ResultCache:
                     pass
                 raise
 
+    def claim(self, key: str) -> bool:
+        """Try to become the one run that simulates ``key``.
+
+        Returns ``True`` when this process now owns the key and must
+        :meth:`store` its result (if any) and then :meth:`release` it;
+        ``False`` when another live run holds the claim or has already
+        stored the entry.  A memory-only cache always owns the key and
+        touches no file.
+        """
+        if self.directory is None:
+            return True
+        path = self._claim_path(key)
+        while True:
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            except FileNotFoundError:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                continue
+            except FileExistsError:
+                if _claim_is_live(path):
+                    return False
+                try:
+                    path.unlink()  # take over a dead owner's claim
+                except FileNotFoundError:
+                    pass
+                continue
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    handle.write(f"{socket.gethostname()} {os.getpid()}")
+            except BaseException:
+                path.unlink()  # an ownerless claim would look live forever
+                raise
+            break
+        # An owner stores before it releases, so an entry stored between the
+        # caller's lookup and this claim is visible now.
+        if self._path_for(key).exists():
+            self.release(key)
+            return False
+        return True
+
+    def release(self, key: str) -> None:
+        """Drop this process's claim on ``key`` (after storing its entry)."""
+        if self.directory is None:
+            return
+        try:
+            self._claim_path(key).unlink()
+        except FileNotFoundError:
+            pass
+
+    def wait(self, key: str) -> None:
+        """Block while another live run holds the claim on ``key``.
+
+        Polls the claim file only, every :data:`CLAIM_POLL_S` seconds; the
+        entry is for the caller to :meth:`lookup` once this returns.
+        """
+        if self.directory is None:
+            return
+        path = self._claim_path(key)
+        while _claim_is_live(path):
+            time.sleep(CLAIM_POLL_S)
+
     # ------------------------------------------------------------------
     # Introspection / maintenance
     # ------------------------------------------------------------------
@@ -190,17 +262,14 @@ class ResultCache:
         }
 
     def _iter_entry_paths(self) -> Iterator[Path]:
-        """Every on-disk file that is actually a cache entry, both layouts.
+        """Every on-disk file that is actually a cache entry.
 
-        Yields sharded ``ab/<sha256>.json`` entries and legacy flat
-        ``<sha256>.json`` entries; anything else living in the directory —
-        foreign JSON artifacts, unrelated subdirectories — is skipped.
+        Yields sharded ``ab/<sha256>.json`` entries; anything else living in
+        the directory — foreign JSON artifacts, unrelated subdirectories,
+        claim files — is skipped.
         """
         if self.directory is None:
             return
-        for path in self.directory.glob("*.json"):
-            if _is_entry_name(path.stem):
-                yield path
         for shard in self.directory.iterdir():
             if not shard.is_dir() or not _is_shard_name(shard.name):
                 continue
@@ -211,14 +280,11 @@ class ResultCache:
     def _disk_entry_count(self) -> int:
         """Number of on-disk files that are actually cache entries.
 
-        Counts only ``<sha256>.json`` files (flat or sharded): a cache
-        directory that (against advice) also holds other JSON artifacts must
-        not have them reported as entries.  A key present in both layouts —
-        possible mid-migration — counts once.
+        Counts only sharded ``<sha256>.json`` files: a cache directory that
+        (against advice) also holds other JSON artifacts must not have them
+        reported as entries.
         """
-        if self.directory is None:
-            return 0
-        return len({path.stem for path in self._iter_entry_paths()})
+        return sum(1 for _ in self._iter_entry_paths())
 
     def __len__(self) -> int:
         """Number of distinct cached entries.
@@ -234,16 +300,13 @@ class ResultCache:
         return len(self._memory)
 
     def prune(self) -> int:
-        """Delete stale disk entries and migrate flat-layout ones.
+        """Delete stale disk entries.
 
         Entries are version-salted, so a cache directory shared across
         simulator upgrades accumulates files no current run can ever hit
         again.  ``prune()`` removes every entry whose recorded ``version``
         (or schema) differs from this cache's — unreadable files count as
-        stale too — and returns the number of files removed.  Still-valid
-        entries found in the legacy flat ``<sha256>.json`` layout are
-        relocated into their shard subdirectory (atomic rename; a reader
-        racing the move simply sees a miss and re-simulates).  ``python -m
+        stale too — and returns the number of files removed.  ``python -m
         repro bench`` calls this before benchmarking so a long-lived
         ``REPRO_CACHE_DIR`` does not grow without bound.
         """
@@ -268,23 +331,13 @@ class ResultCache:
                     removed += 1
                 except OSError:
                     pass
-                continue
-            if path.parent == self.directory:
-                # Legacy flat entry: move it into its shard subdirectory so
-                # pre-sharding cache contents survive the layout upgrade.
-                target = self._path_for(path.stem)
-                try:
-                    target.parent.mkdir(parents=True, exist_ok=True)
-                    os.replace(path, target)
-                except OSError:
-                    pass
         return removed
 
     def clear(self) -> None:
         """Drop every entry (and reset nothing else — counters persist).
 
         Like :meth:`prune`, only files following the cache's
-        ``<sha256>.json`` naming scheme (flat or sharded) are unlinked:
+        ``ab/<sha256>.json`` naming scheme are unlinked:
         foreign JSON artifacts living in the cache directory survive a
         ``clear()``.
         """
@@ -303,38 +356,57 @@ class ResultCache:
         assert self.directory is not None
         return self.directory / key[:_SHARD_WIDTH] / f"{key}.json"
 
-    def _read_paths(self, key: str) -> Iterator[Path]:
-        """Candidate paths for a key: the shard first, then the flat legacy."""
+    def _claim_path(self, key: str) -> Path:
+        """The claim file next to a key's entry (``ab/<sha256>.claim``)."""
         assert self.directory is not None
-        yield self._path_for(key)
-        yield self.directory / f"{key}.json"
+        return self.directory / key[:_SHARD_WIDTH] / f"{key}.claim"
 
     def _load_from_disk(self, key: str, job: SimJob) -> Optional[Dict[str, object]]:
-        for path in self._read_paths(key):
+        path = self._path_for(key)
+        try:
+            with path.open("r", encoding="utf-8") as handle:
+                entry = json.load(handle)
+            if entry["schema"] != _ENTRY_SCHEMA:
+                raise ValueError(f"unsupported cache schema {entry['schema']!r}")
+            if entry["version"] != self.version:
+                raise ValueError("cache entry version mismatch")
+            if entry["job"] != job.to_dict():
+                raise ValueError("cache entry does not match the requested job")
+            result = entry["result"]
+            if not isinstance(result, dict):
+                raise ValueError("cache entry result is not an object")
+            return result
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError):
+            # Corrupted, truncated, or stale entry: drop it and re-simulate.
+            self.corrupted += 1
             try:
-                with path.open("r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-                if entry["schema"] != _ENTRY_SCHEMA:
-                    raise ValueError(f"unsupported cache schema {entry['schema']!r}")
-                if entry["version"] != self.version:
-                    raise ValueError("cache entry version mismatch")
-                if entry["job"] != job.to_dict():
-                    raise ValueError("cache entry does not match the requested job")
-                result = entry["result"]
-                if not isinstance(result, dict):
-                    raise ValueError("cache entry result is not an object")
-                return result
-            except FileNotFoundError:
-                continue
-            except (OSError, ValueError, KeyError, TypeError):
-                # Corrupted, truncated, or stale entry: drop it and re-simulate.
-                self.corrupted += 1
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                return None
-        return None
+                path.unlink()
+            except OSError:
+                pass
+            return None
+
+
+def _claim_is_live(path: Path) -> bool:
+    """Whether a claim file exists and its owner may still be running.
+
+    Only an owner on this host can be checked.  A claim still being written
+    (no owner recorded yet) counts as live.
+    """
+    try:
+        host, _, pid = path.read_text(encoding="utf-8").rpartition(" ")
+    except FileNotFoundError:
+        return False
+    if host != socket.gethostname() or not pid.isdigit():
+        return True
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass  # alive, but owned by another user
+    return True
 
 
 def cache_from_env() -> ResultCache:

@@ -12,6 +12,11 @@ points:
   same sweep is (almost) entirely cache hits.
 * **In-batch deduplication** — jobs with identical specs are simulated once
   per batch even without a cache.
+* **Single-flight across runs** — runs sharing a disk cache claim each
+  missing spec before simulating it (:meth:`ResultCache.claim`), simulate
+  only what they claimed, then wait for the specs other live runs claimed
+  and serve those from the cache.  Concurrent runs of one sweep therefore
+  simulate each unique spec once between them.
 * **Determinism** — the simulator is deterministic and every result travels
   through the same encode/decode round trip whether it ran inline, in a
   worker process, or came from the cache, so serial and parallel execution
@@ -143,11 +148,10 @@ class SweepRunner:
 
     The worker pool is created lazily on the first parallel batch and then
     **reused across every subsequent** :meth:`run` call, so multi-batch
-    drivers (``repro run paper-full``, the figure harnesses, the sweep
-    daemon) pay the process-spawn and simulator-import cost once, not per
-    batch.  Call :meth:`close` — or use the runner as a context manager —
-    to release the pool; a later :meth:`run` transparently builds a fresh
-    one.
+    callers (``repro run paper-full``, the figure harnesses) pay the
+    process-spawn and simulator-import cost once, not per batch.  Call
+    :meth:`close` — or use the runner as a context manager — to release the
+    pool; a later :meth:`run` transparently builds a fresh one.
     """
 
     def __init__(
@@ -225,14 +229,12 @@ class SweepRunner:
 
         # Serve cache hits and group the remaining work by spec so each
         # unique simulation runs exactly once per batch.  The spec hash is
-        # computed once per job and reused for lookup, dedup, and store.
+        # computed once per job and reused for lookup, dedup, claim and store.
         pending: Dict[str, List[int]] = {}
-        keys: Dict[int, str] = {}
         for index, job in enumerate(jobs):
             key = (
                 self.cache.key_for(job) if self.cache is not None else job.spec_hash()
             )
-            keys[index] = key
             if self.cache is not None:
                 payload = self.cache.lookup(job, key=key)
                 if payload is not None:
@@ -242,17 +244,61 @@ class SweepRunner:
                     )
                     continue
             pending.setdefault(key, []).append(index)
-
-        unique_jobs = [jobs[indices[0]] for indices in pending.values()]
         self.stats.deduplicated += sum(
             len(indices) - 1 for indices in pending.values()
         )
-        executed = self._execute(unique_jobs)
-        self.stats.executed += len(unique_jobs)
 
-        for indices, (status, payload, duration) in zip(pending.values(), executed):
-            if status == "ok" and self.cache is not None:
-                self.cache.store(jobs[indices[0]], payload, key=keys[indices[0]])
+        # Simulate the specs this run claims, then wait out the claims other
+        # live runs hold and serve their entries.  No claim is held while
+        # waiting, so two runs never wait on each other.  A claim released
+        # without an entry means its owner failed: claim it next round.
+        while pending:
+            claimed = self._run_claimed(jobs, pending, outcomes)
+            awaited, pending = pending, {}
+            for key, indices in awaited.items():
+                if key in claimed:
+                    continue
+                self.cache.wait(key)
+                payload = self.cache.lookup(jobs[indices[0]], key=key)
+                if payload is None:
+                    pending[key] = indices
+                    continue
+                self.stats.cache_hits += 1
+                for index in indices:
+                    outcomes[index] = JobOutcome(
+                        jobs[index], value=decode_result(payload), from_cache=True
+                    )
+        assert all(outcome is not None for outcome in outcomes)
+        return outcomes  # type: ignore[return-value]
+
+    def _run_claimed(
+        self,
+        jobs: List[SimJob],
+        pending: Dict[str, List[int]],
+        outcomes: List[Optional[JobOutcome]],
+    ) -> Dict[str, List[int]]:
+        """Claim what it can of ``pending``, simulate, store, release.
+
+        Fills the outcomes of the claimed keys and returns them.
+        """
+        claimed: Dict[str, List[int]] = {}
+        try:
+            for key, indices in pending.items():
+                if self.cache is None or self.cache.claim(key):
+                    claimed[key] = indices
+            executed = self._execute([jobs[indices[0]] for indices in claimed.values()])
+            if self.cache is not None:
+                for (key, indices), (status, payload, _) in zip(claimed.items(), executed):
+                    if status == "ok":
+                        self.cache.store(jobs[indices[0]], payload, key=key)
+        finally:
+            # Stored first, released second: a waiter that finds the claim
+            # gone and no entry knows the job failed.
+            if self.cache is not None:
+                for key in claimed:
+                    self.cache.release(key)
+        self.stats.executed += len(claimed)
+        for indices, (status, payload, duration) in zip(claimed.values(), executed):
             for index in indices:
                 if status == "ok":
                     outcomes[index] = JobOutcome(
@@ -263,8 +309,7 @@ class SweepRunner:
                     outcomes[index] = JobOutcome(
                         jobs[index], error=str(payload), duration_s=duration
                     )
-        assert all(outcome is not None for outcome in outcomes)
-        return outcomes  # type: ignore[return-value]
+        return claimed
 
     def run_values(self, jobs: Iterable[SimJob]) -> List[object]:
         """Like :meth:`run`, but unwrap values and raise on any job failure."""

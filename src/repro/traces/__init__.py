@@ -14,8 +14,8 @@ DLRM variants, pipeline-staged models — become JSON files instead of Python:
 * :mod:`repro.traces.schedule` — the DAG scheduler lowering a trace into
   the training loop's layer/collective stream
   (:class:`~repro.workloads.base.Workload`), so traces ride the planner,
-  network backends, parallelism strategies, runner, cache and sweep-service
-  paths unchanged.
+  network backends, parallelism strategies, runner and cache paths
+  unchanged.
 * :mod:`repro.traces.convert` — trace capture: export any built-in workload
   to the trace format; the round-trip reproduces golden iteration times.
 

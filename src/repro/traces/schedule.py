@@ -3,8 +3,8 @@
 :func:`lower_trace` turns a validated :class:`~repro.traces.format.Trace`
 into the :class:`~repro.workloads.base.Workload` the existing
 :class:`~repro.training.loop.TrainingLoop` consumes, so traces ride the same
-planner, network backends, parallelism strategies, runner, cache and service
-paths as the hand-coded workloads — nothing downstream knows the workload
+planner, network backends, parallelism strategies, runner and cache paths as
+the hand-coded workloads — nothing downstream knows the workload
 came from a file.
 
 The lowering is deterministic and depends only on the trace's *edge set*:

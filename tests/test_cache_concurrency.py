@@ -1,16 +1,19 @@
-"""Concurrency and layout-migration behaviour of the sharded ResultCache.
+"""Concurrency behaviour of the sharded ResultCache and its claim files.
 
-The cache is the shared substrate under the sweep daemon: many writer
-threads/processes race ``store()`` against readers and against maintenance
-(``prune()`` / ``clear()``).  The guarantees under test:
+Concurrent runs share one cache directory: writer threads/processes race
+``store()`` against readers and against maintenance (``prune()`` /
+``clear()``), and runners claim the specs they simulate.  The guarantees
+under test:
 
 * concurrent writers of the same key never produce a torn entry — every
   read observes either nothing or one complete, valid payload (atomic
   temp-file + rename writes),
 * a reader racing ``prune()``/``clear()`` sees only ``None`` or complete
   payloads, never corruption,
-* legacy flat-layout entries (``<sha>.json`` directly in the cache root)
-  stay readable, and ``prune()`` migrates them into shard subdirectories,
+* runs sharing a directory simulate each unique spec once between them: a
+  runner waits out another live run's claim and serves the stored entry
+  from the cache, a failed job is never cached and is retried, a dead
+  owner's claim is taken over, and no path leaves a ``.claim`` file behind,
 * the write-through memory layer serves repeat lookups without re-reading
   disk, with hits split out in ``stats``.
 """
@@ -18,11 +21,18 @@ threads/processes race ``store()`` against readers and against maintenance
 from __future__ import annotations
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
-from repro.runner import ResultCache, SweepRunner, network_drive_job
+from repro.runner import ResultCache, SweepRunner, network_drive_job, training_job
+from repro.runner.cache import CLAIM_POLL_S
 from repro.runner.serialization import encode_result
 from repro.units import MB
 
@@ -129,74 +139,204 @@ class TestConcurrentWriters:
         assert not failures
 
 
-class TestFlatLayoutCompatibility:
-    def seed_flat_entry(self, tmp_path, job, payload):
-        """Write a pre-sharding cache entry: <sha>.json in the root."""
-        import repro
+def claim_files(directory):
+    return sorted(Path(directory).rglob("*.claim"))
 
-        record = {
-            "schema": 1,
-            "version": repro.__version__,
-            "job": job.to_dict(),
-            "result": payload,
-        }
-        path = tmp_path / f"{job.spec_hash()}.json"
-        path.write_text(json.dumps(record), encoding="utf-8")
-        return path
 
-    def test_flat_entries_are_readable(self, tmp_path):
+def run_in_thread(runner, jobs):
+    """Start ``runner.run(jobs)`` on a thread; the outcomes land in a list."""
+    outcomes = []
+    thread = threading.Thread(target=lambda: outcomes.extend(runner.run(jobs)))
+    thread.start()
+    return thread, outcomes
+
+
+#: A child process that builds six distinct jobs plus a duplicate of the
+#: first, waits for a go file, runs them on a disk cache and prints its
+#: runner stats and encoded results as JSON.
+RACE_CHILD = """
+import json, sys, time
+from pathlib import Path
+from repro.runner import ResultCache, SweepRunner, network_drive_job
+from repro.runner.serialization import encode_result
+from repro.units import MB
+jobs = [network_drive_job("ace", (i + 1) * 8 * MB, topology=(4, 2, 2)) for i in range(6)]
+jobs.append(jobs[0])
+runner = SweepRunner(workers=1, cache=ResultCache(sys.argv[1]))
+print("READY", flush=True)
+go = Path(sys.argv[2])
+while not go.exists():
+    time.sleep(0.001)
+outcomes = runner.run(jobs)
+print(json.dumps({
+    "stats": runner.stats.as_dict(),
+    "results": [encode_result(o.value) for o in outcomes],
+}))
+"""
+
+
+class TestSingleFlight:
+    def test_runner_waits_for_a_live_claim_and_serves_its_entry(self, tmp_path):
         job = make_job()
         payload = payload_for(job)
-        flat_path = self.seed_flat_entry(tmp_path, job, payload)
-        cache = ResultCache(tmp_path)
-        assert cache.lookup(job) == payload
-        assert flat_path.exists()  # lookup alone does not migrate
+        holder = ResultCache(tmp_path)
+        key = holder.key_for(job)
+        assert holder.claim(key)
+        runner = SweepRunner(workers=1, cache=ResultCache(tmp_path))
+        thread, outcomes = run_in_thread(runner, [job])
+        try:
+            time.sleep(4 * CLAIM_POLL_S)
+            assert thread.is_alive()
+            # The entry alone is not enough: the waiter reads it only once
+            # the claim is gone.
+            holder.store(job, payload, key=key)
+            time.sleep(4 * CLAIM_POLL_S)
+            assert thread.is_alive()
+        finally:
+            holder.release(key)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert runner.stats.executed == 0
+        assert runner.stats.cache_hits == 1
+        assert outcomes[0].from_cache
+        assert encode_result(outcomes[0].value) == payload
+        assert runner.cache.misses == 1  # polls read no entry
+        assert claim_files(tmp_path) == []
 
-    def test_prune_migrates_flat_entries_to_shards(self, tmp_path):
+    def test_waiter_simulates_a_spec_whose_owner_released_without_an_entry(self, tmp_path):
         job = make_job()
-        payload = payload_for(job)
-        flat_path = self.seed_flat_entry(tmp_path, job, payload)
-        cache = ResultCache(tmp_path)
-        removed = cache.prune()
-        assert removed == 0  # a valid entry is migrated, not removed
-        key = job.spec_hash()
-        assert not flat_path.exists()
-        assert (tmp_path / key[:2] / f"{key}.json").exists()
-        assert ResultCache(tmp_path).lookup(job) == payload
+        holder = ResultCache(tmp_path)
+        key = holder.key_for(job)
+        assert holder.claim(key)
+        runner = SweepRunner(workers=1, cache=ResultCache(tmp_path))
+        thread, outcomes = run_in_thread(runner, [job])
+        try:
+            time.sleep(4 * CLAIM_POLL_S)
+            assert thread.is_alive()
+        finally:
+            holder.release(key)  # the owner failed: nothing was stored
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert runner.stats.executed == 1
+        assert outcomes[0].ok and not outcomes[0].from_cache
+        assert ResultCache(tmp_path).lookup(job) == payload_for(job)
+        assert claim_files(tmp_path) == []
 
-    def test_prune_deletes_stale_flat_entries(self, tmp_path):
+    def test_processes_racing_one_batch_execute_each_spec_once(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        go = tmp_path / "go"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", RACE_CHILD, str(cache_dir), str(go)],
+                stdout=subprocess.PIPE,
+                env=env,
+                text=True,
+            )
+            for _ in range(3)  # more runs than this suite's 2-core CI machines
+        ]
+        try:
+            for child in children:
+                assert child.stdout.readline().strip() == "READY"
+            go.touch()
+            reports = [json.loads(child.communicate(timeout=120)[0]) for child in children]
+        finally:
+            for child in children:
+                child.kill()
+                child.wait(timeout=30)
+        assert [child.returncode for child in children] == [0, 0, 0]
+        unique_specs = 6
+        assert sum(r["stats"]["executed"] for r in reports) == unique_specs
+        assert [r["stats"]["errors"] for r in reports] == [0, 0, 0]
+        assert reports[0]["results"] == reports[1]["results"] == reports[2]["results"]
+        assert claim_files(cache_dir) == []
+
+    def test_failed_job_releases_its_claim_and_is_not_cached(self, tmp_path):
+        bad = training_job("ace", "no_such_workload", num_npus=8, iterations=1)
+        first = SweepRunner(workers=1, cache=ResultCache(tmp_path))
+        assert not first.run([bad])[0].ok
+        assert claim_files(tmp_path) == []
+        assert ResultCache(tmp_path).stats["disk_entries"] == 0
+        second = SweepRunner(workers=1, cache=ResultCache(tmp_path))
+        outcome = second.run([bad])[0]
+        assert not outcome.ok and not outcome.from_cache
+        assert "no_such_workload" in outcome.error
+        assert second.stats.executed == 1  # retried, not served from cache
+        assert claim_files(tmp_path) == []
+
+    def test_claim_of_a_dead_owner_on_this_host_is_taken_over(self, tmp_path):
         job = make_job()
-        payload = payload_for(job)
-        flat_path = self.seed_flat_entry(tmp_path, job, payload)
-        stale = json.loads(flat_path.read_text(encoding="utf-8"))
-        stale["version"] = "0.0.0-obsolete"
-        flat_path.write_text(json.dumps(stale), encoding="utf-8")
         cache = ResultCache(tmp_path)
-        assert cache.prune() == 1
-        assert not flat_path.exists()
-        assert cache.lookup(job) is None
+        key = cache.key_for(job)
+        claim = tmp_path / key[:2] / f"{key}.claim"
+        claim.parent.mkdir()
+        # A live owner on this host, and any owner on another host, keep
+        # their claim.
+        claim.write_text(f"{socket.gethostname()} {os.getpid()}", encoding="utf-8")
+        assert not cache.claim(key)
+        claim.write_text("some-other-host 1", encoding="utf-8")
+        assert not cache.claim(key)
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait(timeout=30)
+        claim.write_text(f"{socket.gethostname()} {dead.pid}", encoding="utf-8")
+        runner = SweepRunner(workers=1, cache=cache)
+        outcome = runner.run([job])[0]
+        assert outcome.ok and not outcome.from_cache
+        assert runner.stats.executed == 1
+        assert claim_files(tmp_path) == []
 
-    def test_clear_removes_both_layouts(self, tmp_path):
-        sharded_job, flat_job = make_job(0), make_job(1)
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_exception_in_execute_leaves_no_claim_file(self, tmp_path, monkeypatch, error):
+        runner = SweepRunner(workers=1, cache=ResultCache(tmp_path))
+
+        def explode(jobs):
+            assert len(claim_files(tmp_path)) == len(jobs) == 2
+            raise error("interrupted mid-batch")
+
+        monkeypatch.setattr(runner, "_execute", explode)
+        with pytest.raises(error):
+            runner.run([make_job(0), make_job(1)])
+        assert claim_files(tmp_path) == []
+
+    def test_exception_while_claiming_releases_earlier_claims(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
-        cache.store(sharded_job, payload_for(sharded_job))
-        self.seed_flat_entry(tmp_path, flat_job, payload_for(flat_job))
-        assert cache.stats["disk_entries"] == 2
+        claim = cache.claim
+
+        def claim_once(key):
+            if claim_files(tmp_path):
+                raise KeyboardInterrupt
+            return claim(key)
+
+        monkeypatch.setattr(cache, "claim", claim_once)
+        with pytest.raises(KeyboardInterrupt):
+            SweepRunner(workers=1, cache=cache).run([make_job(0), make_job(1)])
+        assert claim_files(tmp_path) == []
+
+    def test_memory_only_cache_creates_no_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = ResultCache()
+        job = make_job()
+        key = cache.key_for(job)
+        assert cache.claim(key) and cache.claim(key)
+        cache.release(key)
+        runner = SweepRunner(workers=1, cache=cache)
+        runner.run([job, job])
+        assert runner.stats.executed == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestMaintenance:
+    def test_clear_removes_every_entry(self, tmp_path):
+        job = make_job()
+        cache = ResultCache(tmp_path)
+        cache.store(job, payload_for(job))
+        assert cache.stats["disk_entries"] == 1
         cache.clear()
         fresh = ResultCache(tmp_path)
-        assert fresh.lookup(sharded_job) is None
-        assert fresh.lookup(flat_job) is None
+        assert fresh.lookup(job) is None
         assert fresh.stats["disk_entries"] == 0
-
-    def test_entry_count_is_not_double_counted_mid_migration(self, tmp_path):
-        """A key present in both layouts (crash mid-migration) counts once."""
-        job = make_job()
-        payload = payload_for(job)
-        cache = ResultCache(tmp_path)
-        cache.store(job, payload)
-        self.seed_flat_entry(tmp_path, job, payload)
-        assert cache.stats["disk_entries"] == 1
-        assert cache.lookup(job) == payload
 
 
 class TestMemoryLayer:

@@ -9,6 +9,7 @@ cross-reference that keeps the knob table in sync with the code.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -545,13 +546,28 @@ class TestScenarioPlumbing:
         assert {"time_rel_err", "exposed_delta_frac", "slowdown_frac"} <= metrics
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _env_var_literals(*roots: Path) -> set:
+    """Every string literal spelling a ``REPRO_*`` name in the Python files under ``roots``."""
+    names = set()
+    for root in roots:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value):
+                        names.add(node.value)
+    return names
+
+
 class TestKnobsDocCrossReference:
     """docs/KNOBS.md is the authoritative knob table; this test keeps it from
     rotting by requiring every code-level knob name to appear in it."""
 
     @pytest.fixture(scope="class")
     def knob_tokens(self):
-        doc = Path(__file__).resolve().parents[1] / "docs" / "KNOBS.md"
+        doc = REPO / "docs" / "KNOBS.md"
         assert doc.is_file(), "docs/KNOBS.md is missing"
         return set(re.findall(r"`([^`]+)`", doc.read_text(encoding="utf-8")))
 
@@ -588,15 +604,19 @@ class TestKnobsDocCrossReference:
             )
 
     def test_runtime_environment_variables_are_documented(self, knob_tokens):
-        for name in (
-            "REPRO_WORKERS",
-            "REPRO_CACHE_DIR",
-            "REPRO_DAEMON",
-            "REPRO_DAEMON_HOST",
-            "REPRO_DAEMON_PORT",
-            "REPRO_SCENARIOS_DIR",
-            "REPRO_TRACES_DIR",
-        ):
+        names = _env_var_literals(REPO / "src" / "repro")
+        assert names, "no REPRO_* string literal found under src/repro"
+        for name in sorted(names):
             assert name in knob_tokens, (
                 f"environment variable {name!r} is not documented in docs/KNOBS.md"
             )
+
+    def test_documented_environment_variables_are_read(self):
+        text = (REPO / "docs" / "KNOBS.md").read_text(encoding="utf-8")
+        section = text.split("## Runtime environment variables", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"`(REPRO_[A-Z0-9_]+)`", section))
+        assert documented, "docs/KNOBS.md has no runtime environment variable table"
+        read = _env_var_literals(*(REPO / part for part in ("src", "tests", "benchmarks")))
+        assert not documented - read, (
+            f"docs/KNOBS.md documents {sorted(documented - read)}, but no code reads them"
+        )

@@ -185,7 +185,8 @@ class TestCache:
         SweepRunner(workers=1, cache=ResultCache(tmp_path, version="v1")).run_one(job)
         current = ResultCache(tmp_path, version="v2")
         SweepRunner(workers=1, cache=current).run_one(job)
-        unreadable = tmp_path / ("0" * 64 + ".json")
+        unreadable = tmp_path / "00" / ("0" * 64 + ".json")
+        unreadable.parent.mkdir(exist_ok=True)
         unreadable.write_text("{ not json", encoding="utf-8")
         assert len(list(tmp_path.glob("**/*.json"))) == 3
         # The v1 entry and the unreadable file go; the v2 entry stays usable.
