@@ -110,8 +110,7 @@ class AceEngine:
     def ingress(self, chunk_bytes: float, earliest_start: float) -> float:
         """TX DMA the chunk from main memory into the phase-0 partition."""
         self._require_configured()
-        reservation = self.tx_dma.transfer(chunk_bytes, earliest_start)
-        return reservation.finish
+        return self.tx_dma.transfer(chunk_bytes, earliest_start)[1]
 
     def process_phase(
         self,
@@ -128,12 +127,15 @@ class AceEngine:
         is booked.  Returns the time at which the phase's outgoing data has
         been handed to the port buffers (i.e. is ready for link injection).
         """
-        self._require_configured()
+        if self._plan is None:
+            self._require_configured()
         touched_bytes = send_bytes + reduce_bytes + forward_bytes
         sram_time = touched_bytes / self.ace.sram_bandwidth_gbps if touched_bytes else 0.0
         alu_time = reduce_bytes / self.ace.alu_throughput_gbps if reduce_bytes else 0.0
-        control_time = self.PHASE_CONTROL_OVERHEAD_CYCLES * self._cycle_ns * max(1, steps)
-        duration = max(sram_time, alu_time) + control_time
+        control_time = (
+            self.PHASE_CONTROL_OVERHEAD_CYCLES * self._cycle_ns * (steps if steps > 1 else 1)
+        )
+        duration = (alu_time if alu_time > sram_time else sram_time) + control_time
         _, _, finish = self.fsms.acquire(phase_name, earliest_start, duration)
         if reduce_bytes:
             self.alus.reduce(reduce_bytes)
@@ -142,8 +144,7 @@ class AceEngine:
     def egress(self, chunk_bytes: float, earliest_start: float) -> float:
         """RX DMA the finished chunk from the terminal partition to main memory."""
         self._require_configured()
-        reservation = self.rx_dma.transfer(chunk_bytes, earliest_start)
-        return reservation.finish
+        return self.rx_dma.transfer(chunk_bytes, earliest_start)[1]
 
     # ------------------------------------------------------------------
     # Statistics

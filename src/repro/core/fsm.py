@@ -29,7 +29,8 @@ class FsmPool:
             raise ResourceError(f"need at least one FSM, got {num_fsms}")
         self.num_fsms = num_fsms
         self._assignment: Dict[str, List[int]] = {}
-        self._per_phase_slots: Dict[str, SlotResource] = {}
+        #: Per phase: the slot pool it draws from and the FSM id of each slot.
+        self._per_phase: Dict[str, Tuple[SlotResource, List[int]]] = {}
 
     # ------------------------------------------------------------------
     # Programming
@@ -52,16 +53,16 @@ class FsmPool:
                 phase = unique_names[fsm_id % len(unique_names)]
                 assignment[phase].append(fsm_id)
             per_phase = {
-                phase: SlotResource(f"fsm[{phase}]", len(fsms))
+                phase: (SlotResource(f"fsm[{phase}]", len(fsms)), fsms)
                 for phase, fsms in assignment.items()
             }
         else:
             all_fsms = list(range(self.num_fsms))
             assignment = {name: list(all_fsms) for name in unique_names}
             shared = SlotResource("fsm[shared]", self.num_fsms)
-            per_phase = {name: shared for name in unique_names}
+            per_phase = {phase: (shared, fsms) for phase, fsms in assignment.items()}
         self._assignment = assignment
-        self._per_phase_slots = per_phase
+        self._per_phase = per_phase
         return dict(assignment)
 
     @property
@@ -73,14 +74,16 @@ class FsmPool:
     # ------------------------------------------------------------------
     def acquire(self, phase: str, earliest_start: float, duration: float) -> Tuple[int, float, float]:
         """Occupy one FSM programmed for ``phase`` for ``duration`` ns."""
-        if phase not in self._per_phase_slots:
-            raise SchedulingError(f"no FSM programmed for phase {phase!r}")
-        slot, start, finish = self._per_phase_slots[phase].acquire(earliest_start, duration)
-        return self._assignment[phase][slot], start, finish
+        try:
+            pool, fsm_ids = self._per_phase[phase]
+        except KeyError:
+            raise SchedulingError(f"no FSM programmed for phase {phase!r}") from None
+        slot, start, finish = pool.acquire(earliest_start, duration)
+        return fsm_ids[slot], start, finish
 
     def _pools(self) -> List[SlotResource]:
         """The distinct slot pools; shared programming maps every phase to one."""
-        return list(dict.fromkeys(self._per_phase_slots.values()))
+        return list(dict.fromkeys(pool for pool, _ in self._per_phase.values()))
 
     def utilization(self, horizon_ns: float) -> float:
         """Average fraction of all FSMs busy over ``horizon_ns``."""

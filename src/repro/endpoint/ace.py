@@ -49,12 +49,12 @@ class AceEndpoint(Endpoint):
 
     def process_phase(self, work: PhaseWork, earliest_start: float) -> float:
         return self.engine.process_phase(
-            phase_name=work.phase_name,
-            send_bytes=work.send_bytes,
-            reduce_bytes=work.reduce_bytes,
-            forward_bytes=work.forward_bytes,
-            steps=work.steps,
-            earliest_start=earliest_start,
+            work.phase_name,
+            work.send_bytes,
+            work.reduce_bytes,
+            work.forward_bytes,
+            work.steps,
+            earliest_start,
         )
 
     def egress(self, chunk_bytes: float, earliest_start: float) -> float:

@@ -98,10 +98,15 @@ class BaselineEndpoint(Endpoint):
             write_bytes += work.send_bytes
         finish = earliest_start
         if read_bytes > 0:
-            mem = self._comm_memory.read(read_bytes, earliest_start)
-            sm = self._sm_pipe.reserve(read_bytes, earliest_start)
-            bus = self.bus.transfer(work.send_bytes + work.forward_bytes, earliest_start)
-            finish = max(mem.finish, sm.finish, bus.finish)
+            finish = self._comm_memory.read(read_bytes, earliest_start)[1]
+            sm_finish = self._sm_pipe.reserve_times(read_bytes, earliest_start)[1]
+            if sm_finish > finish:
+                finish = sm_finish
+            bus_finish = self.bus.transfer(
+                work.send_bytes + work.forward_bytes, earliest_start
+            )[1]
+            if bus_finish > finish:
+                finish = bus_finish
         self._write_bytes += write_bytes
         return finish + self.PHASE_SOFTWARE_LATENCY_NS
 

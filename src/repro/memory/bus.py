@@ -9,8 +9,10 @@ models here.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.errors import ConfigurationError
-from repro.sim.resources import BandwidthResource, Reservation
+from repro.sim.resources import BandwidthResource
 
 
 class Bus:
@@ -33,9 +35,13 @@ class Bus:
             latency_ns=transaction_overhead_ns,
         )
 
-    def transfer(self, num_bytes: float, earliest_start: float) -> Reservation:
-        """Move ``num_bytes`` across the bus (FIFO with earlier transfers)."""
-        return self._pipe.reserve(num_bytes, earliest_start)
+    def transfer(self, num_bytes: float, earliest_start: float) -> Tuple[float, float]:
+        """Move ``num_bytes`` across the bus (FIFO with earlier transfers).
+
+        Returns the ``(start, finish)`` pair; ``finish`` includes the
+        transaction overhead.
+        """
+        return self._pipe.reserve_times(num_bytes, earliest_start)
 
     @property
     def busy_time(self) -> float:

@@ -14,12 +14,12 @@ the finish time.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.memory.bus import Bus
 from repro.memory.hbm import MemoryPartition
-from repro.sim.resources import BandwidthResource, Reservation
+from repro.sim.resources import BandwidthResource
 
 
 class DmaEngine:
@@ -43,17 +43,24 @@ class DmaEngine:
         self.bus = bus
         self._engine = BandwidthResource(name=f"dma[{name}]", bandwidth_gbps=bandwidth_gbps)
 
-    def transfer(self, num_bytes: float, earliest_start: float) -> Reservation:
-        """Move ``num_bytes``; returns the completion reservation of the slowest leg."""
-        legs = [self._engine.reserve(num_bytes, earliest_start)]
+    def transfer(self, num_bytes: float, earliest_start: float) -> Tuple[float, float]:
+        """Move ``num_bytes``; returns the ``(start, finish)`` pair of the slowest leg.
+
+        Legs are booked engine, bus, memory; on a tie in finish time the
+        earlier leg wins.
+        """
+        slowest = self._engine.reserve_times(num_bytes, earliest_start)
         if self.bus is not None:
-            legs.append(self.bus.transfer(num_bytes, earliest_start))
+            leg = self.bus.transfer(num_bytes, earliest_start)
+            if leg[1] > slowest[1]:
+                slowest = leg
         if self.memory is not None:
             if self.direction == "tx":
-                legs.append(self.memory.read(num_bytes, earliest_start))
+                leg = self.memory.read(num_bytes, earliest_start)
             else:
-                legs.append(self.memory.write(num_bytes, earliest_start))
-        slowest = max(legs, key=lambda r: r.finish)
+                leg = self.memory.write(num_bytes, earliest_start)
+            if leg[1] > slowest[1]:
+                slowest = leg
         return slowest
 
     @property

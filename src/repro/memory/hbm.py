@@ -15,10 +15,10 @@ for analysis.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError, ResourceError
-from repro.sim.resources import BandwidthResource, Reservation
+from repro.sim.resources import BandwidthResource
 
 
 class MemoryPartition:
@@ -54,15 +54,15 @@ class MemoryPartition:
         self._read_bytes = 0.0
         self._write_bytes = 0.0
 
-    def read(self, num_bytes: float, earliest_start: float) -> Reservation:
-        """Stream ``num_bytes`` of reads through this partition."""
+    def read(self, num_bytes: float, earliest_start: float) -> Tuple[float, float]:
+        """Stream ``num_bytes`` of reads through this partition: ``(start, finish)``."""
         self._read_bytes += num_bytes
-        return self._read_pipe.reserve(num_bytes, earliest_start)
+        return self._read_pipe.reserve_times(num_bytes, earliest_start)
 
-    def write(self, num_bytes: float, earliest_start: float) -> Reservation:
-        """Stream ``num_bytes`` of writes through this partition."""
+    def write(self, num_bytes: float, earliest_start: float) -> Tuple[float, float]:
+        """Stream ``num_bytes`` of writes through this partition: ``(start, finish)``."""
         self._write_bytes += num_bytes
-        return self._write_pipe.reserve(num_bytes, earliest_start)
+        return self._write_pipe.reserve_times(num_bytes, earliest_start)
 
     @property
     def read_bytes(self) -> float:

@@ -12,60 +12,31 @@ module.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 
 Callback = Callable[..., None]
 
+#: A scheduled event, as held in the heap: ``[time, priority, seq, callback,
+#: args]``.  :meth:`Simulator.schedule_at` returns the entry itself as the
+#: event's handle; :meth:`Simulator.cancel` clears its callback.
+EventHandle = List[Any]
 
-class Event:
-    """A single scheduled callback.
-
-    Ordering is by ``(time, priority, seq)``: earlier times first, then lower
-    priority values, then insertion order, which makes the simulation fully
-    deterministic for a fixed model.  The heap holds ``(time, priority, seq,
-    event)`` tuples so ordering is decided by C tuple comparison (``seq`` is
-    unique, so the event itself is never compared) — with hundreds of
-    thousands of events per run, a python ``__lt__`` per heap sift is real
-    wall-clock.
-    """
-
-    __slots__ = ("time", "priority", "seq", "callback", "args", "kwargs", "cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callback,
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        # ``None`` (not ``{}``) when absent: skips a dict allocation per
-        # event, and the vast majority of events carry no kwargs.
-        self.kwargs = kwargs
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event so the simulator skips it when popped."""
-        self.cancelled = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"Event(t={self.time}, prio={self.priority}, seq={self.seq}, "
-            f"{getattr(self.callback, '__name__', self.callback)!r})"
-        )
+_INF = float("inf")
 
 
 class Simulator:
     """Discrete-event simulator with a nanosecond clock.
+
+    Events fire in ``(time, priority, seq)`` order: earlier times first, then
+    lower priority values, then insertion order, which makes the simulation
+    fully deterministic for a fixed model.  Each event is one heap entry, a
+    ``[time, priority, seq, callback, args]`` list, so ordering is decided by
+    C list comparison (``seq`` is unique, so the callback is never compared)
+    and scheduling allocates nothing beyond that list and its argument tuple
+    -- a comm-heavy job schedules about a million events.
 
     Example
     -------
@@ -82,8 +53,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        # Heap of (time, priority, seq, Event); see Event for why tuples.
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._queue: List[EventHandle] = []
         self._seq: int = 0
         self._processed: int = 0
         self._running: bool = False
@@ -110,36 +80,38 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(
-        self,
-        delay: float,
-        callback: Callback,
-        *args: Any,
-        priority: int = 0,
-        **kwargs: Any,
-    ) -> Event:
-        """Schedule ``callback`` to run ``delay`` ns after the current time."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority, **kwargs)
+        self, delay: float, callback: Callback, *args: Any, priority: int = 0
+    ) -> EventHandle:
+        """Schedule ``callback(*args)`` to run ``delay`` ns after the current time."""
+        if not delay >= 0:
+            raise SimulationError(
+                f"cannot schedule event in the past or at a NaN delay (delay={delay})"
+            )
+        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callback,
-        *args: Any,
-        priority: int = 0,
-        **kwargs: Any,
-    ) -> Event:
-        """Schedule ``callback`` at an absolute simulation time."""
-        if time < self._now:
+        self, time: float, callback: Callback, *args: Any, priority: int = 0
+    ) -> EventHandle:
+        """Schedule ``callback(*args)`` at an absolute simulation time.
+
+        ``time`` must be finite and no earlier than :attr:`now`; a NaN or
+        infinite time is a model bug, and the heap would otherwise fire it
+        out of order.  Returns the event's handle for :meth:`cancel`.
+        """
+        if not self._now <= time < _INF:
             raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self._now}"
+                f"cannot schedule event at t={time}: event times must be finite "
+                f"and no earlier than the current time t={self._now}"
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, priority, seq, callback, args, kwargs or None)
-        heapq.heappush(self._queue, (time, priority, seq, event))
-        return event
+        entry = [time, priority, seq, callback, args]
+        heappush(self._queue, entry)
+        return entry
+
+    def cancel(self, handle: EventHandle) -> None:
+        """Skip the event behind ``handle``; a fired event is left untouched."""
+        handle[3] = None
 
     # ------------------------------------------------------------------
     # Execution
@@ -152,36 +124,31 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
-        # One heap-top inspection per event and no per-event method-call
-        # frames: this loop runs hundreds of thousands of times in a
-        # detailed-backend simulation.
         queue = self._queue
-        heappop = heapq.heappop
+        limit = _INF if until is None else until
+        # Counts down to 0; from -1 it never gets there.
+        remaining = -1 if max_events is None else max_events
         try:
-            executed = 0
+            # One pop per event and no per-event method-call frames: a
+            # comm-heavy job runs about a million events through here.
             while queue:
-                event = queue[0][3]
-                if event.cancelled:
-                    heappop(queue)
+                entry = heappop(queue)
+                time, _, _, callback, args = entry
+                if callback is None:
                     continue
-                time = event.time
-                if until is not None and time > until:
-                    self._now = until
+                if time > limit or remaining == 0:
+                    # Not due in this run: put it back.  ``(time, priority,
+                    # seq)`` is unique, so its place in the order is kept.
+                    heappush(queue, entry)
                     break
-                if max_events is not None and executed >= max_events:
-                    break
-                heappop(queue)
                 self._now = time
-                kwargs = event.kwargs
-                if kwargs:
-                    event.callback(*event.args, **kwargs)
-                else:
-                    event.callback(*event.args)
+                callback(*args)
                 self._processed += 1
-                executed += 1
-            else:
-                if until is not None and until > self._now:
-                    self._now = until
+                remaining -= 1
+            if until is not None and until > self._now and (not queue or queue[0][0] > until):
+                # No event due by ``until`` is left, so the clock reaches it
+                # (a run stopped by ``max_events`` leaves one at the head).
+                self._now = until
         finally:
             self._running = False
         return self._now

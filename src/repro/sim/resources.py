@@ -76,9 +76,9 @@ class BandwidthResource:
         latency_ns: float = 0.0,
         trace: Optional[IntervalTracer] = None,
     ) -> None:
-        if bandwidth_gbps <= 0:
+        if not bandwidth_gbps > 0:
             raise ResourceError(f"{name}: bandwidth must be positive, got {bandwidth_gbps}")
-        if latency_ns < 0:
+        if not latency_ns >= 0:
             raise ResourceError(f"{name}: latency must be non-negative, got {latency_ns}")
         self.name = name
         self.bandwidth_gbps = bandwidth_gbps
@@ -98,8 +98,8 @@ class BandwidthResource:
         Returns the FIFO-consistent start and finish times and advances the
         internal "next free" pointer.
         """
-        if num_bytes < 0:
-            raise ResourceError(f"{self.name}: cannot transfer negative bytes ({num_bytes})")
+        if not num_bytes >= 0:
+            raise ResourceError(f"{self.name}: cannot transfer {num_bytes} bytes")
         start = max(earliest_start, self._next_free)
         serialization = num_bytes / self.bandwidth_gbps
         end = start + serialization
@@ -119,8 +119,8 @@ class BandwidthResource:
         path calls this tens of thousands of times per run and needs only
         the two times.
         """
-        if num_bytes < 0:
-            raise ResourceError(f"{self.name}: cannot transfer negative bytes ({num_bytes})")
+        if not num_bytes >= 0:
+            raise ResourceError(f"{self.name}: cannot transfer {num_bytes} bytes")
         next_free = self._next_free
         start = earliest_start if earliest_start > next_free else next_free
         serialization = num_bytes / self.bandwidth_gbps
@@ -174,8 +174,8 @@ class BandwidthResource:
                 f"{self.name}: reserve_batch needs matching 1-D sequences, "
                 f"got shapes {num_bytes.shape} and {earliest.shape}"
             )
-        if np.any(num_bytes < 0):
-            raise ResourceError(f"{self.name}: cannot transfer negative bytes")
+        if not np.all(num_bytes >= 0):
+            raise ResourceError(f"{self.name}: cannot transfer negative or NaN bytes")
         serialization = num_bytes / self.bandwidth_gbps
         # start[i] = max(earliest[i], start[i-1] + ser[i-1]), seeded with
         # next_free.  Subtracting the serialization prefix sum turns the
@@ -226,8 +226,8 @@ class BandwidthResource:
         run_end = -1.0
         trace = self.trace
         for bytes_i, earliest_i in zip(num_bytes, earliest_start):
-            if bytes_i < 0:
-                raise ResourceError(f"{self.name}: cannot transfer negative bytes")
+            if not bytes_i >= 0:
+                raise ResourceError(f"{self.name}: cannot transfer {bytes_i} bytes")
             start = earliest_i if earliest_i > next_free else next_free
             serialization = bytes_i / bandwidth
             end = start + serialization
@@ -363,7 +363,7 @@ class SlotResource:
 
         Returns ``(slot_index, start, finish)``.
         """
-        if duration < 0:
+        if not duration >= 0:
             raise ResourceError(f"{self.name}: duration must be non-negative, got {duration}")
         # Manual argmin: slot counts are single digits and this runs per
         # phase, where a keyed min() lambda is measurable overhead.
@@ -374,9 +374,9 @@ class SlotResource:
             if release_times[index] < earliest:
                 slot = index
                 earliest = release_times[index]
-        start = max(earliest_start, earliest)
+        start = earliest if earliest > earliest_start else earliest_start
         finish = start + duration
-        self._release_times[slot] = finish
+        release_times[slot] = finish
         self._busy_time += duration
         return slot, start, finish
 

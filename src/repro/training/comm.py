@@ -33,8 +33,6 @@ from repro.network.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.process import Signal
 
-_collective_ids = itertools.count()
-
 #: One phase of a chunk's stage table: the plan phase, the endpoint work it
 #: costs at that chunk size, and whether it puts bytes on the fabric.
 StageRow = Tuple[PhaseSpec, PhaseWork, bool]
@@ -76,6 +74,40 @@ class CollectiveHandle:
 class _PendingCollective:
     handle: CollectiveHandle
     chunk_sizes: Deque[int] = field(default_factory=deque)
+
+
+class _StageJoin:
+    """Joins the fabric transfers of one event-mode stage.
+
+    Completion-token pattern: the issuing frame holds one token of its own,
+    so a backend whose ``transfer()`` delivers ``on_complete`` synchronously
+    cannot drain the count to zero (and schedule the next stage twice) while
+    transfers are still being issued.  The last token out schedules
+    ``next_stage`` at the latest finish folded in, or now if that has passed.
+    """
+
+    __slots__ = ("sim", "finish", "next_stage", "outstanding")
+
+    def __init__(self, sim: Simulator, finish: float, next_stage: tuple) -> None:
+        self.sim = sim
+        self.finish = finish
+        #: ``(callback, *args)`` of the event that starts the next stage.
+        self.next_stage = next_stage
+        self.outstanding = 1
+
+    def done(self, finish: float) -> None:
+        """Fold ``finish`` into the stage finish and drop one token.
+
+        Each transfer calls it as ``on_complete`` with its network finish;
+        the issuing frame calls it last with the endpoint-ready times.
+        """
+        if finish > self.finish:
+            self.finish = finish
+        self.outstanding -= 1
+        if self.outstanding == 0:
+            now = self.sim.now
+            finish = self.finish
+            self.sim.schedule_at(now if now > finish else finish, *self.next_stage)
 
 
 class CollectiveExecutor:
@@ -142,6 +174,9 @@ class CollectiveExecutor:
         self._pending: List[_PendingCollective] = []
         self._inflight_chunks = 0
         self._handles: List[CollectiveHandle] = []
+        # Per executor, so a collective's id and default label do not
+        # depend on what else the process simulated before.
+        self._collective_ids = itertools.count()
 
     # ------------------------------------------------------------------
     # Plans
@@ -216,7 +251,7 @@ class CollectiveExecutor:
         op = CollectiveOp(op)
         if payload_bytes <= 0:
             raise SchedulingError(f"collective payload must be positive, got {payload_bytes}")
-        handle_id = next(_collective_ids)
+        handle_id = next(self._collective_ids)
         label = name or f"{op.value}-{handle_id}"
         plan = self._plan(op)
         if self.topology.num_nodes <= 1 or not plan.phases:
@@ -306,101 +341,66 @@ class CollectiveExecutor:
             self.endpoint.activity.record(admitted_at, done_at)
             self.sim.schedule_at(done_at, self._chunk_done, handle)
             return
-        event_driven = self.fabric.event_driven
-        stage_finish = now
-        # Completion-token pattern: the issuing frame holds one token so a
-        # backend whose transfer() delivers on_complete synchronously cannot
-        # drain the count to zero (and double-schedule the next stage) while
-        # transfers are still being issued.
-        pending = {"outstanding": 1, "finish": now}
-        for phase, work, on_fabric in table[stage_index]:
-            ready = self.endpoint.process_phase(work, now)
-            finish = ready
-            if on_fabric:
-                if event_driven:
-                    pending["outstanding"] += 1
-                    self.fabric.transfer(
-                        self.sim,
-                        phase.dimension,
-                        work.send_bytes,
-                        phase.steps,
-                        self._make_transfer_callback(
-                            pending, ready, handle, table, chunk_size, stage_index, admitted_at
-                        ),
-                    )
-                    continue
-                reservation = self.fabric.reserve(
-                    phase.dimension, work.send_bytes, now, steps=phase.steps
-                )
-                finish = max(ready, reservation.finish)
-            stage_finish = max(stage_finish, finish)
-        if not event_driven:
-            self.sim.schedule_at(
-                stage_finish,
-                self._start_stage,
-                handle,
-                table,
-                chunk_size,
-                stage_index + 1,
-                admitted_at,
-            )
+        if self.fabric.event_driven:
+            self._start_event_stage(handle, table, chunk_size, stage_index, admitted_at)
             return
-        # Release the issuing frame's token; schedules the next stage here
-        # when no transfer is still outstanding.
-        pending["finish"] = max(pending["finish"], stage_finish)
-        self._release_stage_token(
-            pending, handle, table, chunk_size, stage_index, admitted_at
+        # Timeline mode: the stage ends when its slowest phase has both
+        # cleared the endpoint and crossed the fabric.  The comparisons
+        # return exactly what ``max`` would.
+        stage_finish = now
+        for phase, work, on_fabric in table[stage_index]:
+            finish = self.endpoint.process_phase(work, now)
+            if on_fabric:
+                network_finish = self.fabric.reserve(
+                    phase.dimension, work.send_bytes, now, phase.steps
+                ).finish
+                if network_finish > finish:
+                    finish = network_finish
+            if finish > stage_finish:
+                stage_finish = finish
+        self.sim.schedule_at(
+            stage_finish,
+            self._start_stage,
+            handle,
+            table,
+            chunk_size,
+            stage_index + 1,
+            admitted_at,
         )
 
-    def _release_stage_token(
+    def _start_event_stage(
         self,
-        pending: Dict[str, float],
         handle: CollectiveHandle,
         table: StageTable,
         chunk_size: int,
         stage_index: int,
         admitted_at: float,
     ) -> None:
-        """Drop one completion token; chain the next stage on the last one."""
-        pending["outstanding"] -= 1
-        if pending["outstanding"] == 0:
-            self.sim.schedule_at(
-                max(pending["finish"], self.sim.now),
-                self._start_stage,
-                handle,
-                table,
-                chunk_size,
-                stage_index + 1,
-                admitted_at,
-            )
+        """:meth:`_start_stage` on an event-driven backend.
 
-    def _make_transfer_callback(
-        self,
-        pending: Dict[str, float],
-        ready: float,
-        handle: CollectiveHandle,
-        table: StageTable,
-        chunk_size: int,
-        stage_index: int,
-        admitted_at: float,
-    ):
-        """Completion hook for one event-mode phase transfer.
-
-        Folds ``max(endpoint ready, network finish)`` into the stage's
-        running finish time and releases the transfer's completion token.
-        Safe for backends that invoke ``on_complete`` synchronously from
-        :meth:`~repro.network.backend.NetworkBackend.transfer`: the issuing
-        frame holds its own token, so the next stage can never be scheduled
-        twice.
+        Each on-fabric phase is handed to ``fabric.transfer``; a
+        :class:`_StageJoin` chains the next stage once the last transfer
+        has completed.  Every endpoint-ready time is folded in at issue and
+        every network finish on completion: the stage finish is the largest
+        of them, whatever the order.
         """
-
-        def _done(network_finish: float) -> None:
-            pending["finish"] = max(pending["finish"], ready, network_finish)
-            self._release_stage_token(
-                pending, handle, table, chunk_size, stage_index, admitted_at
-            )
-
-        return _done
+        now = self.sim.now
+        join = _StageJoin(
+            self.sim,
+            now,
+            (self._start_stage, handle, table, chunk_size, stage_index + 1, admitted_at),
+        )
+        stage_finish = now
+        for phase, work, on_fabric in table[stage_index]:
+            ready = self.endpoint.process_phase(work, now)
+            if ready > stage_finish:
+                stage_finish = ready
+            if on_fabric:
+                join.outstanding += 1
+                self.fabric.transfer(
+                    self.sim, phase.dimension, work.send_bytes, phase.steps, join.done
+                )
+        join.done(stage_finish)
 
     def _chunk_done(self, handle: CollectiveHandle) -> None:
         self._inflight_chunks -= 1

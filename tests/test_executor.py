@@ -25,6 +25,13 @@ def _executor(system_name="ideal", shape=(4, 2, 2), chunk_bytes=64 * KB, **overr
 
 
 class TestIssueAndCompletion:
+    def test_collective_ids_count_per_executor(self):
+        _, first = _executor()
+        first.issue("all_reduce", 64 * KB)
+        first.issue("all_reduce", 64 * KB)
+        handles = [_executor()[1].issue("all_reduce", 64 * KB) for _ in range(2)]
+        assert [(h.id, h.name) for h in handles] == [(0, "all_reduce-0")] * 2
+
     def test_single_collective_completes(self):
         sim, executor = _executor()
         handle = executor.issue("all_reduce", 1 * MB)

@@ -19,17 +19,17 @@ class TestMemoryPartition:
 
     def test_reads_and_writes_use_separate_channels(self):
         part = MemoryPartition("comm", 1.0)
-        read = part.read(100.0, 0.0)
-        write = part.write(100.0, 0.0)
+        read_start, _ = part.read(100.0, 0.0)
+        write_start, _ = part.write(100.0, 0.0)
         # Write does not queue behind the read (separate channel).
-        assert write.start == pytest.approx(0.0)
-        assert read.start == pytest.approx(0.0)
+        assert write_start == pytest.approx(0.0)
+        assert read_start == pytest.approx(0.0)
 
     def test_reads_serialize_with_reads(self):
         part = MemoryPartition("comm", 1.0)
         part.read(100.0, 0.0)
-        second = part.read(100.0, 0.0)
-        assert second.start == pytest.approx(100.0)
+        second_start, _ = part.read(100.0, 0.0)
+        assert second_start == pytest.approx(100.0)
 
     def test_invalid_bandwidth(self):
         with pytest.raises(ConfigurationError):
@@ -74,8 +74,8 @@ class TestMemorySystem:
 class TestBus:
     def test_transfer_with_overhead(self):
         bus = Bus("npu-afi", 500.0, transaction_overhead_ns=20.0)
-        r = bus.transfer(500.0, 0.0)
-        assert r.finish == pytest.approx(21.0)
+        _, finish = bus.transfer(500.0, 0.0)
+        assert finish == pytest.approx(21.0)
         assert bus.bytes_moved == 500.0
 
     def test_invalid(self):
@@ -88,9 +88,9 @@ class TestDmaEngine:
         mem = MemoryPartition("ace", 128.0)
         bus = Bus("npu-afi", 500.0)
         dma = DmaEngine("tx", 500.0, mem, bus, "tx")
-        r = dma.transfer(128_000.0, 0.0)
+        _, finish = dma.transfer(128_000.0, 0.0)
         # 128 KB at 128 GB/s = 1000 ns dominates the bus (256 ns) and engine.
-        assert r.finish == pytest.approx(1000.0, rel=0.05)
+        assert finish == pytest.approx(1000.0, rel=0.05)
         assert mem.read_bytes == 128_000.0
 
     def test_rx_direction_writes_memory(self):

@@ -1,5 +1,7 @@
 """Bandwidth and slot resources."""
 
+import math
+
 import pytest
 
 from repro.errors import ResourceError
@@ -106,6 +108,30 @@ class TestBandwidthResource:
         assert list(zip(tracer._starts, tracer._ends)) == [(0.0, 50.0), (100.0, 120.0)]
         assert tracer.busy_time() == 70.0
 
+    @pytest.mark.parametrize(
+        "book",
+        [
+            lambda pipe, size: pipe.reserve(size, 0.0),
+            lambda pipe, size: pipe.reserve_times(size, 0.0),
+            lambda pipe, size: pipe.reserve_batch([1.0, size], [0.0, 0.0]),
+            lambda pipe, size: pipe.reserve_batch([1.0] * 40 + [size], [0.0] * 41),
+        ],
+        ids=["reserve", "reserve_times", "reserve_batch-small", "reserve_batch-vectorized"],
+    )
+    def test_nan_bytes_rejected_without_booking(self, book):
+        pipe = BandwidthResource("p", bandwidth_gbps=1.0)
+        pipe.reserve(10.0, 0.0)
+        with pytest.raises(ResourceError):
+            book(pipe, math.nan)
+        # Not poisoned: the next request still queues behind the first.
+        assert (pipe.next_free, pipe.busy_time) == (10.0, 10.0)
+        assert pipe.reserve_times(10.0, 0.0) == (10.0, 20.0)
+
+    @pytest.mark.parametrize("latency_ns, bandwidth_gbps", [(0.0, math.nan), (math.nan, 1.0)])
+    def test_nan_parameters_rejected(self, latency_ns, bandwidth_gbps):
+        with pytest.raises(ResourceError):
+            BandwidthResource("p", bandwidth_gbps=bandwidth_gbps, latency_ns=latency_ns)
+
 
 class TestSlotResource:
     def test_parallel_slots(self):
@@ -136,6 +162,15 @@ class TestSlotResource:
         slots = SlotResource("s", 1)
         with pytest.raises(ResourceError):
             slots.acquire(0.0, -1.0)
+
+    def test_nan_duration_rejected_without_booking(self):
+        slots = SlotResource("s", 2)
+        slots.acquire(0.0, 10.0)
+        with pytest.raises(ResourceError):
+            slots.acquire(0.0, math.nan)
+        # Slot 1 is still the free one; slot 0 stays busy until t=10.
+        assert slots.acquire(0.0, 5.0) == (1, 0.0, 5.0)
+        assert slots.acquire(0.0, 5.0) == (1, 5.0, 10.0)
 
     def test_reset(self):
         slots = SlotResource("s", 1)

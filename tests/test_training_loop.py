@@ -1,10 +1,14 @@
 """Training-loop simulation and result accounting."""
 
+from collections import Counter
+
 import pytest
 
 from repro.config.presets import make_system
 from repro.errors import SimulationError
+from repro.network.symmetric import SymmetricFabric
 from repro.network.topology import Torus3D
+from repro.sim.resources import BandwidthResource, Reservation
 from repro.sim.trace import IntervalTracer
 from repro.training.loop import TrainingLoop, simulate_training
 from repro.training.results import IterationBreakdown, TrainingResult
@@ -170,6 +174,39 @@ class TestRecordedTracers:
         assert recorded
         unread = sorted(tracer.name for tracer in recorded.difference(read))
         assert not unread, f"tracers record but no result reads them: {unread}"
+
+
+class TestChunkPathAllocations:
+    """The chunk hot path builds one ``Reservation`` per fabric booking and no more."""
+
+    @pytest.mark.parametrize("system_name", ["ace", "baseline_comm_opt"])
+    def test_one_reservation_per_symmetric_booking(self, small_resnet, monkeypatch, system_name):
+        counts = Counter()
+        new = Reservation.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            counts["reservations"] += 1
+            return new(cls, *args, **kwargs)
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Reservation, "__new__", staticmethod(counting_new))
+        monkeypatch.setattr(
+            SymmetricFabric, "reserve", counted("fabric", SymmetricFabric.reserve)
+        )
+        monkeypatch.setattr(
+            BandwidthResource, "reserve", counted("resource", BandwidthResource.reserve)
+        )
+        system = make_system(system_name).with_overrides(network_backend="symmetric")
+        TrainingLoop(system, 16, small_resnet, iterations=1, chunk_bytes=CHUNK).run()
+        assert counts["fabric"] > 0
+        assert counts["reservations"] == counts["fabric"]
+        assert counts["resource"] == 0
 
 
 class TestTrainingResult:
