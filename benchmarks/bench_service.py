@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Runner benchmark: warm pool, cached lookups, concurrent runs.
 
-Emits ``BENCH_service.json`` — the runner-layer companion to
-``BENCH_backends.json`` — with four measurements:
+Emits ``BENCH_service.json`` with four runner-layer measurements:
 
 * **cold vs warm batch latency** — the same small batch run on a fresh
   spawn-method :class:`~repro.runner.SweepRunner` (the pool spawns and the

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Trace-pipeline benchmark: load+lower wall time vs hand-coded job build.
 
-Emits ``BENCH_traces.json`` — the trace-subsystem companion to
-``BENCH_backends.json``.  For each benchmarked workload and platform size
-(8–64 NPUs) one row records:
+Emits ``BENCH_traces.json``.  For each benchmarked workload and platform
+size (8–64 NPUs) one row records:
 
 * ``hand_build_s`` — wall time of the hand-coded path: ``build_workload``
   constructing the Workload object a training SimJob executes.

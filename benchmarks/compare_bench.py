@@ -1,27 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark-regression gate: diff a fresh BENCH_backends.json against the
-committed baseline.
-
-Rows are matched by their ``(backend, num_npus, workload)`` identity and two
-comparisons gate the CI ``fast-benchmarks`` job:
-
-* ``wall_s`` — the wall-clock time of the cell may not regress (grow) by
-  more than the tolerance, default 25%.  Getting *faster* never fails.
-* ``iteration_time_us`` — the *simulated* result is deterministic, so it
-  must match the baseline exactly (to float-formatting precision); a drift
-  here is a modelling change, not noise, and must be re-baselined on
-  purpose.
-
-Missing or extra cells fail the gate too: silently dropping a benchmark cell
-would otherwise read as "no regression".
-
-On top of the baseline diff, the *fresh* run must keep the detailed backend
-affordable: at every 32-NPU cell present for both backends, the
-detailed/symmetric wall-time ratio may not exceed ``--max-detailed-ratio``
-(default 2.0, env ``REPRO_BENCH_MAX_DETAILED_RATIO``).  Both walls come from
-the same run on the same machine, so the ratio is hardware-independent; it
-is the property the detailed hot path's coalescing/batching work bought, and
-this gate keeps it bought.
+"""Benchmark gates for the runner and trace-pipeline benchmarks.
 
 The runner benchmark (``BENCH_service.json``) is gated with
 ``--service``: the warm-pool batch must be at least ``--min-warm-speedup``
@@ -41,15 +19,12 @@ the gate keeps trace loading a negligible fraction of any sweep cell.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/compare_bench.py BENCH_backends.json \
-        [--baseline benchmarks/baselines/BENCH_backends.json] \
-        [--tolerance 0.25]
     PYTHONPATH=src python benchmarks/compare_bench.py --service BENCH_service.json
+    PYTHONPATH=src python benchmarks/compare_bench.py --traces BENCH_traces.json
 
-The tolerance can also be set with the ``REPRO_BENCH_TOLERANCE`` environment
-variable (the flag wins).  To re-baseline intentionally, regenerate with
-``python -m repro bench --out benchmarks/baselines/BENCH_backends.json`` and
-commit the result together with the change that motivated it.
+Simulated results are pinned in ``tests/test_regression_golden.py``, and the
+detailed/symmetric wall ratio is bounded by the slow-marked
+``benchmarks/test_backend_wall_ratio.py``.
 """
 
 from __future__ import annotations
@@ -59,21 +34,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Tuple
-
-DEFAULT_BASELINE = Path(__file__).parent / "baselines" / "BENCH_backends.json"
-TOLERANCE_ENV = "REPRO_BENCH_TOLERANCE"
-DEFAULT_TOLERANCE = 0.25
-
-#: NPU count at which the detailed/symmetric wall ratio is gated — the
-#: largest cell the detailed backend benchmarks (the top of its "auto" rung).
-RATIO_NPUS = 32
-RATIO_ENV = "REPRO_BENCH_MAX_DETAILED_RATIO"
-DEFAULT_MAX_DETAILED_RATIO = 2.0
-
-#: Relative slack for the "exact" simulated-result comparison; absorbs float
-#: formatting of the JSON snapshot only, exactly like the golden-value suite.
-SIM_REL_TOL = 1e-9
+from typing import List
 
 #: Runner gates (``--service``): minimum warm-pool speedup over a cold
 #: start, and minimum cache-served fraction on a second paper-fast run.
@@ -86,90 +47,6 @@ DEFAULT_MIN_CACHED_FRACTION = 0.95
 #: a multiple of the hand-coded workload build for the same cell.
 LOWER_RATIO_ENV = "REPRO_BENCH_MAX_LOWER_RATIO"
 DEFAULT_MAX_LOWER_RATIO = 25.0
-
-Key = Tuple[str, int, str]
-
-
-def _load_rows(path: Path) -> Dict[Key, Dict[str, object]]:
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"error: {path} is not valid JSON: {exc}")
-    rows = payload.get("results")
-    if not isinstance(rows, list) or not rows:
-        raise SystemExit(f"error: {path} has no 'results' rows")
-    indexed: Dict[Key, Dict[str, object]] = {}
-    for row in rows:
-        key = (str(row["backend"]), int(row["num_npus"]), str(row["workload"]))
-        indexed[key] = row
-    return indexed
-
-
-def compare(
-    baseline: Dict[Key, Dict[str, object]],
-    fresh: Dict[Key, Dict[str, object]],
-    tolerance: float,
-) -> List[str]:
-    """All regression messages between two benchmark row sets (empty = pass)."""
-    problems: List[str] = []
-    for key in sorted(set(baseline) - set(fresh)):
-        problems.append(f"cell {key} is in the baseline but missing from the fresh run")
-    for key in sorted(set(fresh) - set(baseline)):
-        problems.append(
-            f"cell {key} is new (not in the baseline); re-baseline to start tracking it"
-        )
-    for key in sorted(set(baseline) & set(fresh)):
-        base_row, fresh_row = baseline[key], fresh[key]
-        base_iter = float(base_row["iteration_time_us"])
-        fresh_iter = float(fresh_row["iteration_time_us"])
-        if abs(fresh_iter - base_iter) > SIM_REL_TOL * max(abs(base_iter), 1.0):
-            problems.append(
-                f"cell {key}: simulated iteration_time_us changed "
-                f"{base_iter!r} -> {fresh_iter!r} (deterministic result; "
-                f"re-baseline if the modelling change is intentional)"
-            )
-        base_wall = float(base_row["wall_s"])
-        fresh_wall = float(fresh_row["wall_s"])
-        if fresh_wall > base_wall * (1.0 + tolerance):
-            problems.append(
-                f"cell {key}: wall time regressed {base_wall:.3f}s -> "
-                f"{fresh_wall:.3f}s (+{100.0 * (fresh_wall / base_wall - 1.0):.1f}%, "
-                f"tolerance {100.0 * tolerance:.0f}%)"
-            )
-    return problems
-
-
-def check_detailed_ratio(
-    fresh: Dict[Key, Dict[str, object]], max_ratio: float
-) -> List[str]:
-    """Gate the fresh run's detailed/symmetric wall ratio at :data:`RATIO_NPUS`.
-
-    Compares same-run, same-machine walls, so the ratio is hardware
-    independent.  Cells missing either backend are skipped (the baseline
-    diff already flags missing cells).
-    """
-    problems: List[str] = []
-    for (backend, npus, workload), row in sorted(fresh.items()):
-        if backend != "detailed" or npus != RATIO_NPUS:
-            continue
-        reference = fresh.get(("symmetric", npus, workload))
-        if reference is None:
-            continue
-        detailed_wall = float(row["wall_s"])
-        symmetric_wall = float(reference["wall_s"])
-        if symmetric_wall <= 0:
-            continue
-        ratio = detailed_wall / symmetric_wall
-        if ratio > max_ratio:
-            problems.append(
-                f"detailed backend too slow at {npus} NPUs ({workload}): "
-                f"{detailed_wall:.3f}s vs symmetric {symmetric_wall:.3f}s = "
-                f"{ratio:.2f}x wall (max {max_ratio:.2f}x; the detailed hot "
-                f"path's coalescing/batching must keep this bounded)"
-            )
-    return problems
 
 
 def check_service(
@@ -266,32 +143,10 @@ def check_traces(path: Path, max_lower_ratio: float) -> List[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "fresh", nargs="?", default=None, help="freshly generated BENCH_backends.json"
-    )
-    parser.add_argument(
-        "--baseline",
-        default=str(DEFAULT_BASELINE),
-        help=f"committed baseline (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help=f"allowed fractional wall-time regression (default {DEFAULT_TOLERANCE}, "
-        f"or ${TOLERANCE_ENV})",
-    )
-    parser.add_argument(
-        "--max-detailed-ratio",
-        type=float,
-        default=None,
-        help=f"max detailed/symmetric wall ratio at {RATIO_NPUS} NPUs in the "
-        f"fresh run (default {DEFAULT_MAX_DETAILED_RATIO}, or ${RATIO_ENV})",
-    )
-    parser.add_argument(
         "--service",
         metavar="BENCH_service.json",
         default=None,
-        help="also (or only) gate a runner benchmark payload",
+        help="gate a runner benchmark payload",
     )
     parser.add_argument(
         "--min-warm-speedup",
@@ -311,7 +166,7 @@ def main(argv=None) -> int:
         "--traces",
         metavar="BENCH_traces.json",
         default=None,
-        help="also (or only) gate a trace-pipeline benchmark payload",
+        help="gate a trace-pipeline benchmark payload",
     )
     parser.add_argument(
         "--max-lower-ratio",
@@ -321,21 +176,8 @@ def main(argv=None) -> int:
         f"build (default {DEFAULT_MAX_LOWER_RATIO}, or ${LOWER_RATIO_ENV})",
     )
     args = parser.parse_args(argv)
-    if args.fresh is None and args.service is None and args.traces is None:
-        parser.error(
-            "nothing to gate: pass a BENCH_backends.json, --service and/or --traces"
-        )
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = float(os.environ.get(TOLERANCE_ENV, DEFAULT_TOLERANCE))
-    if tolerance < 0:
-        raise SystemExit(f"error: tolerance must be non-negative, got {tolerance}")
-    max_ratio = args.max_detailed_ratio
-    if max_ratio is None:
-        max_ratio = float(os.environ.get(RATIO_ENV, DEFAULT_MAX_DETAILED_RATIO))
-    if max_ratio <= 0:
-        raise SystemExit(f"error: max detailed ratio must be positive, got {max_ratio}")
-
+    if args.service is None and args.traces is None:
+        parser.error("nothing to gate: pass --service and/or --traces")
     min_warm_speedup = args.min_warm_speedup
     if min_warm_speedup is None:
         min_warm_speedup = float(os.environ.get(WARM_SPEEDUP_ENV, DEFAULT_MIN_WARM_SPEEDUP))
@@ -353,21 +195,6 @@ def main(argv=None) -> int:
         )
 
     problems: List[str] = []
-    if args.fresh is not None:
-        baseline = _load_rows(Path(args.baseline))
-        fresh = _load_rows(Path(args.fresh))
-        problems += compare(baseline, fresh, tolerance)
-        problems += check_detailed_ratio(fresh, max_ratio)
-
-        for key in sorted(set(baseline) & set(fresh)):
-            base_wall = float(baseline[key]["wall_s"])
-            fresh_wall = float(fresh[key]["wall_s"])
-            delta = 100.0 * (fresh_wall / base_wall - 1.0) if base_wall > 0 else 0.0
-            backend, npus, workload = key
-            print(
-                f"{backend:<10} {npus:>3} NPUs {workload}: "
-                f"wall {base_wall:.3f}s -> {fresh_wall:.3f}s ({delta:+.1f}%)"
-            )
     if args.service is not None:
         problems += check_service(Path(args.service), min_warm_speedup, min_cached_fraction)
     if args.traces is not None:
@@ -379,12 +206,6 @@ def main(argv=None) -> int:
             print(f"  - {problem}", file=sys.stderr)
         return 1
     checked = []
-    if args.fresh is not None:
-        checked.append(
-            f"no regressions vs {args.baseline} (wall tolerance "
-            f"{100 * tolerance:.0f}%, detailed/symmetric wall ratio at "
-            f"{RATIO_NPUS} NPUs <= {max_ratio:.2f}x)"
-        )
     if args.service is not None:
         checked.append(
             f"service gates hold (warm speedup >= {min_warm_speedup:.1f}x, "

@@ -8,7 +8,8 @@ benchmark to the full paper-scale sweep.
 All benchmarks share one parallel :class:`~repro.runner.SweepRunner` so the
 grid fans out over worker processes and cells that appear in several figures
 are simulated once; ``--serial-runner`` forces single-process execution (e.g.
-for profiling).
+for profiling).  ``test_backend_wall_ratio.py`` is the one slow-marked test
+here: a wall-time bound on the detailed backend, run with ``-m slow``.
 """
 
 import os

@@ -13,13 +13,10 @@ Subcommands:
 * ``expand <scenario>`` — compile a manifest (``grid`` axes included) and
   print every expanded job spec without running anything; the dry-run view
   of server-side grid templating.
-* ``figures [figN|all]`` — regenerate the paper's figure/table harnesses.
 * ``trace list|validate|convert`` — the trace-driven workload toolbox: list
   discovered operator-graph traces and registered device cost tables,
   validate + lower every shipped trace, and export any built-in workload as
   a trace JSON (the capture side of the round-trip acceptance test).
-* ``bench`` — the backend-throughput benchmark behind ``BENCH_backends.json``
-  (pruning stale result-cache entries first).
 
 Every failure path prints a single ``error: ...`` line to stderr and returns
 a non-zero exit code; tracebacks are reserved for genuine bugs.
@@ -46,24 +43,12 @@ from repro.scenarios import (
     scenario_jobs,
 )
 
-#: Figure/table harness entry points for the ``figures`` subcommand.
-FIGURE_MAINS = (
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "table4",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="Scenario manifests, figure reproduction and benchmarks "
-        "for the ACE (ISCA 2021) simulator.",
+        description="Scenario manifests and operator-graph traces for the ACE "
+        "(ISCA 2021) simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -111,22 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_dir(p_expand)
     p_expand.add_argument("name", help="scenario name (see 'repro list')")
     p_expand.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-
-    p_figures = sub.add_parser("figures", help="regenerate paper figures/tables")
-    p_figures.add_argument(
-        "names",
-        nargs="*",
-        default=[],
-        help=f"figures to regenerate: {', '.join(FIGURE_MAINS)} or 'all' (default)",
-    )
-    p_figures.add_argument(
-        "--paper-scale",
-        action="store_true",
-        help="full paper-scale sweeps instead of the fast mode",
-    )
-
-    p_bench = sub.add_parser("bench", help="backend throughput benchmark (BENCH_backends.json)")
-    p_bench.add_argument("--out", default="BENCH_backends.json", help="output JSON path")
 
     p_trace = sub.add_parser(
         "trace",
@@ -340,64 +309,6 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
-    names = list(args.names) or ["all"]
-    if "all" in names:
-        names = list(FIGURE_MAINS)
-    unknown = sorted(set(names) - set(FIGURE_MAINS))
-    if unknown:
-        print(
-            f"error: unknown figure(s) {unknown}; expected {', '.join(FIGURE_MAINS)} or 'all'",
-            file=sys.stderr,
-        )
-        return 1
-    from repro.experiments import (
-        fig4_microbench,
-        fig5_membw_sweep,
-        fig6_sm_sweep,
-        fig9_dse,
-        fig10_overlap,
-        fig11_scaling,
-        fig12_dlrm_opt,
-        table4_area,
-    )
-
-    mains = {
-        "fig4": fig4_microbench.main,
-        "fig5": fig5_membw_sweep.main,
-        "fig6": fig6_sm_sweep.main,
-        "fig9": fig9_dse.main,
-        "fig10": fig10_overlap.main,
-        "fig11": fig11_scaling.main,
-        "fig12": fig12_dlrm_opt.main,
-        "table4": table4_area.main,
-    }
-    runner = default_runner()
-    fast = not args.paper_scale
-    for name in names:
-        if name != names[0]:
-            print()
-        if name == "table4":
-            mains[name](runner=runner)
-        else:
-            mains[name](fast=fast, runner=runner)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import format_bench, run_bench, write_bench
-
-    cache = cache_from_env()
-    pruned = cache.prune()
-    if cache.directory is not None:
-        print(f"result cache {cache.directory}: pruned {pruned} stale entries")
-    rows = run_bench()
-    path = write_bench(rows, args.out)
-    print(format_bench(rows))
-    print(f"wrote {path}")
-    return 0
-
-
 def _trace_list(args: argparse.Namespace) -> int:
     from repro.traces import cost_table_names, discover_traces, find_cost_table
 
@@ -509,8 +420,6 @@ _COMMANDS = {
     "validate": _cmd_validate,
     "run": _cmd_run,
     "expand": _cmd_expand,
-    "figures": _cmd_figures,
-    "bench": _cmd_bench,
     "trace": _cmd_trace,
 }
 

@@ -26,7 +26,7 @@ regardless of how many network bytes the algorithm moves (Section VI-A).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.collectives.base import CollectivePlan
 from repro.config.system import SystemConfig
@@ -156,15 +156,6 @@ class AceEngine:
     @property
     def memory_write_bytes(self) -> float:
         return self._hbm_slice.write_bytes
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "memory_read_bytes": self.memory_read_bytes,
-            "memory_write_bytes": self.memory_write_bytes,
-            "alu_reduced_bytes": self.alus.reduced_bytes,
-            "fsm_busy_time_ns": self.fsms.total_busy_time,
-            "sram_capacity_bytes": float(self.ace.sram_bytes),
-        }
 
     def reset(self) -> None:
         self.fsms.reset()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.collectives.base import CollectivePlan, PhaseSpec
 from repro.config.system import SystemConfig
@@ -116,12 +115,6 @@ class Endpoint(abc.ABC):
         if horizon_ns <= 0:
             return 0.0
         return min(1.0, self.activity.busy_time(0.0, horizon_ns) / horizon_ns)
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "memory_read_bytes": self.memory_read_bytes,
-            "memory_write_bytes": self.memory_write_bytes,
-        }
 
     @abc.abstractmethod
     def reset(self) -> None:

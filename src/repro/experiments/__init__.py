@@ -1,9 +1,10 @@
 """Experiment harnesses — one module per paper figure / table.
 
-Every module exposes a ``run_*`` function returning plain dict rows (so tests
-and benchmarks can assert on them) and a ``main()`` that prints the rows as an
-aligned table.  The ``fast`` flag trades sweep breadth for runtime and is what
-the pytest-benchmark harness uses; passing ``fast=False`` reproduces the full
+Every module exposes a ``run_*`` function returning plain dict rows, so tests,
+benchmarks and scenario manifests can assert on them.  To regenerate and
+print a figure, run its manifest: ``python -m repro run fig11-scaling``.
+The ``fast`` flag trades sweep breadth for runtime; ``"fast": false`` in a
+manifest (or ``pytest benchmarks --paper-scale``) reproduces the full
 paper-scale sweep.
 
 Every harness expresses its sweep as :class:`repro.runner.SimJob` batches and
@@ -12,18 +13,18 @@ parallelise the grid over worker processes and reuse cached cells; when
 omitted, the shared default runner (``REPRO_WORKERS`` / ``REPRO_CACHE_DIR``)
 is used.
 
-========  ==============================================================
-Module    Paper artifact
-========  ==============================================================
-fig4      Fig. 4 — all-reduce slowdown under compute/memory contention
-fig5      Fig. 5 — network BW vs memory BW available for communication
-fig6      Fig. 6 — network BW vs #SMs available for communication
-fig9      Fig. 9a/9b — ACE design-space exploration and utilization
-fig10     Fig. 10 — compute/communication overlap timelines
-fig11     Fig. 11a/11b — scaling of compute, exposed comm and speedups
-fig12     Fig. 12 — DLRM embedding-overlap optimisation
-table4    Table IV — ACE area and power
-========  ==============================================================
+========  ===============  ==================================================
+Module    Manifest         Paper artifact
+========  ===============  ==================================================
+fig4      fig4-microbench  Fig. 4 — all-reduce slowdown under contention
+fig5      fig5-membw       Fig. 5 — network BW vs memory BW; Section VI-A
+fig6      fig6-sm-sweep    Fig. 6 — network BW vs #SMs for communication
+fig9      fig9-dse         Fig. 9a/9b — ACE design space and utilization
+fig10     fig10-overlap    Fig. 10 — compute/communication overlap
+fig11     fig11-scaling    Fig. 11a/11b — scaling breakdown and speedups
+fig12     fig12-dlrm-opt   Fig. 12 — DLRM embedding-overlap optimisation
+table4    table4-area      Table IV — ACE area and power
+========  ===============  ==================================================
 
 :mod:`repro.experiments.cross_topology` extends past the paper: it sweeps
 (topology x collective algorithm x platform size) through the planner

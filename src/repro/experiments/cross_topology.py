@@ -139,25 +139,3 @@ def best_algorithms(rows: Sequence[Dict[str, object]]) -> Dict[Tuple[str, str, i
         if key not in best or entry < best[key]:
             best[key] = entry
     return {key: algorithm for key, (_, algorithm) in best.items()}
-
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    """Print the cross-topology sweep as an aligned table."""
-    rows = run_cross_topology(sizes=(16, 64))
-    header = ("fabric", "algorithm", "system", "npus", "duration_us", "net_bw_gbps")
-    widths = {h: max(len(h), *(len(f"{r[h]:.1f}" if isinstance(r[h], float) else str(r[h])) for r in rows)) for h in header}
-    print("  ".join(h.ljust(widths[h]) for h in header))
-    for row in rows:
-        cells = [
-            f"{row[h]:.1f}".ljust(widths[h]) if isinstance(row[h], float) else str(row[h]).ljust(widths[h])
-            for h in header
-        ]
-        print("  ".join(cells))
-    winners = best_algorithms(rows)
-    print()
-    for (fabric, system, npus), algorithm in sorted(winners.items()):
-        print(f"best on {fabric} ({system}, {npus} NPUs): {algorithm}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.report import format_table
 from repro.experiments.common import chunk_bytes_for
 from repro.runner import SweepRunner, default_runner, training_job
 from repro.training.results import TrainingResult
@@ -75,16 +74,3 @@ def run_fig10(
             }
         )
     return rows
-
-
-def main(fast: bool = True, runner: Optional[SweepRunner] = None) -> str:
-    table = format_table(
-        run_fig10(fast=fast, runner=runner),
-        title="Fig. 10 — compute/communication overlap summary (2 iterations)",
-    )
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(fast=False)

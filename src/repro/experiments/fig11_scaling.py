@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.report import format_table
 from repro.analysis.speedup import compute_speedups
 from repro.experiments.common import PAPER_SYSTEMS, run_grid
 from repro.runner import SweepRunner
@@ -75,22 +74,3 @@ def run_fig11(
         row["speedup_vs_best_baseline"] = table.best_baseline_speedup()
         speedup_rows.append(row)
     return {"breakdown": breakdown_rows, "speedups": speedup_rows}
-
-
-def main(fast: bool = True, runner: Optional[SweepRunner] = None) -> str:
-    data = run_fig11(fast=fast, runner=runner)
-    table_a = format_table(
-        data["breakdown"],
-        title="Fig. 11a — total compute vs exposed communication (2 iterations)",
-    )
-    table_b = format_table(
-        data["speedups"],
-        title="Fig. 11b — ACE speedup over the baselines",
-    )
-    output = table_a + "\n\n" + table_b
-    print(output)
-    return output
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(fast=False)

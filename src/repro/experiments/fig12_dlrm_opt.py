@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.report import format_table
 from repro.experiments.common import chunk_bytes_for
 from repro.runner import SweepRunner, default_runner, training_job
 
@@ -74,17 +73,3 @@ def run_fig12(
             }
         )
     return rows
-
-
-def main(fast: bool = True, runner: Optional[SweepRunner] = None) -> str:
-    table = format_table(
-        run_fig12(fast=fast, runner=runner),
-        title="Fig. 12 — DLRM default vs optimised training loop "
-        "(the 'improvement' rows give the speedup ratio in the total_time_us column)",
-    )
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(fast=False)

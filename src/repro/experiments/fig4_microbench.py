@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.analysis.report import format_table
 from repro.compute.kernels import KernelCost
 from repro.compute.roofline import RooflineModel
 from repro.config.presets import make_system
@@ -154,18 +153,3 @@ def run_fig4(
             }
         )
     return rows
-
-
-def main(fast: bool = True, runner: Optional[SweepRunner] = None) -> str:
-    rows = run_fig4(fast=fast, runner=runner)
-    table = format_table(
-        rows,
-        ["case", "compute_kind", "allreduce_mb", "standalone_us", "overlapped_us", "slowdown"],
-        title="Fig. 4 — all-reduce slowdown when overlapped with compute kernels",
-    )
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(fast=False)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.bandwidth import analytical_memory_traffic, memory_bw_sweep
-from repro.analysis.report import format_table
 from repro.experiments.common import topology_for
 from repro.runner import SweepRunner
 from repro.units import KB, MB
@@ -69,30 +68,3 @@ def run_section6a_analysis(sizes: Sequence[int] = (16, 64, 128)) -> List[Dict[st
             }
         )
     return rows
-
-
-def main(fast: bool = True, runner: Optional[SweepRunner] = None) -> str:
-    sweep = format_table(
-        run_fig5(fast=fast, runner=runner),
-        [
-            "npus",
-            "memory_bw_gbps",
-            "ideal_net_bw_gbps",
-            "baseline_net_bw_gbps",
-            "ace_net_bw_gbps",
-            "baseline_frac_of_ideal",
-            "ace_frac_of_ideal",
-        ],
-        title="Fig. 5 — achieved network BW vs memory BW available for communication",
-    )
-    analysis = format_table(
-        run_section6a_analysis(),
-        title="Section VI-A — analytical memory reads per injected byte",
-    )
-    output = sweep + "\n\n" + analysis
-    print(output)
-    return output
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(fast=False)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.bandwidth import sm_sweep
-from repro.analysis.report import format_table
 from repro.experiments.common import topology_for
 from repro.runner import SweepRunner
 from repro.units import KB, MB
@@ -45,17 +44,3 @@ def run_fig6(
             )
         )
     return rows
-
-
-def main(fast: bool = True, runner: Optional[SweepRunner] = None) -> str:
-    table = format_table(
-        run_fig6(fast=fast, runner=runner),
-        ["npus", "comm_sms", "baseline_net_bw_gbps", "memory_read_bw_gbps"],
-        title="Fig. 6 — achieved network BW vs #SMs available for communication (baseline)",
-    )
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(fast=False)

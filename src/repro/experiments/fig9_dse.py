@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.report import format_table
 from repro.core.dse import sweep_design_space
 from repro.experiments.common import chunk_bytes_for
 from repro.runner import SweepRunner, default_runner, training_job
@@ -87,21 +86,3 @@ def run_fig9b(
         }
         for name, result in zip(workloads, runner.run_values(jobs))
     ]
-
-
-def main(fast: bool = True, runner: Optional[SweepRunner] = None) -> str:
-    table_a = format_table(
-        run_fig9a(fast=fast, runner=runner),
-        title="Fig. 9a — ACE performance vs SRAM size and #FSMs (normalised to 4MB/16FSM)",
-    )
-    table_b = format_table(
-        run_fig9b(fast=fast, runner=runner),
-        title="Fig. 9b — ACE utilization in forward vs backward pass",
-    )
-    output = table_a + "\n\n" + table_b
-    print(output)
-    return output
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main(fast=False)

@@ -31,7 +31,6 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.report import format_table
 from repro.compute.backend import validate_compute_backend_name
 from repro.errors import ConfigurationError
 from repro.experiments.common import FAST_CHUNK_BYTES
@@ -237,22 +236,3 @@ def run_model_agreement(
 def max_disagreement(rows: Sequence[Dict[str, object]]) -> float:
     """The largest agreement metric across all rows (what the bound gates)."""
     return max(max(float(row["time_rel_err"]), float(row["exposed_delta_frac"])) for row in rows)
-
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    """Print each knob's default agreement table and its worst case."""
-    for knob, spec in KNOBS.items():
-        rows = run_model_agreement(knob)
-        title = f"{knob} agreement: a = {spec.models[0]}, b = {spec.models[1]}"
-        print(format_table(rows, title=title, float_format="{:.4f}"))
-        worst = max_disagreement(rows)
-        print(
-            f"worst-case disagreement: {worst:.4f} "
-            f"({'within' if worst <= spec.tolerance else 'OUTSIDE'} the "
-            f"{spec.tolerance:.0%} tolerance); "
-            f"min slowdown: {min(float(row['slowdown_frac']) for row in rows):+.4f}\n"
-        )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

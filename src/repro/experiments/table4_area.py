@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.analysis.report import format_table
 from repro.config.system import AceConfig
 from repro.runner import SweepRunner, area_power_job, default_runner
 
@@ -22,17 +21,3 @@ def run_table4(
     """Return the Table IV rows plus the overhead-vs-accelerator summary."""
     runner = runner or default_runner()
     return runner.run_one(area_power_job(config))
-
-
-def main(runner: Optional[SweepRunner] = None) -> str:
-    table = format_table(
-        run_table4(runner=runner),
-        ["component", "area_um2", "power_mw"],
-        title="Table IV — ACE area (um^2) and power (mW); last row is % overhead",
-    )
-    print(table)
-    return table
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

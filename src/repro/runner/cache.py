@@ -306,9 +306,9 @@ class ResultCache:
         simulator upgrades accumulates files no current run can ever hit
         again.  ``prune()`` removes every entry whose recorded ``version``
         (or schema) differs from this cache's — unreadable files count as
-        stale too — and returns the number of files removed.  ``python -m
-        repro bench`` calls this before benchmarking so a long-lived
-        ``REPRO_CACHE_DIR`` does not grow without bound.
+        stale too — and returns the number of files removed.  Nothing
+        calls it automatically; call ``cache_from_env().prune()`` now and then
+        so a long-lived ``REPRO_CACHE_DIR`` does not grow without bound.
         """
         if self.directory is None:
             return 0

@@ -12,13 +12,14 @@ build: ``grid`` suites compile through
 :func:`repro.experiments.cross_topology.cross_topology_jobs`, and so on — so
 a manifest-driven run produces byte-identical job specs (and therefore cache
 keys) to the corresponding figure harness.  ``figure`` suites delegate to a
-harness run function (:data:`FIGURES`) for the few figures whose job
+harness run function (see :func:`figure_names`) for the figures whose job
 parameters are computed rather than declared (e.g. Fig. 4's contended
 resource estimates).
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import json
@@ -112,33 +113,42 @@ class FigureRunner:
     description: str
 
 
-def _fig11_rows(**kwargs) -> List[Dict[str, object]]:
-    from repro.experiments.fig11_scaling import run_fig11
-
-    data = run_fig11(**kwargs)
-    return list(data["breakdown"]) + list(data["speedups"])
-
-
 def _figure_registry() -> Dict[str, FigureRunner]:
-    """Lazily built name -> harness map (import cost only when needed)."""
+    """Lazily built name -> harness map (import cost only when needed).
+
+    The ``fig5`` and ``fig11`` wrappers keep their harness's signature
+    (``functools.wraps``), so :func:`resolve_figure` validates their options.
+    """
     from repro.experiments.fig4_microbench import run_fig4
-    from repro.experiments.fig5_membw_sweep import run_fig5
+    from repro.experiments.fig5_membw_sweep import run_fig5, run_section6a_analysis
     from repro.experiments.fig6_sm_sweep import run_fig6
     from repro.experiments.fig9_dse import run_fig9a, run_fig9b
     from repro.experiments.fig10_overlap import run_fig10
+    from repro.experiments.fig11_scaling import run_fig11
     from repro.experiments.fig12_dlrm_opt import run_fig12
-    from repro.experiments.table4_area import run_table4
+
+    @functools.wraps(run_fig5)
+    def fig5_rows(**kwargs) -> List[Dict[str, object]]:
+        call = inspect.signature(run_fig5).bind(**kwargs)
+        call.apply_defaults()
+        return run_fig5(**kwargs) + run_section6a_analysis(call.arguments["sizes"])
+
+    @functools.wraps(run_fig11)
+    def fig11_rows(**kwargs) -> List[Dict[str, object]]:
+        data = run_fig11(**kwargs)
+        return data["breakdown"] + data["speedups"]
 
     return {
         "fig4": FigureRunner("fig4", run_fig4, "all-reduce slowdown under compute contention"),
-        "fig5": FigureRunner("fig5", run_fig5, "network BW vs memory BW for communication"),
+        "fig5": FigureRunner(
+            "fig5", fig5_rows, "network BW vs memory BW, then Section VI-A memory reads"
+        ),
         "fig6": FigureRunner("fig6", run_fig6, "network BW vs #SMs for communication"),
         "fig9a": FigureRunner("fig9a", run_fig9a, "ACE SRAM/FSM design-space sweep"),
         "fig9b": FigureRunner("fig9b", run_fig9b, "ACE utilization, forward vs backward"),
         "fig10": FigureRunner("fig10", run_fig10, "compute/communication overlap summary"),
-        "fig11": FigureRunner("fig11", _fig11_rows, "scaling breakdown and speedups"),
+        "fig11": FigureRunner("fig11", fig11_rows, "scaling breakdown and speedups"),
         "fig12": FigureRunner("fig12", run_fig12, "DLRM default vs optimised loop"),
-        "table4": FigureRunner("table4", run_table4, "ACE area/power roll-up"),
     }
 
 
@@ -164,13 +174,7 @@ def resolve_figure(suite: Suite, context: str) -> "CompiledFigure":
             f"{context}: figure {name!r} does not accept option(s) {unknown}; "
             f"accepted: {sorted(set(parameters) - {'runner', 'fast'})}"
         )
-    if "fast" in parameters:
-        options.setdefault("fast", bool(suite.spec.get("fast", True)))
-    elif "fast" in suite.spec:
-        raise ScenarioError(
-            f"{context}: figure {name!r} has no fast/paper-scale mode; "
-            f"remove the 'fast' field"
-        )
+    options.setdefault("fast", bool(suite.spec.get("fast", True)))
     return CompiledFigure(figure=runner, options=options)
 
 

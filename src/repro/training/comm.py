@@ -435,11 +435,3 @@ class CollectiveExecutor:
 
     def total_bytes_injected(self) -> float:
         return self.fabric.bytes_injected
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "collectives_issued": float(len(self._handles)),
-            "bytes_injected": self.fabric.bytes_injected,
-            "endpoint_memory_read_bytes": self.endpoint.memory_read_bytes,
-            "endpoint_memory_write_bytes": self.endpoint.memory_write_bytes,
-        }

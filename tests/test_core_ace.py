@@ -184,8 +184,7 @@ class TestAceEngine:
     def test_stats_and_reset(self, torus_444):
         engine = self._engine(torus_444)
         engine.ingress(64 * KB, 0.0)
-        stats = engine.stats()
-        assert stats["memory_read_bytes"] == 64 * KB
+        assert engine.memory_read_bytes == 64 * KB
         engine.reset()
         assert engine.memory_read_bytes == 0.0
 

@@ -73,7 +73,6 @@ class TestIssueAndCompletion:
         sim.run()
         assert all(h.finished for h in handles)
         assert executor.outstanding == 0
-        assert executor.stats()["collectives_issued"] == 5
 
     def test_single_node_topology_completes_immediately(self):
         system = make_system("ideal")

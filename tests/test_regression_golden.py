@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import PAPER_SYSTEMS, run_grid
+from repro.experiments.common import FAST_CHUNK_BYTES, PAPER_SYSTEMS, run_grid
 from repro.experiments.fig4_microbench import run_fig4
 from repro.experiments.fig5_membw_sweep import run_fig5
 from repro.experiments.fig6_sm_sweep import run_fig6
@@ -199,9 +199,44 @@ RESULT_PINS = {
     ),
 }
 
+#: The same digest for the ten ACE ResNet-50 backend cells (fast-mode
+#: chunks, two iterations): ``(backend, num_npus) -> digest``.  Symmetric
+#: runs at every size, detailed at the sizes ``auto`` gives it and hybrid at
+#: the 64/128 rung.  ``benchmarks/test_backend_wall_ratio.py`` times two of
+#: these cells.
+BACKEND_CELL_PINS = {
+    ("symmetric", 8): "9bbb7f289d47cd7f377b1ec2782c84e624a436af752c81491fbcc3862eedcbee",
+    ("symmetric", 16): "c58fd7565f3606183abc8d99bbc403added48758b2646a10edbf6478ac5612d3",
+    ("symmetric", 32): "aa4583c48caaa13a2668c47e377c827056b0463d87b4ac9037629673f73a7f7f",
+    ("symmetric", 64): "62cd4a0e649ed238b9bc12a3769e8bd3f01c0a6fcbbe8fe5803bf1a18fbcb607",
+    ("symmetric", 128): "5395b2195a7eac3dbef83f0b0ad0ac4243df052495d6ce02fd9c9086ef557abf",
+    ("detailed", 8): "26c41fc8185b362584afc88aca97a8271bb000f4d0b72fcf9bfe6a58eca5df7e",
+    ("detailed", 16): "cdccff4e24fee8c7a753932c2c80e68382b3494ad0cecf845cb0a677f8ddd3c7",
+    ("detailed", 32): "463eaad76296e53f4d700f745894f576048bd47f469f947652dac667e53d6934",
+    ("hybrid", 64): "01638c7cb2cdfc9d9cccf8e61a576f3204352bfbbcdb6b06bde4364fc44b6638",
+    ("hybrid", 128): "edf3cf116c35942bdb96941ed03fec58e58fc093ad988814abb7e2c738586c3b",
+}
+
+
+def _result_digest(job) -> str:
+    text = json.dumps(encode_result(job.execute()), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("system,workload,backend", sorted(RESULT_PINS, key=str))
 def test_encoded_result_is_byte_identical(system, workload, backend):
     job = training_job(system, workload, num_npus=16, iterations=1, backend=backend)
-    text = json.dumps(encode_result(job.execute()), sort_keys=True)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == RESULT_PINS[system, workload, backend]
+    assert _result_digest(job) == RESULT_PINS[system, workload, backend]
+
+
+@pytest.mark.parametrize("backend,num_npus", sorted(BACKEND_CELL_PINS))
+def test_backend_cell_is_byte_identical(backend, num_npus):
+    job = training_job(
+        "ace",
+        "resnet50",
+        num_npus=num_npus,
+        backend=backend,
+        iterations=2,
+        chunk_bytes=FAST_CHUNK_BYTES["resnet50"],
+    )
+    assert _result_digest(job) == BACKEND_CELL_PINS[backend, num_npus]

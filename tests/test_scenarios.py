@@ -32,6 +32,7 @@ from repro.scenarios import (
     compile_scenario,
     discover_scenarios,
     enforce_invariants,
+    figure_names,
     find_scenario,
     load_scenario_file,
     run_scenario,
@@ -263,12 +264,19 @@ class TestLoader:
         with pytest.raises(ScenarioError, match=r"suite #0 \(area_power\).*'sram_mbz'"):
             compile_scenario(Scenario.from_dict(data))
 
-    def test_fast_flag_rejected_for_fastless_figure(self):
-        data = minimal_manifest(
-            suites=[{"kind": "figure", "figure": "table4", "fast": False}]
-        )
-        with pytest.raises(ScenarioError, match="no fast/paper-scale mode"):
-            compile_scenario(Scenario.from_dict(data))
+    def test_wrapped_figure_accepts_its_harness_options(self):
+        suite = {"kind": "figure", "figure": "fig11", "fast": True, "options": {"sizes": [16]}}
+        (compiled,) = compile_scenario(Scenario.from_dict(minimal_manifest(suites=[suite])))
+        assert dict(compiled.figure.options) == {"sizes": [16], "fast": True}
+
+    def test_every_figure_is_used_by_a_shipped_manifest(self):
+        used = {
+            suite.spec["figure"]
+            for scenario in discover_scenarios(SCENARIO_DIR)
+            for suite in scenario.suites
+            if suite.kind == "figure"
+        }
+        assert set(figure_names()) <= used
 
     def test_unknown_figure_option(self):
         data = minimal_manifest(
@@ -538,6 +546,16 @@ class TestRunScenario:
         for row in report["results"]:
             assert len(row["spec_hash"]) == 64
             assert row["wall_s"] >= 0.0
+
+    @pytest.mark.parametrize(
+        "name,metric,rows",
+        [("fig11-scaling", "speedup_vs_best_baseline", 4), ("fig5-membw", "memory_bw_reduction", 2)],
+    )
+    def test_figure_manifest_reports_its_headline_claim(self, name, metric, rows):
+        scenario = find_scenario(name, SCENARIO_DIR)
+        report = run_scenario(scenario, runner=SweepRunner(workers=1, cache=ResultCache()))
+        assert sum(metric in row for row in report["results"]) == rows
+        assert all(record["ok"] for record in report["invariants"])
 
     def test_report_shape_matches_bench_convention(self):
         scenario = find_scenario("table4-area", SCENARIO_DIR)
