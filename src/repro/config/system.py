@@ -7,8 +7,11 @@ The default values mirror Table V of the paper:
 * Links: 200 GB/s intra-package (2 links -> 400 GB/s local ring),
   25 GB/s inter-package (2 links per direction ring -> 50 GB/s vertical and
   50 GB/s horizontal rings), 90 / 500 cycles link latency, 94 % efficiency.
-* ACE: 4 MB SRAM, 16 FSMs, 4 wide ALUs, 8 KB messages, 256 B packets,
-  64 KB initial chunks.
+* ACE: 4 MB SRAM, 16 FSMs, 4 wide ALUs, 64 KB initial chunks.
+
+Range bounds are declared once, in each field's metadata (see
+:mod:`repro.config.fields`); a ``__post_init__`` checks them and any
+cross-field rule.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
+from repro.config.fields import FRACTION, NAME, NON_NEGATIVE, POSITIVE, UNIT_INTERVAL, check_bounds
 from repro.errors import ConfigurationError
 from repro.units import KB, MB, cycles_to_ns
 
@@ -62,72 +66,37 @@ class ComputeConfig:
     values.
     """
 
-    num_sms: int = 80
-    peak_tflops_fp16: float = 120.0
-    frequency_mhz: float = 1245.0
+    num_sms: int = field(default=80, metadata=POSITIVE)
+    peak_tflops_fp16: float = field(default=120.0, metadata=POSITIVE)
+    frequency_mhz: float = field(default=1245.0, metadata=POSITIVE)
     #: Per-SM read/write width used to derive the memory bandwidth one SM can
     #: drive for communication (64 bytes/cycle at 1245 MHz ~= 80 GB/s, Sec. III).
     sm_bytes_per_cycle: float = 64.0
     #: Fraction of peak FLOPs delivered by the matrix (systolic/tensor) units.
-    matrix_unit_fraction: float = 0.98
+    matrix_unit_fraction: float = field(default=0.98, metadata=FRACTION)
     #: Fraction of peak FLOPs the SIMD vector lanes can sustain.
-    vector_unit_fraction: float = 0.125
+    vector_unit_fraction: float = field(default=0.125, metadata=FRACTION)
     #: Fraction of peak FLOPs the scalar/control pipeline can sustain.
-    scalar_unit_fraction: float = 0.002
+    scalar_unit_fraction: float = field(default=0.002, metadata=FRACTION)
     #: Fraction of a kernel's FLOPs replayed on the scalar unit as address
     #: generation and control flow.
-    scalar_flops_fraction: float = 1e-5
+    scalar_flops_fraction: float = field(default=1e-5, metadata=UNIT_INTERVAL)
     #: Streaming-FLOP density: at most this many of a kernel's FLOPs per DMA
     #: byte run on the vector unit (epilogues, reductions); the rest are
     #: matrix work.
-    vector_flops_per_byte: float = 2.0
+    vector_flops_per_byte: float = field(default=2.0, metadata=POSITIVE)
     #: Achieved wave occupancy of the matrix/vector units.
-    unit_occupancy: float = 0.985
+    unit_occupancy: float = field(default=0.985, metadata=FRACTION)
     #: Fraction of a kernel's DMA stream hidden under unit execution
     #: (double-buffering efficiency); the remainder is exposed serially.
-    dma_overlap: float = 0.97
+    dma_overlap: float = field(default=0.97, metadata=UNIT_INTERVAL)
     #: Per-core-complex SRAM scratchpad staging DMA tiles (fill/drain bound).
-    unit_sram_bytes: int = 192 * KB
+    unit_sram_bytes: int = field(default=192 * KB, metadata=POSITIVE)
     #: Register-file capacity; kernels whose traffic fits bypass SRAM staging.
-    register_file_bytes: int = 64 * KB
+    register_file_bytes: int = field(default=64 * KB, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
-        if self.num_sms <= 0:
-            raise ConfigurationError(f"num_sms must be positive, got {self.num_sms}")
-        if self.peak_tflops_fp16 <= 0:
-            raise ConfigurationError("peak_tflops_fp16 must be positive")
-        if self.frequency_mhz <= 0:
-            raise ConfigurationError("frequency_mhz must be positive")
-        for fraction_field in (
-            "matrix_unit_fraction",
-            "vector_unit_fraction",
-            "scalar_unit_fraction",
-            "unit_occupancy",
-        ):
-            value = getattr(self, fraction_field)
-            if not 0 < value <= 1:
-                raise ConfigurationError(
-                    f"{fraction_field} must be in (0, 1], got {value}"
-                )
-        for unit_interval_field in ("scalar_flops_fraction", "dma_overlap"):
-            value = getattr(self, unit_interval_field)
-            if not 0 <= value <= 1:
-                raise ConfigurationError(
-                    f"{unit_interval_field} must be in [0, 1], got {value}"
-                )
-        if self.vector_flops_per_byte <= 0:
-            raise ConfigurationError(
-                f"vector_flops_per_byte must be positive, got "
-                f"{self.vector_flops_per_byte}"
-            )
-        if self.unit_sram_bytes <= 0:
-            raise ConfigurationError(
-                f"unit_sram_bytes must be positive, got {self.unit_sram_bytes}"
-            )
-        if self.register_file_bytes <= 0:
-            raise ConfigurationError(
-                f"register_file_bytes must be positive, got {self.register_file_bytes}"
-            )
+        check_bounds(self)
 
     @property
     def sm_memory_bandwidth_gbps(self) -> float:
@@ -143,19 +112,14 @@ class ComputeConfig:
 class MemoryConfig:
     """HBM and NPU-AFI bus parameters."""
 
-    npu_memory_bandwidth_gbps: float = 900.0
-    npu_afi_bus_bandwidth_gbps: float = 500.0
+    npu_memory_bandwidth_gbps: float = field(default=900.0, metadata=POSITIVE)
+    npu_afi_bus_bandwidth_gbps: float = field(default=500.0, metadata=POSITIVE)
     #: Fixed per-transaction overhead on the NPU-AFI bus and memory channel,
     #: modelling transaction scheduling / queuing setup (Section V).
-    transaction_overhead_ns: float = 20.0
+    transaction_overhead_ns: float = field(default=20.0, metadata=NON_NEGATIVE)
 
     def __post_init__(self) -> None:
-        if self.npu_memory_bandwidth_gbps <= 0:
-            raise ConfigurationError("npu_memory_bandwidth_gbps must be positive")
-        if self.npu_afi_bus_bandwidth_gbps <= 0:
-            raise ConfigurationError("npu_afi_bus_bandwidth_gbps must be positive")
-        if self.transaction_overhead_ns < 0:
-            raise ConfigurationError("transaction_overhead_ns must be non-negative")
+        check_bounds(self)
 
 
 #: Canonical mapping of fabric dimensions to their physical link class.
@@ -185,25 +149,17 @@ class NetworkConfig:
     (vertical and horizontal inter-package rings).
     """
 
-    intra_package_link_bandwidth_gbps: float = 200.0
-    inter_package_link_bandwidth_gbps: float = 25.0
+    intra_package_link_bandwidth_gbps: float = field(default=200.0, metadata=POSITIVE)
+    inter_package_link_bandwidth_gbps: float = field(default=25.0, metadata=POSITIVE)
     intra_package_links: int = 2
     inter_package_links_per_dim: int = 2
     intra_package_latency_cycles: float = 90.0
     inter_package_latency_cycles: float = 500.0
-    link_efficiency: float = 0.94
+    link_efficiency: float = field(default=0.94, metadata=FRACTION)
     frequency_mhz: float = 1245.0
-    packet_size_bytes: int = 256
 
     def __post_init__(self) -> None:
-        if not 0 < self.link_efficiency <= 1:
-            raise ConfigurationError("link_efficiency must be in (0, 1]")
-        if self.intra_package_link_bandwidth_gbps <= 0:
-            raise ConfigurationError("intra-package link bandwidth must be positive")
-        if self.inter_package_link_bandwidth_gbps <= 0:
-            raise ConfigurationError("inter-package link bandwidth must be positive")
-        if self.packet_size_bytes <= 0:
-            raise ConfigurationError("packet size must be positive")
+        check_bounds(self)
 
     # ------------------------------------------------------------------
     # Derived per-dimension ring bandwidths (Table V "Total BW")
@@ -278,16 +234,14 @@ class NetworkConfig:
 class AceConfig:
     """Accelerator Collectives Engine micro-architecture parameters (Section IV)."""
 
-    sram_bytes: int = 4 * MB
-    num_fsms: int = 16
-    num_alus: int = 4
+    sram_bytes: int = field(default=4 * MB, metadata=POSITIVE)
+    num_fsms: int = field(default=16, metadata=POSITIVE)
+    num_alus: int = field(default=4, metadata=POSITIVE)
     #: Each ALU performs 16 x FP32 (or 32 x FP16) operations per cycle on a
     #: 64-byte operand bus (Section IV-I).
     alu_bytes_per_cycle: float = 64.0
     frequency_mhz: float = 1245.0
-    chunk_bytes: int = 64 * KB
-    message_bytes: int = 8 * KB
-    packet_bytes: int = 256
+    chunk_bytes: int = field(default=64 * KB, metadata=POSITIVE)
     #: SRAM macro read+write bandwidth available to the datapath, per bank.
     sram_banks: int = 4
     sram_bank_bandwidth_gbps: float = 160.0
@@ -299,18 +253,7 @@ class AceConfig:
     memory_bandwidth_gbps: float = 128.0
 
     def __post_init__(self) -> None:
-        if self.sram_bytes <= 0:
-            raise ConfigurationError("sram_bytes must be positive")
-        if self.num_fsms <= 0:
-            raise ConfigurationError("num_fsms must be positive")
-        if self.num_alus <= 0:
-            raise ConfigurationError("num_alus must be positive")
-        if self.chunk_bytes <= 0 or self.message_bytes <= 0 or self.packet_bytes <= 0:
-            raise ConfigurationError("chunk/message/packet sizes must be positive")
-        if self.message_bytes > self.chunk_bytes:
-            raise ConfigurationError("message size cannot exceed chunk size")
-        if self.packet_bytes > self.message_bytes:
-            raise ConfigurationError("packet size cannot exceed message size")
+        check_bounds(self)
 
     @property
     def alu_throughput_gbps(self) -> float:
@@ -337,18 +280,15 @@ class ResourcePolicy:
     leave 128 GB/s for communication traffic; the ideal system charges nothing.
     """
 
-    comm_sms: int = 0
-    comm_memory_bandwidth_gbps: float = 0.0
+    comm_sms: int = field(default=0, metadata=NON_NEGATIVE)
+    comm_memory_bandwidth_gbps: float = field(default=0.0, metadata=NON_NEGATIVE)
     #: Whether collective processing consumes NPU SMs at all (False for ACE/Ideal).
     comm_uses_npu_sms: bool = True
     #: Whether collective traffic touches main memory per step (False for Ideal).
     comm_uses_memory: bool = True
 
     def __post_init__(self) -> None:
-        if self.comm_sms < 0:
-            raise ConfigurationError("comm_sms must be non-negative")
-        if self.comm_memory_bandwidth_gbps < 0:
-            raise ConfigurationError("comm_memory_bandwidth_gbps must be non-negative")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -363,7 +303,10 @@ class SystemConfig:
     ace: AceConfig = field(default_factory=AceConfig)
     policy: ResourcePolicy = field(default_factory=ResourcePolicy)
     #: Scheduling policy for pending collectives: "lifo" (paper default) or "fifo".
-    collective_scheduling: str = "lifo"
+    collective_scheduling: str = field(
+        default="lifo",
+        metadata={"bound": ("'lifo' or 'fifo'", lambda value: value in ("lifo", "fifo"))},
+    )
     #: Collective algorithm the planner should use: "auto" (cheapest feasible
     #: plan for the topology — the paper's hierarchical/direct choices on the
     #: torus) or an explicit registered name ("hierarchical", "ring", "tree",
@@ -372,7 +315,7 @@ class SystemConfig:
     #: (e.g. DLRM's all-to-all under a pinned all-reduce algorithm) fall back
     #: to auto selection.  Validated against the registry when the first plan
     #: is requested.
-    collective_algorithm: str = "auto"
+    collective_algorithm: str = field(default="auto", metadata=NAME)
     #: Network model executing the collective traffic: "symmetric" (the fast
     #: representative-NPU analytical model, the default and the paper's sweep
     #: vehicle), "detailed" (per-link FIFO serialization with hop-by-hop
@@ -382,12 +325,12 @@ class SystemConfig:
     #: ``network_backend_auto_threshold`` NPUs, hybrid up to the hybrid cap,
     #: symmetric above).  Validated against the backend registry when the
     #: executor builds the fabric.
-    network_backend: str = "symmetric"
+    network_backend: str = field(default="symmetric", metadata=NAME)
     #: Largest NPU count the "auto" backend still simulates with the
     #: detailed per-link model (the paper validates small, sweeps large).
     #: Raised from 32 to 64 when the detailed hot path gained coalescing and
     #: batched reservations.
-    network_backend_auto_threshold: int = 64
+    network_backend_auto_threshold: int = field(default=64, metadata=POSITIVE)
     #: Compute model pricing training kernels: "roofline" (max of compute and
     #: memory bounds, the default and the model every golden value pins),
     #: "execution-unit" (Scalar/Matrix/Vector/DMA units with SRAM staging and
@@ -395,13 +338,13 @@ class SystemConfig:
     #: "auto" (execution-unit at or below the compute auto threshold, roofline
     #: above — validate small, sweep large, mirroring ``network_backend``).
     #: Validated against the compute-backend registry when the engine is built.
-    compute_backend: str = "roofline"
+    compute_backend: str = field(default="roofline", metadata=NAME)
     #: Fixed overhead from issuing a collective until its first chunk can be
     #: processed.  For the baselines this is the communication-kernel launch
     #: and scheduling cost on a busy GPU (Section III measures multi-us
     #: degradations from exactly this contention); for ACE it is the small
     #: NPU-to-AFI command interface cost; the ideal system pays nothing.
-    collective_launch_overhead_ns: float = 0.0
+    collective_launch_overhead_ns: float = field(default=0.0, metadata=NON_NEGATIVE)
     #: Parallelisation strategy override for training runs on this platform:
     #: ``None`` (each workload's native strategy, the default), or a spec
     #: string — "data" | "model" | "hybrid" | "zero" | "pipeline" |
@@ -409,31 +352,7 @@ class SystemConfig:
     parallelism: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.collective_scheduling not in ("lifo", "fifo"):
-            raise ConfigurationError(
-                f"collective_scheduling must be 'lifo' or 'fifo', got "
-                f"{self.collective_scheduling!r}"
-            )
-        if not self.collective_algorithm or not isinstance(self.collective_algorithm, str):
-            raise ConfigurationError(
-                f"collective_algorithm must be a non-empty algorithm name or "
-                f"'auto', got {self.collective_algorithm!r}"
-            )
-        if not self.network_backend or not isinstance(self.network_backend, str):
-            raise ConfigurationError(
-                f"network_backend must be a non-empty backend name or 'auto', "
-                f"got {self.network_backend!r}"
-            )
-        if self.network_backend_auto_threshold <= 0:
-            raise ConfigurationError(
-                f"network_backend_auto_threshold must be positive, got "
-                f"{self.network_backend_auto_threshold}"
-            )
-        if not self.compute_backend or not isinstance(self.compute_backend, str):
-            raise ConfigurationError(
-                f"compute_backend must be a non-empty backend name or 'auto', "
-                f"got {self.compute_backend!r}"
-            )
+        check_bounds(self)
         if self.policy.comm_sms > self.compute.num_sms:
             raise ConfigurationError(
                 "cannot allocate more SMs to communication than the NPU has"
@@ -445,8 +364,6 @@ class SystemConfig:
             raise ConfigurationError(
                 "cannot allocate more memory bandwidth to communication than available"
             )
-        if self.collective_launch_overhead_ns < 0:
-            raise ConfigurationError("collective_launch_overhead_ns must be non-negative")
         if self.parallelism is not None:
             # Imported lazily: training.parallelism (via workloads.base)
             # imports this module.

@@ -2,8 +2,6 @@
 
 This package models the micro-architecture of Section IV:
 
-* :mod:`repro.core.granularity` — payload → chunk → message → packet
-  decomposition (Table III).
 * :mod:`repro.core.sram` — the partitioned scratchpad and the bandwidth-
   proportional partitioning heuristic (Section IV-I).
 * :mod:`repro.core.fsm` — the programmable finite-state-machine pool that
@@ -20,7 +18,6 @@ from repro.core.alu import AluArray
 from repro.core.area_power import AceAreaPowerModel, ComponentEstimate
 from repro.core.engine import AceEngine
 from repro.core.fsm import FsmPool
-from repro.core.granularity import GranularityPolicy
 from repro.core.sram import SramPartition, SramScratchpad, partition_sram
 
 __all__ = [
@@ -29,7 +26,6 @@ __all__ = [
     "ComponentEstimate",
     "AceEngine",
     "FsmPool",
-    "GranularityPolicy",
     "SramPartition",
     "SramScratchpad",
     "partition_sram",

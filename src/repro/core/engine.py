@@ -32,7 +32,6 @@ from repro.collectives.base import CollectivePlan
 from repro.config.system import SystemConfig
 from repro.core.alu import AluArray
 from repro.core.fsm import FsmPool
-from repro.core.granularity import GranularityPolicy
 from repro.core.sram import SramScratchpad, partition_sram
 from repro.errors import SchedulingError
 from repro.memory.bus import Bus
@@ -50,7 +49,6 @@ class AceEngine:
     def __init__(self, system: SystemConfig) -> None:
         self.system = system
         self.ace = system.ace
-        self.granularity = GranularityPolicy.from_ace_config(system.ace)
         self.fsms = FsmPool(system.ace.num_fsms)
         self.alus = AluArray(system.ace)
 

@@ -6,6 +6,8 @@ callers can catch library failures without catching unrelated Python errors.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
@@ -17,7 +19,14 @@ class ConfigurationError(ReproError, ValueError):
     Also a :class:`ValueError`: configuration failures are bad input values
     (e.g. a malformed ``REPRO_WORKERS`` environment variable), so callers
     holding only standard exceptions can still catch them idiomatically.
+
+    ``field`` is the dotted path of the offending field within the object
+    the message names (e.g. ``overrides.ace.num_fsms``), or ``None``.
     """
+
+    def __init__(self, message: str = "", field: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class SimulationError(ReproError):

@@ -29,6 +29,7 @@ from repro.analysis.bandwidth import measure_network_drive
 from repro.collectives.base import CollectiveOp
 from repro.collectives.planner import AUTO, algorithms
 from repro.compute.backend import resolve_compute_backend_name, validate_compute_backend_name
+from repro.config.fields import POSITIVE, check
 from repro.config.presets import make_system, torus_shape_for_npus
 from repro.config.system import AceConfig, SystemConfig
 from repro.core.area_power import AceAreaPowerModel
@@ -49,6 +50,7 @@ _CONFIG_SCALARS = (
     "collective_launch_overhead_ns",
     "network_backend_auto_threshold",
 )
+_OVERRIDE_KEYS = frozenset(_CONFIG_SECTIONS + _CONFIG_SCALARS)
 #: (SimJob field, SystemConfig field) of each model knob a sweep cell pins.
 _JOB_KNOBS = (
     ("algorithm", "collective_algorithm"),
@@ -56,42 +58,6 @@ _JOB_KNOBS = (
     ("compute", "compute_backend"),
     ("parallelism", "parallelism"),
 )
-
-
-def _normalize_overrides(overrides: Mapping[str, object]) -> Dict[str, object]:
-    """Validate and deep-copy an overrides mapping into plain JSON types."""
-    normalized: Dict[str, object] = {}
-    for key, value in overrides.items():
-        if key in _CONFIG_SECTIONS:
-            if not isinstance(value, Mapping):
-                raise ConfigurationError(
-                    f"override section {key!r} must be a mapping of field -> value, "
-                    f"got {type(value).__name__}"
-                )
-            section: Dict[str, object] = {}
-            for name, item in value.items():
-                if not isinstance(name, str):
-                    raise ConfigurationError(
-                        f"override field names in section {key!r} must be strings"
-                    )
-                if not isinstance(item, (int, float, bool, str)):
-                    raise ConfigurationError(
-                        f"override {key}.{name} must be a scalar, got {type(item).__name__}"
-                    )
-                section[name] = item
-            normalized[key] = section
-        elif key in _CONFIG_SCALARS:
-            if not isinstance(value, (int, float, str)):
-                raise ConfigurationError(
-                    f"override {key!r} must be a scalar, got {type(value).__name__}"
-                )
-            normalized[key] = value
-        else:
-            raise ConfigurationError(
-                f"unknown override section {key!r}; expected one of "
-                f"{sorted(_CONFIG_SECTIONS + _CONFIG_SCALARS)}"
-            )
-    return normalized
 
 
 def section_overrides(**configs) -> Dict[str, Dict[str, object]]:
@@ -136,7 +102,7 @@ class SimJob:
     #: Network backend executing the job ("symmetric" | "detailed" |
     #: "hybrid" | "auto"); ``None`` keeps the preset's symmetric model.
     backend: Optional[str] = None
-    chunk_bytes: Optional[int] = None
+    chunk_bytes: Optional[int] = field(default=None, metadata=POSITIVE)
     # -- training jobs ---------------------------------------------------
     workload: Optional[str] = None
     #: Operator-graph trace name (``traces/<name>.json``) driving this
@@ -147,7 +113,7 @@ class SimJob:
     #: (see :func:`repro.traces.cost.cost_table_names`); ``None`` uses
     #: :data:`repro.traces.cost.DEFAULT_COST_TABLE`.
     cost_table: Optional[str] = None
-    iterations: int = 2
+    iterations: int = field(default=2, metadata=POSITIVE)
     overlap_embedding: bool = False
     #: Parallelisation strategy spec ("data" | "model" | "hybrid" | "zero" |
     #: "pipeline" | "pipeline:<stages>x<microbatches>"); ``None`` keeps the
@@ -157,22 +123,32 @@ class SimJob:
     #: "execution-unit" | "auto"); ``None`` keeps the preset's roofline model.
     compute: Optional[str] = None
     # -- network-drive jobs ----------------------------------------------
-    payload_bytes: Optional[int] = None
+    payload_bytes: Optional[int] = field(default=None, metadata=POSITIVE)
     op: str = CollectiveOp.ALL_REDUCE.value
 
     def __post_init__(self) -> None:
+        # Every field is plain JSON, so the spec itself is a JSON boundary.
+        check(SimJob, vars(self))
+        unknown = sorted(set(self.overrides) - _OVERRIDE_KEYS, key=str)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown override section {unknown[0]!r}; expected one of "
+                f"{sorted(_OVERRIDE_KEYS)}",
+                field=f"overrides.{unknown[0]}",
+            )
+        check(SystemConfig, self.overrides, path=("overrides",))
+        # A private copy: later edits to the caller's dicts cannot change the spec.
+        object.__setattr__(
+            self,
+            "overrides",
+            {k: dict(v) if isinstance(v, Mapping) else v for k, v in self.overrides.items()},
+        )
+        if self.topology is not None:
+            object.__setattr__(self, "topology", tuple(self.topology))
         if self.kind not in JOB_KINDS:
             raise ConfigurationError(
                 f"unknown job kind {self.kind!r}; expected one of {JOB_KINDS}"
             )
-        object.__setattr__(self, "overrides", _normalize_overrides(self.overrides))
-        if self.topology is not None:
-            shape = tuple(int(s) for s in self.topology)
-            if len(shape) != 3:
-                raise ConfigurationError(
-                    f"topology must be an (L, V, H) triple, got {self.topology!r}"
-                )
-            object.__setattr__(self, "topology", shape)
         if self.algorithm != AUTO and self.algorithm not in algorithms():
             raise ConfigurationError(
                 f"unknown collective algorithm {self.algorithm!r}; expected "
@@ -199,8 +175,6 @@ class SimJob:
                     )
                 # Sizes without a canonical torus fail here, not in a worker.
                 torus_shape_for_npus(self.num_npus)
-            if self.chunk_bytes is not None and self.chunk_bytes <= 0:
-                raise ConfigurationError("chunk_bytes must be positive")
         if self.trace is not None and self.kind != "training":
             raise ConfigurationError(
                 f"traces only apply to training jobs, not {self.kind!r}"
@@ -222,10 +196,8 @@ class SimJob:
                     "training jobs need exactly one of a workload name or a "
                     "trace name"
                 )
-            if self.iterations <= 0:
-                raise ConfigurationError("iterations must be positive")
         if self.kind == "network_drive":
-            if self.payload_bytes is None or self.payload_bytes <= 0:
+            if self.payload_bytes is None:
                 raise ConfigurationError("network_drive jobs need a positive payload_bytes")
             try:
                 CollectiveOp(self.op)
@@ -257,13 +229,10 @@ class SimJob:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SimJob":
-        kwargs = {k: v for k, v in data.items() if k in _FIELD_NAMES}
-        unknown = set(data) - set(_FIELD_NAMES)
+        unknown = sorted(str(key) for key in data if key not in _FIELD_NAMES)
         if unknown:
-            raise ConfigurationError(f"unknown SimJob fields: {sorted(unknown)}")
-        if kwargs.get("topology") is not None:
-            kwargs["topology"] = tuple(kwargs["topology"])
-        return cls(**kwargs)
+            raise ConfigurationError(f"unknown SimJob fields: {unknown}", field=unknown[0])
+        return cls(**data)
 
     @classmethod
     def from_json(cls, payload: str) -> "SimJob":
@@ -291,12 +260,7 @@ class SimJob:
         changes: Dict[str, object] = {}
         for key, value in self.overrides.items():
             if key in _CONFIG_SECTIONS:
-                try:
-                    changes[key] = replace(getattr(system, key), **value)
-                except TypeError as exc:
-                    raise ConfigurationError(
-                        f"invalid override for section {key!r}: {exc}"
-                    ) from None
+                changes[key] = replace(getattr(system, key), **value)
             else:
                 changes[key] = value
         # The ACE preset couples policy.comm_memory_bandwidth_gbps to the

@@ -10,11 +10,13 @@ invariant, so a scenario whose promised ``ideal <= ace <= baseline``
 ordering breaks fails loudly with the offending rows named.
 
 An invariant whose ``metric`` (or ``by`` field) matches *no* row is itself a
-failure: a typo'd metric name must not silently pass.
+failure: a typo'd metric name must not silently pass, and neither does a NaN
+or infinite metric, which no comparison would catch.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import InvariantViolation
@@ -37,23 +39,33 @@ def _rows_for(invariant: Invariant, rows: Sequence[Mapping[str, object]]):
 
 
 def _check_positive(invariant: Invariant, rows) -> Tuple[bool, str]:
-    bad = [row for row in rows if not float(row[invariant.metric]) > 0.0]
+    bad = [row for row in rows if not 0.0 < float(row[invariant.metric]) < math.inf]
     if bad:
         worst = bad[0]
         return False, (
-            f"{len(bad)} row(s) have non-positive {invariant.metric!r} "
+            f"{len(bad)} row(s) have non-positive or infinite {invariant.metric!r} "
             f"(first: {invariant.metric}={worst[invariant.metric]!r})"
         )
     return True, f"{len(rows)} row(s) positive"
 
 
+def _row_name(invariant: Invariant, row: Mapping[str, object], index: int) -> str:
+    """A row's ``by`` and ``group_by`` fields, else its index among the checked rows."""
+    keys = (invariant.by, *invariant.group_by)
+    return ", ".join(f"{key}={row[key]}" for key in keys if key in row) or f"row #{index}"
+
+
 def _check_bound(invariant: Invariant, rows) -> Tuple[bool, str]:
     failures: List[str] = []
-    for row in rows:
+    for index, row in enumerate(rows):
         value = float(row[invariant.metric])
-        if invariant.min is not None and value < invariant.min:
+        if not math.isfinite(value):
+            failures.append(
+                f"[{_row_name(invariant, row, index)}] {invariant.metric}={value} is not finite"
+            )
+        elif invariant.min is not None and value < invariant.min:
             failures.append(f"{invariant.metric}={value} < min {invariant.min}")
-        if invariant.max is not None and value > invariant.max:
+        elif invariant.max is not None and value > invariant.max:
             failures.append(f"{invariant.metric}={value} > max {invariant.max}")
     if failures:
         return False, f"{len(failures)} violation(s); first: {failures[0]}"
@@ -65,10 +77,15 @@ def _check_ordering(invariant: Invariant, rows) -> Tuple[bool, str]:
     if not rows:
         return False, f"no rows carry field {invariant.by!r}"
     groups: Dict[Tuple, Dict[str, float]] = {}
-    for row in rows:
-        key = tuple((name, row.get(name)) for name in invariant.group_by)
-        groups.setdefault(key, {})[str(row[invariant.by])] = float(row[invariant.metric])
     failures: List[str] = []
+    for index, row in enumerate(rows):
+        key = tuple((name, row.get(name)) for name in invariant.group_by)
+        value = float(row[invariant.metric])
+        if not math.isfinite(value):
+            failures.append(
+                f"[{_row_name(invariant, row, index)}] {invariant.metric}={value} is not finite"
+            )
+        groups.setdefault(key, {})[str(row[invariant.by])] = value
     comparisons = 0
     # Group keys may mix str and None (e.g. a null parallelism slice), so
     # sort on the repr rather than the raw values.

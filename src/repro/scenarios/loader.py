@@ -415,7 +415,9 @@ def compile_suite(scenario: Scenario, index: int) -> CompiledSuite:
     except ScenarioError:
         raise
     except ReproError as exc:
-        raise ScenarioError(f"{context} ({suite.kind}): {exc}") from exc
+        raise ScenarioError(
+            f"{context} ({suite.kind}): {exc}", field=getattr(exc, "field", None)
+        ) from exc
     if not jobs:
         raise ScenarioError(f"{context} ({suite.kind}): compiled to an empty job batch")
     return CompiledSuite(suite=suite, jobs=tuple(jobs))

@@ -41,14 +41,17 @@ byte counts and dependency cycles all raise a
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 from repro.collectives.base import CollectiveOp
+from repro.config.fields import FRACTION, NON_NEGATIVE, POSITIVE, REQUIRED, check, check_object
 from repro.errors import TraceError
 from repro.workloads.base import PARALLELISM_STRATEGIES
 
@@ -79,95 +82,71 @@ COMM_ROLES = (
 #: Comm roles that belong to a specific layer (vs. the embedding stage).
 LAYER_COMM_ROLES = ("weight_grad", "forward_activation", "backward_activation")
 
-#: Op descriptor kinds a compute node may carry.
-OP_KINDS = ("tensor", "gemm", "measured")
-
 _NAME_PATTERN = re.compile(r"^[a-z0-9][a-z0-9-]*$")
 
-_TRACE_FIELDS = (
-    "schema",
-    "name",
-    "description",
-    "batch_size_per_npu",
-    "parallelism",
-    "dtype_bytes",
-    "compute_time_scale",
-    "pipeline_activation_bytes",
-    "nodes",
-    "edges",
-)
 
-_COMPUTE_NODE_FIELDS = ("id", "kind", "phase", "layer", "op")
-_COMM_NODE_FIELDS = ("id", "kind", "role", "layer", "collective", "bytes")
-
-_OP_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "tensor": ("kind", "name", "flops", "bytes_read", "bytes_written", "efficiency"),
-    "gemm": ("kind", "name", "m", "n", "k", "batch", "dtype_bytes", "efficiency",
-             "traffic_factor"),
-    "measured": ("kind", "name", "duration_ns"),
-}
+@dataclass(frozen=True)
+class _TensorOp:
+    name: str
+    flops: float = field(default=0.0, metadata=NON_NEGATIVE)
+    bytes_read: float = field(default=0.0, metadata=NON_NEGATIVE)
+    bytes_written: float = field(default=0.0, metadata=NON_NEGATIVE)
+    efficiency: float = field(default=0.5, metadata=FRACTION)
 
 
-def _type_name(value: object) -> str:
-    return type(value).__name__
+@dataclass(frozen=True)
+class _GemmOp:
+    name: str
+    m: int = field(metadata={**REQUIRED, **POSITIVE})
+    n: int = field(metadata={**REQUIRED, **POSITIVE})
+    k: int = field(metadata={**REQUIRED, **POSITIVE})
+    batch: int = field(default=1, metadata=POSITIVE)
+    dtype_bytes: int = field(default=2, metadata=POSITIVE)
+    efficiency: float = field(default=0.85, metadata=FRACTION)
+    traffic_factor: float = field(default=1.0, metadata=POSITIVE)
 
 
-def _fail(context: str, message: str) -> "TraceError":
-    return TraceError(f"{context}: {message}")
+@dataclass(frozen=True)
+class _MeasuredOp:
+    name: str
+    duration_ns: float = field(metadata={**REQUIRED, **POSITIVE})
 
 
-def _expect_mapping(value: object, context: str) -> Mapping[str, object]:
-    if not isinstance(value, Mapping):
-        raise _fail(context, f"expected an object, got {_type_name(value)}")
-    for key in value:
-        if not isinstance(key, str):
-            raise _fail(context, f"object keys must be strings, got {key!r}")
-    return value
+#: One field table per op kind (see :mod:`repro.config.fields`); an op field's
+#: default is what :func:`validate_op` fills in when it is absent.
+_OP_TABLES = {"tensor": _TensorOp, "gemm": _GemmOp, "measured": _MeasuredOp}
+#: Op descriptor kinds a compute node may carry.
+OP_KINDS = tuple(_OP_TABLES)
 
 
-def _reject_unknown(data: Mapping[str, object], allowed: Sequence[str], context: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise _fail(
-            context, f"unknown field(s) {unknown}; allowed fields: {sorted(allowed)}"
-        )
+def _op_fields(table: type) -> Tuple[Tuple[str, object, bool], ...]:
+    """Each field's name, default, and whether :func:`validate_op` makes it a float."""
+    hints = typing.get_type_hints(table)
+    return tuple(
+        (spec.name, spec.default, hints[spec.name] is float) for spec in dataclasses.fields(table)
+    )
 
 
-def _str_field(data: Mapping[str, object], name: str, context: str, default: object = None) -> str:
-    value = data.get(name, default)
-    if not isinstance(value, str):
-        raise _fail(context, f"field {name!r} must be a string, got {_type_name(value)}")
-    return value
+_OP_FIELDS = {kind: _op_fields(table) for kind, table in _OP_TABLES.items()}
 
 
-def _number_field(
-    data: Mapping[str, object], name: str, context: str, default: object = None
-) -> float:
-    value = data.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(context, f"field {name!r} must be a number, got {_type_name(value)}")
-    return float(value)
+@dataclass(frozen=True)
+class _ComputeNode:
+    id: str
+    kind: str
+    phase: str
+    layer: str
+    op: Mapping[str, object] = field(metadata=REQUIRED)
 
 
-def _int_field(data: Mapping[str, object], name: str, context: str, default: object = None) -> int:
-    value = data.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(context, f"field {name!r} must be an integer, got {_type_name(value)}")
-    return value
-
-
-def _nonnegative_number(
-    data: Mapping[str, object], name: str, context: str, default: object = None
-) -> float:
-    value = _number_field(data, name, context, default)
-    if value < 0:
-        raise _fail(context, f"field {name!r} must be non-negative, got {value}")
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Op descriptors
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class _CommNode:
+    id: str
+    kind: str
+    role: str
+    layer: str
+    collective: str
+    bytes: int = field(metadata={**REQUIRED, **POSITIVE})
 
 
 def validate_op(op: object, context: str) -> Dict[str, object]:
@@ -177,51 +156,16 @@ def validate_op(op: object, context: str) -> Dict[str, object]:
     :class:`~repro.compute.kernels.KernelCost`) so the same trace can be
     costed against any device table at lowering time.
     """
-    mapping = _expect_mapping(op, context)
-    kind = _str_field(mapping, "kind", context, default="")
+    kind = check_object(op, context, TraceError).get("kind")
     if kind not in OP_KINDS:
-        raise _fail(context, f"unknown op kind {kind!r}; expected one of {list(OP_KINDS)}")
-    _reject_unknown(mapping, _OP_FIELDS[kind], context)
+        raise TraceError(f"{context}: unknown op kind {kind!r}; expected one of {list(OP_KINDS)}")
+    values = {key: value for key, value in op.items() if key != "kind"}
+    check(_OP_TABLES[kind], values, context, TraceError)
     normalized: Dict[str, object] = {"kind": kind}
-    if "name" in mapping:
-        normalized["name"] = _str_field(mapping, "name", context)
-    if kind == "tensor":
-        normalized["flops"] = _nonnegative_number(mapping, "flops", context, default=0)
-        normalized["bytes_read"] = _nonnegative_number(mapping, "bytes_read", context, default=0)
-        normalized["bytes_written"] = _nonnegative_number(
-            mapping, "bytes_written", context, default=0
-        )
-        efficiency = _number_field(mapping, "efficiency", context, default=0.5)
-        if not 0 < efficiency <= 1:
-            raise _fail(context, f"field 'efficiency' must be in (0, 1], got {efficiency}")
-        normalized["efficiency"] = efficiency
-    elif kind == "gemm":
-        for name in ("m", "n", "k"):
-            value = _int_field(mapping, name, context)
-            if value <= 0:
-                raise _fail(context, f"GEMM dimension {name!r} must be positive, got {value}")
-            normalized[name] = value
-        batch = _int_field(mapping, "batch", context, default=1)
-        if batch <= 0:
-            raise _fail(context, f"field 'batch' must be positive, got {batch}")
-        normalized["batch"] = batch
-        dtype_bytes = _int_field(mapping, "dtype_bytes", context, default=2)
-        if dtype_bytes <= 0:
-            raise _fail(context, f"field 'dtype_bytes' must be positive, got {dtype_bytes}")
-        normalized["dtype_bytes"] = dtype_bytes
-        efficiency = _number_field(mapping, "efficiency", context, default=0.85)
-        if not 0 < efficiency <= 1:
-            raise _fail(context, f"field 'efficiency' must be in (0, 1], got {efficiency}")
-        normalized["efficiency"] = efficiency
-        traffic = _number_field(mapping, "traffic_factor", context, default=1.0)
-        if traffic <= 0:
-            raise _fail(context, f"field 'traffic_factor' must be positive, got {traffic}")
-        normalized["traffic_factor"] = traffic
-    else:  # measured
-        duration = _number_field(mapping, "duration_ns", context)
-        if duration <= 0:
-            raise _fail(context, f"field 'duration_ns' must be positive, got {duration}")
-        normalized["duration_ns"] = duration
+    for name, default, is_float in _OP_FIELDS[kind]:
+        value = values.get(name, default)
+        if value is not dataclasses.MISSING:
+            normalized[name] = float(value) if is_float else value
     return normalized
 
 
@@ -255,70 +199,61 @@ class TraceNode:
     @classmethod
     def from_dict(cls, data: object, context: str) -> "TraceNode":
         """Validate one manifest node entry."""
-        mapping = _expect_mapping(data, context)
-        node_id = _str_field(mapping, "id", context, default="")
-        if not node_id:
-            raise _fail(context, "every node needs a non-empty string 'id'")
+        node_id = check_object(data, context, TraceError).get("id")
+        if not node_id or not isinstance(node_id, str):
+            raise TraceError(f"{context}: every node needs a non-empty string 'id'")
         context = f"{context} node {node_id!r}"
-        kind = _str_field(mapping, "kind", context, default="")
+        kind = data.get("kind")
         if kind not in ("compute", "comm"):
-            raise _fail(
-                context, f"unknown node kind {kind!r}; expected 'compute' or 'comm'"
+            raise TraceError(
+                f"{context}: unknown node kind {kind!r}; expected 'compute' or 'comm'"
             )
+        check(_ComputeNode if kind == "compute" else _CommNode, data, context, TraceError)
+        layer = data.get("layer", "")
         if kind == "compute":
-            _reject_unknown(mapping, _COMPUTE_NODE_FIELDS, context)
-            phase = _str_field(mapping, "phase", context, default="")
+            phase = data.get("phase", "")
             if phase not in COMPUTE_PHASES:
-                raise _fail(
-                    context,
-                    f"unknown compute phase {phase!r}; expected one of {list(COMPUTE_PHASES)}",
+                raise TraceError(
+                    f"{context}: unknown compute phase {phase!r}; "
+                    f"expected one of {list(COMPUTE_PHASES)}"
                 )
-            layer = _str_field(mapping, "layer", context, default="")
             if phase.startswith("embedding"):
                 if layer:
-                    raise _fail(
-                        context,
-                        f"embedding phase {phase!r} is workload-global; drop the 'layer' field",
+                    raise TraceError(
+                        f"{context}: embedding phase {phase!r} is workload-global; "
+                        f"drop the 'layer' field"
                     )
             elif not layer:
-                raise _fail(context, f"compute phase {phase!r} needs a 'layer' tag")
-            if "op" not in mapping:
-                raise _fail(context, "compute nodes need an 'op' descriptor")
-            op = validate_op(mapping["op"], f"{context} op")
+                raise TraceError(f"{context}: compute phase {phase!r} needs a 'layer' tag")
+            op = validate_op(data["op"], f"{context} op")
             return cls(id=node_id, kind=kind, layer=layer, phase=phase, op=op)
-        _reject_unknown(mapping, _COMM_NODE_FIELDS, context)
-        role = _str_field(mapping, "role", context, default="")
+        role = data.get("role", "")
         if role not in COMM_ROLES:
-            raise _fail(
-                context, f"unknown comm role {role!r}; expected one of {list(COMM_ROLES)}"
+            raise TraceError(
+                f"{context}: unknown comm role {role!r}; expected one of {list(COMM_ROLES)}"
             )
-        layer = _str_field(mapping, "layer", context, default="")
         if role in LAYER_COMM_ROLES:
             if not layer:
-                raise _fail(context, f"comm role {role!r} needs a 'layer' tag")
+                raise TraceError(f"{context}: comm role {role!r} needs a 'layer' tag")
         elif layer:
-            raise _fail(
-                context, f"embedding role {role!r} is workload-global; drop the 'layer' field"
+            raise TraceError(
+                f"{context}: embedding role {role!r} is workload-global; drop the 'layer' field"
             )
-        collective = _str_field(mapping, "collective", context, default="")
+        collective = data.get("collective", "")
         try:
             CollectiveOp(collective)
         except ValueError:
-            raise _fail(
-                context,
-                f"unknown collective {collective!r}; expected one of "
-                f"{[op.value for op in CollectiveOp]}",
+            raise TraceError(
+                f"{context}: unknown collective {collective!r}; expected one of "
+                f"{[op.value for op in CollectiveOp]}"
             ) from None
-        payload = _int_field(mapping, "bytes", context)
-        if payload <= 0:
-            raise _fail(context, f"field 'bytes' must be positive, got {payload}")
         return cls(
             id=node_id,
             kind=kind,
             layer=layer,
             role=role,
             collective=collective,
-            bytes=payload,
+            bytes=data["bytes"],
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -348,115 +283,82 @@ class Trace:
 
     name: str
     description: str
-    batch_size_per_npu: int
+    batch_size_per_npu: int = field(metadata={**REQUIRED, **POSITIVE})
     nodes: Tuple[TraceNode, ...]
     edges: Tuple[Tuple[str, str], ...]
     parallelism: str = "data"
-    dtype_bytes: int = 2
-    compute_time_scale: float = 1.0
-    pipeline_activation_bytes: int = 0
+    dtype_bytes: int = field(default=2, metadata=POSITIVE)
+    compute_time_scale: float = field(default=1.0, metadata=POSITIVE)
+    pipeline_activation_bytes: int = field(default=0, metadata=NON_NEGATIVE)
 
     @classmethod
     def from_dict(cls, data: object, source: str = "trace") -> "Trace":
         """Validate a parsed trace; ``source`` names it in error messages."""
-        mapping = _expect_mapping(data, source)
-        _reject_unknown(mapping, _TRACE_FIELDS, source)
-        if "schema" not in mapping:
-            raise _fail(source, "required field 'schema' is missing")
-        schema = _int_field(mapping, "schema", source)
-        if schema != TRACE_SCHEMA_VERSION:
-            raise _fail(
-                source,
-                f"unsupported trace schema version {schema!r}; this build "
-                f"understands version {TRACE_SCHEMA_VERSION}",
+        if "schema" not in check_object(data, source, TraceError):
+            raise TraceError(f"{source}: required field 'schema' is missing")
+        if data["schema"] != TRACE_SCHEMA_VERSION:
+            raise TraceError(
+                f"{source}: unsupported trace schema version {data['schema']!r}; this "
+                f"build understands version {TRACE_SCHEMA_VERSION}"
             )
-        name = _str_field(mapping, "name", source, default="")
+        values = {key: value for key, value in data.items() if key != "schema"}
+        check(cls, values, source, TraceError)
+        name = values.get("name", "")
         if not _NAME_PATTERN.match(name):
-            raise _fail(
-                source,
-                f"trace name {name!r} must be a lowercase slug "
-                f"matching {_NAME_PATTERN.pattern!r}",
+            raise TraceError(
+                f"{source}: trace name {name!r} must be a lowercase slug "
+                f"matching {_NAME_PATTERN.pattern!r}"
             )
         context = f"trace {name!r}"
-        description = _str_field(mapping, "description", context, default="")
-        if not description:
-            raise _fail(context, "a non-empty 'description' is required")
-        batch = _int_field(mapping, "batch_size_per_npu", context)
-        if batch <= 0:
-            raise _fail(context, f"'batch_size_per_npu' must be positive, got {batch}")
-        parallelism = _str_field(mapping, "parallelism", context, default="data")
+        if not values.get("description"):
+            raise TraceError(f"{context}: a non-empty 'description' is required")
+        parallelism = values.get("parallelism", "data")
         if parallelism not in PARALLELISM_STRATEGIES:
-            raise _fail(
-                context,
-                f"unknown parallelism {parallelism!r}; expected one of "
-                f"{list(PARALLELISM_STRATEGIES)}",
+            raise TraceError(
+                f"{context}: unknown parallelism {parallelism!r}; expected one of "
+                f"{list(PARALLELISM_STRATEGIES)}"
             )
-        dtype_bytes = _int_field(mapping, "dtype_bytes", context, default=2)
-        if dtype_bytes <= 0:
-            raise _fail(context, f"'dtype_bytes' must be positive, got {dtype_bytes}")
-        scale = _number_field(mapping, "compute_time_scale", context, default=1.0)
-        if scale <= 0:
-            raise _fail(context, f"'compute_time_scale' must be positive, got {scale}")
-        pipeline_bytes = _int_field(mapping, "pipeline_activation_bytes", context, default=0)
-        if pipeline_bytes < 0:
-            raise _fail(context, "'pipeline_activation_bytes' cannot be negative")
-
-        raw_nodes = mapping.get("nodes")
-        if not isinstance(raw_nodes, Sequence) or isinstance(raw_nodes, str) or not raw_nodes:
-            raise _fail(context, "'nodes' must be a non-empty list")
+        if not values.get("nodes"):
+            raise TraceError(f"{context}: 'nodes' must be a non-empty list")
         nodes = tuple(
             TraceNode.from_dict(entry, f"{context} node #{index}")
-            for index, entry in enumerate(raw_nodes)
+            for index, entry in enumerate(values["nodes"])
         )
         seen: Dict[str, int] = {}
         for node in nodes:
             if node.id in seen:
-                raise _fail(context, f"duplicate node id {node.id!r}")
+                raise TraceError(f"{context}: duplicate node id {node.id!r}")
             seen[node.id] = 1
 
-        raw_edges = mapping.get("edges", [])
-        if not isinstance(raw_edges, Sequence) or isinstance(raw_edges, str):
-            raise _fail(context, "'edges' must be a list of [src, dst] pairs")
         edges: List[Tuple[str, str]] = []
         edge_set: Dict[Tuple[str, str], int] = {}
-        for index, entry in enumerate(raw_edges):
-            ok = (
-                isinstance(entry, Sequence)
-                and not isinstance(entry, str)
-                and len(entry) == 2
-                and all(isinstance(end, str) for end in entry)
-            )
-            if not ok:
-                raise _fail(
-                    context, f"edge #{index} must be a [src, dst] pair of node ids, got {entry!r}"
-                )
-            src, dst = entry
+        for index, (src, dst) in enumerate(values.get("edges", ())):
             for end in (src, dst):
                 if end not in seen:
-                    raise _fail(
-                        context, f"edge #{index} references unknown node {end!r} (dangling edge)"
+                    raise TraceError(
+                        f"{context}: edge #{index} references unknown node {end!r} "
+                        f"(dangling edge)"
                     )
             if src == dst:
-                raise _fail(context, f"node {src!r} depends on itself (self-edge)")
+                raise TraceError(f"{context}: node {src!r} depends on itself (self-edge)")
             if (src, dst) in edge_set:
-                raise _fail(context, f"duplicate edge {[src, dst]!r}")
+                raise TraceError(f"{context}: duplicate edge {[src, dst]!r}")
             edge_set[(src, dst)] = 1
             edges.append((src, dst))
 
         trace = cls(
             name=name,
-            description=description,
-            batch_size_per_npu=batch,
+            description=values["description"],
+            batch_size_per_npu=values["batch_size_per_npu"],
             nodes=nodes,
             edges=tuple(edges),
             parallelism=parallelism,
-            dtype_bytes=dtype_bytes,
-            compute_time_scale=scale,
-            pipeline_activation_bytes=pipeline_bytes,
+            dtype_bytes=values.get("dtype_bytes", 2),
+            compute_time_scale=float(values.get("compute_time_scale", 1.0)),
+            pipeline_activation_bytes=values.get("pipeline_activation_bytes", 0),
         )
         topological_order(trace)  # raises TraceError on a dependency cycle
         return trace
-
     def to_dict(self) -> Dict[str, object]:
         """The trace-file (plain-JSON) form of this trace — round-trips."""
         data: Dict[str, object] = {
@@ -482,7 +384,7 @@ class Trace:
         for node in self.nodes:
             if node.id == node_id:
                 return node
-        raise _fail(f"trace {self.name!r}", f"no node with id {node_id!r}")
+        raise TraceError(f"trace {self.name!r}: no node with id {node_id!r}")
 
     def summary(self) -> Dict[str, object]:
         """Human-oriented size summary (``repro trace list``)."""
@@ -525,10 +427,9 @@ def topological_order(trace: Trace) -> List[TraceNode]:
             ready = sorted(ready + released)
     if len(order) < len(trace.nodes):
         stuck = sorted(node_id for node_id, degree in indegree.items() if degree > 0)
-        raise _fail(
-            f"trace {trace.name!r}",
-            f"dependency cycle through node {stuck[0]!r} "
-            f"({len(stuck)} node(s) unreachable)",
+        raise TraceError(
+            f"trace {trace.name!r}: dependency cycle through node {stuck[0]!r} "
+            f"({len(stuck)} node(s) unreachable)"
         )
     by_id = {node.id: node for node in trace.nodes}
     return [by_id[node_id] for node_id in order]

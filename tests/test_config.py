@@ -62,8 +62,6 @@ class TestNetworkConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             NetworkConfig(link_efficiency=0.0)
-        with pytest.raises(ConfigurationError):
-            NetworkConfig(packet_size_bytes=0)
 
 
 class TestAceConfig:
@@ -73,8 +71,6 @@ class TestAceConfig:
         assert ace.num_fsms == 16
         assert ace.num_alus == 4
         assert ace.chunk_bytes == 64 * 1024
-        assert ace.message_bytes == 8 * 1024
-        assert ace.packet_bytes == 256
 
     def test_alu_throughput(self):
         # 4 ALUs x 64 B/cycle x 1245 MHz ~= 319 GB/s.
@@ -82,12 +78,6 @@ class TestAceConfig:
 
     def test_max_inflight_chunks(self):
         assert AceConfig().max_inflight_chunks == 64
-
-    def test_granularity_ordering_enforced(self):
-        with pytest.raises(ConfigurationError):
-            AceConfig(message_bytes=128 * 1024)
-        with pytest.raises(ConfigurationError):
-            AceConfig(packet_bytes=16 * 1024)
 
 
 class TestSystemConfig:

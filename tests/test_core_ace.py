@@ -1,4 +1,4 @@
-"""ACE micro-architecture: granularity, SRAM, FSMs, ALUs, engine, area/power."""
+"""ACE micro-architecture: SRAM, FSMs, ALUs, engine, area/power."""
 
 import pytest
 
@@ -9,41 +9,9 @@ from repro.core.alu import AluArray
 from repro.core.area_power import AceAreaPowerModel
 from repro.core.engine import AceEngine
 from repro.core.fsm import FsmPool
-from repro.core.granularity import GranularityPolicy
 from repro.core.sram import SramScratchpad, partition_sram
-from repro.errors import CollectiveError, ResourceError, SchedulingError
+from repro.errors import ResourceError, SchedulingError
 from repro.units import KB, MB
-
-
-class TestGranularity:
-    def test_table3_defaults(self):
-        policy = GranularityPolicy.from_ace_config(AceConfig())
-        assert policy.chunk_bytes == 64 * KB
-        assert policy.message_bytes == 8 * KB
-        assert policy.packet_bytes == 256
-
-    def test_chunks_for_payload(self):
-        policy = GranularityPolicy(64 * KB, 8 * KB, 256)
-        sizes = policy.chunks_for_payload(200 * KB)
-        assert len(sizes) == 4
-        assert sum(sizes) == 200 * KB
-        assert policy.num_chunks(64 * KB) == 1
-
-    def test_messages_per_chunk_is_multiple_of_nodes(self):
-        policy = GranularityPolicy(64 * KB, 8 * KB, 256)
-        for nodes in (3, 4, 7, 16):
-            count = policy.messages_per_chunk(64 * KB, nodes)
-            assert count % nodes == 0
-            assert 64 * KB / count <= policy.message_bytes
-
-    def test_packets_per_message(self):
-        policy = GranularityPolicy(64 * KB, 8 * KB, 256)
-        assert policy.packets_per_message(8 * KB) == 32
-        assert policy.packets_per_message(300) == 2
-
-    def test_invalid_ordering(self):
-        with pytest.raises(CollectiveError):
-            GranularityPolicy(4 * KB, 8 * KB, 256)
 
 
 class TestSram:

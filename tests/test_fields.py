@@ -1,0 +1,218 @@
+"""The JSON boundary checker: a bad value is a ConfigurationError naming its field.
+
+Jobs, manifests and traces enter as JSON and are checked against the field
+tables of their own types (:mod:`repro.config.fields`).
+"""
+
+import json
+import math
+from dataclasses import fields as dataclass_fields
+from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cli import main as repro_main
+from repro.config.system import SystemConfig
+from repro.errors import ConfigurationError, ScenarioError, TraceError
+from repro.runner import SimJob
+from repro.scenarios import compile_scenario, load_scenario_file
+from repro.traces import Trace
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+BASE_JOB = {"workload": "resnet50", "num_npus": 16}
+NAN = float("nan")
+
+SECTIONS = ("compute", "memory", "network", "ace", "policy")
+SCALAR_OVERRIDES = (
+    "name",
+    "collective_scheduling",
+    "collective_launch_overhead_ns",
+    "network_backend_auto_threshold",
+)
+
+
+def _accepts(hint, value) -> bool:
+    """The type rules, written apart from the checker as its reference."""
+    if hint is bool:
+        return isinstance(value, bool)
+    if hint is int:
+        return type(value) is int
+    if hint is float:
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    if hint is str:
+        return isinstance(value, str)
+    if get_origin(hint) is Union:  # Optional[X]
+        return value is None or _accepts(get_args(hint)[0], value)
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        return (
+            isinstance(value, list)
+            and len(value) == len(args)
+            and all(map(_accepts, args, value))
+        )
+    return isinstance(value, dict)  # Mapping[str, object]
+
+
+def _field_paths():
+    """(path, annotation, bound) of every SimJob field and override field."""
+    paths = []
+    job_hints = get_type_hints(SimJob)
+    for spec in dataclass_fields(SimJob):
+        paths.append(((spec.name,), job_hints[spec.name], spec.metadata.get("bound")))
+    system_hints = get_type_hints(SystemConfig)
+    for section in SECTIONS:
+        hints = get_type_hints(system_hints[section])
+        for spec in dataclass_fields(system_hints[section]):
+            path = ("overrides", section, spec.name)
+            paths.append((path, hints[spec.name], spec.metadata.get("bound")))
+    for spec in dataclass_fields(SystemConfig):
+        if spec.name in SCALAR_OVERRIDES:
+            path = ("overrides", spec.name)
+            paths.append((path, system_hints[spec.name], spec.metadata.get("bound")))
+    return paths
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=st.sampled_from(_field_paths()), value=JSON_VALUES)
+def test_any_json_value_in_any_field_builds_or_names_the_field(target, value):
+    path, hint, bound = target
+    spec = dict(BASE_JOB)
+    section = spec
+    for name in path[:-1]:
+        section = section.setdefault(name, {})
+    section[path[-1]] = value
+    fits = _accepts(hint, value) and (bound is None or value is None or bound[1](value))
+    try:
+        SimJob.from_dict(spec)
+    except ConfigurationError as exc:
+        # A fitting value may still break a cross-field rule.
+        assert fits or exc.field == ".".join(path), (exc.field, str(exc))
+        return
+    assert fits, f"{'.'.join(path)}={value!r} was accepted"
+
+
+# ---------------------------------------------------------------------------
+# The probes: one per boundary shape, each named by its dotted field
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"overrides": {"ace": {"num_fsms": 2.5}}}, "overrides.ace.num_fsms"),
+        ({"overrides": {"ace": {"sram_bytes": "big"}}}, "overrides.ace.sram_bytes"),
+        (
+            {"overrides": {"memory": {"npu_memory_bandwidth_gbps": NAN}}},
+            "overrides.memory.npu_memory_bandwidth_gbps",
+        ),
+        ({"overrides": {"compute": {"num_sms": True}}}, "overrides.compute.num_sms"),
+        ({"overrides": {"policy": {"comm_sms": 2.5}}}, "overrides.policy.comm_sms"),
+        ({"overrides": {"network": {"link_efficiency": 2.0}}}, "overrides.network.link_efficiency"),
+        ({"overrides": {"ace": {"packet_bytes": 256}}}, "overrides.ace.packet_bytes"),
+        ({"iterations": "2"}, "iterations"),
+        ({"iterations": 1.5}, "iterations"),
+        ({"chunk_bytes": 1.5}, "chunk_bytes"),
+        ({"topology": [4, 2]}, "topology"),
+    ],
+)
+def test_job_probe_is_rejected_naming_its_field(spec, field):
+    with pytest.raises(ConfigurationError) as excinfo:
+        SimJob.from_json(json.dumps({**BASE_JOB, **spec}))
+    assert excinfo.value.field == field
+    assert field.rsplit(".", 1)[-1] in str(excinfo.value)
+
+
+def _manifest(**fields):
+    suite = {"kind": "area_power"}
+    return {"schema": 1, "name": "probe", "description": "d", "suites": [suite], **fields}
+
+
+@pytest.mark.parametrize(
+    "manifest, field, text",
+    [
+        (
+            _manifest(
+                suites=[
+                    {
+                        "kind": "network_drive",
+                        "payload_bytes": 1048576,
+                        "fabrics": ["switch:8"],
+                        "overrides": {"ace": {"num_fsms": 2.5}},
+                    }
+                ]
+            ),
+            "overrides.ace.num_fsms",
+            "overrides.ace.num_fsms must be an integer, got 2.5",
+        ),
+        (
+            _manifest(invariants=[{"kind": "bound", "metric": "x", "min": NAN, "max": NAN}]),
+            "min",
+            "field 'min' must be a number or null, got nan",
+        ),
+        (
+            _manifest(suites=[{"kind": "grid", "sizes": [16, "64"]}]),
+            "sizes.1",
+            "field 'sizes.1' must be an integer, got '64'",
+        ),
+        (
+            _manifest(suites=[{"kind": "area_power", "ace": {"message_bytes": 8192}}]),
+            "overrides.ace.message_bytes",
+            "invalid override for section 'ace'",
+        ),
+    ],
+)
+def test_manifest_probe_fails_repro_validate(tmp_path, capsys, manifest, field, text):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert repro_main(["validate", "--dir", str(tmp_path)]) == 1
+    assert text in capsys.readouterr().out
+    with pytest.raises(ScenarioError) as excinfo:
+        compile_scenario(load_scenario_file(path))
+    assert excinfo.value.field == field
+
+
+def _moe_trace():
+    return json.loads((REPO_ROOT / "traces" / "moe-transformer.json").read_text("utf-8"))
+
+
+def _first(trace, kind):
+    return next(index for index, node in enumerate(trace["nodes"]) if node["kind"] == kind)
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda t: t.update(batch_size_per_npu=True), "batch_size_per_npu"),
+        (lambda t: t.update(compute_time_scale=NAN), "compute_time_scale"),
+        (lambda t: t.update(edges=t["edges"] + [["a"]]), f"edges.{len(_moe_trace()['edges'])}"),
+        (lambda t: t["nodes"][_first(t, "comm")].update(bytes=2.5), "bytes"),
+        (lambda t: t["nodes"][_first(t, "compute")]["op"].update(efficiency=NAN), "efficiency"),
+        (lambda t: t["nodes"][_first(t, "compute")]["op"].update(m=0), "m"),
+        (lambda t: t["nodes"][_first(t, "compute")]["op"].update(batch=2.0), "batch"),
+    ],
+)
+def test_trace_probe_is_rejected_naming_its_field(edit, field):
+    trace = _moe_trace()
+    edit(trace)
+    with pytest.raises(TraceError) as excinfo:
+        Trace.from_dict(trace)
+    assert excinfo.value.field == field
+    assert f"field {field!r}" in str(excinfo.value)
+
+
+def test_checking_never_rewrites_a_value():
+    job = SimJob(**BASE_JOB, overrides={"memory": {"npu_memory_bandwidth_gbps": 900}})
+    value = job.overrides["memory"]["npu_memory_bandwidth_gbps"]
+    assert type(value) is int
+    assert type(job.build_system().memory.npu_memory_bandwidth_gbps) is int

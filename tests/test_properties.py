@@ -288,7 +288,7 @@ def test_simjob_hash_is_stable_under_dict_ordering(policy, ace, data):
     try:
         job = build({"policy": policy, "ace": ace})
     except ConfigurationError as exc:
-        # An invalid set (e.g. chunk_bytes below message_bytes) is rejected
+        # An invalid set (e.g. a non-boolean comm_uses_npu_sms) is rejected
         # at construction, with the same error in every order.
         with pytest.raises(ConfigurationError) as reordered_exc:
             build(dict(shuffled))

@@ -502,6 +502,25 @@ class TestInvariants:
         )[0]
         assert not record["ok"]
 
+    @pytest.mark.parametrize(
+        "invariant",
+        [
+            Invariant(kind="ordering", metric="iteration_time_us", order=("Ideal", "ACE")),
+            Invariant(kind="bound", metric="iteration_time_us", min=0.0, max=100.0),
+            Invariant(kind="positive", metric="iteration_time_us"),
+        ],
+        ids=lambda invariant: invariant.kind,
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_metric_fails_every_kind(self, invariant, bad):
+        rows = [dict(ROWS[0], iteration_time_us=bad), *ROWS[1:]]
+        record = check_invariants(
+            Scenario(name="x", description="d", invariants=(invariant,)), rows
+        )[0]
+        assert not record["ok"], record["detail"]
+        if invariant.kind != "positive":
+            assert "[system=Ideal, workload=w, npus=16]" in record["detail"]
+
     def test_typo_metric_is_a_failure_not_a_pass(self):
         invariant = Invariant(kind="positive", metric="iteration_time_uz")
         record = check_invariants(
