@@ -24,7 +24,6 @@ from repro.collectives.base import CollectiveOp
 from repro.collectives.planner import plan_collective
 from repro.config.system import ResourcePolicy, SystemConfig
 from repro.errors import ConfigurationError
-from repro.network.backend import accounting_checks_enabled
 from repro.network.topology import Topology, Torus3D
 from repro.sim.engine import Simulator
 from repro.training.comm import CollectiveExecutor
@@ -78,11 +77,10 @@ def measure_network_drive(
     sim.run()
     if handle.completed_at is None:
         raise ConfigurationError("collective did not complete; check the configuration")
-    if accounting_checks_enabled():
-        # Backend-validation runs assert that no fabric FIFO double-booked
-        # busy time — the failure mode batched/coalesced booking could hide.
-        horizon = max(handle.completed_at, executor.fabric.last_activity(), 1.0)
-        executor.fabric.check_accounting(horizon)
+    # No fabric FIFO may have double-booked busy time — the failure mode
+    # batched/coalesced booking could hide.
+    horizon = max(handle.completed_at, executor.fabric.last_activity(), 1.0)
+    executor.fabric.check_accounting(horizon)
     duration = handle.completed_at - handle.issued_at
     return NetworkDriveResult(
         system_name=system.name,
@@ -248,15 +246,6 @@ class MemoryBandwidthRequirement:
         if self.ace_reads_per_injected_byte <= 0:
             return float("inf")
         return self.baseline_reads_per_injected_byte / self.ace_reads_per_injected_byte
-
-    def required_read_bandwidth_gbps(self, network_bw_gbps: float, system: str) -> float:
-        """Memory read bandwidth needed to drive ``network_bw_gbps`` of injection."""
-        per_injected = (
-            self.baseline_reads_per_injected_byte
-            if system == "baseline"
-            else self.ace_reads_per_injected_byte
-        )
-        return network_bw_gbps * per_injected
 
 
 def analytical_memory_traffic(topology: Torus3D) -> MemoryBandwidthRequirement:

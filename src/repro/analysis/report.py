@@ -7,7 +7,7 @@ paper's tables and figures by eye.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 def format_table(
@@ -42,14 +42,3 @@ def format_table(
     for r in rendered:
         lines.append(" | ".join(r[i].ljust(widths[i]) for i in range(len(columns))))
     return "\n".join(lines)
-
-
-def format_series(
-    series: Iterable[tuple],
-    x_label: str = "x",
-    y_label: str = "y",
-    title: str = "",
-) -> str:
-    """Render an ``(x, y)`` series as a two-column table."""
-    rows = [{x_label: x, y_label: y} for x, y in series]
-    return format_table(rows, [x_label, y_label], title=title)

@@ -1,22 +1,17 @@
-"""Collective communication algorithms and plans.
+"""Collective communication algorithms as performance plans.
 
-Two complementary views of each collective are provided:
-
-* **Functional** (:mod:`repro.collectives.dataops`,
-  :mod:`repro.collectives.ring`, :mod:`repro.collectives.alltoall`, ...) —
-  step-by-step implementations over numpy arrays used to verify algorithmic
-  correctness (every node ends with the right data) in unit and property
-  tests.
-
-* **Performance plans** (:class:`~repro.collectives.base.CollectivePlan`) —
-  the per-phase byte/step accounting the simulator uses to charge endpoint
-  processing, memory traffic and link occupancy.  Plans are selected by the
-  registry-based :func:`~repro.collectives.planner.plan_collective`: each
-  algorithm (hierarchical, direct, ring, tree, halving-doubling) registers a
-  capability predicate and is costed per topology, so explicit choices are
-  validated and ``algorithm="auto"`` picks the cheapest feasible plan — the
-  paper's hierarchical 4-phase all-reduce and XYZ-routed direct all-to-all
-  on the 3D torus.
+Each algorithm is a plan builder producing a
+:class:`~repro.collectives.base.CollectivePlan`: the per-phase byte/step
+accounting the simulator uses to charge endpoint processing, memory traffic
+and link occupancy.  (Step-by-step functional implementations over numpy
+arrays, which check that every node ends with the right data, live with the
+tests in ``tests/oracles.py``.)  Plans are selected by the registry-based
+:func:`~repro.collectives.planner.plan_collective`: each algorithm
+(hierarchical, direct, ring, tree, halving-doubling) registers a capability
+predicate and is costed per topology, so explicit choices are validated and
+``algorithm="auto"`` picks the cheapest feasible plan — the paper's
+hierarchical 4-phase all-reduce and XYZ-routed direct all-to-all on the 3D
+torus.
 """
 
 from repro.collectives.base import CollectiveOp, CollectivePlan, PhaseSpec

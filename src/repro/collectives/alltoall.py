@@ -15,12 +15,9 @@ transfers), whereas ACE absorbs and forwards packets from its SRAM.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import Dict, List
 
 from repro.collectives.base import CollectiveOp, CollectivePlan, PhaseSpec
-from repro.collectives.dataops import all_to_all as all_to_all_oracle
 from repro.errors import CollectiveError
 from repro.network.routing import ring_distance
 from repro.network.topology import (
@@ -29,20 +26,6 @@ from repro.network.topology import (
     Topology,
     Torus3D,
 )
-
-# ---------------------------------------------------------------------------
-# Functional implementation (correctness)
-# ---------------------------------------------------------------------------
-
-
-def direct_all_to_all(arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Direct all-to-all exchange; equivalent to the oracle by construction.
-
-    Kept as a separate entry point so tests exercise the same code path the
-    planner documents (every pair exchanges its shard directly).
-    """
-    return all_to_all_oracle(arrays)
-
 
 # ---------------------------------------------------------------------------
 # Performance plan

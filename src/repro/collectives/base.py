@@ -123,33 +123,9 @@ class CollectivePlan:
     # Aggregate accounting
     # ------------------------------------------------------------------
     @property
-    def num_phases(self) -> int:
-        """Total number of phases (parallel phases counted individually)."""
-        return len(self.phases)
-
-    @property
-    def num_sequential_stages(self) -> int:
-        """Number of distinct parallel groups (sequential stages)."""
-        return len({p.parallel_group for p in self.phases}) if self.phases else 0
-
-    @property
     def total_injected_fraction(self) -> float:
         """Total bytes injected into the network per payload byte (e.g. 2.25 for 4x4x4 all-reduce)."""
         return sum(p.bytes_sent_fraction for p in self.phases)
-
-    @property
-    def total_reduced_fraction(self) -> float:
-        """Total bytes reduced per payload byte across all phases."""
-        return sum(p.reduced_bytes_fraction for p in self.phases)
-
-    @property
-    def total_forwarded_fraction(self) -> float:
-        """Total bytes forwarded (multi-hop traffic) per payload byte."""
-        return sum(p.forwarded_bytes_fraction for p in self.phases)
-
-    def total_injected_bytes(self, payload_bytes: float) -> float:
-        """Total bytes injected into the network for a ``payload_bytes`` collective."""
-        return payload_bytes * self.total_injected_fraction
 
     def per_dimension_injected_fraction(self) -> Dict[str, float]:
         """Bytes injected per payload byte, broken down by torus dimension."""

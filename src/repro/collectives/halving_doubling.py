@@ -1,10 +1,9 @@
 """Recursive halving-doubling all-reduce.
 
 An alternative single-dimension collective algorithm (mentioned in
-Section IV-H as one of the patterns ACE's FSMs can be programmed for).  It is
-provided both functionally (for correctness tests) and as a plan builder so
-the simulator can compare algorithm choices on switch-like topologies where
-every pair of endpoints is one hop apart.
+Section IV-H as one of the patterns ACE's FSMs can be programmed for).  The
+plan builder lets the simulator compare algorithm choices on switch-like
+topologies where every pair of endpoints is one hop apart.
 
 The algorithm requires a power-of-two node count: ``log2(n)`` recursive
 halving steps (reduce-scatter) followed by ``log2(n)`` recursive doubling
@@ -15,81 +14,12 @@ which favours latency-bound (small) collectives.
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-import numpy as np
-
 from repro.collectives.base import CollectiveOp, CollectivePlan, PhaseSpec
 from repro.errors import CollectiveError
 
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-def halving_doubling_all_reduce(arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Functional recursive halving-doubling all-reduce.
-
-    Every node ends with the element-wise sum of all inputs.  Raises
-    :class:`CollectiveError` unless the node count is a power of two.
-    """
-    num_nodes = len(arrays)
-    if num_nodes < 2:
-        raise CollectiveError("halving-doubling needs at least 2 nodes")
-    if not _is_power_of_two(num_nodes):
-        raise CollectiveError(
-            f"halving-doubling requires a power-of-two node count, got {num_nodes}"
-        )
-    data = [np.asarray(a, dtype=np.float64).ravel().copy() for a in arrays]
-    length = data[0].size
-    for arr in data:
-        if arr.size != length:
-            raise CollectiveError("all nodes must hold the same number of elements")
-
-    # Recursive halving (reduce-scatter on index ranges).
-    ranges = [(0, length) for _ in range(num_nodes)]
-    distance = num_nodes // 2
-    while distance >= 1:
-        new_ranges = list(ranges)
-        updates = []
-        for node in range(num_nodes):
-            peer = node ^ distance
-            lo, hi = ranges[node]
-            mid = (lo + hi) // 2
-            if node < peer:
-                keep = (lo, mid)
-                send = (mid, hi)
-            else:
-                keep = (mid, hi)
-                send = (lo, mid)
-            updates.append((node, peer, keep, send))
-        for node, peer, keep, send in updates:
-            new_ranges[node] = keep
-        contributions = []
-        for node, peer, keep, send in updates:
-            # Peer's kept half equals this node's sent half.
-            contributions.append((peer, send, data[node][send[0] : send[1]].copy()))
-        for peer, seg, values in contributions:
-            data[peer][seg[0] : seg[1]] += values
-        ranges = new_ranges
-        distance //= 2
-
-    # Recursive doubling (all-gather of the owned ranges).
-    distance = 1
-    while distance < num_nodes:
-        transfers = []
-        for node in range(num_nodes):
-            peer = node ^ distance
-            lo, hi = ranges[node]
-            transfers.append((peer, (lo, hi), data[node][lo:hi].copy()))
-        new_ranges = list(ranges)
-        for peer, (lo, hi), values in transfers:
-            data[peer][lo:hi] = values
-            plo, phi = new_ranges[peer]
-            new_ranges[peer] = (min(plo, lo), max(phi, hi))
-        ranges = new_ranges
-        distance *= 2
-    return data
 
 
 def halving_doubling_plan(
@@ -118,7 +48,7 @@ def halving_doubling_plan(
             dimension=dimension,
             kind="reduce_scatter",
             ring_size=n,
-            steps=int(np.log2(n)),
+            steps=n.bit_length() - 1,
             bytes_sent_fraction=sent,
             reduced_bytes_fraction=sent,
             resident_fraction_in=1.0,
@@ -129,7 +59,7 @@ def halving_doubling_plan(
             dimension=dimension,
             kind="all_gather",
             ring_size=n,
-            steps=int(np.log2(n)),
+            steps=n.bit_length() - 1,
             bytes_sent_fraction=sent,
             reduced_bytes_fraction=0.0,
             resident_fraction_in=1.0 / n,

@@ -2,12 +2,6 @@
 
 Two layers live here:
 
-* Step-by-step **functional** implementations (``ring_reduce_scatter``,
-  ``ring_all_gather``, ``ring_all_reduce``) that move actual numpy shards
-  around a logical ring, node by node and step by step, exactly as Fig. 8 of
-  the paper illustrates.  They are verified against the oracles in
-  :mod:`repro.collectives.dataops`.
-
 * **Phase builders** (``ring_reduce_scatter_phase`` etc.) that produce the
   :class:`~repro.collectives.base.PhaseSpec` byte/step accounting the
   performance model consumes.
@@ -20,73 +14,8 @@ Two layers live here:
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-import numpy as np
-
 from repro.collectives.base import CollectiveOp, CollectivePlan, PhaseSpec
-from repro.collectives.dataops import split_shards
 from repro.errors import CollectiveError
-
-# ---------------------------------------------------------------------------
-# Functional (data-moving) implementations
-# ---------------------------------------------------------------------------
-
-
-def ring_reduce_scatter(arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Ring reduce-scatter: node ``i`` ends with shard ``i`` of the global sum.
-
-    Implements the classic (n-1)-step algorithm: in step ``s`` node ``i``
-    sends the partial shard ``(i - s) mod n`` to node ``i+1`` and reduces the
-    shard it receives from node ``i-1`` into its local copy.
-    """
-    num_nodes = len(arrays)
-    if num_nodes < 2:
-        raise CollectiveError("ring reduce-scatter needs at least 2 nodes")
-    shards = [split_shards(a, num_nodes) for a in arrays]
-    for step in range(num_nodes - 1):
-        sends = []
-        for node in range(num_nodes):
-            shard_idx = (node - step) % num_nodes
-            sends.append((node, (node + 1) % num_nodes, shard_idx, shards[node][shard_idx].copy()))
-        for _, dst, shard_idx, data in sends:
-            shards[dst][shard_idx] = shards[dst][shard_idx] + data
-    return [shards[node][(node + 1) % num_nodes].copy() for node in range(num_nodes)]
-
-
-def ring_all_gather(shards: Sequence[np.ndarray], owner_offset: int = 1) -> List[np.ndarray]:
-    """Ring all-gather: every node ends with the concatenation of all shards.
-
-    ``owner_offset`` states which global shard index node ``i`` holds on
-    entry: shard ``(i + owner_offset) mod n``.  The reduce-scatter above
-    leaves node ``i`` holding shard ``i+1``, hence the default of 1.
-    """
-    num_nodes = len(shards)
-    if num_nodes < 2:
-        raise CollectiveError("ring all-gather needs at least 2 nodes")
-    shard_size = np.asarray(shards[0]).size
-    collected: List[List[np.ndarray]] = [[None] * num_nodes for _ in range(num_nodes)]  # type: ignore[list-item]
-    for node in range(num_nodes):
-        arr = np.asarray(shards[node], dtype=np.float64).ravel()
-        if arr.size != shard_size:
-            raise CollectiveError("all shards must have the same size")
-        collected[node][(node + owner_offset) % num_nodes] = arr.copy()
-    # In step s, node i forwards the shard it obtained s steps ago to node i+1.
-    for step in range(num_nodes - 1):
-        sends = []
-        for node in range(num_nodes):
-            shard_idx = (node + owner_offset - step) % num_nodes
-            sends.append((node, (node + 1) % num_nodes, shard_idx, collected[node][shard_idx].copy()))
-        for _, dst, shard_idx, data in sends:
-            collected[dst][shard_idx] = data
-    return [np.concatenate(collected[node]) for node in range(num_nodes)]
-
-
-def ring_all_reduce(arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Ring all-reduce = ring reduce-scatter followed by ring all-gather."""
-    reduced_shards = ring_reduce_scatter(arrays)
-    return ring_all_gather(reduced_shards, owner_offset=1)
-
 
 # ---------------------------------------------------------------------------
 # Phase builders (performance accounting)

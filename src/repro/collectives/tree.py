@@ -3,8 +3,8 @@
 NCCL's large-scale alternative to rings (mentioned in the paper's background
 section).  Two complementary binary trees are overlaid on the nodes; each tree
 carries half the payload through a reduce (leaves to root) followed by a
-broadcast (root to leaves).  The functional implementation is exact; the plan
-builder models the bandwidth/step behaviour for a single-dimension fabric.
+broadcast (root to leaves).  The plan builder models the bandwidth/step
+behaviour for a single-dimension fabric.
 
 This algorithm is included as one of the "various collective algorithm
 support" points of Table II — ACE, being endpoint-based, can run it on any
@@ -13,78 +13,7 @@ topology — and is exercised by the ablation benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-import numpy as np
-
 from repro.collectives.base import CollectiveOp, CollectivePlan, PhaseSpec
-from repro.errors import CollectiveError
-
-
-def _tree_parent(node: int, num_nodes: int, shift: int) -> int:
-    """Parent of ``node`` in a simple shifted binary tree over ``num_nodes`` nodes."""
-    index = (node + shift) % num_nodes
-    if index == 0:
-        return -1
-    parent_index = (index - 1) // 2
-    return (parent_index - shift) % num_nodes
-
-
-def _tree_children(node: int, num_nodes: int, shift: int) -> List[int]:
-    index = (node + shift) % num_nodes
-    children = []
-    for child_index in (2 * index + 1, 2 * index + 2):
-        if child_index < num_nodes:
-            children.append((child_index - shift) % num_nodes)
-    return children
-
-
-def double_binary_tree_all_reduce(arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Functional double-binary-tree all-reduce (every node ends with the sum)."""
-    num_nodes = len(arrays)
-    if num_nodes < 2:
-        raise CollectiveError("tree all-reduce needs at least 2 nodes")
-    data = [np.asarray(a, dtype=np.float64).ravel().copy() for a in arrays]
-    length = data[0].size
-    for arr in data:
-        if arr.size != length:
-            raise CollectiveError("all nodes must hold the same number of elements")
-    half = length // 2
-    segments = [(0, half), (half, length)]
-    result = [arr.copy() for arr in data]
-    for tree_id, (lo, hi) in enumerate(segments):
-        if hi <= lo:
-            continue
-        shift = 0 if tree_id == 0 else num_nodes // 2
-        # Reduce phase: accumulate children into parents, bottom-up.
-        partial: Dict[int, np.ndarray] = {n: data[n][lo:hi].copy() for n in range(num_nodes)}
-        order = sorted(
-            range(num_nodes),
-            key=lambda n: -_tree_depth(n, num_nodes, shift),
-        )
-        for node in order:
-            parent = _tree_parent(node, num_nodes, shift)
-            if parent >= 0:
-                partial[parent] = partial[parent] + partial[node]
-        root = (-shift) % num_nodes
-        reduced = partial[root]
-        # Broadcast phase: every node receives the root's segment.
-        for node in range(num_nodes):
-            result[node][lo:hi] = reduced
-    return result
-
-
-def _tree_depth(node: int, num_nodes: int, shift: int) -> int:
-    depth = 0
-    current = node
-    while True:
-        parent = _tree_parent(current, num_nodes, shift)
-        if parent < 0:
-            return depth
-        current = parent
-        depth += 1
-        if depth > num_nodes:
-            raise CollectiveError("tree structure contains a cycle")
 
 
 def double_binary_tree_plan(
@@ -105,7 +34,7 @@ def double_binary_tree_plan(
             num_nodes=max(1, num_nodes),
             phases=(),
         )
-    depth = int(np.ceil(np.log2(num_nodes)))
+    depth = (num_nodes - 1).bit_length()
     phases = (
         PhaseSpec(
             dimension=dimension,

@@ -47,12 +47,6 @@ class KernelCost:
         """Total memory traffic (reads plus writes) in bytes."""
         return self.bytes_read + self.bytes_written
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        """FLOPs per byte of memory traffic (used to classify kernels)."""
-        total = self.bytes_total
-        return self.flops / total if total > 0 else float("inf")
-
     def scaled(self, factor: float) -> "KernelCost":
         """A cost with flops and bytes scaled by ``factor`` (e.g. batch scaling)."""
         if factor < 0:

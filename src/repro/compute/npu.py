@@ -93,11 +93,6 @@ class NpuComputeEngine:
     # Statistics
     # ------------------------------------------------------------------
     @property
-    def busy_until(self) -> float:
-        """Simulated time at which the engine finishes its last task."""
-        return self._busy_until
-
-    @property
     def total_compute_ns(self) -> float:
         """Sum of all executed task durations (the paper's "total computation")."""
         return self._total_compute_ns
@@ -113,9 +108,3 @@ class NpuComputeEngine:
         from repro.sim.trace import UtilizationTrace
 
         return UtilizationTrace(window_ns).utilization_series([self.tracer], horizon_ns)
-
-    def reset(self) -> None:
-        """Clear all recorded state so the engine can run another iteration."""
-        self.tracer.reset()
-        self._busy_until = 0.0
-        self._total_compute_ns = 0.0

@@ -51,11 +51,3 @@ class RooflineModel:
             max(self.compute_time_ns(cost), self.memory_time_ns(cost))
             + self.kernel_launch_overhead_ns
         )
-
-    def is_memory_bound(self, cost: KernelCost) -> bool:
-        """True when the memory bound dominates (ties count as memory bound)."""
-        return self.memory_time_ns(cost) >= self.compute_time_ns(cost)
-
-    def ridge_intensity(self) -> float:
-        """Arithmetic intensity (FLOPs/byte) at which a kernel becomes compute bound."""
-        return self.tflops * TERA / (self.memory_bandwidth_gbps * 1e9)

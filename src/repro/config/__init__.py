@@ -21,7 +21,6 @@ from repro.config.presets import (
     baseline_comm_opt,
     baseline_comp_opt,
     baseline_no_overlap,
-    default_network,
     ideal_system,
     make_system,
     torus_shape_for_npus,
@@ -40,7 +39,6 @@ __all__ = [
     "baseline_comm_opt",
     "baseline_comp_opt",
     "baseline_no_overlap",
-    "default_network",
     "ideal_system",
     "make_system",
     "torus_shape_for_npus",

@@ -66,11 +66,6 @@ def torus_shape_for_npus(num_npus: int) -> Tuple[int, int, int]:
         ) from None
 
 
-def default_network() -> NetworkConfig:
-    """Table V network parameters."""
-    return NetworkConfig()
-
-
 def _base_kwargs(
     compute: ComputeConfig = None,
     memory: MemoryConfig = None,

@@ -46,11 +46,6 @@ class EndpointKind(str, enum.Enum):
             EndpointKind.BASELINE_COMP_OPT,
         )
 
-    @property
-    def overlaps_communication(self) -> bool:
-        """Whether communication may overlap with compute in the training loop."""
-        return self is not EndpointKind.BASELINE_NO_OVERLAP
-
 
 @dataclass(frozen=True)
 class ComputeConfig:
@@ -71,7 +66,7 @@ class ComputeConfig:
     frequency_mhz: float = field(default=1245.0, metadata=POSITIVE)
     #: Per-SM read/write width used to derive the memory bandwidth one SM can
     #: drive for communication (64 bytes/cycle at 1245 MHz ~= 80 GB/s, Sec. III).
-    sm_bytes_per_cycle: float = 64.0
+    sm_bytes_per_cycle: float = field(default=64.0, metadata=POSITIVE)
     #: Fraction of peak FLOPs delivered by the matrix (systolic/tensor) units.
     matrix_unit_fraction: float = field(default=0.98, metadata=FRACTION)
     #: Fraction of peak FLOPs the SIMD vector lanes can sustain.
@@ -130,7 +125,7 @@ class MemoryConfig:
 #: (fully-connected) point-to-point links are inter-package class.  This is
 #: the single source of truth consulted by both the symmetric fabric
 #: (:meth:`NetworkConfig.dimension_bandwidth_gbps`) and the per-link model
-#: (:meth:`repro.network.links.LinkKind.for_dimension`).
+#: (:class:`repro.network.detailed.DetailedBackend`).
 DIMENSION_LINK_CLASS: Dict[str, str] = {
     "local": "intra_package",
     "switch": "intra_package",
@@ -151,12 +146,12 @@ class NetworkConfig:
 
     intra_package_link_bandwidth_gbps: float = field(default=200.0, metadata=POSITIVE)
     inter_package_link_bandwidth_gbps: float = field(default=25.0, metadata=POSITIVE)
-    intra_package_links: int = 2
-    inter_package_links_per_dim: int = 2
-    intra_package_latency_cycles: float = 90.0
-    inter_package_latency_cycles: float = 500.0
+    intra_package_links: int = field(default=2, metadata=POSITIVE)
+    inter_package_links_per_dim: int = field(default=2, metadata=POSITIVE)
+    intra_package_latency_cycles: float = field(default=90.0, metadata=NON_NEGATIVE)
+    inter_package_latency_cycles: float = field(default=500.0, metadata=NON_NEGATIVE)
     link_efficiency: float = field(default=0.94, metadata=FRACTION)
-    frequency_mhz: float = 1245.0
+    frequency_mhz: float = field(default=1245.0, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
         check_bounds(self)
@@ -239,18 +234,18 @@ class AceConfig:
     num_alus: int = field(default=4, metadata=POSITIVE)
     #: Each ALU performs 16 x FP32 (or 32 x FP16) operations per cycle on a
     #: 64-byte operand bus (Section IV-I).
-    alu_bytes_per_cycle: float = 64.0
-    frequency_mhz: float = 1245.0
+    alu_bytes_per_cycle: float = field(default=64.0, metadata=POSITIVE)
+    frequency_mhz: float = field(default=1245.0, metadata=POSITIVE)
     chunk_bytes: int = field(default=64 * KB, metadata=POSITIVE)
     #: SRAM macro read+write bandwidth available to the datapath, per bank.
-    sram_banks: int = 4
-    sram_bank_bandwidth_gbps: float = 160.0
+    sram_banks: int = field(default=4, metadata=POSITIVE)
+    sram_bank_bandwidth_gbps: float = field(default=160.0, metadata=POSITIVE)
     #: DMA engines moving payloads between main memory and the ACE SRAM.
-    tx_dma_bandwidth_gbps: float = 500.0
-    rx_dma_bandwidth_gbps: float = 500.0
+    tx_dma_bandwidth_gbps: float = field(default=500.0, metadata=POSITIVE)
+    rx_dma_bandwidth_gbps: float = field(default=500.0, metadata=POSITIVE)
     #: Memory bandwidth carved out of HBM for ACE DMA traffic (128 GB/s is the
     #: operating point the paper identifies in Fig. 5).
-    memory_bandwidth_gbps: float = 128.0
+    memory_bandwidth_gbps: float = field(default=128.0, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
         check_bounds(self)

@@ -1,22 +1,23 @@
 """The assembled ACE engine.
 
-:class:`AceEngine` wires together the pieces of Fig. 7 — the partitioned SRAM
-(#1), the AFI TX/RX DMAs (#2/#4), the reduction ALUs (#3), the port buffers
-feeding the network (#5) and the FSM-based control unit (#6) — into the
+:class:`AceEngine` wires together the pieces of Fig. 7 that set chunk timing
+— the AFI TX/RX DMAs (#2/#4) and the FSM-based control unit (#6), whose
+occupancy carries the SRAM (#1) and reduction-ALU (#3) streams — into the
 timing model the :class:`repro.endpoint.ace.AceEndpoint` exposes to the
 collective executor.
 
 Timing behaviour per chunk (the walk-through of Fig. 8c):
 
-* **ingress** — the TX DMA streams the chunk from main memory into the first
-  phase's SRAM partition, drawing on the HBM bandwidth carved out for ACE
+* **ingress** — the TX DMA streams the chunk from main memory into the ACE
+  SRAM, drawing on the HBM bandwidth carved out for ACE
   (128 GB/s by default) and the NPU-AFI bus.
 * **phase processing** — an FSM programmed for the phase drives the dataflow:
   received data is streamed through the ALUs (if the phase reduces) and
   through the SRAM banks; the FSM is occupied for the slower of the two
   streams plus its control overhead, so the FSM count bounds how many
   chunk-phases proceed concurrently.  The SRAM datapath and the ALUs book
-  no time of their own: their cost is inside that occupancy.
+  no time of their own: their cost is inside that occupancy.  How many
+  chunks are resident at once is ``AceConfig.max_inflight_chunks``.
 * **egress** — the RX DMA writes the finished chunk back to main memory.
 
 The crucial difference from the baseline endpoint is *what is charged to main
@@ -30,9 +31,7 @@ from typing import Optional
 
 from repro.collectives.base import CollectivePlan
 from repro.config.system import SystemConfig
-from repro.core.alu import AluArray
 from repro.core.fsm import FsmPool
-from repro.core.sram import SramScratchpad, partition_sram
 from repro.errors import SchedulingError
 from repro.memory.bus import Bus
 from repro.memory.dma import DmaEngine
@@ -50,7 +49,6 @@ class AceEngine:
         self.system = system
         self.ace = system.ace
         self.fsms = FsmPool(system.ace.num_fsms)
-        self.alus = AluArray(system.ace)
 
         # Memory-side plumbing: ACE draws a fixed slice of HBM bandwidth and
         # shares the NPU-AFI bus with regular traffic.
@@ -70,7 +68,6 @@ class AceEngine:
         self.rx_dma = DmaEngine(
             "ace-rx", system.ace.rx_dma_bandwidth_gbps, self._hbm_slice, self.bus, "rx"
         )
-        self.sram: Optional[SramScratchpad] = None
         self._plan: Optional[CollectivePlan] = None
         self._cycle_ns = cycles_to_ns(1.0, system.ace.frequency_mhz)
 
@@ -78,14 +75,12 @@ class AceEngine:
     # Configuration
     # ------------------------------------------------------------------
     def configure(self, plan: CollectivePlan) -> None:
-        """Partition the SRAM and program the FSMs for ``plan``.
+        """Program the FSMs for ``plan``.
 
         All FSMs are additionally programmed for the single-phase all-to-all
         (Section V: "all FSMs are programmed to be able to execute all-to-all
         in addition to their assigned all-reduce phase").
         """
-        sizes = partition_sram(plan, self.ace, self.system.network)
-        self.sram = SramScratchpad(sizes)
         phase_names = [f"phase{i}" for i in range(len(plan.phases))] or ["phase0"]
         self.fsms.program(phase_names + ["all_to_all"])
         self._plan = plan
@@ -102,11 +97,11 @@ class AceEngine:
     # Chunk pipeline stages
     # ------------------------------------------------------------------
     def chunk_capacity(self) -> int:
-        """How many chunks may be resident in the SRAM simultaneously."""
+        """How many chunks may be resident in the ACE SRAM simultaneously."""
         return max(1, self.ace.max_inflight_chunks)
 
     def ingress(self, chunk_bytes: float, earliest_start: float) -> float:
-        """TX DMA the chunk from main memory into the phase-0 partition."""
+        """TX DMA the chunk from main memory into the ACE SRAM."""
         self._require_configured()
         return self.tx_dma.transfer(chunk_bytes, earliest_start)[1]
 
@@ -134,13 +129,10 @@ class AceEngine:
             self.PHASE_CONTROL_OVERHEAD_CYCLES * self._cycle_ns * (steps if steps > 1 else 1)
         )
         duration = (alu_time if alu_time > sram_time else sram_time) + control_time
-        _, _, finish = self.fsms.acquire(phase_name, earliest_start, duration)
-        if reduce_bytes:
-            self.alus.reduce(reduce_bytes)
-        return finish
+        return self.fsms.acquire(phase_name, earliest_start, duration)[2]
 
     def egress(self, chunk_bytes: float, earliest_start: float) -> float:
-        """RX DMA the finished chunk from the terminal partition to main memory."""
+        """RX DMA the finished chunk from the ACE SRAM to main memory."""
         self._require_configured()
         return self.rx_dma.transfer(chunk_bytes, earliest_start)[1]
 
@@ -154,13 +146,3 @@ class AceEngine:
     @property
     def memory_write_bytes(self) -> float:
         return self._hbm_slice.write_bytes
-
-    def reset(self) -> None:
-        self.fsms.reset()
-        self.alus.reset()
-        self.memory.reset()
-        self.bus.reset()
-        self.tx_dma.reset()
-        self.rx_dma.reset()
-        if self.sram is not None:
-            self.sram.reset()

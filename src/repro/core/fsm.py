@@ -22,80 +22,45 @@ from repro.sim.resources import SlotResource
 
 
 class FsmPool:
-    """Pool of programmable FSMs with per-phase assignment."""
+    """Pool of programmable FSMs: one slot pool per programmed phase."""
 
     def __init__(self, num_fsms: int) -> None:
         if num_fsms <= 0:
             raise ResourceError(f"need at least one FSM, got {num_fsms}")
         self.num_fsms = num_fsms
-        self._assignment: Dict[str, List[int]] = {}
-        #: Per phase: the slot pool it draws from and the FSM id of each slot.
-        self._per_phase: Dict[str, Tuple[SlotResource, List[int]]] = {}
+        self._per_phase: Dict[str, SlotResource] = {}
 
-    # ------------------------------------------------------------------
-    # Programming
-    # ------------------------------------------------------------------
-    def program(self, phase_names: List[str]) -> Dict[str, List[int]]:
+    def program(self, phase_names: List[str]) -> Dict[str, SlotResource]:
         """Assign FSMs to phases round-robin (every phase gets at least one).
 
         When the pool has at least as many FSMs as phases, each phase receives
         a dedicated group of FSMs (Section IV-F).  Smaller pools — explored in
         the Fig. 9a design-space sweep — time-share every FSM across all
         phases, which the model represents by having all phases draw from one
-        shared slot pool.
+        shared slot pool.  Returns the slot pool of each phase.
         """
         if not phase_names:
             raise SchedulingError("cannot program an FSM pool with zero phases")
         unique_names = list(dict.fromkeys(phase_names))
         if len(unique_names) <= self.num_fsms:
-            assignment: Dict[str, List[int]] = {name: [] for name in unique_names}
+            counts = dict.fromkeys(unique_names, 0)
             for fsm_id in range(self.num_fsms):
-                phase = unique_names[fsm_id % len(unique_names)]
-                assignment[phase].append(fsm_id)
-            per_phase = {
-                phase: (SlotResource(f"fsm[{phase}]", len(fsms)), fsms)
-                for phase, fsms in assignment.items()
+                counts[unique_names[fsm_id % len(unique_names)]] += 1
+            self._per_phase = {
+                phase: SlotResource(f"fsm[{phase}]", count) for phase, count in counts.items()
             }
         else:
-            all_fsms = list(range(self.num_fsms))
-            assignment = {name: list(all_fsms) for name in unique_names}
             shared = SlotResource("fsm[shared]", self.num_fsms)
-            per_phase = {phase: (shared, fsms) for phase, fsms in assignment.items()}
-        self._assignment = assignment
-        self._per_phase = per_phase
-        return dict(assignment)
+            self._per_phase = dict.fromkeys(unique_names, shared)
+        return dict(self._per_phase)
 
-    @property
-    def programmed(self) -> bool:
-        return bool(self._assignment)
-
-    # ------------------------------------------------------------------
-    # Occupancy
-    # ------------------------------------------------------------------
     def acquire(self, phase: str, earliest_start: float, duration: float) -> Tuple[int, float, float]:
-        """Occupy one FSM programmed for ``phase`` for ``duration`` ns."""
+        """Occupy one FSM programmed for ``phase`` for ``duration`` ns.
+
+        Returns the phase pool's ``(slot, start, finish)``.
+        """
         try:
-            pool, fsm_ids = self._per_phase[phase]
+            pool = self._per_phase[phase]
         except KeyError:
             raise SchedulingError(f"no FSM programmed for phase {phase!r}") from None
-        slot, start, finish = pool.acquire(earliest_start, duration)
-        return fsm_ids[slot], start, finish
-
-    def _pools(self) -> List[SlotResource]:
-        """The distinct slot pools; shared programming maps every phase to one."""
-        return list(dict.fromkeys(pool for pool, _ in self._per_phase.values()))
-
-    def utilization(self, horizon_ns: float) -> float:
-        """Average fraction of all FSMs busy over ``horizon_ns``."""
-        if horizon_ns <= 0:
-            return 0.0
-        return min(1.0, self.total_busy_time / (horizon_ns * self.num_fsms))
-
-    @property
-    def total_busy_time(self) -> float:
-        """Summed occupancy of every FSM, in ns."""
-        return sum(pool.busy_time for pool in self._pools())
-
-    def reset(self) -> None:
-        for pool in self._pools():
-            pool.reset()
+        return pool.acquire(earliest_start, duration)

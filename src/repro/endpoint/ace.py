@@ -70,7 +70,3 @@ class AceEndpoint(Endpoint):
     @property
     def memory_write_bytes(self) -> float:
         return self.engine.memory_write_bytes
-
-    def reset(self) -> None:
-        self.engine.reset()
-        self.activity.reset()

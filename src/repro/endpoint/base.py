@@ -115,7 +115,3 @@ class Endpoint(abc.ABC):
         if horizon_ns <= 0:
             return 0.0
         return min(1.0, self.activity.busy_time(0.0, horizon_ns) / horizon_ns)
-
-    @abc.abstractmethod
-    def reset(self) -> None:
-        """Clear all internal resources and statistics."""

@@ -128,10 +128,3 @@ class BaselineEndpoint(Endpoint):
     @property
     def comm_sm_bandwidth_gbps(self) -> float:
         return self._sm_pipe.bandwidth_gbps
-
-    def reset(self) -> None:
-        self.memory.reset()
-        self.bus.reset()
-        self._sm_pipe.reset()
-        self._write_bytes = 0.0
-        self.activity.reset()

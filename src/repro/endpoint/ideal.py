@@ -42,6 +42,3 @@ class IdealEndpoint(Endpoint):
     @property
     def memory_write_bytes(self) -> float:
         return 0.0
-
-    def reset(self) -> None:
-        self.activity.reset()

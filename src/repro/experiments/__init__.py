@@ -28,7 +28,7 @@ table4    table4-area      Table IV — ACE area and power
 
 :mod:`repro.experiments.cross_topology` extends past the paper: it sweeps
 (topology x collective algorithm x platform size) through the planner
-registry and the sweep runner; see ``run_cross_topology``.
+registry and the sweep runner; see ``cross_topology_jobs``.
 :mod:`repro.experiments.model_agreement` reproduces the paper's
 model-validation methodology: every cell runs on both models of a pair
 (network backends or compute models) and the fast model must track the
@@ -36,7 +36,6 @@ reference within a per-knob bound; see ``run_model_agreement``.
 """
 
 from repro.experiments import common
-from repro.experiments.cross_topology import run_cross_topology
 from repro.experiments.fig4_microbench import run_fig4
 from repro.experiments.fig5_membw_sweep import run_fig5
 from repro.experiments.fig6_sm_sweep import run_fig6
@@ -49,7 +48,6 @@ from repro.experiments.table4_area import run_table4
 
 __all__ = [
     "common",
-    "run_cross_topology",
     "run_fig4",
     "run_fig5",
     "run_fig6",

@@ -19,12 +19,12 @@ single-hop fabrics the logarithmic algorithms win for large node counts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.collectives.planner import supported_algorithms
 from repro.experiments.common import topology_for
 from repro.network.topology import topology_from_spec
-from repro.runner import SimJob, SweepRunner, default_runner, network_drive_job
+from repro.runner import SimJob, network_drive_job
 from repro.units import MB
 
 #: Default payload: large enough to be bandwidth-bound, small enough to be fast.
@@ -88,54 +88,3 @@ def cross_topology_jobs(
                         )
                     )
     return jobs
-
-
-def run_cross_topology(
-    op: str = "all_reduce",
-    sizes: Sequence[int] = (16,),
-    systems: Sequence[str] = ("ace",),
-    payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    runner: Optional[SweepRunner] = None,
-) -> List[Dict[str, object]]:
-    """Run the cross-topology sweep and return one row per simulated cell.
-
-    Each row reports the fabric spec, the algorithm, the achieved collective
-    completion time and the per-NPU network bandwidth driven, so callers can
-    rank algorithms per fabric (:func:`best_algorithms`).
-    """
-    runner = runner or default_runner()
-    jobs = cross_topology_jobs(
-        op=op,
-        sizes=sizes,
-        systems=systems,
-        payload_bytes=payload_bytes,
-        chunk_bytes=chunk_bytes,
-    )
-    results = runner.run_values(jobs)
-    rows: List[Dict[str, object]] = []
-    for job, drive in zip(jobs, results):
-        rows.append(
-            {
-                "fabric": job.fabric,
-                "topology": topology_from_spec(job.fabric).name,
-                "algorithm": job.algorithm,
-                "system": job.system,
-                "op": job.op,
-                "npus": drive.num_npus,
-                "duration_us": drive.duration_ns / 1e3,
-                "net_bw_gbps": drive.achieved_bandwidth_gbps,
-            }
-        )
-    return rows
-
-
-def best_algorithms(rows: Sequence[Dict[str, object]]) -> Dict[Tuple[str, str, int], str]:
-    """Fastest algorithm per (fabric, system, npus) cell of a result table."""
-    best: Dict[Tuple[str, str, int], Tuple[float, str]] = {}
-    for row in rows:
-        key = (str(row["fabric"]), str(row["system"]), int(row["npus"]))
-        entry = (float(row["duration_us"]), str(row["algorithm"]))
-        if key not in best or entry < best[key]:
-            best[key] = entry
-    return {key: algorithm for key, (_, algorithm) in best.items()}

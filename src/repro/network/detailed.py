@@ -3,11 +3,11 @@
 This is the ``"detailed"`` :class:`~repro.network.backend.NetworkBackend`:
 the message-level, per-link fabric model in the training loop.  Where the
 ``"symmetric"`` backend aggregates each fabric dimension into one analytical
-pipe, this backend instantiates the representative NPU's *physical ports* —
-one :class:`~repro.network.links.Link` per provisioned link of each active
-dimension (two 200 GB/s intra-package links for ``local``/``switch``, two
-25 GB/s inter-package links for ``vertical``/``horizontal``/``direct`` under
-Table V) — and moves every transfer hop by hop:
+pipe, this backend models the representative NPU's *physical ports* — the
+provisioned links of each active dimension (two 200 GB/s intra-package
+links for ``local``/``switch``, two 25 GB/s inter-package links for
+``vertical``/``horizontal``/``direct`` under Table V) — and moves every
+transfer hop by hop:
 
 * a phase of ``steps`` ring steps moves its bytes as Table III *messages*
   (8 KB by default): a message of step ``s + 1`` cannot start serialising
@@ -16,11 +16,14 @@ Table V) — and moves every transfer hop by hop:
   store-and-forward at message granularity, with consecutive messages of
   one step pipelining behind each other exactly as the paper's
   packet-level model does;
-* each message splits across the dimension's parallel ports, and every port
-  is an independent FIFO :class:`~repro.sim.resources.BandwidthResource` —
-  concurrent chunks and collectives contend per link, and a message from
-  another collective can slot into the latency gaps between one chunk's
-  steps (the fine-grained interleaving the symmetric pipe cannot express);
+* each message splits equally across the dimension's parallel ports, and a
+  port is a FIFO :class:`~repro.sim.resources.BandwidthResource` at one
+  link's bandwidth — concurrent chunks and collectives contend per link,
+  and a message from another collective can slot into the latency gaps
+  between one chunk's steps (the fine-grained interleaving the symmetric
+  pipe cannot express).  The equal split gives a dimension's ports
+  byte-identical request sequences, so one resource per dimension is
+  booked and stands for all of its ports;
 * every port records busy intervals, so per-link utilization timelines and
   per-dimension byte counts are observable after a run.
 
@@ -48,10 +51,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.config.system import DIMENSION_LINK_CLASS, NetworkConfig
 from repro.errors import TopologyError
 from repro.network.backend import NetworkBackend, mean_utilization, register_backend
-from repro.network.links import Link
 from repro.network.topology import Topology
 from repro.sim.engine import Simulator
-from repro.sim.resources import Reservation
+from repro.sim.resources import BandwidthResource, Reservation
 from repro.sim.trace import IntervalTracer, UtilizationTrace
 
 
@@ -65,9 +67,9 @@ DEFAULT_MESSAGE_BYTES = 8 * 1024
 #: beyond the pipeline-fill term (< 1/MAX of a step's serialization).
 MAX_MESSAGES_PER_STEP = 8
 
-#: ``DetailedBackend._carve``'s result: ``(primary port, steps,
-#: num_messages, bytes_per_port, sizes)``.
-Carving = Tuple[Link, int, int, float, List[float]]
+#: ``DetailedBackend._carve``'s result: ``(link, steps, num_messages,
+#: bytes_per_port, sizes)``.
+Carving = Tuple[BandwidthResource, int, int, float, List[float]]
 
 
 @register_backend("detailed")
@@ -120,80 +122,60 @@ class DetailedBackend(NetworkBackend):
                     f"{topology.name!r} (active: {list(active)})"
                 )
             selected = [d for d in active if d in dimensions]
-        self._ports: Dict[str, List[Link]] = {}
+        # Every message stripes equally across a dimension's ports (see
+        # ``_carve``), so the ports of one dimension receive byte-identical
+        # request sequences and carry bit-identical timelines.  One
+        # resource per dimension is booked, at one port's bandwidth; the
+        # port count scales its bytes and its weight in the utilization
+        # series.
+        self._links: Dict[str, BandwidthResource] = {}
+        self._port_counts: Dict[str, int] = {}
         for dim in selected:
-            count = self._ports_for_dimension(dim, network)
-            self._ports[dim] = [
-                Link(src=0, dst=port, dimension=dim, network=network, traced=True)
-                for port in range(count)
-            ]
-        if not self._ports:
+            if DIMENSION_LINK_CLASS.get(dim) == "intra_package":
+                bandwidth = network.intra_package_link_bandwidth_gbps
+                latency = network.intra_package_latency_ns
+                ports = network.intra_package_links
+            else:
+                bandwidth = network.inter_package_link_bandwidth_gbps
+                latency = network.inter_package_latency_ns
+                ports = network.inter_package_links_per_dim
+            self._links[dim] = BandwidthResource(
+                name=f"link[{dim}]",
+                bandwidth_gbps=bandwidth * network.link_efficiency,
+                latency_ns=latency,
+                trace=IntervalTracer(f"link-{dim}"),
+            )
+            self._port_counts[dim] = ports
+        if not self._links:
             raise TopologyError(
                 f"topology {topology.name!r} has no active dimensions to model"
             )
-        # Every message stripes equally across a dimension's ports (see
-        # ``_carve``), so the ports of one dimension receive byte-identical
-        # request sequences and carry bit-identical timelines.  Only the
-        # *primary* port (index 0) is booked during simulation; the
-        # observability surface mirrors its stats onto the sibling ports
-        # (which exist as API placeholders) at reporting time.  This halves
-        # the per-request bookkeeping in the hot path without changing a
-        # single timing or reported statistic.
-        self._primary: Dict[str, Link] = {
-            dim: ports[0] for dim, ports in self._ports.items()
-        }
         #: Event-mode transfers per dimension that may still *issue* port
         #: requests (booked last reservation not yet made).  The coalescing
         #: guard (see :meth:`transfer`) requires this transfer to be the
         #: dimension's sole issuer; a predecessor whose requests are all
         #: booked only occupies the FIFO tails, which batch booking queues
         #: behind exactly like the per-message path would.
-        self._issuing: Dict[str, int] = {dim: 0 for dim in self._ports}
-        #: Observability counters: how many event-mode transfers ran, and how
-        #: many of them were bulk-booked (fully or partially).
-        self.transfers_started = 0
-        self.transfers_coalesced = 0
+        self._issuing: Dict[str, int] = {dim: 0 for dim in self._links}
         #: :meth:`_carve` results by ``(dimension, num_bytes, steps)``.
         self._carvings: Dict[Tuple[str, float, int], Carving] = {}
-
-    @staticmethod
-    def _ports_for_dimension(dimension: str, network: NetworkConfig) -> int:
-        """Number of physical links the representative NPU drives on ``dimension``.
-
-        Follows the Table V provisioning that
-        :meth:`~repro.config.system.NetworkConfig.dimension_bandwidth_gbps`
-        aggregates, so the two backends can never disagree on a dimension's
-        total bandwidth.
-        """
-        if DIMENSION_LINK_CLASS.get(dimension) == "intra_package":
-            return max(1, network.intra_package_links)
-        return max(1, network.inter_package_links_per_dim)
 
     # ------------------------------------------------------------------
     # NetworkBackend protocol
     # ------------------------------------------------------------------
     @property
     def dimensions(self) -> List[str]:
-        """Names of the dimensions with instantiated ports."""
-        return list(self._ports)
+        """Names of the dimensions with modelled ports."""
+        return list(self._links)
 
     def has_dimension(self, dimension: str) -> bool:
         """Whether ``dimension`` has physical ports in this fabric."""
-        return dimension in self._ports
-
-    def ports(self, dimension: str) -> List[Link]:
-        """The representative NPU's physical :class:`Link` ports on ``dimension``."""
-        try:
-            return self._ports[dimension]
-        except KeyError:
-            raise TopologyError(
-                f"dimension {dimension!r} is not active in fabric {self.topology.name}"
-            ) from None
+        return dimension in self._links
 
     def _carve(self, dimension: str, num_bytes: float, steps: int) -> Carving:
         """Shared message-carving policy of :meth:`reserve` and :meth:`transfer`.
 
-        Returns ``(primary, steps, num_messages, bytes_per_port, sizes)``:
+        Returns ``(link, steps, num_messages, bytes_per_port, sizes)``:
         the dimension's booked port, and ``sizes`` is one step's batch,
         ``[bytes_per_port] * num_messages``.  Both execution modes must
         compute identical timings for the same transfer, so the carving
@@ -206,14 +188,17 @@ class DetailedBackend(NetworkBackend):
         key = (dimension, num_bytes, steps)
         carving = self._carvings.get(key)
         if carving is None:
-            ports = self.ports(dimension)
+            if dimension not in self._links:
+                raise TopologyError(
+                    f"dimension {dimension!r} is not active in fabric {self.topology.name}"
+                )
             steps = max(1, steps)
             step_bytes = num_bytes / steps
             num_messages = max(1, int(-(-step_bytes // self.message_bytes)))
             num_messages = min(num_messages, MAX_MESSAGES_PER_STEP)
-            bytes_per_port = step_bytes / (num_messages * len(ports))
+            bytes_per_port = step_bytes / (num_messages * self._port_counts[dimension])
             carving = self._carvings[key] = (
-                self._primary[dimension],
+                self._links[dimension],
                 steps,
                 num_messages,
                 bytes_per_port,
@@ -238,7 +223,7 @@ class DetailedBackend(NetworkBackend):
         messages pipeline behind each other on the port FIFOs, and messages
         of *other* chunks or collectives interleave into any latency gaps.
         """
-        primary, steps, num_messages, _, sizes = self._carve(dimension, num_bytes, steps)
+        link, steps, num_messages, _, sizes = self._carve(dimension, num_bytes, steps)
         # ready[m]: when message m of the *current* step has arrived at this
         # hop (and may therefore be forwarded as part of the next step).
         # A step's messages hit the port FIFO in message order with their
@@ -249,12 +234,12 @@ class DetailedBackend(NetworkBackend):
         ready = [earliest_start] * num_messages
         first_start = None
         for _ in range(steps):
-            starts, ready = primary.reserve_batch(sizes, ready)
+            starts, ready = link.reserve_batch(sizes, ready)
             if first_start is None:
                 first_start = float(starts[0])
         assert first_start is not None
         finish = max(max(ready), earliest_start)
-        return Reservation(first_start, finish, num_bytes, earliest_start)
+        return Reservation(first_start, finish, num_bytes)
 
     def transfer(
         self,
@@ -279,9 +264,10 @@ class DetailedBackend(NetworkBackend):
         the dimension's sole *issuer* — every other transfer on the
         dimension has already booked its last port request — a step's
         messages are booked as one batch reservation
-        (:meth:`Link.reserve_batch`) and the walk advances one *step* event
-        at a time instead of one *message* event, cutting the event count
-        per transfer by the messages-per-step factor.  Within a step the
+        (:meth:`~repro.sim.resources.BandwidthResource.reserve_batch`) and
+        the walk advances one *step* event at a time instead of one
+        *message* event, cutting the event count per transfer by the
+        messages-per-step factor.  Within a step the
         messages' ready times are spaced exactly one message serialization
         apart, and fully-booked predecessors only occupy the FIFO tails, so
         the batch books the bit-identical sequence the per-message path
@@ -297,9 +283,7 @@ class DetailedBackend(NetworkBackend):
         carving = self._carve(dimension, num_bytes, steps)
         issuing = self._issuing
         issuing[dimension] += 1
-        self.transfers_started += 1
         if self.coalesce and issuing[dimension] == 1:
-            self.transfers_coalesced += 1
             ready = [sim.now] * carving[2]
             self._bulk_step(sim, dimension, carving, 0, ready, on_complete)
             return
@@ -325,8 +309,8 @@ class DetailedBackend(NetworkBackend):
             # message, each hop re-entering at its arrival time.
             self._hop_messages(sim, dimension, carving, step, ready, on_complete)
             return
-        primary, steps, _, _, sizes = carving
-        _, arrival = primary.reserve_batch(sizes, ready)
+        link, steps, _, _, sizes = carving
+        _, arrival = link.reserve_batch(sizes, ready)
         if step + 1 < steps:
             sim.schedule_at(
                 arrival[0], self._bulk_step, sim, dimension, carving, step + 1, arrival, on_complete
@@ -350,8 +334,8 @@ class DetailedBackend(NetworkBackend):
         With ``ready=None`` every message's first hop is booked now;
         otherwise message ``m`` re-enters at ``ready[m]``.
         """
-        primary, steps, num_messages, bytes_per_port, _ = carving
-        reserve_times = primary.reserve_times
+        link, steps, num_messages, bytes_per_port, _ = carving
+        reserve_times = link.reserve_times
         schedule_at = sim.schedule_at
         issuing = self._issuing
         outstanding = num_messages
@@ -383,93 +367,50 @@ class DetailedBackend(NetworkBackend):
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def _all_ports(self) -> List[Link]:
-        return [port for ports in self._ports.values() for port in ports]
-
-    @property
-    def num_links(self) -> int:
-        """Number of instantiated physical port links."""
-        return len(self._all_ports())
-
-    @property
-    def injection_bandwidth_gbps(self) -> float:
-        """Total per-NPU injection bandwidth across all ports."""
-        return sum(p.effective_bandwidth_gbps for p in self._all_ports())
-
     @property
     def bytes_injected(self) -> float:
         """Total bytes the representative NPU injected into the fabric.
 
-        Each dimension's ports carry identical timelines, so the primary
-        port's bytes times the port count is the dimension's total.
+        Each dimension's ports carry identical timelines, so the booked
+        link's bytes times the port count is the dimension's total.
         """
         return sum(
-            self._primary[dim].bytes_moved * len(ports)
-            for dim, ports in self._ports.items()
+            link.bytes_moved * self._port_counts[dim]
+            for dim, link in self._links.items()
         )
-
-    def achieved_bandwidth_gbps(self, horizon_ns: float) -> float:
-        """Average network bandwidth the representative NPU drove over ``horizon_ns``."""
-        if horizon_ns <= 0:
-            return 0.0
-        return self.bytes_injected / horizon_ns
 
     def per_dimension_bytes(self) -> Dict[str, float]:
         """Bytes injected per dimension (algorithm-shape checks, Fig. 8)."""
         return {
-            dim: self._primary[dim].bytes_moved * len(ports)
-            for dim, ports in self._ports.items()
+            dim: link.bytes_moved * self._port_counts[dim]
+            for dim, link in self._links.items()
         }
-
-    def per_link_stats(self) -> List[Dict[str, float]]:
-        """One row per physical port: dimension, bytes moved, busy time.
-
-        Sibling ports mirror the primary's stats — they carry byte-identical
-        timelines by construction (messages stripe equally across a
-        dimension's ports), so every row is the port's true traffic.
-        """
-        rows: List[Dict[str, float]] = []
-        for dim, ports in self._ports.items():
-            primary = self._primary[dim]
-            for index, port in enumerate(ports):
-                rows.append(
-                    {
-                        "dimension": dim,
-                        "port": float(index),
-                        "bytes_moved": primary.bytes_moved,
-                        "busy_time_ns": primary.busy_time,
-                        "bandwidth_gbps": port.effective_bandwidth_gbps,
-                    }
-                )
-        return rows
 
     def utilization(self, horizon_ns: float) -> float:
         """Mean dimension utilization over ``horizon_ns``.
 
         Averaged per dimension first (each dimension's ports carry equal
-        shares, so a dimension's utilization is its primary port's), then
+        shares, so a dimension's utilization is its booked link's), then
         across dimensions — the same weighting the symmetric backend
         reports, so the two backends' Fig. 10 numbers are directly
         comparable.
         """
-        if not self._ports or horizon_ns <= 0:
+        if not self._links or horizon_ns <= 0:
             return 0.0
-        return mean_utilization(self._primary[dim].utilization(horizon_ns) for dim in self._ports)
+        return mean_utilization(link.utilization(horizon_ns) for link in self._links.values())
 
     def tracers(self) -> List[IntervalTracer]:
         """Busy-interval tracers, one entry per physical port.
 
-        The primary tracer stands in once per sibling port (their timelines
-        are identical by construction), preserving the exact per-port
+        A dimension's tracer stands in once per port (their timelines are
+        identical by construction), preserving the exact per-port
         weighting of the utilization series.  Exposed so composing backends
         (the hybrid model) can merge this fabric's activity into a combined
         series.
         """
         tracers: List[IntervalTracer] = []
-        for dim, ports in self._ports.items():
-            tracer = self._primary[dim].tracer
-            if tracer is not None:
-                tracers.extend([tracer] * len(ports))
+        for dim, link in self._links.items():
+            tracers.extend([link.trace] * self._port_counts[dim])
         return tracers
 
     def utilization_series(self, horizon_ns: float, window_ns: float) -> List[tuple]:
@@ -479,32 +420,16 @@ class DetailedBackend(NetworkBackend):
 
     def last_activity(self) -> float:
         """Latest time at which any port was still moving bytes."""
-        return max(
-            (
-                primary.tracer.last_end
-                for primary in self._primary.values()
-                if primary.tracer is not None
-            ),
-            default=0.0,
-        )
+        return max((link.trace.last_end for link in self._links.values()), default=0.0)
 
     def check_accounting(self, horizon_ns: float) -> None:
         """Assert every booked port's busy time fits in ``horizon_ns``."""
-        for primary in self._primary.values():
-            primary.check_accounting(horizon_ns)
-
-    def reset(self) -> None:
-        """Clear every port's reservations and accounting."""
-        for port in self._all_ports():
-            port.reset()
-        for dim in self._issuing:
-            self._issuing[dim] = 0
-        self.transfers_started = 0
-        self.transfers_coalesced = 0
+        for link in self._links.values():
+            link.check_accounting(horizon_ns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         dims = ", ".join(
-            f"{d}x{len(ports)}@{ports[0].effective_bandwidth_gbps:.0f}GB/s"
-            for d, ports in self._ports.items()
+            f"{d}x{self._port_counts[d]}@{link.bandwidth_gbps:.0f}GB/s"
+            for d, link in self._links.items()
         )
         return f"DetailedBackend({self.topology.name}: {dims})"

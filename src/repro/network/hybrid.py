@@ -206,11 +206,6 @@ class HybridBackend(NetworkBackend):
         self._detailed.check_accounting(horizon_ns)
         self._pipes.check_accounting(horizon_ns)
 
-    def reset(self) -> None:
-        """Clear both sub-models' reservations and accounting."""
-        self._detailed.reset()
-        self._pipes.reset()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         cold = [d for d in self._order if d != self.hot_dimension]
         return (

@@ -12,9 +12,7 @@ Message   8 KB (multiple of  collective algorithm / topology
 Packet    256 B              link technology
 ========  =================  ============================================
 
-The simulator tracks only sizes and timing; the functional content of
-collectives (the actual floating point data) is modelled separately in
-:mod:`repro.collectives.dataops` for correctness testing.
+The simulator tracks only sizes and timing, never the data itself.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@ same link bandwidths.  Under that symmetry the network behaviour of the whole
 system can be captured from the viewpoint of one representative NPU — exactly
 the viewpoint the paper itself uses in Fig. 8 ("from node X's view").
 
-:class:`SymmetricFabric` exposes, for the representative NPU, one
-:class:`DimensionPipe` per fabric dimension.  A pipe aggregates the per-NPU
-ring bandwidth of that dimension (Table V: 400 GB/s local, 50 GB/s vertical,
-50 GB/s horizontal; switch and fully-connected fabrics map onto the same
-link classes) and serialises transfers FIFO.  Link latency is charged per
+:class:`SymmetricFabric` holds, for the representative NPU, one
+:class:`~repro.sim.resources.BandwidthResource` pipe per fabric dimension.
+A pipe aggregates the per-NPU ring bandwidth of that dimension (Table V:
+400 GB/s local, 50 GB/s vertical, 50 GB/s horizontal; switch and
+fully-connected fabrics map onto the same link classes) and serialises
+transfers FIFO.  Link latency is charged per
 ring step.  Busy intervals are traced so network utilization timelines
 (Fig. 10) and achieved bandwidth (Figs. 5, 6, 11) can be reported.
 
@@ -30,56 +31,6 @@ from repro.network.backend import NetworkBackend, mean_utilization, register_bac
 from repro.network.topology import Topology
 from repro.sim.resources import BandwidthResource, Reservation
 from repro.sim.trace import IntervalTracer, UtilizationTrace
-
-
-class DimensionPipe:
-    """Aggregated per-NPU ring bandwidth of one torus dimension."""
-
-    def __init__(self, dimension: str, bandwidth_gbps: float, latency_ns: float) -> None:
-        self.dimension = dimension
-        self.bandwidth_gbps = bandwidth_gbps
-        self.latency_ns = latency_ns
-        self.tracer = IntervalTracer(f"dim-{dimension}")
-        self._pipe = BandwidthResource(
-            name=f"pipe[{dimension}]",
-            bandwidth_gbps=bandwidth_gbps,
-            latency_ns=latency_ns,
-            trace=self.tracer,
-        )
-        # The fabric books every chunk-phase here; binding the pipe's
-        # ``(start, finish)`` entry point skips a delegation frame and the
-        # Reservation that :meth:`reserve` builds.
-        self.reserve_times = self._pipe.reserve_times
-
-    def reserve(self, num_bytes: float, earliest_start: float) -> Reservation:
-        """Serialise ``num_bytes`` through this dimension's ring links."""
-        return self._pipe.reserve(num_bytes, earliest_start)
-
-    @property
-    def busy_time(self) -> float:
-        """Total time (ns) the pipe has spent moving bytes."""
-        return self._pipe.busy_time
-
-    @property
-    def bytes_moved(self) -> float:
-        """Total bytes serialised through the pipe so far."""
-        return self._pipe.bytes_moved
-
-    def utilization(self, horizon_ns: float) -> float:
-        """Fraction of ``horizon_ns`` the pipe was busy."""
-        return self._pipe.utilization(horizon_ns)
-
-    def achieved_bandwidth_gbps(self, horizon_ns: float) -> float:
-        """Average bandwidth driven over ``horizon_ns`` (GB/s)."""
-        return self._pipe.achieved_bandwidth_gbps(horizon_ns)
-
-    def check_accounting(self, horizon_ns: float) -> None:
-        """Assert busy time fits in ``horizon_ns`` (no double-booking)."""
-        self._pipe.check_accounting(horizon_ns)
-
-    def reset(self) -> None:
-        """Clear all reservations and accounting."""
-        self._pipe.reset()
 
 
 @register_backend("symmetric")
@@ -113,13 +64,15 @@ class SymmetricFabric(NetworkBackend):
                     f"{topology.name!r} (active: {list(active)})"
                 )
             selected = [d for d in active if d in dimensions]
-        self._pipes: Dict[str, DimensionPipe] = {}
-        for dim in selected:
-            self._pipes[dim] = DimensionPipe(
-                dimension=dim,
+        self._pipes: Dict[str, BandwidthResource] = {
+            dim: BandwidthResource(
+                name=f"pipe[{dim}]",
                 bandwidth_gbps=network.dimension_bandwidth_gbps(dim),
                 latency_ns=network.dimension_latency_ns(dim),
+                trace=IntervalTracer(f"dim-{dim}"),
             )
+            for dim in selected
+        }
 
     # ------------------------------------------------------------------
     # Pipes
@@ -129,8 +82,8 @@ class SymmetricFabric(NetworkBackend):
         """Names of the active dimension pipes."""
         return list(self._pipes)
 
-    def pipe(self, dimension: str) -> DimensionPipe:
-        """The :class:`DimensionPipe` carrying ``dimension`` traffic."""
+    def pipe(self, dimension: str) -> BandwidthResource:
+        """The pipe carrying ``dimension`` traffic."""
         try:
             return self._pipes[dimension]
         except KeyError:
@@ -165,26 +118,15 @@ class SymmetricFabric(NetworkBackend):
         start, finish = pipe.reserve_times(num_bytes, earliest_start)
         if steps > 1:
             finish += (steps - 1) * pipe.latency_ns
-        return Reservation(start, finish, num_bytes, earliest_start)
+        return Reservation(start, finish, num_bytes)
 
     # ------------------------------------------------------------------
     # Aggregate statistics
     # ------------------------------------------------------------------
     @property
-    def injection_bandwidth_gbps(self) -> float:
-        """Total per-NPU injection bandwidth across active dimensions."""
-        return sum(p.bandwidth_gbps for p in self._pipes.values())
-
-    @property
     def bytes_injected(self) -> float:
         """Total bytes the representative NPU injected into the fabric."""
         return sum(p.bytes_moved for p in self._pipes.values())
-
-    def achieved_bandwidth_gbps(self, horizon_ns: float) -> float:
-        """Average network bandwidth the representative NPU drove over ``horizon_ns``."""
-        if horizon_ns <= 0:
-            return 0.0
-        return self.bytes_injected / horizon_ns
 
     def utilization(self, horizon_ns: float) -> float:
         """Average fraction of links busy, irrespective of their bandwidth (Fig. 10)."""
@@ -198,7 +140,7 @@ class SymmetricFabric(NetworkBackend):
         Exposed so composing backends (the hybrid model) can merge this
         fabric's activity into a combined utilization series.
         """
-        return [p.tracer for p in self._pipes.values()]
+        return [p.trace for p in self._pipes.values()]
 
     def utilization_series(self, horizon_ns: float, window_ns: float) -> List[tuple]:
         """Windowed link-utilization series across all dimensions (Fig. 10)."""
@@ -208,18 +150,13 @@ class SymmetricFabric(NetworkBackend):
     def last_activity(self) -> float:
         """Latest time at which any dimension pipe was still busy."""
         return max(
-            (pipe.tracer.last_end for pipe in self._pipes.values()), default=0.0
+            (pipe.trace.last_end for pipe in self._pipes.values()), default=0.0
         )
 
     def check_accounting(self, horizon_ns: float) -> None:
         """Assert every pipe's busy time fits in ``horizon_ns``."""
         for pipe in self._pipes.values():
             pipe.check_accounting(horizon_ns)
-
-    def reset(self) -> None:
-        """Clear every dimension pipe's reservations and accounting."""
-        for pipe in self._pipes.values():
-            pipe.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         dims = ", ".join(

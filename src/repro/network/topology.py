@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple, Union
+from typing import Hashable, List, Sequence, Tuple, Union
 
 from repro.errors import TopologyError
 
@@ -36,20 +36,12 @@ TORUS_DIMENSIONS: Tuple[str, str, str] = ("local", "vertical", "horizontal")
 
 
 class Topology(abc.ABC):
-    """Abstract network topology: a set of nodes plus neighbor relations."""
+    """Abstract network topology: a node count and the dimensions that carry traffic."""
 
     @property
     @abc.abstractmethod
     def num_nodes(self) -> int:
         """Number of NPU endpoints in the fabric."""
-
-    @abc.abstractmethod
-    def neighbors(self, node: int) -> List[int]:
-        """Directly-connected peers of ``node``."""
-
-    @abc.abstractmethod
-    def links(self) -> List[Tuple[int, int, str]]:
-        """All directed links as ``(src, dst, dimension)`` tuples."""
 
     @property
     def name(self) -> str:
@@ -67,17 +59,9 @@ class Topology(abc.ABC):
         """
         return (type(self).__name__.lower(), self.num_nodes)
 
+    @abc.abstractmethod
     def active_dimensions(self) -> List[str]:
-        """Dimension names that carry traffic, in deterministic order.
-
-        The default derives them from :meth:`links`; subclasses with cheap
-        structural knowledge override this.
-        """
-        seen: List[str] = []
-        for _, _, dim in self.links():
-            if dim not in seen:
-                seen.append(dim)
-        return seen
+        """Dimension names that carry traffic, in deterministic order."""
 
     def nodes(self) -> range:
         """Iterable of all node ids (``0 .. num_nodes - 1``)."""
@@ -121,38 +105,14 @@ class RingTopology(Topology):
         """A ring carries all traffic on its single dimension."""
         return [self.dimension]
 
-    def neighbors(self, node: int) -> List[int]:
-        """Ring successor (and predecessor when bidirectional)."""
-        self.validate_node(node)
-        nxt = (node + 1) % self.size
-        prv = (node - 1) % self.size
-        return [nxt, prv] if self.bidirectional else [nxt]
-
-    def links(self) -> List[Tuple[int, int, str]]:
-        """Directed ring links (both directions when bidirectional)."""
-        out: List[Tuple[int, int, str]] = []
-        for n in range(self.size):
-            out.append((n, (n + 1) % self.size, self.dimension))
-            if self.bidirectional:
-                out.append((n, (n - 1) % self.size, self.dimension))
-        return out
-
-    def next_on_ring(self, node: int, direction: int = +1) -> int:
-        """Neighbor of ``node`` in the given ring direction (+1 or -1)."""
-        self.validate_node(node)
-        if direction not in (+1, -1):
-            raise TopologyError(f"ring direction must be +1 or -1, got {direction}")
-        return (node + direction) % self.size
-
 
 @dataclass(frozen=True)
 class SingleHopTopology(Topology):
     """Shared structure of fabrics where every endpoint pair is one hop apart.
 
     Subclasses set ``_kind`` (the cache-key/name tag) and a ``dimension``
-    default; nodes, neighbor and link enumeration are identical for a switch
-    group and a fully-connected fabric — only the physical link class their
-    dimension maps to differs.
+    default; a switch group and a fully-connected fabric differ only in the
+    physical link class their dimension maps to.
     """
 
     size: int
@@ -179,20 +139,6 @@ class SingleHopTopology(Topology):
     def active_dimensions(self) -> List[str]:
         """All traffic rides the fabric's single dimension."""
         return [self.dimension]
-
-    def neighbors(self, node: int) -> List[int]:
-        """Every other endpoint is one hop away."""
-        self.validate_node(node)
-        return [n for n in range(self.size) if n != node]
-
-    def links(self) -> List[Tuple[int, int, str]]:
-        """One directed logical link per ordered endpoint pair."""
-        return [
-            (a, b, self.dimension)
-            for a in range(self.size)
-            for b in range(self.size)
-            if a != b
-        ]
 
 
 @dataclass(frozen=True)
@@ -240,7 +186,7 @@ class Torus3D(Topology):
     * the **vertical** ring connects packages within a column (V packages),
     * the **horizontal** ring connects packages within a row (H packages).
 
-    Dimensions of size 1 simply have no ring (and no links).
+    Dimensions of size 1 simply have no ring (and carry no traffic).
     """
 
     def __init__(self, local: int, vertical: int, horizontal: int) -> None:
@@ -291,10 +237,6 @@ class Torus3D(Topology):
             raise TopologyError(f"unknown torus dimension {dim!r}")
         return sizes[dim]
 
-    def dimension_sizes(self) -> Dict[str, int]:
-        """Mapping of every torus dimension to its ring size."""
-        return {d: self.dimension_size(d) for d in TORUS_DIMENSIONS}
-
     def active_dimensions(self) -> List[str]:
         """Dimensions with more than one node (those that carry traffic)."""
         return [d for d in TORUS_DIMENSIONS if self.dimension_size(d) > 1]
@@ -311,42 +253,6 @@ class Torus3D(Topology):
         h = rest // self.vertical
         return (l, v, h)
 
-    def node_id(self, l: int, v: int, h: int) -> int:
-        """Map an ``(l, v, h)`` coordinate to a node id."""
-        if not (0 <= l < self.local and 0 <= v < self.vertical and 0 <= h < self.horizontal):
-            raise TopologyError(f"coordinate ({l},{v},{h}) outside torus {self.name}")
-        return l + self.local * (v + self.vertical * h)
-
-    def neighbor_along(self, node: int, dim: str, direction: int = +1) -> int:
-        """Neighbor of ``node`` on the ring of dimension ``dim``."""
-        if direction not in (+1, -1):
-            raise TopologyError(f"ring direction must be +1 or -1, got {direction}")
-        l, v, h = self.coordinates(node)
-        size = self.dimension_size(dim)
-        if size == 1:
-            raise TopologyError(f"dimension {dim!r} has size 1; no ring neighbors")
-        if dim == "local":
-            l = (l + direction) % size
-        elif dim == "vertical":
-            v = (v + direction) % size
-        else:
-            h = (h + direction) % size
-        return self.node_id(l, v, h)
-
-    def ring_members(self, node: int, dim: str) -> List[int]:
-        """All nodes sharing ``node``'s ring in dimension ``dim`` (in ring order)."""
-        l, v, h = self.coordinates(node)
-        size = self.dimension_size(dim)
-        members = []
-        for i in range(size):
-            if dim == "local":
-                members.append(self.node_id(i, v, h))
-            elif dim == "vertical":
-                members.append(self.node_id(l, i, h))
-            else:
-                members.append(self.node_id(l, v, i))
-        return members
-
     def ring_position(self, node: int, dim: str) -> int:
         """Index of ``node`` within its ring of dimension ``dim``."""
         l, v, h = self.coordinates(node)
@@ -355,32 +261,6 @@ class Torus3D(Topology):
     # ------------------------------------------------------------------
     # Topology protocol
     # ------------------------------------------------------------------
-    def neighbors(self, node: int) -> List[int]:
-        """Distinct ring neighbors of ``node`` across all active dimensions."""
-        self.validate_node(node)
-        seen = []
-        for dim in self.active_dimensions():
-            size = self.dimension_size(dim)
-            for direction in (+1, -1):
-                peer = self.neighbor_along(node, dim, direction)
-                # A ring of size 2 has the same peer in both directions.
-                if peer != node and peer not in seen:
-                    seen.append(peer)
-                if size == 2:
-                    break
-        return seen
-
-    def links(self) -> List[Tuple[int, int, str]]:
-        """Every directed ring link of the torus as ``(src, dst, dimension)``."""
-        out: List[Tuple[int, int, str]] = []
-        for node in self.nodes():
-            for dim in self.active_dimensions():
-                size = self.dimension_size(dim)
-                directions: Iterable[int] = (+1,) if size == 2 else (+1, -1)
-                for direction in directions:
-                    out.append((node, self.neighbor_along(node, dim, direction), dim))
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Torus3D({self.name}, nodes={self.num_nodes})"
 

@@ -37,7 +37,6 @@ from repro.runner.pool import (
     RunnerStats,
     SweepRunner,
     default_runner,
-    set_default_runner,
 )
 from repro.runner.serialization import (
     SerializationError,
@@ -62,7 +61,6 @@ __all__ = [
     "encode_result",
     "network_drive_job",
     "section_overrides",
-    "set_default_runner",
     "trace_job",
     "training_job",
 ]

@@ -368,9 +368,3 @@ def default_runner() -> SweepRunner:
             cache=cache_from_env(),
         )
     return _default_runner
-
-
-def set_default_runner(runner: Optional[SweepRunner]) -> None:
-    """Replace (or with ``None``, reset) the shared default runner."""
-    global _default_runner
-    _default_runner = runner

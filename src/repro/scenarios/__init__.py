@@ -16,7 +16,6 @@ from repro.scenarios.invariants import (
     build_violation,
     check_invariant,
     check_invariants,
-    enforce_invariants,
 )
 from repro.scenarios.loader import (
     SCENARIO_DIR_ENV,
@@ -25,7 +24,6 @@ from repro.scenarios.loader import (
     compile_suite,
     default_scenario_dir,
     discover_scenarios,
-    figure_names,
     find_scenario,
     load_scenario_file,
     scenario_jobs,
@@ -57,8 +55,6 @@ __all__ = [
     "compile_suite",
     "default_scenario_dir",
     "discover_scenarios",
-    "enforce_invariants",
-    "figure_names",
     "find_scenario",
     "load_scenario_file",
     "run_scenario",

@@ -4,7 +4,7 @@ Invariants are declared in the manifest (see
 :class:`repro.scenarios.schema.Invariant`) and checked against the flat
 result rows a scenario run produces.  Every check returns a structured
 record — ``{"invariant": ..., "ok": ..., "detail": ...}`` — and
-:func:`enforce_invariants` raises a single
+:func:`build_violation` folds the failed ones into a single
 :class:`~repro.errors.InvariantViolation` summarising every failed
 invariant, so a scenario whose promised ``ideal <= ace <= baseline``
 ordering breaks fails loudly with the offending rows named.
@@ -141,8 +141,8 @@ def build_violation(
 ) -> "InvariantViolation | None":
     """The :class:`InvariantViolation` for a set of check records, or ``None``.
 
-    Shared by :func:`enforce_invariants` and the scenario execution path so
-    the failure message has exactly one source of truth.
+    The scenario execution path raises it, so the failure message has
+    exactly one source of truth.
     """
     failures = [record for record in records if not record["ok"]]
     if not failures:
@@ -152,14 +152,3 @@ def build_violation(
         f"scenario {scenario_name!r}: {len(failures)} of {len(records)} "
         f"invariant(s) violated:\n{lines}"
     )
-
-
-def enforce_invariants(
-    scenario: Scenario, rows: Sequence[Mapping[str, object]]
-) -> List[Dict[str, object]]:
-    """Like :func:`check_invariants`, but raise on any failure."""
-    records = check_invariants(scenario, rows)
-    violation = build_violation(scenario.name, records)
-    if violation is not None:
-        raise violation
-    return records

@@ -12,7 +12,7 @@ build: ``grid`` suites compile through
 :func:`repro.experiments.cross_topology.cross_topology_jobs`, and so on — so
 a manifest-driven run produces byte-identical job specs (and therefore cache
 keys) to the corresponding figure harness.  ``figure`` suites delegate to a
-harness run function (see :func:`figure_names`) for the figures whose job
+harness run function (see :func:`_figure_registry`) for the figures whose job
 parameters are computed rather than declared (e.g. Fig. 4's contended
 resource estimates).
 """
@@ -150,11 +150,6 @@ def _figure_registry() -> Dict[str, FigureRunner]:
         "fig11": FigureRunner("fig11", fig11_rows, "scaling breakdown and speedups"),
         "fig12": FigureRunner("fig12", run_fig12, "DLRM default vs optimised loop"),
     }
-
-
-def figure_names() -> List[str]:
-    """Figure names a ``figure`` suite may reference."""
-    return sorted(_figure_registry())
 
 
 def resolve_figure(suite: Suite, context: str) -> "CompiledFigure":

@@ -4,8 +4,7 @@ This package provides the small, dependency-free event engine that everything
 else in the simulator is built on:
 
 * :class:`~repro.sim.engine.Simulator` — the event loop and clock; an
-  event is one heap entry, and ``schedule`` returns it as the handle that
-  :meth:`~repro.sim.engine.Simulator.cancel` takes.
+  event is one heap entry.
 * :class:`~repro.sim.resources.BandwidthResource` /
   :class:`~repro.sim.resources.SlotResource` — shared hardware resources with
   FIFO queuing.

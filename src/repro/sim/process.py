@@ -5,7 +5,7 @@ its gradient all-reduce from the previous iteration has finished".  To keep
 that code readable, this module provides:
 
 * :class:`Signal` — a one-shot event that callbacks (or processes) can wait on.
-  A signal remembers the time it fired, so late subscribers resume immediately.
+  A signal remembers that it fired, so late subscribers resume immediately.
 * :class:`Process` — runs a generator that yields either a float delay (in ns)
   or a :class:`Signal`; the process resumes when the delay elapses or the
   signal fires.  This is a tiny subset of SimPy-style processes, sufficient
@@ -21,25 +21,22 @@ from repro.sim.engine import Simulator
 
 
 class Signal:
-    """A one-shot event with a value and a firing time."""
+    """A one-shot event with a value."""
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._fired = False
-        self._fired_at: Optional[float] = None
         self._value: object = None
         self._callbacks: List[Callable[["Signal"], None]] = []
 
     @property
     def fired(self) -> bool:
+        """Whether the signal has fired."""
         return self._fired
 
     @property
-    def fired_at(self) -> Optional[float]:
-        return self._fired_at
-
-    @property
     def value(self) -> object:
+        """The value the signal fired with."""
         return self._value
 
     def fire(self, sim: Simulator, value: object = None) -> None:
@@ -47,15 +44,10 @@ class Signal:
         if self._fired:
             raise SimulationError(f"signal {self.name!r} fired twice")
         self._fired = True
-        self._fired_at = sim.now
         self._value = value
         callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
             callback(self)
-
-    def fire_at(self, sim: Simulator, time: float, value: object = None) -> None:
-        """Schedule the signal to fire at an absolute simulation time."""
-        sim.schedule_at(time, self.fire, sim, value)
 
     def on_fire(self, sim: Simulator, callback: Callable[["Signal"], None]) -> None:
         """Invoke ``callback(signal)`` when the signal fires (immediately if it already has)."""
@@ -64,24 +56,6 @@ class Signal:
             sim.schedule(0.0, callback, self)
         else:
             self._callbacks.append(callback)
-
-
-def all_of(sim: Simulator, signals: List[Signal], name: str = "all_of") -> Signal:
-    """Return a signal that fires once every signal in ``signals`` has fired."""
-    combined = Signal(name)
-    if not signals:
-        combined.fire(sim)
-        return combined
-    remaining = {"count": len(signals)}
-
-    def _one_done(_: Signal) -> None:
-        remaining["count"] -= 1
-        if remaining["count"] == 0:
-            combined.fire(sim)
-
-    for signal in signals:
-        signal.on_fire(sim, _one_done)
-    return combined
 
 
 ProcessYield = Union[float, int, Signal]

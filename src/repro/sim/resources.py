@@ -13,24 +13,17 @@ Two resource flavours cover everything the platform model needs:
   Acquisition is immediate if a slot is free, otherwise the acquisition time
   is deferred to the earliest release.
 
-Both resources can operate in two modes:
-
-* *timeline mode* (default) — the caller asks "if I start a transfer of N
-  bytes no earlier than time t, when does it start and finish?".  This is an
-  analytic reservation model: no simulator events are generated, which keeps
-  large sweeps fast, yet FIFO contention and queuing delays are preserved.
-* *event mode* — convenience helpers that schedule a completion callback on a
-  :class:`~repro.sim.engine.Simulator`.
+Both are timeline models: the caller asks "if I start a transfer of N bytes
+no earlier than time t, when does it start and finish?".  No simulator
+events are generated, which keeps large sweeps fast, yet FIFO contention and
+queuing delays are preserved.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Tuple
-
-import numpy as np
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.errors import ResourceError
-from repro.sim.engine import Simulator
 from repro.sim.trace import IntervalTracer
 
 
@@ -40,17 +33,6 @@ class Reservation(NamedTuple):
     start: float
     finish: float
     num_bytes: float
-    #: The earliest start the caller asked for; ``None`` when unknown.
-    requested: Optional[float] = None
-
-    @property
-    def duration(self) -> float:
-        return self.finish - self.start
-
-    @property
-    def queuing_delay(self) -> float:
-        """How long the request waited behind earlier requests."""
-        return 0.0 if self.requested is None else max(0.0, self.start - self.requested)
 
 
 class BandwidthResource:
@@ -87,11 +69,7 @@ class BandwidthResource:
         self._next_free: float = 0.0
         self._busy_time: float = 0.0
         self._bytes_moved: float = 0.0
-        self._requests: int = 0
 
-    # ------------------------------------------------------------------
-    # Timeline mode
-    # ------------------------------------------------------------------
     def reserve(self, num_bytes: float, earliest_start: float) -> Reservation:
         """Reserve the pipe for ``num_bytes`` starting no earlier than ``earliest_start``.
 
@@ -106,10 +84,9 @@ class BandwidthResource:
         self._next_free = end
         self._busy_time += serialization
         self._bytes_moved += num_bytes
-        self._requests += 1
         if self.trace is not None and serialization > 0:
             self.trace.record(start, end)
-        return Reservation(start, end + self.latency_ns, num_bytes, earliest_start)
+        return Reservation(start, end + self.latency_ns, num_bytes)
 
     def reserve_times(self, num_bytes: float, earliest_start: float) -> Tuple[float, float]:
         """:meth:`reserve` without the :class:`Reservation` wrapper.
@@ -128,28 +105,20 @@ class BandwidthResource:
         self._next_free = end
         self._busy_time += serialization
         self._bytes_moved += num_bytes
-        self._requests += 1
         if self.trace is not None and serialization > 0:
             self.trace.record(start, end)
         return start, end + self.latency_ns
 
-    #: Below this batch length :meth:`reserve_batch` runs a plain-python
-    #: loop: numpy's per-call overhead (asarray, reductions, fancy indexing)
-    #: exceeds the arithmetic itself for the short message bursts the
-    #: detailed backend books (<= 8 messages per ring step).
-    SMALL_BATCH = 32
-
-    def reserve_batch(self, num_bytes, earliest_start):
+    def reserve_batch(
+        self, num_bytes: List[float], earliest_start: List[float]
+    ) -> Tuple[List[float], List[float]]:
         """Book a whole sequence of FIFO requests in one call.
 
-        Semantically equivalent to calling :meth:`reserve` once per element
-        in order (same FIFO queuing, same accounting, same final
-        ``next_free``).  Returns ``(starts, finishes)`` float sequences —
-        numpy arrays for large batches, plain lists below
-        :data:`SMALL_BATCH` elements, where a python loop beats numpy's
-        per-call overhead; both are index- and iteration-compatible.  The
-        vectorized path may differ from the sequential loop by reassociation
-        only (last-ulp); the small-batch path is bit-identical to it.
+        Bit-identical to calling :meth:`reserve` once per element in order
+        (same arithmetic in the same order, same accounting, same final
+        FIFO tail); returns the ``(starts, finishes)`` lists.  The
+        detailed backend books one ring step's messages (at most
+        ``MAX_MESSAGES_PER_STEP``) per call.
 
         Busy intervals are recorded *merged*: a run of back-to-back requests
         (each starting exactly where the previous one stopped serialising)
@@ -157,64 +126,11 @@ class BandwidthResource:
         therefore utilization post-processing — proportional to the number
         of idle gaps rather than the number of requests.
         """
-        size = len(num_bytes)
-        if size != len(earliest_start):
+        if len(num_bytes) != len(earliest_start):
             raise ResourceError(
-                f"{self.name}: reserve_batch needs matching 1-D sequences, "
-                f"got lengths {size} and {len(earliest_start)}"
+                f"{self.name}: reserve_batch needs matching sequences, "
+                f"got lengths {len(num_bytes)} and {len(earliest_start)}"
             )
-        if size == 0:
-            return [], []
-        if size < self.SMALL_BATCH:
-            return self._reserve_batch_small(num_bytes, earliest_start)
-        num_bytes = np.asarray(num_bytes, dtype=np.float64)
-        earliest = np.asarray(earliest_start, dtype=np.float64)
-        if num_bytes.ndim != 1 or earliest.ndim != 1:
-            raise ResourceError(
-                f"{self.name}: reserve_batch needs matching 1-D sequences, "
-                f"got shapes {num_bytes.shape} and {earliest.shape}"
-            )
-        if not np.all(num_bytes >= 0):
-            raise ResourceError(f"{self.name}: cannot transfer negative or NaN bytes")
-        serialization = num_bytes / self.bandwidth_gbps
-        # start[i] = max(earliest[i], start[i-1] + ser[i-1]), seeded with
-        # next_free.  Subtracting the serialization prefix sum turns the
-        # recurrence into a running maximum.
-        prefix = np.concatenate(([0.0], np.cumsum(serialization[:-1])))
-        starts = (
-            np.maximum.accumulate(
-                np.maximum(earliest - prefix, self._next_free)
-            )
-            + prefix
-        )
-        busy_ends = starts + serialization
-        finishes = busy_ends + self.latency_ns
-        self._next_free = float(busy_ends[-1])
-        self._busy_time += float(np.sum(serialization))
-        self._bytes_moved += float(np.sum(num_bytes))
-        self._requests += int(num_bytes.size)
-        if self.trace is not None:
-            # Merge contiguous runs: a request that starts exactly at the
-            # previous busy end extends the current interval.
-            active = serialization > 0
-            if np.any(active):
-                s = starts[active]
-                e = busy_ends[active]
-                breaks = np.flatnonzero(s[1:] > e[:-1]) + 1
-                run_starts = np.concatenate(([0], breaks))
-                run_ends = np.concatenate((breaks, [len(s)]))
-                for a, b in zip(run_starts, run_ends):
-                    self.trace.record(float(s[a]), float(e[b - 1]))
-        return starts, finishes
-
-    def _reserve_batch_small(self, num_bytes, earliest_start):
-        """Scalar loop behind :meth:`reserve_batch` for short bursts.
-
-        Bit-identical to sequential :meth:`reserve` calls (same arithmetic,
-        same order) but with the trace intervals merged per contiguous run,
-        exactly like the vectorized path.  Returns ``(starts, finishes)``
-        as plain lists.
-        """
         bandwidth = self.bandwidth_gbps
         latency = self.latency_ns
         next_free = self._next_free
@@ -249,7 +165,6 @@ class BandwidthResource:
         self._next_free = next_free
         self._busy_time += busy
         self._bytes_moved += moved
-        self._requests += len(starts)
         return starts, finishes
 
     def check_accounting(self, horizon_ns: float) -> None:
@@ -260,7 +175,8 @@ class BandwidthResource:
         reservations overlapped (double-booking) — exactly the failure mode
         batched/coalesced booking could introduce.  Raises
         :class:`~repro.errors.ResourceError` on violation.  Cheap (one
-        comparison); backend-validation runs call it after every simulation.
+        comparison); every job calls it, through its fabric, after it
+        simulates.
         """
         if horizon_ns < 0:
             raise ResourceError(f"{self.name}: negative horizon {horizon_ns}")
@@ -275,26 +191,8 @@ class BandwidthResource:
             )
 
     # ------------------------------------------------------------------
-    # Event mode
-    # ------------------------------------------------------------------
-    def transfer(
-        self,
-        sim: Simulator,
-        num_bytes: float,
-        on_complete: Callable[[Reservation], None],
-    ) -> Reservation:
-        """Reserve starting from ``sim.now`` and schedule ``on_complete`` at the finish time."""
-        reservation = self.reserve(num_bytes, sim.now)
-        sim.schedule_at(reservation.finish, on_complete, reservation)
-        return reservation
-
-    # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    @property
-    def next_free(self) -> float:
-        return self._next_free
-
     @property
     def busy_time(self) -> float:
         """Total serialization time accumulated on this resource."""
@@ -302,11 +200,8 @@ class BandwidthResource:
 
     @property
     def bytes_moved(self) -> float:
+        """Total bytes serialised through this resource."""
         return self._bytes_moved
-
-    @property
-    def requests(self) -> int:
-        return self._requests
 
     def utilization(self, horizon_ns: float) -> float:
         """Fraction of ``horizon_ns`` this resource spent busy.
@@ -316,25 +211,11 @@ class BandwidthResource:
         pipe, and clamping would silently mask that bug.  Presentation
         layers (the windowed utilization series, report tables) clamp for
         display; :meth:`check_accounting` turns a ratio above one into a
-        hard error in validation runs.
+        hard error at the end of every job.
         """
         if horizon_ns <= 0:
             return 0.0
         return self._busy_time / horizon_ns
-
-    def achieved_bandwidth_gbps(self, horizon_ns: float) -> float:
-        """Average bandwidth achieved over ``horizon_ns`` (GB/s)."""
-        if horizon_ns <= 0:
-            return 0.0
-        return self._bytes_moved / horizon_ns
-
-    def reset(self) -> None:
-        self._next_free = 0.0
-        self._busy_time = 0.0
-        self._bytes_moved = 0.0
-        self._requests = 0
-        if self.trace is not None:
-            self.trace.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -346,8 +227,8 @@ class BandwidthResource:
 class SlotResource:
     """A counted resource (FSMs, SM groups, DMA channels, ...).
 
-    In timeline mode the resource tracks the release time of each slot and
-    hands the earliest-available slot to the caller.
+    The resource tracks the release time of each slot and hands the
+    earliest-available slot to the caller.
     """
 
     def __init__(self, name: str, num_slots: int) -> None:
@@ -356,7 +237,6 @@ class SlotResource:
         self.name = name
         self.num_slots = num_slots
         self._release_times: List[float] = [0.0] * num_slots
-        self._busy_time: float = 0.0
 
     def acquire(self, earliest_start: float, duration: float) -> Tuple[int, float, float]:
         """Grab the earliest-free slot for ``duration`` ns.
@@ -377,26 +257,7 @@ class SlotResource:
         start = earliest if earliest > earliest_start else earliest_start
         finish = start + duration
         release_times[slot] = finish
-        self._busy_time += duration
         return slot, start, finish
-
-    def earliest_available(self, earliest_start: float) -> float:
-        """When could a new acquisition start if requested at ``earliest_start``?"""
-        return max(earliest_start, min(self._release_times))
-
-    @property
-    def busy_time(self) -> float:
-        return self._busy_time
-
-    def utilization(self, horizon_ns: float) -> float:
-        """Average fraction of slots busy over ``horizon_ns``."""
-        if horizon_ns <= 0:
-            return 0.0
-        return min(1.0, self._busy_time / (horizon_ns * self.num_slots))
-
-    def reset(self) -> None:
-        self._release_times = [0.0] * self.num_slots
-        self._busy_time = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"SlotResource({self.name!r}, slots={self.num_slots})"

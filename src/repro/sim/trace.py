@@ -14,22 +14,9 @@ O((intervals + windows) log intervals) instead of O(intervals x windows).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A half-open busy interval ``[start, end)``."""
-
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 class IntervalTracer:
@@ -62,12 +49,6 @@ class IntervalTracer:
         self._merged = None
 
     @property
-    def intervals(self) -> List[Interval]:
-        """The union of the recorded intervals, in time order."""
-        starts, ends = self.merged_arrays()
-        return [Interval(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
-
-    @property
     def last_end(self) -> float:
         """End of the latest-ending recorded interval (0.0 when empty)."""
         return max(self._ends, default=0.0)
@@ -76,7 +57,7 @@ class IntervalTracer:
         """``(starts, ends)`` of the union of recorded intervals.
 
         The arrays are sorted, pairwise-disjoint (touching intervals are
-        merged), and cached until the next :meth:`record` or :meth:`reset`.
+        merged), and cached until the next :meth:`record`.
         """
         if self._merged is not None:
             return self._merged
@@ -107,17 +88,6 @@ class IntervalTracer:
             return 0.0
         clipped = np.minimum(ends, end) - np.maximum(starts, start)
         return float(np.sum(clipped[clipped > 0.0]))
-
-    def total_span(self) -> float:
-        """Time between the first busy start and the last busy end."""
-        if not self._starts:
-            return 0.0
-        return max(self._ends) - min(self._starts)
-
-    def reset(self) -> None:
-        self._starts.clear()
-        self._ends.clear()
-        self._merged = None
 
 
 class UtilizationTrace:
@@ -196,13 +166,3 @@ class UtilizationTrace:
         util = np.minimum(1.0, bins / (widths * len(tracer_list)))
         centers = boundaries[:-1] + widths / 2.0
         return list(zip(centers.tolist(), util.tolist()))
-
-    def average_utilization(
-        self, tracers: Iterable[IntervalTracer], horizon_ns: float
-    ) -> float:
-        """Average utilization over the whole horizon."""
-        tracer_list = list(tracers)
-        if horizon_ns <= 0 or not tracer_list:
-            return 0.0
-        busy = sum(t.busy_time(0.0, horizon_ns) for t in tracer_list)
-        return min(1.0, busy / (horizon_ns * len(tracer_list)))

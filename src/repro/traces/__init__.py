@@ -43,7 +43,6 @@ from repro.traces.format import (
     find_trace,
     load_trace_file,
     topological_order,
-    trace_names,
 )
 from repro.traces.schedule import lower_trace
 
@@ -64,6 +63,5 @@ __all__ = [
     "lower_trace",
     "register_cost_table",
     "topological_order",
-    "trace_names",
     "workload_to_trace",
 ]

@@ -496,11 +496,3 @@ def find_trace(name: str, directory: Union[str, Path, None] = None) -> Trace:
         available = sorted(p.stem for p in directory.glob("*.json")) if directory.is_dir() else []
         raise TraceError(f"no trace named {name!r} in {directory}; available: {available}")
     return load_trace_file(path)
-
-
-def trace_names(directory: Union[str, Path, None] = None) -> List[str]:
-    """Names of every trace file in ``directory`` (no validation)."""
-    directory = Path(directory) if directory is not None else default_trace_dir()
-    if not directory.is_dir():
-        return []
-    return sorted(path.stem for path in directory.glob("*.json"))

@@ -11,7 +11,6 @@ time, achieved network bandwidth and utilization timelines.
 from repro.training.comm import CollectiveExecutor, CollectiveHandle
 from repro.training.loop import TrainingLoop, simulate_training
 from repro.training.results import IterationBreakdown, TrainingResult
-from repro.training.parallelism import collectives_for_layer
 
 __all__ = [
     "CollectiveExecutor",
@@ -20,5 +19,4 @@ __all__ = [
     "simulate_training",
     "IterationBreakdown",
     "TrainingResult",
-    "collectives_for_layer",
 ]

@@ -416,22 +416,3 @@ class CollectiveExecutor:
     @property
     def handles(self) -> List[CollectiveHandle]:
         return list(self._handles)
-
-    @property
-    def outstanding(self) -> int:
-        """Number of issued collectives that have not completed."""
-        return sum(1 for h in self._handles if not h.finished)
-
-    @property
-    def inflight_chunks(self) -> int:
-        return self._inflight_chunks
-
-    def all_done_signal(self) -> Signal:
-        """A signal that fires once every currently-issued collective completes."""
-        from repro.sim.process import all_of
-
-        signals = [h.done for h in self._handles if not h.finished]
-        return all_of(self.sim, signals, name="all-collectives-done")
-
-    def total_bytes_injected(self) -> float:
-        return self.fabric.bytes_injected

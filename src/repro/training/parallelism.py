@@ -1,8 +1,10 @@
-"""Parallelisation strategy → per-layer collective requirements.
+"""Parallelisation strategy specs and pipeline geometry.
 
-The paper uses data parallelism for ResNet-50 and GNMT (weight-gradient
-all-reduce per layer) and hybrid parallelism for DLRM (data parallel across
-the MLP layers, model parallel across the embedding tables, exchanged with
+The collectives each strategy issues per layer are decided where they are
+issued, in :meth:`repro.training.loop.TrainingLoop._program`.  The paper
+uses data parallelism for ResNet-50 and GNMT (weight-gradient all-reduce
+per layer) and hybrid parallelism for DLRM (data parallel across the MLP
+layers, model parallel across the embedding tables, exchanged with
 all-to-alls).  Megatron-LM style tensor parallelism adds blocking activation
 all-reduces around every layer.
 
@@ -32,11 +34,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
-from repro.collectives.base import CollectiveOp
 from repro.errors import ConfigurationError, WorkloadError
-from repro.workloads.base import PARALLELISM_STRATEGIES, Layer, Workload
+from repro.workloads.base import PARALLELISM_STRATEGIES, Layer
 
 #: Default 1F1B geometry for a bare ``"pipeline"`` spec.
 DEFAULT_PIPELINE_STAGES = 4
@@ -117,107 +118,6 @@ def parse_parallelism(spec: Union[str, ParallelismSpec]) -> ParallelismSpec:
     return ParallelismSpec(strategy=text)
 
 
-@dataclass(frozen=True)
-class CollectiveRequest:
-    """One collective the training loop must issue for a layer."""
-
-    op: CollectiveOp
-    payload_bytes: int
-    #: "backward" collectives are issued after the layer's weight-gradient
-    #: compute and only block the *next* iteration's forward pass;
-    #: "forward_gather" collectives (ZeRO parameter all-gathers) block the
-    #: layer's forward pass until the sharded parameters are materialised;
-    #: "forward_blocking" / "backward_blocking" collectives stall the loop
-    #: immediately (tensor-parallel activation synchronisation).
-    when: str
-    layer_name: str
-
-    def __post_init__(self) -> None:
-        if self.payload_bytes <= 0:
-            raise WorkloadError("collective payload must be positive")
-        if self.when not in (
-            "backward",
-            "forward_gather",
-            "forward_blocking",
-            "backward_blocking",
-        ):
-            raise WorkloadError(f"unknown collective timing {self.when!r}")
-
-
-def collectives_for_layer(
-    layer: Layer, parallelism: Union[str, ParallelismSpec]
-) -> List[CollectiveRequest]:
-    """Collectives required for ``layer`` under the given parallelism.
-
-    Unknown parallelism strings raise :class:`WorkloadError` — a typo must
-    not silently produce a communication-free (and therefore optimistic)
-    simulation.
-    """
-    try:
-        spec = parse_parallelism(parallelism)
-    except ConfigurationError as exc:
-        raise WorkloadError(str(exc)) from exc
-    requests: List[CollectiveRequest] = []
-    if spec.strategy in ("data", "hybrid") and layer.params_bytes > 0:
-        requests.append(
-            CollectiveRequest(
-                op=layer.comm_op,
-                payload_bytes=layer.params_bytes,
-                when="backward",
-                layer_name=layer.name,
-            )
-        )
-    if spec.strategy == "zero" and layer.params_bytes > 0:
-        # Sharded data parallelism: gradient reduce-scatter in backward plus
-        # parameter all-gather gating the next forward (ZeRO stage 3 / FSDP).
-        requests.append(
-            CollectiveRequest(
-                op=CollectiveOp.REDUCE_SCATTER,
-                payload_bytes=layer.params_bytes,
-                when="backward",
-                layer_name=layer.name,
-            )
-        )
-        requests.append(
-            CollectiveRequest(
-                op=CollectiveOp.ALL_GATHER,
-                payload_bytes=layer.params_bytes,
-                when="forward_gather",
-                layer_name=layer.name,
-            )
-        )
-    # ``pipeline`` shards weights by stage: no weight-gradient collectives at
-    # all — activation sends are scheduled by the loop, not per layer.
-    if layer.forward_allreduce_bytes > 0:
-        requests.append(
-            CollectiveRequest(
-                op=CollectiveOp.ALL_REDUCE,
-                payload_bytes=layer.forward_allreduce_bytes,
-                when="forward_blocking",
-                layer_name=layer.name,
-            )
-        )
-    if layer.backward_allreduce_bytes > 0:
-        requests.append(
-            CollectiveRequest(
-                op=CollectiveOp.ALL_REDUCE,
-                payload_bytes=layer.backward_allreduce_bytes,
-                when="backward_blocking",
-                layer_name=layer.name,
-            )
-        )
-    return requests
-
-
-def total_backward_payload(workload: Workload) -> int:
-    """Total weight-gradient bytes all-reduced per iteration (data parallel part)."""
-    return sum(
-        layer.params_bytes
-        for layer in workload.layers
-        if layer.params_bytes > 0
-    )
-
-
 # ----------------------------------------------------------------------
 # Pipeline geometry
 # ----------------------------------------------------------------------
@@ -273,67 +173,3 @@ def pipeline_bubble_fraction(num_stages: int, num_microbatches: int) -> float:
     if num_microbatches < 1:
         raise WorkloadError(f"num_microbatches must be >= 1, got {num_microbatches}")
     return (num_stages - 1) / (num_microbatches + num_stages - 1)
-
-
-def one_f_one_b_schedule(
-    num_stages: int,
-    num_microbatches: int,
-    forward_slot: float = 1.0,
-    backward_slot: float = 1.0,
-) -> float:
-    """Makespan of an explicitly-built 1F1B schedule, in slot-time units.
-
-    Builds the per-stage operation order (warmup forwards, steady-state
-    one-forward-one-backward, backward drain), resolves cross-stage
-    dependencies (forward ``m`` needs the upstream forward ``m``; backward
-    ``m`` needs the downstream backward ``m``) to a fixed point, and returns
-    the completion time of the last backward on stage 0.  Used by the
-    property tests to confirm :func:`pipeline_bubble_fraction` against a real
-    schedule rather than trusting the closed form.
-    """
-    if num_stages < 1:
-        raise WorkloadError(f"num_stages must be >= 1, got {num_stages}")
-    if num_microbatches < 1:
-        raise WorkloadError(f"num_microbatches must be >= 1, got {num_microbatches}")
-    if forward_slot < 0 or backward_slot < 0:
-        raise WorkloadError("slot times cannot be negative")
-    S, M = num_stages, num_microbatches
-    orders: List[List[Tuple[str, int]]] = []
-    for stage in range(S):
-        warmup = min(S - 1 - stage, M)
-        order: List[Tuple[str, int]] = [("F", m) for m in range(warmup)]
-        issued_b = 0
-        for m in range(warmup, M):
-            order.append(("F", m))
-            order.append(("B", issued_b))
-            issued_b += 1
-        order.extend(("B", m) for m in range(issued_b, M))
-        orders.append(order)
-
-    durations = {"F": forward_slot, "B": backward_slot}
-    finish: Dict[Tuple[str, int, int], float] = {}
-    # The dependency graph is a DAG but backward deps point up-stage, so a
-    # single stage-ordered sweep cannot resolve it; iterate sweeps until the
-    # least fixed point (bounded by the op count) is reached.
-    for _ in range(2 * S * M + 2):
-        changed = False
-        for stage in range(S):
-            previous_end = 0.0
-            for kind, m in orders[stage]:
-                if kind == "F" and stage > 0:
-                    dep = finish.get(("F", stage - 1, m), 0.0)
-                elif kind == "B" and stage < S - 1:
-                    dep = finish.get(("B", stage + 1, m), 0.0)
-                else:
-                    dep = 0.0
-                end = max(previous_end, dep) + durations[kind]
-                key = (kind, stage, m)
-                if finish.get(key) != end:
-                    finish[key] = end
-                    changed = True
-                previous_end = end
-        if not changed:
-            return max(finish.values())
-    raise WorkloadError(
-        f"1F1B schedule for {S} stages x {M} microbatches did not converge"
-    )

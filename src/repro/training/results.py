@@ -111,12 +111,6 @@ class TrainingResult:
             return 0.0
         return self.bytes_injected / horizon
 
-    def speedup_over(self, other: "TrainingResult") -> float:
-        """Iteration-time speedup of this result relative to ``other``."""
-        if self.total_time_ns <= 0:
-            raise SimulationError("cannot compute a speedup from a zero-time result")
-        return other.iteration_time_ns / self.iteration_time_ns
-
     def fraction_of_ideal(self, ideal: "TrainingResult") -> float:
         """This configuration's performance as a fraction of the ideal system's."""
         if self.total_time_ns <= 0:

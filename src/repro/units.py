@@ -3,7 +3,7 @@
 The simulator uses a small, consistent set of units everywhere:
 
 * **time** — nanoseconds (``float``).  One simulated nanosecond is the base
-  tick; helper constants convert to microseconds, milliseconds and seconds.
+  tick; helper constants convert to microseconds and seconds.
 * **data** — bytes (``int`` or ``float`` when fractional sizes appear in
   analytic models).
 * **bandwidth** — GB/s.  Because 1 GB/s equals exactly one byte per
@@ -25,45 +25,18 @@ KB = 1024
 MB = 1024 * KB
 GB = 1024 * MB
 
-KILOBYTE = KB
-MEGABYTE = MB
-GIGABYTE = GB
-
 # ---------------------------------------------------------------------------
 # Time (base unit: nanosecond)
 # ---------------------------------------------------------------------------
 
-NS = 1.0
 US = 1_000.0
-MS = 1_000_000.0
 SECOND = 1_000_000_000.0
 
 # ---------------------------------------------------------------------------
 # Bandwidth / compute
 # ---------------------------------------------------------------------------
 
-#: 1 GB/s expressed in bytes per nanosecond (exactly 1.0 by construction).
-GBPS_IN_BYTES_PER_NS = 1.0
-
 TERA = 1e12
-GIGA = 1e9
-MEGA = 1e6
-
-
-def bytes_per_ns(bandwidth_gbps: float) -> float:
-    """Convert a bandwidth in GB/s to bytes per nanosecond."""
-    return bandwidth_gbps * GBPS_IN_BYTES_PER_NS
-
-
-def transfer_time_ns(num_bytes: float, bandwidth_gbps: float) -> float:
-    """Serialization time in ns to move ``num_bytes`` at ``bandwidth_gbps``.
-
-    Raises :class:`ValueError` for non-positive bandwidth because a zero
-    bandwidth link would stall the simulation forever.
-    """
-    if bandwidth_gbps <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_gbps}")
-    return num_bytes / bytes_per_ns(bandwidth_gbps)
 
 
 def cycles_to_ns(cycles: float, frequency_mhz: float) -> float:
@@ -73,56 +46,6 @@ def cycles_to_ns(cycles: float, frequency_mhz: float) -> float:
     return cycles * 1e3 / frequency_mhz
 
 
-def ns_to_cycles(time_ns: float, frequency_mhz: float) -> float:
-    """Convert nanoseconds to cycles at ``frequency_mhz``."""
-    if frequency_mhz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_mhz}")
-    return time_ns * frequency_mhz / 1e3
-
-
 def ns_to_us(time_ns: float) -> float:
     """Convert nanoseconds to microseconds."""
     return time_ns / US
-
-
-def ns_to_ms(time_ns: float) -> float:
-    """Convert nanoseconds to milliseconds."""
-    return time_ns / MS
-
-
-def us_to_ns(time_us: float) -> float:
-    """Convert microseconds to nanoseconds."""
-    return time_us * US
-
-
-def ms_to_ns(time_ms: float) -> float:
-    """Convert milliseconds to nanoseconds."""
-    return time_ms * MS
-
-
-def flops_time_ns(flops: float, tflops: float) -> float:
-    """Time in ns to execute ``flops`` at a sustained rate of ``tflops`` TFLOP/s."""
-    if tflops <= 0:
-        raise ValueError(f"throughput must be positive, got {tflops}")
-    return flops / (tflops * TERA) * SECOND
-
-
-def pretty_bytes(num_bytes: float) -> str:
-    """Human readable data size (e.g. ``'64.0 MB'``)."""
-    value = float(num_bytes)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if abs(value) < 1024.0 or unit == "TB":
-            return f"{value:.1f} {unit}"
-        value /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def pretty_time(time_ns: float) -> str:
-    """Human readable time (e.g. ``'3.50 ms'``)."""
-    if time_ns < US:
-        return f"{time_ns:.0f} ns"
-    if time_ns < MS:
-        return f"{time_ns / US:.2f} us"
-    if time_ns < SECOND:
-        return f"{time_ns / MS:.2f} ms"
-    return f"{time_ns / SECOND:.2f} s"

@@ -72,10 +72,6 @@ class Layer:
     def total_flops(self) -> float:
         return self.forward.flops + self.input_grad.flops + self.weight_grad.flops
 
-    @property
-    def has_weight_comm(self) -> bool:
-        return self.params_bytes > 0
-
 
 @dataclass(frozen=True)
 class EmbeddingStage:
@@ -161,10 +157,6 @@ class Workload:
         if self.embedding is not None:
             total += self.embedding.lookup.flops + self.embedding.update.flops
         return total
-
-    @property
-    def num_comm_layers(self) -> int:
-        return sum(1 for layer in self.layers if layer.has_weight_comm)
 
     def total_collective_bytes(self) -> int:
         """Total bytes of collective payloads issued per iteration."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.analysis.bandwidth import measure_network_drive
@@ -11,9 +13,9 @@ from repro.errors import ConfigurationError
 from repro.experiments.model_agreement import (
     KNOBS,
     agreement_jobs,
-    max_disagreement,
     run_model_agreement,
 )
+from oracles import max_disagreement
 from repro.network import (
     DEFAULT_AUTO_NPU_THRESHOLD,
     MAX_DETAILED_NPUS,
@@ -97,15 +99,23 @@ class TestBackendRegistry:
             assert reservation.finish > reservation.start >= 0.0
             assert backend.bytes_injected == pytest.approx(64 * KB)
             assert backend.last_activity() > 0.0
-            backend.reset()
-            assert backend.bytes_injected == 0.0
+
+
+def _transfer_finish(backend, dimension, num_bytes, steps, at=0.0):
+    """Finish of one event-mode ``transfer`` issued at ``at`` on its own simulator."""
+    sim = Simulator()
+    finished = []
+    sim.schedule_at(at, backend.transfer, sim, dimension, num_bytes, steps, finished.append)
+    sim.run()
+    return finished[0]
 
 
 class TestUncontendedArithmetic:
     def test_single_step_transfer_times_match_exactly(self, torus_422):
         """With no contention and one ring step both models charge
         serialization over the aggregate dimension bandwidth plus one link
-        latency — bit-identical finish times."""
+        latency — bit-identical finish times, on the reservation path and
+        on the event path every job takes."""
         network = NetworkConfig()
         for dimension in ("local", "vertical", "horizontal"):
             symmetric = SymmetricFabric(torus_422, network)
@@ -113,6 +123,8 @@ class TestUncontendedArithmetic:
             a = symmetric.reserve(dimension, 256 * KB, 0.0, steps=1)
             b = detailed.reserve(dimension, 256 * KB, 0.0, steps=1)
             assert b.finish == pytest.approx(a.finish, rel=1e-9), dimension
+            evented = DetailedBackend(torus_422, network)
+            assert _transfer_finish(evented, dimension, 256 * KB, 1) == b.finish, dimension
 
     def test_multi_step_transfer_is_bounded_by_both_models(self, torus_422):
         """Multi-step rings pipeline messages hop by hop, so the detailed
@@ -124,17 +136,25 @@ class TestUncontendedArithmetic:
             detailed = DetailedBackend(torus_422, network)
             a = symmetric.reserve(dimension, 256 * KB, 0.0, steps=steps)
             b = detailed.reserve(dimension, 256 * KB, 0.0, steps=steps)
+            evented = DetailedBackend(torus_422, network)
+            assert _transfer_finish(evented, dimension, 256 * KB, steps) == b.finish
             serialization = 256 * KB / network.dimension_bandwidth_gbps(dimension)
             latency = network.dimension_latency_ns(dimension)
             assert serialization + latency - 1e-6 <= b.finish <= a.finish + 1e-6, dimension
 
     def test_detailed_port_count_follows_link_provisioning(self, torus_422):
-        detailed = DetailedBackend(torus_422, NetworkConfig())
-        assert len(detailed.ports("local")) == 2
-        assert len(detailed.ports("vertical")) == 2
-        assert detailed.injection_bandwidth_gbps == pytest.approx(
-            SymmetricFabric(torus_422, NetworkConfig()).injection_bandwidth_gbps
-        )
+        """A message stripes over every provisioned port, so the dimension
+        moves its bytes at the aggregate bandwidth the symmetric pipe has."""
+        for links, dimension in itertools.product((1, 2, 4), ("local", "vertical")):
+            network = NetworkConfig(
+                intra_package_links=links, inter_package_links_per_dim=links
+            )
+            detailed = DetailedBackend(torus_422, network)
+            symmetric = SymmetricFabric(torus_422, network)
+            b = detailed.reserve(dimension, 256 * KB, 0.0)
+            a = symmetric.reserve(dimension, 256 * KB, 0.0)
+            assert b.finish == pytest.approx(a.finish, rel=1e-9), (dimension, links)
+            assert detailed.per_dimension_bytes()[dimension] == pytest.approx(256 * KB)
 
     def test_per_dimension_bytes_and_link_stats_account_everything(self, torus_422):
         detailed = DetailedBackend(torus_422, NetworkConfig())
@@ -143,13 +163,11 @@ class TestUncontendedArithmetic:
         per_dim = detailed.per_dimension_bytes()
         assert per_dim["local"] == pytest.approx(100.0)
         assert per_dim["vertical"] == pytest.approx(60.0)
-        assert sum(r["bytes_moved"] for r in detailed.per_link_stats()) == pytest.approx(
-            detailed.bytes_injected
-        )
+        assert sum(per_dim.values()) == pytest.approx(detailed.bytes_injected)
 
 
 class TestQueuingDelay:
-    """Every backend's ``reserve`` says when the request was made."""
+    """A request made while the dimension is busy waits behind it."""
 
     def test_symmetric_multi_step_reservation(self, torus_422):
         fabric = SymmetricFabric(torus_422, NetworkConfig())
@@ -157,9 +175,8 @@ class TestQueuingDelay:
         first = fabric.reserve("local", 256 * KB, 0.0, steps=3)
         second = fabric.reserve("local", 256 * KB, 0.0, steps=3)
         serialization = 256 * KB / pipe.bandwidth_gbps
-        assert (first.requested, first.queuing_delay) == (0.0, 0.0)
-        assert second.requested == 0.0
-        assert second.queuing_delay == pytest.approx(serialization)
+        assert first.start == 0.0
+        assert second.start == pytest.approx(serialization)
         # The extra ring-step latencies move the finish, not the start.
         assert second.finish == pytest.approx(2 * serialization + 3 * pipe.latency_ns)
 
@@ -167,10 +184,20 @@ class TestQueuingDelay:
         backend = DetailedBackend(torus_422, NetworkConfig())
         first = backend.reserve("vertical", 256 * KB, 100.0, steps=2)
         second = backend.reserve("vertical", 256 * KB, 100.0, steps=2)
-        assert (first.requested, first.start, first.queuing_delay) == (100.0, 100.0, 0.0)
-        assert second.requested == 100.0
+        assert first.start == 100.0
         assert second.start > 100.0
-        assert second.queuing_delay == second.start - 100.0
+        # The event path: two transfers issued together on one dimension.
+        # The second queues behind the first, and contention only delays.
+        sim = Simulator()
+        finishes = []
+        evented = DetailedBackend(torus_422, NetworkConfig())
+        for _ in range(2):
+            sim.schedule_at(
+                100.0, evented.transfer, sim, "vertical", 256 * KB, 2, finishes.append
+            )
+        sim.run()
+        assert finishes[0] >= first.finish
+        assert finishes[1] > finishes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +417,7 @@ class TestDetailedContention:
         sim.run()
         assert handle.finished
         assert handle.chunks_completed == handle.num_chunks
-        assert executor.inflight_chunks == 0
+        assert executor._inflight_chunks == 0
 
     def test_concurrent_collectives_contend_per_link(self, torus_222):
         """Two concurrent all-reduces must serialise on the shared ports."""

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.collectives import dataops
-from repro.collectives.alltoall import direct_all_to_all
-from repro.collectives.halving_doubling import halving_doubling_all_reduce
-from repro.collectives.ring import ring_all_gather, ring_all_reduce, ring_reduce_scatter
-from repro.collectives.tree import double_binary_tree_all_reduce
+import oracles
+from oracles import (
+    direct_all_to_all,
+    double_binary_tree_all_reduce,
+    halving_doubling_all_reduce,
+    ring_all_gather,
+    ring_all_reduce,
+    ring_reduce_scatter,
+)
 from repro.errors import CollectiveError
 
 
@@ -19,21 +23,21 @@ def _node_data(num_nodes, elements, seed=0):
 class TestOracles:
     def test_all_reduce_is_sum(self):
         data = _node_data(4, 8)
-        out = dataops.all_reduce(data)
+        out = oracles.all_reduce(data)
         expected = np.sum(np.stack(data), axis=0)
         for node_result in out:
             np.testing.assert_allclose(node_result, expected)
 
     def test_reduce_scatter_shards_the_sum(self):
         data = _node_data(4, 16)
-        shards = dataops.reduce_scatter(data)
+        shards = oracles.reduce_scatter(data)
         total = np.sum(np.stack(data), axis=0)
         reconstructed = np.concatenate(shards)
         np.testing.assert_allclose(reconstructed, total)
 
     def test_all_gather_concatenates(self):
         shards = [np.full(4, i, dtype=float) for i in range(3)]
-        out = dataops.all_gather(shards)
+        out = oracles.all_gather(shards)
         expected = np.concatenate(shards)
         for node_result in out:
             np.testing.assert_allclose(node_result, expected)
@@ -41,18 +45,18 @@ class TestOracles:
     def test_all_to_all_transposes_shards(self):
         num_nodes = 4
         data = [np.arange(num_nodes) + 10 * node for node in range(num_nodes)]
-        out = dataops.all_to_all(data)
+        out = oracles.all_to_all(data)
         for dst in range(num_nodes):
             expected = np.array([10 * src + dst for src in range(num_nodes)], dtype=float)
             np.testing.assert_allclose(out[dst], expected)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(CollectiveError):
-            dataops.all_reduce([np.zeros(4), np.zeros(5)])
+            oracles.all_reduce([np.zeros(4), np.zeros(5)])
 
     def test_indivisible_length_rejected(self):
         with pytest.raises(CollectiveError):
-            dataops.reduce_scatter([np.zeros(5), np.zeros(5), np.zeros(5)])
+            oracles.reduce_scatter([np.zeros(5), np.zeros(5), np.zeros(5)])
 
 
 class TestRingAlgorithms:
@@ -60,7 +64,7 @@ class TestRingAlgorithms:
     def test_ring_reduce_scatter_matches_oracle(self, num_nodes):
         data = _node_data(num_nodes, num_nodes * 4, seed=num_nodes)
         mine = ring_reduce_scatter(data)
-        oracle = dataops.reduce_scatter(data)
+        oracle = oracles.reduce_scatter(data)
         # Ring RS leaves node i with shard (i+1) mod n.
         for node in range(num_nodes):
             np.testing.assert_allclose(mine[node], oracle[(node + 1) % num_nodes])
@@ -110,6 +114,6 @@ class TestOtherAlgorithms:
     def test_direct_all_to_all_matches_oracle(self, num_nodes):
         data = _node_data(num_nodes, num_nodes * 2, seed=3)
         mine = direct_all_to_all(data)
-        oracle = dataops.all_to_all(data)
+        oracle = oracles.all_to_all(data)
         for a, b in zip(mine, oracle):
             np.testing.assert_allclose(a, b)

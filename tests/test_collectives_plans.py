@@ -1,5 +1,6 @@
 """Collective performance plans (phase/byte accounting)."""
 
+import numpy as np
 import pytest
 
 from repro.collectives.alltoall import direct_all_to_all_plan
@@ -52,7 +53,7 @@ class TestRingPhases:
 class TestHierarchicalAllReduce:
     def test_4x4x4_matches_section6a(self, torus_444):
         plan = hierarchical_all_reduce_plan(torus_444)
-        assert plan.num_phases == 4
+        assert len(plan.phases) == 4
         fractions = [p.bytes_sent_fraction for p in plan.phases]
         assert fractions == pytest.approx([0.75, 6 / 16, 6 / 16, 0.75])
         # Total injected bytes per payload byte: 2.25 (Section VI-A).
@@ -75,7 +76,7 @@ class TestHierarchicalAllReduce:
 
     def test_sequential_stages(self, torus_444):
         plan = hierarchical_all_reduce_plan(torus_444)
-        assert plan.num_sequential_stages == 4
+        assert len(plan.stages()) == 4
         groups = [p.parallel_group for p in plan.phases]
         assert groups == sorted(groups)
 
@@ -109,20 +110,22 @@ class TestAllToAllPlan:
     def test_phases_are_parallel(self, torus_444):
         plan = direct_all_to_all_plan(torus_444)
         assert plan.op is CollectiveOp.ALL_TO_ALL
-        assert plan.num_sequential_stages == 1
+        assert len(plan.stages()) == 1
         assert {p.dimension for p in plan.phases} == {"local", "vertical", "horizontal"}
 
     def test_forwarded_traffic_on_multi_hop_rings(self, torus_444):
         plan = direct_all_to_all_plan(torus_444)
         # Rings of size 4 force some 2-hop routes, so forwarding is non-zero.
-        assert plan.total_forwarded_fraction > 0.0
+        assert sum(p.forwarded_bytes_fraction for p in plan.phases) > 0.0
 
     def test_small_torus_forwards_less_than_large(self, torus_222, torus_444):
         small = direct_all_to_all_plan(torus_222)
         large = direct_all_to_all_plan(torus_444)
         # Multi-hop XYZ routes force intermediate NPUs to forward traffic; the
         # effect grows with ring sizes / hop counts.
-        assert 0.0 <= small.total_forwarded_fraction < large.total_forwarded_fraction
+        small_forwarded = sum(p.forwarded_bytes_fraction for p in small.phases)
+        large_forwarded = sum(p.forwarded_bytes_fraction for p in large.phases)
+        assert 0.0 <= small_forwarded < large_forwarded
 
     def test_total_link_load_reasonable(self, torus_444):
         plan = direct_all_to_all_plan(torus_444)
@@ -143,8 +146,19 @@ class TestOtherPlans:
 
     def test_double_binary_tree_plan(self):
         plan = double_binary_tree_plan("local", 8)
-        assert plan.num_phases == 2
+        assert len(plan.phases) == 2
         assert plan.phases[0].steps == 3
+
+
+    def test_integer_step_counts_match_float_logs(self):
+        """The plan builders count steps with integer bit lengths; they agree
+        with the float ``log2`` forms for every size up to 4096."""
+        for n in range(2, 4097):
+            tree = double_binary_tree_plan("switch", n)
+            assert [p.steps for p in tree.phases] == [int(np.ceil(np.log2(n)))] * 2, n
+            if n & (n - 1) == 0:
+                hd = halving_doubling_plan("switch", n)
+                assert [p.steps for p in hd.phases] == [int(np.log2(n))] * 2, n
 
 
 class TestPlanner:
@@ -171,4 +185,4 @@ class TestPlanner:
         assert "all_reduce" in plan.describe()
         per_dim = plan.per_dimension_injected_fraction()
         assert per_dim["local"] == pytest.approx(1.5)
-        assert plan.total_injected_bytes(100.0) == pytest.approx(225.0)
+        assert 100.0 * plan.total_injected_fraction == pytest.approx(225.0)

@@ -196,7 +196,8 @@ class TestExecutionUnitModel:
         execution-unit inflation there stays within the validation budget."""
         roofline, eu = _roofline(), _execution_unit()
         bytes_total = 32 * MB
-        flops = roofline.ridge_intensity() * bytes_total
+        ridge_intensity = roofline.tflops * 1e12 / (roofline.memory_bandwidth_gbps * 1e9)
+        flops = ridge_intensity * bytes_total
         cost = _kernel(flops, bytes_total, efficiency=1.0)
         assert roofline.compute_time_ns(cost) == pytest.approx(
             roofline.memory_time_ns(cost), rel=1e-9
@@ -439,11 +440,8 @@ class TestComputeValidationHarness:
         ]
 
     def test_single_cell_run_meets_the_bound(self):
-        from repro.experiments.model_agreement import (
-            KNOBS,
-            max_disagreement,
-            run_model_agreement,
-        )
+        from oracles import max_disagreement
+        from repro.experiments.model_agreement import KNOBS, run_model_agreement
 
         rows = run_model_agreement(
             "compute",

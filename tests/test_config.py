@@ -125,7 +125,7 @@ class TestSystemConfig:
         system = make_system("baseline_no_overlap")
         assert system.compute_sms == 80
         assert system.compute_memory_bandwidth_gbps == pytest.approx(900.0)
-        assert not system.endpoint.overlaps_communication
+        assert system.endpoint is EndpointKind.BASELINE_NO_OVERLAP
 
     def test_baselines_have_launch_overhead(self):
         assert make_system("baseline_comm_opt").collective_launch_overhead_ns > 0

@@ -1,72 +1,36 @@
-"""ACE micro-architecture: SRAM, FSMs, ALUs, engine, area/power."""
+"""ACE micro-architecture: FSMs, ALU throughput, engine, area/power."""
 
 import pytest
 
 from repro.collectives.planner import plan_collective
 from repro.config.presets import make_system
-from repro.config.system import AceConfig, NetworkConfig
-from repro.core.alu import AluArray
+from repro.config.system import AceConfig
 from repro.core.area_power import AceAreaPowerModel
 from repro.core.engine import AceEngine
 from repro.core.fsm import FsmPool
-from repro.core.sram import SramScratchpad, partition_sram
-from repro.errors import ResourceError, SchedulingError
+from repro.errors import SchedulingError
 from repro.units import KB, MB
-
-
-class TestSram:
-    def test_partitioning_heuristic_covers_all_phases(self, torus_444):
-        plan = plan_collective("all_reduce", torus_444)
-        sizes = partition_sram(plan, AceConfig(), NetworkConfig())
-        assert set(sizes) == {"phase0", "phase1", "phase2", "phase3", "terminal"}
-        assert sum(sizes.values()) == AceConfig().sram_bytes
-        # The local phases see 8x the bandwidth of the inter-package phases,
-        # so their partitions are larger.
-        assert sizes["phase0"] > sizes["phase1"]
-
-    def test_terminal_partition_mirrors_last_phase_weight(self, torus_444):
-        plan = plan_collective("all_reduce", torus_444)
-        sizes = partition_sram(plan, AceConfig(), NetworkConfig())
-        assert sizes["terminal"] > 0
-
-    def test_scratchpad_capacity_tracking(self, torus_444):
-        plan = plan_collective("all_reduce", torus_444)
-        sram = SramScratchpad.for_plan(plan, AceConfig(), NetworkConfig())
-        part = sram.phase_partition(0)
-        part.allocate(64 * KB)
-        assert sram.used_bytes == 64 * KB
-        part.release(64 * KB)
-        assert sram.free_bytes == sram.capacity_bytes
-
-    def test_overflow_and_underflow_rejected(self, torus_444):
-        plan = plan_collective("all_reduce", torus_444)
-        sram = SramScratchpad.for_plan(plan, AceConfig(), NetworkConfig())
-        part = sram.terminal_partition()
-        with pytest.raises(ResourceError):
-            part.allocate(part.capacity_bytes + 1)
-        with pytest.raises(ResourceError):
-            part.release(1)
-
-    def test_can_admit_chunk(self, torus_444):
-        plan = plan_collective("all_reduce", torus_444)
-        sram = SramScratchpad.for_plan(plan, AceConfig(), NetworkConfig())
-        assert sram.can_admit_chunk(64 * KB, 0)
-        assert not sram.can_admit_chunk(8 * MB, 0)
 
 
 class TestFsmPool:
     def test_program_dedicated_assignment(self):
         pool = FsmPool(16)
-        assignment = pool.program(["phase0", "phase1", "phase2", "phase3", "all_to_all"])
-        assert sum(len(v) for v in assignment.values()) == 16
-        for fsms in assignment.values():
-            assert fsms  # every phase has at least one FSM
+        pools = pool.program(["phase0", "phase1", "phase2", "phase3", "all_to_all"])
+        # Every phase has its own group of at least one FSM; all 16 are used.
+        assert len({id(slots) for slots in pools.values()}) == 5
+        assert sum(slots.num_slots for slots in pools.values()) == 16
+        assert min(slots.num_slots for slots in pools.values()) >= 1
 
     def test_program_shared_when_fewer_fsms_than_phases(self):
         pool = FsmPool(2)
-        assignment = pool.program(["phase0", "phase1", "phase2", "phase3"])
-        for fsms in assignment.values():
-            assert fsms == [0, 1]
+        pools = pool.program(["phase0", "phase1", "phase2", "phase3"])
+        shared = pools["phase0"]
+        assert shared.num_slots == 2
+        assert all(slots is shared for slots in pools.values())
+        # Phases time-share the two FSMs: a third chunk-phase waits.
+        pool.acquire("phase0", 0.0, 10.0)
+        pool.acquire("phase3", 0.0, 10.0)
+        assert pool.acquire("phase1", 0.0, 10.0)[1] == 10.0
 
     def test_acquire_serializes_on_busy_fsms(self):
         pool = FsmPool(1)
@@ -81,39 +45,12 @@ class TestFsmPool:
         with pytest.raises(SchedulingError):
             pool.acquire("phase9", 0.0, 1.0)
 
-    def test_utilization(self):
-        pool = FsmPool(2)
-        pool.program(["phase0"])
-        pool.acquire("phase0", 0.0, 10.0)
-        assert pool.utilization(10.0) == pytest.approx(0.5)
-
-    @pytest.mark.parametrize(
-        "num_fsms,phases",
-        [(2, ["phase0", "phase1", "phase2", "phase3"]), (4, ["phase0", "phase1"])],
-        ids=["shared", "dedicated"],
-    )
-    def test_busy_time_counts_each_fsm_once(self, num_fsms, phases):
-        pool = FsmPool(num_fsms)
-        pool.program(phases)
-        pool.acquire(phases[0], 0.0, 10.0)
-        pool.acquire(phases[-1], 0.0, 6.0)
-        assert pool.total_busy_time == pytest.approx(16.0)
-        assert pool.utilization(20.0) == pytest.approx(16.0 / (20.0 * num_fsms))
-
 
 class TestAluArray:
     def test_throughput_exceeds_network_injection(self):
-        alus = AluArray(AceConfig())
         # ALU streaming rate comfortably exceeds the 470 GB/s injection cap
         # divided by the reduce share, so reductions are not the bottleneck.
-        assert alus.throughput_gbps > 300.0
-
-    def test_reduce_accounts_bytes(self):
-        alus = AluArray(AceConfig())
-        alus.reduce(1000.0)
-        assert alus.reduced_bytes == 1000.0
-        with pytest.raises(ResourceError):
-            alus.reduce(-1.0)
+        assert AceConfig().alu_throughput_gbps > 300.0
 
 
 class TestAceEngine:
@@ -138,7 +75,14 @@ class TestAceEngine:
         engine = self._engine(torus_444)
         f1 = engine.process_phase("phase0", 48 * KB, 48 * KB, 0.0, 3, 0.0)
         assert f1 > 0.0
-        assert engine.alus.reduced_bytes == 48 * KB
+        # The FSM stays occupied for the slower of the SRAM stream (bytes
+        # sent plus reduced) and the ALU stream (bytes reduced), plus its
+        # control overhead.
+        ace = engine.ace
+        sram = 96 * KB / ace.sram_bandwidth_gbps
+        alu = 48 * KB / ace.alu_throughput_gbps
+        control = 3 * engine.PHASE_CONTROL_OVERHEAD_CYCLES * 1e3 / ace.frequency_mhz
+        assert f1 == pytest.approx(max(sram, alu) + control)
 
     def test_egress_writes_memory(self, torus_444):
         engine = self._engine(torus_444)
@@ -148,13 +92,6 @@ class TestAceEngine:
     def test_chunk_capacity_matches_sram(self, torus_444):
         engine = self._engine(torus_444)
         assert engine.chunk_capacity() == 64
-
-    def test_stats_and_reset(self, torus_444):
-        engine = self._engine(torus_444)
-        engine.ingress(64 * KB, 0.0)
-        assert engine.memory_read_bytes == 64 * KB
-        engine.reset()
-        assert engine.memory_read_bytes == 0.0
 
 
 class TestAreaPower:

@@ -64,7 +64,7 @@ class TestIssueAndCompletion:
         payload = 2 * MB
         handle = executor.issue("all_reduce", payload)
         sim.run()
-        expected = handle.plan.total_injected_bytes(payload)
+        expected = payload * handle.plan.total_injected_fraction
         assert executor.fabric.bytes_injected == pytest.approx(expected, rel=1e-6)
 
     def test_multiple_collectives_all_finish(self):
@@ -72,7 +72,6 @@ class TestIssueAndCompletion:
         handles = [executor.issue("all_reduce", 256 * KB, name=f"c{i}") for i in range(5)]
         sim.run()
         assert all(h.finished for h in handles)
-        assert executor.outstanding == 0
 
     def test_single_node_topology_completes_immediately(self):
         system = make_system("ideal")
@@ -114,13 +113,21 @@ class TestScheduling:
 
     def test_inflight_chunks_bounded_by_endpoint_capacity(self):
         sim, executor = _executor("ace")
-        executor.issue("all_reduce", 32 * MB)
+        handle = executor.issue("all_reduce", 32 * MB)
         capacity = executor.endpoint.chunk_capacity()
-        max_seen = 0
-        while sim.pending_events:
-            sim.run(max_events=1)
-            max_seen = max(max_seen, executor.inflight_chunks)
-        assert max_seen <= capacity
+        seen = []
+
+        def probe():
+            # A probe event every 50 ns reads the in-flight count until the
+            # collective completes.
+            seen.append(executor._inflight_chunks)
+            if not handle.finished:
+                sim.schedule(50.0, probe)
+
+        sim.schedule(0.0, probe)
+        sim.run()
+        assert handle.finished
+        assert 1 < max(seen) <= capacity
 
 
 class TestEndpointInteraction:
@@ -129,7 +136,7 @@ class TestEndpointInteraction:
         payload = 4 * MB
         handle = executor.issue("all_reduce", payload)
         sim.run()
-        injected = handle.plan.total_injected_bytes(payload)
+        injected = payload * handle.plan.total_injected_fraction
         ratio = executor.endpoint.memory_read_bytes / injected
         assert ratio == pytest.approx(1.5, rel=0.02)
 
@@ -149,14 +156,6 @@ class TestEndpointInteraction:
             sim.run()
             times[name] = handle.duration_ns
         assert times["ideal"] < times["baseline_comp_opt"]
-
-    def test_all_done_signal(self):
-        sim, executor = _executor()
-        executor.issue("all_reduce", 256 * KB)
-        executor.issue("all_reduce", 256 * KB)
-        done = executor.all_done_signal()
-        sim.run()
-        assert done.fired
 
 
 def _per_chunk_stages(plan, chunk_size, fabric):

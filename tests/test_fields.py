@@ -133,6 +133,34 @@ def test_job_probe_is_rejected_naming_its_field(spec, field):
     assert field.rsplit(".", 1)[-1] in str(excinfo.value)
 
 
+#: Numeric config fields that once passed submission and then failed in the
+#: worker (a division by zero, or a resource constructor's bare error).
+BOUND_PROBES = [
+    ("ace", "sram_banks", 0),
+    ("ace", "sram_bank_bandwidth_gbps", 0),
+    ("ace", "alu_bytes_per_cycle", 0),
+    ("ace", "frequency_mhz", -1),
+    ("ace", "tx_dma_bandwidth_gbps", 0),
+    ("ace", "rx_dma_bandwidth_gbps", 0),
+    ("ace", "memory_bandwidth_gbps", 0),
+    ("network", "intra_package_links", 0),
+    ("network", "inter_package_links_per_dim", 0),
+    ("network", "frequency_mhz", 0),
+    ("network", "intra_package_latency_cycles", -1),
+    ("network", "inter_package_latency_cycles", -1),
+    ("compute", "sm_bytes_per_cycle", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "section, name, value", BOUND_PROBES, ids=[f"{s}.{n}" for s, n, _ in BOUND_PROBES]
+)
+def test_bound_probe_is_rejected_when_the_job_is_built(section, name, value):
+    with pytest.raises(ConfigurationError) as excinfo:
+        SimJob(workload="resnet50", num_npus=16, overrides={section: {name: value}})
+    assert excinfo.value.field == f"overrides.{section}.{name}"
+
+
 def _manifest(**fields):
     suite = {"kind": "area_power"}
     return {"schema": 1, "name": "probe", "description": "d", "suites": [suite], **fields}

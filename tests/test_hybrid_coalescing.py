@@ -1,8 +1,8 @@
-"""Coalesced/vectorized hot-path equivalence, hybrid-backend bounds, and
+"""Coalesced hot-path equivalence, hybrid-backend bounds, and
 cache/accounting bugfix tests.
 
 The detailed backend's sole-issuer coalescing and the bandwidth resource's
-batched reservation paths are pure optimisations: they must not change any
+batched reservation path are pure optimisations: they must not change any
 simulated timing beyond the documented pipeline-fill bound.  These tests pin
 that property across every planner algorithm on the paper's fabrics, bound
 the hybrid backend against the fully detailed one, and cover the result-cache
@@ -23,9 +23,10 @@ from repro.network import (
     MAX_HYBRID_NPUS,
     topology_from_spec,
 )
-from repro.network.backend import VALIDATE_ACCOUNTING_ENV, make_network_backend
+from repro.network.backend import make_network_backend
 from repro.network.detailed import DetailedBackend
 from repro.network.hybrid import HybridBackend, most_contended_dimension
+from repro.network.symmetric import SymmetricFabric
 from repro.runner import ResultCache, SimJob, SweepRunner
 from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthResource
@@ -101,7 +102,7 @@ class TestCoalescingEquivalence:
 
 
 class TestReserveBatchEquivalence:
-    """Both batch paths must book the timeline sequential reserve() books."""
+    """A batch books the timeline sequential reserve() calls book."""
 
     def _resource(self):
         return BandwidthResource(name="link", bandwidth_gbps=50.0, latency_ns=500.0)
@@ -113,30 +114,20 @@ class TestReserveBatchEquivalence:
         earliest = [float(200 * i if i % 3 else 150 * i) for i in range(count)]
         return sizes, earliest
 
-    @pytest.mark.parametrize("count", (1, 7, 31, 32, 64, 200))
+    @pytest.mark.parametrize("count", range(1, 201))
     def test_batch_matches_sequential(self, count):
         sizes, earliest = self._requests(count)
         sequential = self._resource()
         expected = [sequential.reserve(s, e) for s, e in zip(sizes, earliest)]
         batched = self._resource()
         starts, finishes = batched.reserve_batch(sizes, earliest)
-        if count < BandwidthResource.SMALL_BATCH:
-            # The scalar path replays reserve()'s arithmetic: bit-exact.
-            assert [float(s) for s in starts] == [r.start for r in expected]
-            assert [float(f) for f in finishes] == [r.finish for r in expected]
-            assert batched.busy_time == sequential.busy_time
-            assert batched.next_free == sequential.next_free
-        else:
-            # The vectorized path reassociates the running-max recurrence
-            # through prefix sums; equal in exact arithmetic, so only
-            # float rounding (ulps) may differ.
-            for got, want in zip(starts, expected):
-                assert float(got) == pytest.approx(want.start, rel=1e-12)
-            for got, want in zip(finishes, expected):
-                assert float(got) == pytest.approx(want.finish, rel=1e-12)
-            assert batched.busy_time == pytest.approx(sequential.busy_time, rel=1e-12)
-            assert batched.next_free == pytest.approx(sequential.next_free, rel=1e-12)
+        # The batch replays reserve()'s arithmetic in order: bit-exact.
+        assert starts == [r.start for r in expected]
+        assert finishes == [r.finish for r in expected]
+        assert batched.busy_time == sequential.busy_time
         assert batched.bytes_moved == sequential.bytes_moved
+        # Same FIFO tail: the next request queues identically on both.
+        assert batched.reserve_times(1.0, 0.0) == sequential.reserve_times(1.0, 0.0)
 
     def test_reserve_times_matches_reserve(self):
         by_reserve = self._resource()
@@ -270,21 +261,34 @@ class TestCacheMaintenance:
         assert cache.stats["memory_entries"] == 1
 
 
-class TestAccountingFlag:
-    def test_flag_runs_accounting_checks_clean(self, monkeypatch):
-        monkeypatch.setenv(VALIDATE_ACCOUNTING_ENV, "1")
-        for backend in ("symmetric", "detailed", "hybrid"):
-            job = SimJob(
-                workload="resnet50", num_npus=16, iterations=1, backend=backend
+class TestAccountingCheck:
+    def test_every_job_checks_fabric_accounting_once(self, monkeypatch):
+        """Training and network-drive jobs assert the fabric's FIFO
+        accounting after they simulate, on every backend, unasked."""
+        calls = []
+
+        def spy(cls):
+            original = cls.check_accounting
+
+            def check_accounting(self, horizon_ns):
+                calls.append(type(self))
+                original(self, horizon_ns)
+
+            monkeypatch.setattr(cls, "check_accounting", check_accounting)
+
+        for cls in (SymmetricFabric, DetailedBackend, HybridBackend):
+            spy(cls)
+        for backend, cls in (
+            ("symmetric", SymmetricFabric),
+            ("detailed", DetailedBackend),
+            ("hybrid", HybridBackend),
+        ):
+            jobs = (
+                SimJob(workload="resnet50", num_npus=16, iterations=1, backend=backend),
+                SimJob(kind="network_drive", system="ace", num_npus=16,
+                       payload_bytes=1 * MB, backend=backend),
             )
-            assert job.execute().iteration_time_us > 0
-
-    def test_flag_off_values(self, monkeypatch):
-        from repro.network.backend import accounting_checks_enabled
-
-        monkeypatch.delenv(VALIDATE_ACCOUNTING_ENV, raising=False)
-        assert not accounting_checks_enabled()
-        monkeypatch.setenv(VALIDATE_ACCOUNTING_ENV, "0")
-        assert not accounting_checks_enabled()
-        monkeypatch.setenv(VALIDATE_ACCOUNTING_ENV, "1")
-        assert accounting_checks_enabled()
+            for job in jobs:
+                calls.clear()
+                job.execute()
+                assert calls.count(cls) == 1, (backend, job.kind, calls)

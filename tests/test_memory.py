@@ -15,7 +15,6 @@ class TestMemoryPartition:
         part.write(500.0, 0.0)
         assert part.read_bytes == 1000.0
         assert part.write_bytes == 500.0
-        assert part.total_bytes == 1500.0
 
     def test_reads_and_writes_use_separate_channels(self):
         part = MemoryPartition("comm", 1.0)
@@ -40,11 +39,10 @@ class TestMemorySystem:
     def test_allocation_within_budget(self):
         mem = MemorySystem(900.0)
         comm = mem.allocate("comm", 450.0)
-        compute = mem.allocate("compute", 450.0)
+        mem.allocate("compute", 450.0)
         assert mem.allocated_bandwidth_gbps == pytest.approx(900.0)
-        assert mem.free_bandwidth_gbps == pytest.approx(0.0)
         assert mem.partition("comm") is comm
-        assert mem.partitions["compute"] is compute
+        assert comm.bandwidth_gbps == 450.0
 
     def test_oversubscription_rejected(self):
         mem = MemorySystem(900.0)
@@ -62,21 +60,14 @@ class TestMemorySystem:
         with pytest.raises(ResourceError):
             MemorySystem(900.0).partition("nope")
 
-    def test_traffic_roll_up_and_reset(self):
-        mem = MemorySystem(900.0)
-        part = mem.allocate("comm", 450.0)
-        part.read(100.0, 0.0)
-        assert mem.total_traffic_bytes() == 100.0
-        mem.reset()
-        assert mem.total_traffic_bytes() == 0.0
-
 
 class TestBus:
     def test_transfer_with_overhead(self):
         bus = Bus("npu-afi", 500.0, transaction_overhead_ns=20.0)
         _, finish = bus.transfer(500.0, 0.0)
         assert finish == pytest.approx(21.0)
-        assert bus.bytes_moved == 500.0
+        # FIFO: a second transfer queues behind the first's serialization.
+        assert bus.transfer(500.0, 0.0) == pytest.approx((1.0, 22.0))
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):

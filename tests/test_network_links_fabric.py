@@ -1,37 +1,46 @@
-"""Links, payload splitting and the symmetric fabric's dimension pipes."""
+"""Per-link ports, payload splitting and the symmetric fabric's dimension pipes."""
 
 import pytest
 
 from repro.config.system import NetworkConfig
 from repro.errors import CollectiveError
 from repro.network.backend import mean_utilization
-from repro.network.links import Link, LinkKind
+from repro.network.detailed import DetailedBackend
 from repro.network.messages import split_payload
 from repro.network.symmetric import SymmetricFabric
 from repro.network.topology import Torus3D
 
 
 class TestLink:
-    def test_intra_vs_inter_package(self):
-        net = NetworkConfig()
-        local = Link(0, 1, "local", net)
-        vertical = Link(0, 4, "vertical", net)
-        assert local.kind is LinkKind.INTRA_PACKAGE
-        assert vertical.kind is LinkKind.INTER_PACKAGE
-        assert local.effective_bandwidth_gbps > vertical.effective_bandwidth_gbps
-        assert local.latency_ns < vertical.latency_ns
+    """The detailed backend's ports take their class from the dimension."""
 
-    def test_link_efficiency_applied(self):
+    def test_intra_vs_inter_package(self, torus_444):
         net = NetworkConfig()
-        link = Link(0, 1, "local", net)
-        assert link.effective_bandwidth_gbps == pytest.approx(200.0 * 0.94)
+        ports = DetailedBackend(torus_444, net)
+        # A zero-byte message costs one link latency.
+        local_latency = ports.reserve("local", 0.0, 0.0).finish
+        vertical_latency = ports.reserve("vertical", 0.0, 0.0).finish
+        assert local_latency == pytest.approx(net.intra_package_latency_ns)
+        assert vertical_latency == pytest.approx(net.inter_package_latency_ns)
+        assert net.intra_package_latency_ns < net.inter_package_latency_ns
+        local = ports.reserve("local", 64_000.0, 1e6)
+        vertical = ports.reserve("vertical", 64_000.0, 1e6)
+        assert local.finish - local_latency < vertical.finish - vertical_latency
 
-    def test_reserve_accumulates_stats(self):
-        link = Link(0, 1, "local", NetworkConfig(), traced=True)
-        link.reserve(1000.0, 0.0)
-        assert link.bytes_moved == 1000.0
-        assert link.busy_time > 0.0
-        assert link.tracer is not None
+    def test_link_efficiency_applied(self, torus_444):
+        net = NetworkConfig()
+        ports = DetailedBackend(torus_444, net)
+        finish = ports.reserve("local", 1000.0, 0.0).finish
+        # Two 200 GB/s intra-package ports at 94 % efficiency share the bytes.
+        serialization = 500.0 / (200.0 * 0.94)
+        assert finish == pytest.approx(serialization + net.intra_package_latency_ns)
+
+    def test_reserve_accumulates_stats(self, torus_444):
+        ports = DetailedBackend(torus_444, NetworkConfig())
+        ports.reserve("local", 1000.0, 0.0)
+        assert ports.per_dimension_bytes()["local"] == 1000.0
+        assert ports.bytes_injected == 1000.0
+        assert ports.last_activity() > 0.0
 
 
 class TestMessages:
@@ -48,7 +57,8 @@ class TestSymmetricFabric:
         assert set(fabric.dimensions) == {"local", "vertical", "horizontal"}
         assert fabric.pipe("local").bandwidth_gbps == pytest.approx(376.0)
         assert fabric.pipe("vertical").bandwidth_gbps == pytest.approx(47.0)
-        assert fabric.injection_bandwidth_gbps == pytest.approx(470.0)
+        injection = sum(fabric.pipe(d).bandwidth_gbps for d in fabric.dimensions)
+        assert injection == pytest.approx(470.0)
 
     def test_degenerate_dimensions_absent(self):
         fabric = SymmetricFabric(Torus3D(8, 1, 1), NetworkConfig())
@@ -60,7 +70,6 @@ class TestSymmetricFabric:
         fabric.pipe("vertical").reserve(47_000.0, 0.0)  # 1000 ns of vertical traffic
         assert fabric.bytes_injected == pytest.approx(47_000.0)
         assert fabric.utilization(1000.0) == pytest.approx(1.0 / 3.0, rel=1e-3)
-        assert fabric.achieved_bandwidth_gbps(1000.0) == pytest.approx(47.0)
         assert fabric.last_activity() == pytest.approx(1000.0)
 
     def test_utilization_series(self, torus_444):

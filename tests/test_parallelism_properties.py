@@ -1,34 +1,39 @@
 """Property-based tests (hypothesis) locking down the parallelism strategies.
 
-Two families of invariants from the PR that added ``zero`` and ``pipeline``
-strategies:
+Two families of invariants of the ``zero`` and ``pipeline`` strategies:
 
 * **Byte conservation** — replacing each layer's weight-gradient all-reduce
   (data parallelism) with a reduce-scatter + parameter all-gather (ZeRO) must
   move exactly the same number of bytes over the wire on ring algorithms:
   ``(n-1)/n + (n-1)/n == 2(n-1)/n`` per payload byte, for *any* layer list.
+  Both are checked on what :class:`~repro.training.loop.TrainingLoop`
+  actually issues.
 * **Bubble accounting** — the closed form ``(S-1)/(M+S-1)`` used by the
   training loop must match the makespan of an explicitly constructed 1F1B
   schedule (warmup / steady-state / drain with real cross-stage dependencies)
   for *any* geometry, not just the hand-checked ones.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import one_f_one_b_schedule
 from repro.collectives.base import CollectiveOp
 from repro.collectives.planner import plan_collective
 from repro.compute.kernels import KernelCost
+from repro.config.presets import make_system
 from repro.errors import WorkloadError
-from repro.network.topology import Torus3D
+from repro.network.topology import topology_from_spec
+from repro.training.loop import TrainingLoop
 from repro.training.parallelism import (
-    collectives_for_layer,
-    one_f_one_b_schedule,
     parse_parallelism,
     pipeline_bubble_fraction,
     pipeline_stages,
 )
-from repro.workloads.base import Layer
+from repro.units import KB, MB
+from repro.workloads.base import Layer, Workload
 
 # Keep hypothesis example counts modest so the suite stays fast.
 DEFAULT_SETTINGS = settings(max_examples=40, deadline=None)
@@ -48,60 +53,69 @@ def _layer(index: int, params_bytes: int, flops: float = 1e9) -> Layer:
     )
 
 
-layer_lists = st.lists(
-    st.integers(min_value=0, max_value=1 << 30), min_size=1, max_size=24
-).map(lambda sizes: [_layer(i, size) for i, size in enumerate(sizes)])
+# ----------------------------------------------------------------------
+# Byte conservation: data vs zero, on what the training loop issues
+# ----------------------------------------------------------------------
+#: Small layer lists: at most 6 layers, each with 64 KB - 4 MB of parameters
+#: or none at all.
+loop_layer_lists = st.lists(
+    st.one_of(st.just(0), st.integers(min_value=64 * KB, max_value=4 * MB)),
+    min_size=1,
+    max_size=6,
+).map(lambda sizes: [_layer(i, size, flops=1e6) for i, size in enumerate(sizes)])
+
+LOOP_SETTINGS = settings(max_examples=25, deadline=None)
 
 
-# ----------------------------------------------------------------------
-# Byte conservation: data vs zero
-# ----------------------------------------------------------------------
-@DEFAULT_SETTINGS
-@given(layers=layer_lists)
+def _run_loop(layers, strategy):
+    """One ACE iteration of ``layers`` on ``ring:8`` with the ring algorithm."""
+    system = make_system("ace").with_overrides(
+        parallelism=strategy, collective_algorithm="ring"
+    )
+    workload = Workload(name="layers", layers=tuple(layers), batch_size_per_npu=1)
+    loop = TrainingLoop(system, topology_from_spec("ring:8"), workload, iterations=1)
+    return loop, loop.run()
+
+
+@LOOP_SETTINGS
+@given(layers=loop_layer_lists)
 def test_zero_requests_conserve_payload_bytes(layers):
-    """Per layer, ZeRO's RS + AG request exactly the all-reduce's payload."""
+    """Per layer with parameters, the loop issues one all-reduce under data
+    parallelism and one reduce-scatter plus one all-gather of the same bytes
+    under ZeRO; layers without parameters issue nothing."""
+    issued = {}
+    for strategy in ("data", "zero"):
+        loop, _ = _run_loop(layers, strategy)
+        issued[strategy] = Counter(
+            (handle.op, handle.payload_bytes) for handle in loop.executor.handles
+        )
+    expected_data = Counter()
+    expected_zero = Counter()
     for layer in layers:
-        data_reqs = collectives_for_layer(layer, "data")
-        zero_reqs = collectives_for_layer(layer, "zero")
-        data_payload = sum(r.payload_bytes for r in data_reqs)
-        zero_payload = sum(r.payload_bytes for r in zero_reqs)
-        if layer.params_bytes == 0:
-            assert not data_reqs and not zero_reqs
-            continue
-        # One AR vs one RS + one AG over the same parameter bytes.
-        assert [r.op for r in data_reqs] == [CollectiveOp.ALL_REDUCE]
-        assert sorted(r.op.value for r in zero_reqs) == ["all_gather", "reduce_scatter"]
-        assert zero_payload == 2 * data_payload
-        assert all(r.payload_bytes == layer.params_bytes for r in zero_reqs)
-        # RS rides the backward pass; AG gates the next forward.
-        whens = {r.op: r.when for r in zero_reqs}
-        assert whens[CollectiveOp.REDUCE_SCATTER] == "backward"
-        assert whens[CollectiveOp.ALL_GATHER] == "forward_gather"
+        if layer.params_bytes > 0:
+            expected_data[(CollectiveOp.ALL_REDUCE, layer.params_bytes)] += 1
+            expected_zero[(CollectiveOp.REDUCE_SCATTER, layer.params_bytes)] += 1
+            expected_zero[(CollectiveOp.ALL_GATHER, layer.params_bytes)] += 1
+    assert issued["data"] == expected_data
+    assert issued["zero"] == expected_zero
 
 
-@DEFAULT_SETTINGS
-@given(
-    ring_size=st.integers(min_value=2, max_value=16),
-    layers=layer_lists,
-)
-def test_zero_ring_wire_bytes_equal_data_parallel(ring_size, layers):
+@LOOP_SETTINGS
+@given(layers=loop_layer_lists)
+def test_zero_ring_wire_bytes_equal_data_parallel(layers):
     """On a ring, RS + AG inject exactly the bytes of the AR they replace."""
-    topology = Torus3D(ring_size, 1, 1)
+    topology = topology_from_spec("ring:8")
     ar = plan_collective("all_reduce", topology, algorithm="ring")
     rs = plan_collective("reduce_scatter", topology, algorithm="ring")
     ag = plan_collective("all_gather", topology, algorithm="ring")
     assert rs.total_injected_fraction + ag.total_injected_fraction == pytest.approx(
         ar.total_injected_fraction, rel=1e-12
     )
-    data_wire = 0.0
-    zero_wire = 0.0
-    for layer in layers:
-        for request in collectives_for_layer(layer, "data"):
-            data_wire += request.payload_bytes * ar.total_injected_fraction
-        for request in collectives_for_layer(layer, "zero"):
-            plan = rs if request.op is CollectiveOp.REDUCE_SCATTER else ag
-            zero_wire += request.payload_bytes * plan.total_injected_fraction
-    assert zero_wire == pytest.approx(data_wire, rel=1e-9)
+    _, data = _run_loop(layers, "data")
+    _, zero = _run_loop(layers, "zero")
+    assert zero.bytes_injected == pytest.approx(data.bytes_injected, rel=1e-9)
+    params = sum(layer.params_bytes for layer in layers)
+    assert data.bytes_injected == pytest.approx(params * ar.total_injected_fraction, rel=1e-9)
 
 
 # ----------------------------------------------------------------------

@@ -486,12 +486,9 @@ class TestWorkerParsing:
         from repro.runner import pool
 
         monkeypatch.setenv(pool.WORKERS_ENV, "not-a-number")
-        pool.set_default_runner(None)
-        try:
-            with pytest.raises(ValueError, match=pool.WORKERS_ENV):
-                pool.default_runner()
-        finally:
-            pool.set_default_runner(None)
+        monkeypatch.setattr(pool, "_default_runner", None)
+        with pytest.raises(ValueError, match=pool.WORKERS_ENV):
+            pool.default_runner()
 
 
 # ---------------------------------------------------------------------------

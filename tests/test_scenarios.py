@@ -31,13 +31,13 @@ from repro.scenarios import (
     check_invariants,
     compile_scenario,
     discover_scenarios,
-    enforce_invariants,
-    figure_names,
     find_scenario,
     load_scenario_file,
     run_scenario,
     scenario_jobs,
 )
+from repro.scenarios.invariants import build_violation
+from repro.scenarios.loader import _figure_registry
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -276,7 +276,7 @@ class TestLoader:
             for suite in scenario.suites
             if suite.kind == "figure"
         }
-        assert set(figure_names()) <= used
+        assert set(_figure_registry()) <= used
 
     def test_unknown_figure_option(self):
         data = minimal_manifest(
@@ -483,8 +483,9 @@ class TestInvariants:
             suites=scenario.suites,
             invariants=(invariant,),
         )
-        with pytest.raises(InvariantViolation, match="Baseline=15 > Ideal=10"):
-            enforce_invariants(bad, ROWS)
+        violation = build_violation(bad.name, check_invariants(bad, ROWS))
+        assert isinstance(violation, InvariantViolation)
+        assert "Baseline=15 > Ideal=10" in str(violation)
 
     def test_bound_violation(self):
         invariant = Invariant(kind="bound", metric="iteration_time_us", max=11.0)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.process import Process, Signal, all_of
+from repro.sim.process import Process, Signal
 
 
 def test_signal_fires_once_with_value():
@@ -26,31 +26,6 @@ def test_signal_late_subscriber_still_called():
     sig.on_fire(sim, lambda s: called.append(True))
     sim.run()
     assert called == [True]
-
-
-def test_signal_fire_at():
-    sim = Simulator()
-    sig = Signal()
-    sig.fire_at(sim, 25.0)
-    sim.run()
-    assert sig.fired_at == pytest.approx(25.0)
-
-
-def test_all_of_waits_for_every_signal():
-    sim = Simulator()
-    a, b = Signal("a"), Signal("b")
-    combined = all_of(sim, [a, b])
-    a.fire_at(sim, 10.0)
-    b.fire_at(sim, 30.0)
-    sim.run()
-    assert combined.fired
-    assert combined.fired_at == pytest.approx(30.0)
-
-
-def test_all_of_empty_fires_immediately():
-    sim = Simulator()
-    combined = all_of(sim, [])
-    assert combined.fired
 
 
 def test_process_delays_advance_clock():
@@ -79,7 +54,7 @@ def test_process_waits_on_signal():
         log.append(("resumed", sim.now))
 
     Process(sim, program())
-    gate.fire_at(sim, 100.0)
+    sim.schedule_at(100.0, gate.fire, sim)
     sim.run()
     assert log[-1] == ("resumed", 100.0)
 

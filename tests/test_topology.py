@@ -6,6 +6,7 @@ from repro.errors import TopologyError
 from repro.network.topology import (
     FullyConnected,
     RingTopology,
+    SingleHopTopology,
     SwitchTopology,
     Torus2D,
     Torus3D,
@@ -20,51 +21,28 @@ class TestTorus3D:
         assert torus_444.name == "4x4x4"
 
     def test_coordinate_roundtrip(self, torus_444):
+        # Node ids linearise coordinates as l + L * (v + V * h).
         for node in torus_444.nodes():
             l, v, h = torus_444.coordinates(node)
-            assert torus_444.node_id(l, v, h) == node
+            assert l + 4 * (v + 4 * h) == node
 
     def test_coordinates_out_of_range(self, torus_444):
         with pytest.raises(TopologyError):
             torus_444.coordinates(64)
         with pytest.raises(TopologyError):
-            torus_444.node_id(4, 0, 0)
-
-    def test_neighbor_along_wraps(self, torus_444):
-        node = torus_444.node_id(3, 0, 0)
-        assert torus_444.neighbor_along(node, "local", +1) == torus_444.node_id(0, 0, 0)
-        assert torus_444.neighbor_along(node, "local", -1) == torus_444.node_id(2, 0, 0)
-
-    def test_neighbors_count(self, torus_444):
-        # Every node on a 4x4x4 torus has 2 neighbors per dimension.
-        for node in (0, 13, 63):
-            assert len(torus_444.neighbors(node)) == 6
-
-    def test_neighbors_on_size2_dimension(self, torus_222):
-        # A ring of size 2 has a single distinct peer per dimension.
-        assert len(torus_222.neighbors(0)) == 3
+            torus_444.coordinates(-1)
 
     def test_ring_members(self, torus_444):
-        members = torus_444.ring_members(0, "vertical")
-        assert len(members) == 4
-        assert members[0] == 0
+        # Node 0's vertical ring: one node per package row, L apart.
+        members = [0, 4, 8, 12]
         positions = [torus_444.ring_position(m, "vertical") for m in members]
         assert positions == [0, 1, 2, 3]
+        assert {torus_444.ring_position(m, "local") for m in members} == {0}
 
     def test_active_dimensions_skips_degenerate(self):
         torus = Torus3D(8, 1, 1)
         assert torus.active_dimensions() == ["local"]
-        with pytest.raises(TopologyError):
-            torus.neighbor_along(0, "vertical")
-
-    def test_links_are_consistent(self, torus_422):
-        links = torus_422.links()
-        # Every directed link's endpoints are neighbors.
-        for src, dst, dim in links:
-            assert dst in torus_422.neighbors(src)
-        # Local dimension contributes 2 directed links per node (ring of 4).
-        local_links = [l for l in links if l[2] == "local"]
-        assert len(local_links) == 2 * torus_422.num_nodes
+        assert torus.dimension_size("vertical") == 1
 
     def test_degenerate_torus_rejected(self):
         with pytest.raises(TopologyError):
@@ -73,7 +51,8 @@ class TestTorus3D:
             Torus3D(0, 2, 2)
 
     def test_dimension_size_lookup(self, torus_422):
-        assert torus_422.dimension_sizes() == {"local": 4, "vertical": 2, "horizontal": 2}
+        sizes = {d: torus_422.dimension_size(d) for d in ("local", "vertical", "horizontal")}
+        assert sizes == {"local": 4, "vertical": 2, "horizontal": 2}
         with pytest.raises(TopologyError):
             torus_422.dimension_size("bogus")
 
@@ -85,29 +64,24 @@ class TestTorus3D:
 
 
 class TestRingTopology:
-    def test_neighbors(self):
-        ring = RingTopology(4)
-        assert set(ring.neighbors(0)) == {1, 3}
-        assert ring.next_on_ring(3, +1) == 0
-
     def test_unidirectional(self):
+        # A one-way ring is a different fabric to the planner.
         ring = RingTopology(4, bidirectional=False)
-        assert ring.neighbors(1) == [2]
+        assert ring.cache_key() != RingTopology(4).cache_key()
+        assert ring.active_dimensions() == ["local"]
 
     def test_too_small(self):
         with pytest.raises(TopologyError):
             RingTopology(1)
 
-    def test_bad_direction(self):
-        with pytest.raises(TopologyError):
-            RingTopology(4).next_on_ring(0, 2)
-
 
 class TestSwitchTopology:
     def test_full_connectivity(self):
+        # Every endpoint pair is one hop apart, over the one switch dimension.
         switch = SwitchTopology(8)
-        assert len(switch.neighbors(3)) == 7
-        assert len(switch.links()) == 8 * 7
+        assert isinstance(switch, SingleHopTopology)
+        assert switch.active_dimensions() == ["switch"]
+        assert switch.num_nodes == 8
 
     def test_too_small(self):
         with pytest.raises(TopologyError):
@@ -117,8 +91,7 @@ class TestSwitchTopology:
 class TestFullyConnected:
     def test_full_connectivity(self):
         fc = FullyConnected(8)
-        assert len(fc.neighbors(3)) == 7
-        assert len(fc.links()) == 8 * 7
+        assert isinstance(fc, SingleHopTopology)
         assert fc.active_dimensions() == ["direct"]
         assert fc.name == "fc-8"
 
@@ -140,9 +113,6 @@ class TestTorus2D:
 
     def test_shares_cache_key_with_equivalent_3d_shape(self):
         assert Torus2D(4, 4).cache_key() == Torus3D(1, 4, 4).cache_key()
-
-    def test_neighbors_match_degenerate_3d(self):
-        assert Torus2D(4, 4).neighbors(5) == Torus3D(1, 4, 4).neighbors(5)
 
 
 class TestTopologyFromSpec:

@@ -4,8 +4,10 @@ import pytest
 
 from repro.collectives.base import CollectiveOp
 from repro.compute.kernels import elementwise_cost
+from repro.config.presets import make_system
 from repro.errors import WorkloadError
-from repro.training.parallelism import CollectiveRequest, collectives_for_layer, total_backward_payload
+from repro.traces import find_trace, lower_trace
+from repro.training.loop import TrainingLoop
 from repro.units import MB
 from repro.workloads import microbench
 from repro.workloads.base import EmbeddingStage, Layer, Workload
@@ -27,7 +29,7 @@ class TestResNet50(object):
         assert resnet50_workload.total_flops_per_iteration == pytest.approx(expected, rel=0.15)
 
     def test_every_layer_communicates(self, resnet50_workload):
-        assert resnet50_workload.num_comm_layers == resnet50_workload.num_layers
+        assert all(layer.params_bytes > 0 for layer in resnet50_workload.layers)
 
     def test_batch_size_default(self, resnet50_workload):
         assert resnet50_workload.batch_size_per_npu == 32
@@ -133,14 +135,26 @@ class TestWorkloadValidation:
             )
 
 
+def _issued(workload, parallelism=None, num_npus=16):
+    """The collectives one iteration of ``workload`` issues, as
+    ``(name, op, payload_bytes)`` in issue order."""
+    system = make_system("ace")
+    if parallelism is not None:
+        system = system.with_overrides(parallelism=parallelism)
+    loop = TrainingLoop(system, num_npus, workload, iterations=1)
+    loop.run()
+    return [(h.name, h.op, h.payload_bytes) for h in loop.executor.handles]
+
+
 class TestParallelism:
+    """The collectives ``TrainingLoop`` issues per layer and strategy."""
+
     def test_data_parallel_layer_requests_allreduce(self):
         cost = elementwise_cost(10)
         layer = Layer("l", cost, cost, cost, params_bytes=1000)
-        requests = collectives_for_layer(layer, "data")
-        assert len(requests) == 1
-        assert requests[0].op is CollectiveOp.ALL_REDUCE
-        assert requests[0].when == "backward"
+        workload = Workload(name="w", layers=(layer,), batch_size_per_npu=1)
+        # One weight-gradient all-reduce, issued in the backward pass.
+        assert _issued(workload, "data") == [("iter0.l.wgrad-ar", CollectiveOp.ALL_REDUCE, 1000)]
 
     def test_tensor_parallel_layer_requests_blocking_allreduces(self):
         cost = elementwise_cost(10)
@@ -148,18 +162,31 @@ class TestParallelism:
             "l", cost, cost, cost, params_bytes=0,
             forward_allreduce_bytes=500, backward_allreduce_bytes=500,
         )
-        requests = collectives_for_layer(layer, "model")
-        whens = {r.when for r in requests}
-        assert whens == {"forward_blocking", "backward_blocking"}
+        workload = Workload(name="w", layers=(layer,), batch_size_per_npu=1)
+        assert _issued(workload, "model") == [
+            ("iter0.l.fwd-ar", CollectiveOp.ALL_REDUCE, 500),
+            ("iter0.l.bwd-ar", CollectiveOp.ALL_REDUCE, 500),
+        ]
 
     def test_total_backward_payload(self, resnet50_workload):
-        assert total_backward_payload(resnet50_workload) == resnet50_workload.total_params_bytes
+        issued = _issued(resnet50_workload, num_npus=8)
+        assert {op for _, op, _ in issued} == {CollectiveOp.ALL_REDUCE}
+        assert sum(size for _, _, size in issued) == resnet50_workload.total_params_bytes
 
-    def test_invalid_request(self):
-        with pytest.raises(WorkloadError):
-            CollectiveRequest(CollectiveOp.ALL_REDUCE, 0, "backward", "l")
-        with pytest.raises(WorkloadError):
-            CollectiveRequest(CollectiveOp.ALL_REDUCE, 10, "sometime", "l")
+    def test_moe_blocks_issue_blocking_all_to_alls(self):
+        """The 4 MoE blocks of the shipped trace exchange tokens with
+        blocking all-to-alls in both passes, not all-reduces."""
+        workload = lower_trace(find_trace("moe-transformer"))
+        blocking = {
+            name: op for name, op, _ in _issued(workload)
+            if name.endswith((".fwd-ar", ".bwd-ar"))
+        }
+        moe_blocks = [f"block{i}-moe" for i in (1, 3, 5, 7)]
+        assert blocking == {
+            f"iter0.{block}.{when}-ar": CollectiveOp.ALL_TO_ALL
+            for block in moe_blocks
+            for when in ("fwd", "bwd")
+        }
 
 
 class TestMicrobench:
