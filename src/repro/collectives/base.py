@@ -140,11 +140,3 @@ class CollectivePlan:
         for phase in self.phases:
             groups.setdefault(phase.parallel_group, []).append(phase)
         return [groups[g] for g in sorted(groups)]
-
-    def describe(self) -> str:
-        """One-line human readable summary used in reports."""
-        parts = [
-            f"{p.dimension}:{p.kind}(n={p.ring_size}, send={p.bytes_sent_fraction:.3f})"
-            for p in self.phases
-        ]
-        return f"{self.op.value} on {self.topology_name}: " + " -> ".join(parts)

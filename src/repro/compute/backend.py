@@ -47,7 +47,7 @@ from __future__ import annotations
 import abc
 from typing import Callable, Dict, Optional, Tuple, Type
 
-from repro.compute.kernels import KernelCost
+from repro.compute.kernels import KERNEL_LAUNCH_OVERHEAD_NS, KernelCost
 from repro.errors import ConfigurationError
 
 #: Backend name that defers the choice to the size heuristic.
@@ -181,7 +181,7 @@ def make_compute_backend(
     name: str,
     tflops: float,
     memory_bandwidth_gbps: float,
-    kernel_launch_overhead_ns: float = 2_000.0,
+    kernel_launch_overhead_ns: float = KERNEL_LAUNCH_OVERHEAD_NS,
     units: Optional[object] = None,
     num_npus: Optional[int] = None,
     auto_threshold: Optional[int] = None,

@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.compute.backend import ComputeBackend, register_compute_backend
-from repro.compute.kernels import KernelCost
+from repro.compute.kernels import KERNEL_LAUNCH_OVERHEAD_NS, KernelCost
 from repro.errors import ConfigurationError
 from repro.units import SECOND, TERA
 
@@ -62,7 +62,7 @@ class ExecutionUnitModel(ComputeBackend):
         self,
         tflops: float,
         memory_bandwidth_gbps: float,
-        kernel_launch_overhead_ns: float = 2_000.0,
+        kernel_launch_overhead_ns: float = KERNEL_LAUNCH_OVERHEAD_NS,
         units: Optional[object] = None,
     ) -> None:
         if tflops <= 0:
@@ -169,13 +169,6 @@ class ExecutionUnitModel(ComputeBackend):
             times["matrix"], times["vector"], times["scalar"], times["dma_hidden"]
         )
         return occupied + times["dma_exposed"] + self.kernel_launch_overhead_ns
-
-    def bottleneck_unit(self, cost: KernelCost) -> str:
-        """Name of the unit that bounds this kernel (ties go to the DMA)."""
-        times = self.unit_times_ns(cost)
-        return max(
-            ("dma_hidden", "matrix", "vector", "scalar"), key=lambda unit: times[unit]
-        ).replace("dma_hidden", "dma")
 
     def invert_duration_ns(self, duration_ns: float) -> float:
         """FLOPs of a zero-byte kernel whose matrix-unit time is ``duration_ns``.

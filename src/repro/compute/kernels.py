@@ -20,6 +20,10 @@ from repro.errors import WorkloadError
 FP16_BYTES = 2
 FP32_BYTES = 4
 
+#: Fixed cost of launching one kernel on the NPU, in ns: the default of
+#: every compute model and device cost table.
+KERNEL_LAUNCH_OVERHEAD_NS = 2_000.0
+
 
 @dataclass(frozen=True)
 class KernelCost:

@@ -20,7 +20,6 @@ from typing import List, Optional
 
 from repro.compute.backend import make_compute_backend, resolve_compute_backend_name
 from repro.compute.kernels import KernelCost
-from repro.compute.roofline import RooflineModel
 from repro.config.system import SystemConfig
 from repro.errors import SimulationError
 from repro.sim.trace import IntervalTracer
@@ -32,7 +31,6 @@ class NpuComputeEngine:
     def __init__(
         self,
         system: SystemConfig,
-        kernel_launch_overhead_ns: float = 2_000.0,
         time_scale: float = 1.0,
         num_npus: Optional[int] = None,
     ) -> None:
@@ -49,15 +47,7 @@ class NpuComputeEngine:
             self.backend_name,
             tflops=system.compute_tflops,
             memory_bandwidth_gbps=system.compute_memory_bandwidth_gbps,
-            kernel_launch_overhead_ns=kernel_launch_overhead_ns,
             units=system.compute,
-        )
-        # Kept as a plain attribute (not backend-derived) for the analysis
-        # helpers that inspect ridge points regardless of the active backend.
-        self.roofline = RooflineModel(
-            tflops=system.compute_tflops,
-            memory_bandwidth_gbps=system.compute_memory_bandwidth_gbps,
-            kernel_launch_overhead_ns=kernel_launch_overhead_ns,
         )
         self.tracer = IntervalTracer("npu-compute")
         self._busy_until: float = 0.0
@@ -96,12 +86,6 @@ class NpuComputeEngine:
     def total_compute_ns(self) -> float:
         """Sum of all executed task durations (the paper's "total computation")."""
         return self._total_compute_ns
-
-    def utilization(self, horizon_ns: float) -> float:
-        """Fraction of ``horizon_ns`` the engine spent executing tasks."""
-        if horizon_ns <= 0:
-            return 0.0
-        return min(1.0, self._total_compute_ns / horizon_ns)
 
     def utilization_series(self, horizon_ns: float, window_ns: float) -> List[tuple]:
         """Windowed ``(time, utilization)`` samples for overlap timelines."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compute.kernels import KernelCost
+from repro.compute.kernels import KERNEL_LAUNCH_OVERHEAD_NS, KernelCost
 from repro.errors import ConfigurationError
 from repro.units import SECOND, TERA
 
@@ -24,7 +24,7 @@ class RooflineModel:
 
     tflops: float
     memory_bandwidth_gbps: float
-    kernel_launch_overhead_ns: float = 2_000.0
+    kernel_launch_overhead_ns: float = KERNEL_LAUNCH_OVERHEAD_NS
 
     def __post_init__(self) -> None:
         if self.tflops <= 0:

@@ -10,7 +10,7 @@ golden value unchanged.
 from __future__ import annotations
 
 from repro.compute.backend import ComputeBackend, register_compute_backend
-from repro.compute.kernels import KernelCost
+from repro.compute.kernels import KERNEL_LAUNCH_OVERHEAD_NS, KernelCost
 from repro.compute.roofline import RooflineModel
 from repro.units import SECOND, TERA
 
@@ -23,7 +23,7 @@ class RooflineComputeBackend(ComputeBackend):
         self,
         tflops: float,
         memory_bandwidth_gbps: float,
-        kernel_launch_overhead_ns: float = 2_000.0,
+        kernel_launch_overhead_ns: float = KERNEL_LAUNCH_OVERHEAD_NS,
         units: object = None,
     ) -> None:
         # ``units`` (the execution-unit parameter block) is accepted for

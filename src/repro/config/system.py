@@ -178,20 +178,6 @@ class NetworkConfig:
         )
 
     @property
-    def horizontal_ring_bandwidth_gbps(self) -> float:
-        """Effective horizontal inter-package ring bandwidth per NPU (50 GB/s)."""
-        return self.vertical_ring_bandwidth_gbps
-
-    @property
-    def total_injection_bandwidth_gbps(self) -> float:
-        """Sum of all per-NPU ring bandwidths (upper bound on network drive)."""
-        return (
-            self.local_ring_bandwidth_gbps
-            + self.vertical_ring_bandwidth_gbps
-            + self.horizontal_ring_bandwidth_gbps
-        )
-
-    @property
     def intra_package_latency_ns(self) -> float:
         return cycles_to_ns(self.intra_package_latency_cycles, self.frequency_mhz)
 
@@ -359,6 +345,17 @@ class SystemConfig:
             raise ConfigurationError(
                 "cannot allocate more memory bandwidth to communication than available"
             )
+        if (
+            self.endpoint is EndpointKind.ACE
+            and self.ace.memory_bandwidth_gbps > self.memory.npu_memory_bandwidth_gbps
+        ):
+            # The ACE endpoint books its DMA channels at this bandwidth.
+            raise ConfigurationError(
+                f"ace.memory_bandwidth_gbps must be at most "
+                f"memory.npu_memory_bandwidth_gbps ({self.memory.npu_memory_bandwidth_gbps}), "
+                f"got {self.ace.memory_bandwidth_gbps}",
+                field="ace.memory_bandwidth_gbps",
+            )
         if self.parallelism is not None:
             # Imported lazily: training.parallelism (via workloads.base)
             # imports this module.
@@ -422,26 +419,6 @@ class SystemConfig:
     def with_overrides(self, **changes) -> "SystemConfig":
         """Return a copy of this config with the given fields replaced."""
         return replace(self, **changes)
-
-    def describe(self) -> Dict[str, object]:
-        """Flat dictionary of the headline parameters (for reports/tests)."""
-        return {
-            "name": self.name,
-            "endpoint": self.endpoint.value,
-            "num_sms": self.compute.num_sms,
-            "compute_sms": self.compute_sms,
-            "comm_sms": self.policy.comm_sms,
-            "peak_tflops": self.compute.peak_tflops_fp16,
-            "compute_tflops": self.compute_tflops,
-            "memory_bw_gbps": self.memory.npu_memory_bandwidth_gbps,
-            "compute_mem_bw_gbps": self.compute_memory_bandwidth_gbps,
-            "comm_mem_bw_gbps": self.comm_memory_bandwidth_gbps,
-            "network_injection_bw_gbps": self.network.total_injection_bandwidth_gbps,
-            "scheduling": self.collective_scheduling,
-            "algorithm": self.collective_algorithm,
-            "network_backend": self.network_backend,
-            "compute_backend": self.compute_backend,
-        }
 
 
 TorusShape = Tuple[int, int, int]

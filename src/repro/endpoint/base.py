@@ -109,9 +109,3 @@ class Endpoint(abc.ABC):
     @abc.abstractmethod
     def memory_write_bytes(self) -> float:
         """HBM write traffic generated by collective processing so far."""
-
-    def utilization(self, horizon_ns: float) -> float:
-        """Fraction of ``horizon_ns`` with at least one chunk in flight."""
-        if horizon_ns <= 0:
-            return 0.0
-        return min(1.0, self.activity.busy_time(0.0, horizon_ns) / horizon_ns)

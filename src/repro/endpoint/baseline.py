@@ -27,16 +27,14 @@ from __future__ import annotations
 from repro.config.system import SystemConfig
 from repro.endpoint.base import Endpoint, PhaseWork
 from repro.errors import ConfigurationError
-from repro.memory.bus import Bus
-from repro.memory.hbm import MemorySystem
 from repro.sim.resources import BandwidthResource
 
 
 class BaselineEndpoint(Endpoint):
     """NPU-driven collective processing (BaselineCommOpt / CompOpt / NoOverlap)."""
 
-    #: Default number of chunks the software pipeline keeps in flight.
-    DEFAULT_PIPELINE_DEPTH = 32
+    #: Number of chunks the software pipeline keeps in flight.
+    PIPELINE_DEPTH = 32
     #: Software handoff latency per chunk-phase: the collective kernel's
     #: per-step synchronisation with its peer and the CUDA-stream scheduling
     #: between pipeline stages.  This is latency, not occupancy — large
@@ -46,10 +44,8 @@ class BaselineEndpoint(Endpoint):
     #: out for the baseline.
     PHASE_SOFTWARE_LATENCY_NS = 5_000.0
 
-    def __init__(self, system: SystemConfig, pipeline_depth: int = DEFAULT_PIPELINE_DEPTH) -> None:
+    def __init__(self, system: SystemConfig) -> None:
         super().__init__(system)
-        if pipeline_depth <= 0:
-            raise ConfigurationError("pipeline_depth must be positive")
         policy = system.policy
         if policy.comm_memory_bandwidth_gbps <= 0:
             raise ConfigurationError(
@@ -57,30 +53,25 @@ class BaselineEndpoint(Endpoint):
             )
         if policy.comm_sms <= 0:
             raise ConfigurationError("baseline endpoint needs at least one communication SM")
-        self.pipeline_depth = pipeline_depth
-
-        self.memory = MemorySystem(
-            system.memory.npu_memory_bandwidth_gbps,
-            system.memory.transaction_overhead_ns,
-        )
-        self._comm_memory = self.memory.allocate(
-            "comm", policy.comm_memory_bandwidth_gbps
-        )
-        self.bus = Bus(
-            "npu-afi",
-            system.memory.npu_afi_bus_bandwidth_gbps,
-            system.memory.transaction_overhead_ns,
+        overhead = system.memory.transaction_overhead_ns
+        # The read channel of the HBM bandwidth reserved for communication.
+        self._hbm_read = BandwidthResource(
+            "hbm[comm].read", policy.comm_memory_bandwidth_gbps, overhead
         )
         # The SMs running the collective kernels: their aggregate ability to
         # move data between memory and the AFI.
         self._sm_pipe = BandwidthResource("comm-sms", system.comm_sm_bandwidth_gbps)
+        self._bus = BandwidthResource(
+            "bus[npu-afi]", system.memory.npu_afi_bus_bandwidth_gbps, overhead
+        )
         self._write_bytes = 0.0
 
     # ------------------------------------------------------------------
     # Capacity
     # ------------------------------------------------------------------
     def chunk_capacity(self) -> int:
-        return self.pipeline_depth
+        """The software pipeline's depth."""
+        return self.PIPELINE_DEPTH
 
     # ------------------------------------------------------------------
     # Pipeline stages
@@ -98,11 +89,11 @@ class BaselineEndpoint(Endpoint):
             write_bytes += work.send_bytes
         finish = earliest_start
         if read_bytes > 0:
-            finish = self._comm_memory.read(read_bytes, earliest_start)[1]
+            finish = self._hbm_read.reserve_times(read_bytes, earliest_start)[1]
             sm_finish = self._sm_pipe.reserve_times(read_bytes, earliest_start)[1]
             if sm_finish > finish:
                 finish = sm_finish
-            bus_finish = self.bus.transfer(
+            bus_finish = self._bus.reserve_times(
                 work.send_bytes + work.forward_bytes, earliest_start
             )[1]
             if bus_finish > finish:
@@ -119,12 +110,10 @@ class BaselineEndpoint(Endpoint):
     # ------------------------------------------------------------------
     @property
     def memory_read_bytes(self) -> float:
-        return self._comm_memory.read_bytes
+        """Bytes read from the communication HBM channel so far."""
+        return self._hbm_read.bytes_moved
 
     @property
     def memory_write_bytes(self) -> float:
+        """Bytes staged or stored back to HBM so far (counted, never booked)."""
         return self._write_bytes
-
-    @property
-    def comm_sm_bandwidth_gbps(self) -> float:
-        return self._sm_pipe.bandwidth_gbps

@@ -16,29 +16,35 @@ from repro.units import cycles_to_ns
 class IdealEndpoint(Endpoint):
     """Zero-cost endpoint processing (one cycle per stage)."""
 
-    DEFAULT_PIPELINE_DEPTH = 256
+    #: Number of chunks kept in flight.
+    PIPELINE_DEPTH = 256
 
-    def __init__(self, system: SystemConfig, pipeline_depth: int = DEFAULT_PIPELINE_DEPTH) -> None:
+    def __init__(self, system: SystemConfig) -> None:
         super().__init__(system)
-        self.pipeline_depth = pipeline_depth
         self._cycle_ns = cycles_to_ns(1.0, system.compute.frequency_mhz)
 
     def chunk_capacity(self) -> int:
-        return self.pipeline_depth
+        """The fixed pipeline depth."""
+        return self.PIPELINE_DEPTH
 
     def ingress(self, chunk_bytes: float, earliest_start: float) -> float:
+        """One cycle to stage the chunk."""
         return earliest_start + self._cycle_ns
 
     def process_phase(self, work: PhaseWork, earliest_start: float) -> float:
+        """One cycle to prepare the phase's traffic."""
         return earliest_start + self._cycle_ns
 
     def egress(self, chunk_bytes: float, earliest_start: float) -> float:
+        """One cycle to commit the chunk."""
         return earliest_start + self._cycle_ns
 
     @property
     def memory_read_bytes(self) -> float:
+        """Always zero: the ideal endpoint touches no HBM."""
         return 0.0
 
     @property
     def memory_write_bytes(self) -> float:
+        """Always zero: the ideal endpoint touches no HBM."""
         return 0.0

@@ -57,7 +57,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type
 from repro.config.system import NetworkConfig
 from repro.errors import ConfigurationError
 from repro.network.topology import Topology
-from repro.sim.engine import Simulator
 from repro.sim.resources import Reservation
 
 #: Backend name that defers the choice to the size heuristic.
@@ -114,11 +113,15 @@ class NetworkBackend(abc.ABC):
     name: str = "unnamed"
 
     #: Whether the executor should drive this backend through the event-mode
-    #: :meth:`transfer` API instead of the timeline-mode :meth:`reserve`.
-    #: Event-driven backends request every link resource at the simulated
-    #: time the data actually becomes ready, which keeps per-link FIFOs
-    #: chronological (work-conserving) when transfers from many chunks and
-    #: collectives interleave.
+    #: ``transfer(sim, dimension, num_bytes, steps, on_complete)`` API
+    #: instead of the timeline-mode :meth:`reserve`; only event-driven
+    #: backends define ``transfer``.  It starts the transfer at ``sim.now``
+    #: and walks it hop by hop as simulator events, requesting every link
+    #: resource at the simulated time the data actually becomes ready, which
+    #: keeps per-link FIFOs chronological (work-conserving) when transfers
+    #: from many chunks and collectives interleave.  ``on_complete(finish)``
+    #: may be delivered synchronously or from a scheduled event; the
+    #: executor tolerates both.
     event_driven: bool = False
 
     topology: Topology
@@ -141,26 +144,6 @@ class NetworkBackend(abc.ABC):
         includes every per-step link latency, so callers need no further
         latency accounting.
         """
-
-    def transfer(
-        self,
-        sim: Simulator,
-        dimension: str,
-        num_bytes: float,
-        steps: int,
-        on_complete: Callable[[float], None],
-    ) -> None:
-        """Event-mode transfer: start at ``sim.now``, call ``on_complete(finish)``.
-
-        The default implementation wraps :meth:`reserve`; event-driven
-        backends override it to walk the transfer hop by hop as simulator
-        events so later-arriving traffic can interleave on the link FIFOs.
-        ``on_complete`` may be delivered either synchronously (for a
-        zero-cost or closed-form backend) or from a scheduled simulator
-        event; the executor tolerates both.
-        """
-        reservation = self.reserve(dimension, num_bytes, sim.now, steps=steps)
-        sim.schedule_at(reservation.finish, on_complete, reservation.finish)
 
     @abc.abstractmethod
     def has_dimension(self, dimension: str) -> bool:

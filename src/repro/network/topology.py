@@ -77,10 +77,9 @@ class Topology(abc.ABC):
 
 @dataclass(frozen=True)
 class RingTopology(Topology):
-    """A single unidirectional/bidirectional ring of ``size`` nodes."""
+    """A single ring of ``size`` nodes."""
 
     size: int
-    bidirectional: bool = True
     dimension: str = "local"
 
     def __post_init__(self) -> None:
@@ -98,8 +97,8 @@ class RingTopology(Topology):
         return f"ring-{self.size}"
 
     def cache_key(self) -> Tuple:
-        """Plans depend on size, direction and the dimension label."""
-        return ("ring", self.size, self.bidirectional, self.dimension)
+        """Plans depend on size and the dimension label."""
+        return ("ring", self.size, self.dimension)
 
     def active_dimensions(self) -> List[str]:
         """A ring carries all traffic on its single dimension."""

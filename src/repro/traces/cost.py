@@ -33,8 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-from repro.compute.kernels import KernelCost, gemm_cost
-from repro.compute.roofline import RooflineModel
+from repro.compute.kernels import KERNEL_LAUNCH_OVERHEAD_NS, KernelCost, gemm_cost
 from repro.errors import TraceError
 
 #: Cost table used when a trace job does not pin one.
@@ -50,7 +49,7 @@ class DeviceCostTable:
     tflops: float
     #: Device memory (HBM) bandwidth in GB/s.
     memory_bandwidth_gbps: float
-    kernel_launch_overhead_ns: float = 2_000.0
+    kernel_launch_overhead_ns: float = KERNEL_LAUNCH_OVERHEAD_NS
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -62,14 +61,6 @@ class DeviceCostTable:
             raise TraceError(
                 f"cost table {self.name!r} launch overhead cannot be negative"
             )
-
-    def roofline(self) -> RooflineModel:
-        """This device's own roofline (used to invert measured durations)."""
-        return RooflineModel(
-            tflops=self.tflops,
-            memory_bandwidth_gbps=self.memory_bandwidth_gbps,
-            kernel_launch_overhead_ns=self.kernel_launch_overhead_ns,
-        )
 
     def backend(self, compute_backend: Optional[str] = None):
         """This device's compute backend (used to invert measured durations).

@@ -48,6 +48,9 @@ from repro.workloads.base import Workload
 class TrainingLoop:
     """Event-driven co-simulation of compute and communication for one platform."""
 
+    #: Window of the compute and network utilisation timelines (Fig. 10), in ns.
+    UTILIZATION_WINDOW_NS = 50_000.0
+
     def __init__(
         self,
         system: SystemConfig,
@@ -56,7 +59,6 @@ class TrainingLoop:
         iterations: int = 2,
         chunk_bytes: Optional[int] = None,
         overlap_embedding: bool = False,
-        utilization_window_ns: float = 50_000.0,
     ) -> None:
         if iterations <= 0:
             raise SimulationError("iterations must be positive")
@@ -65,7 +67,6 @@ class TrainingLoop:
         self.workload = workload
         self.iterations = iterations
         self.overlap_embedding = overlap_embedding
-        self.utilization_window_ns = utilization_window_ns
         # ``system.parallelism`` overrides the workload's native strategy.
         requested = system.parallelism or workload.parallelism
         self.parallelism: ParallelismSpec = parse_parallelism(requested)
@@ -411,10 +412,10 @@ class TrainingLoop:
             network_utilization=self.executor.fabric.utilization(horizon),
             collectives_issued=len(self.executor.handles),
             compute_utilization_series=self.compute.utilization_series(
-                horizon, self.utilization_window_ns
+                horizon, self.UTILIZATION_WINDOW_NS
             ),
             network_utilization_series=self.executor.fabric.utilization_series(
-                horizon, self.utilization_window_ns
+                horizon, self.UTILIZATION_WINDOW_NS
             ),
         )
         result.extra.update(self._extra_metrics)

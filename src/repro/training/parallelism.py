@@ -71,12 +71,6 @@ class ParallelismSpec:
                 f"strategy {self.strategy!r} does not take pipeline geometry"
             )
 
-    def canonical(self) -> str:
-        """The spec string this object round-trips to."""
-        if self.strategy == "pipeline":
-            return f"pipeline:{self.stages}x{self.microbatches}"
-        return self.strategy
-
 
 def parse_parallelism(spec: Union[str, ParallelismSpec]) -> ParallelismSpec:
     """Parse a parallelism spec string.

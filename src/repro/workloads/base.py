@@ -150,32 +150,3 @@ class Workload:
     @property
     def total_params_bytes(self) -> int:
         return sum(layer.params_bytes for layer in self.layers)
-
-    @property
-    def total_flops_per_iteration(self) -> float:
-        total = sum(layer.total_flops for layer in self.layers)
-        if self.embedding is not None:
-            total += self.embedding.lookup.flops + self.embedding.update.flops
-        return total
-
-    def total_collective_bytes(self) -> int:
-        """Total bytes of collective payloads issued per iteration."""
-        total = self.total_params_bytes
-        total += sum(l.forward_allreduce_bytes + l.backward_allreduce_bytes for l in self.layers)
-        if self.embedding is not None:
-            total += (
-                self.embedding.alltoall_forward_bytes
-                + self.embedding.alltoall_backward_bytes
-            )
-        return total
-
-    def summary(self) -> dict:
-        return {
-            "name": self.name,
-            "layers": self.num_layers,
-            "batch_per_npu": self.batch_size_per_npu,
-            "parallelism": self.parallelism,
-            "params_mb": self.total_params_bytes / (1024 * 1024),
-            "comm_mb_per_iter": self.total_collective_bytes() / (1024 * 1024),
-            "gflops_per_iter": self.total_flops_per_iteration / 1e9,
-        }

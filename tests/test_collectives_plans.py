@@ -182,7 +182,6 @@ class TestPlanner:
 
     def test_plan_describe_and_helpers(self, torus_444):
         plan = plan_collective("all_reduce", torus_444)
-        assert "all_reduce" in plan.describe()
         per_dim = plan.per_dimension_injected_fraction()
         assert per_dim["local"] == pytest.approx(1.5)
         assert 100.0 * plan.total_injected_fraction == pytest.approx(225.0)

@@ -1,4 +1,8 @@
-"""ACE micro-architecture: FSMs, ALU throughput, engine, area/power."""
+"""ACE micro-architecture: FSMs, ALU throughput, engine, area/power.
+
+The FSM pool and the engine's DMAs are booked by :class:`AceEndpoint`, so
+these tests drive it.
+"""
 
 import pytest
 
@@ -6,44 +10,68 @@ from repro.collectives.planner import plan_collective
 from repro.config.presets import make_system
 from repro.config.system import AceConfig
 from repro.core.area_power import AceAreaPowerModel
-from repro.core.engine import AceEngine
-from repro.core.fsm import FsmPool
+from repro.endpoint import AceEndpoint
+from repro.endpoint.base import PhaseWork
 from repro.errors import SchedulingError
 from repro.units import KB, MB
 
 
+def _endpoint(torus, **ace_fields) -> AceEndpoint:
+    endpoint = AceEndpoint(make_system("ace", ace=AceConfig(**ace_fields)))
+    endpoint.configure(plan_collective("all_reduce", torus))
+    return endpoint
+
+
+def _work(phase_name="phase0", send=48 * KB, reduce=48 * KB, steps=3) -> PhaseWork:
+    return PhaseWork(
+        phase_index=0,
+        phase_name=phase_name,
+        dimension="local",
+        kind="reduce_scatter",
+        steps=steps,
+        send_bytes=send,
+        reduce_bytes=reduce,
+        forward_bytes=0.0,
+        is_first=True,
+        is_last=False,
+    )
+
+
 class TestFsmPool:
-    def test_program_dedicated_assignment(self):
-        pool = FsmPool(16)
-        pools = pool.program(["phase0", "phase1", "phase2", "phase3", "all_to_all"])
-        # Every phase has its own group of at least one FSM; all 16 are used.
-        assert len({id(slots) for slots in pools.values()}) == 5
-        assert sum(slots.num_slots for slots in pools.values()) == 16
-        assert min(slots.num_slots for slots in pools.values()) >= 1
+    """FSMs programmed per phase (Section IV-F), timed through the endpoint.
 
-    def test_program_shared_when_fewer_fsms_than_phases(self):
-        pool = FsmPool(2)
-        pools = pool.program(["phase0", "phase1", "phase2", "phase3"])
-        shared = pools["phase0"]
-        assert shared.num_slots == 2
-        assert all(slots is shared for slots in pools.values())
+    The 4x4x4 all-reduce plan has four phases; ``configure`` also programs
+    the all-to-all, so five phases share the FSMs.
+    """
+
+    PHASES = ["phase0", "phase1", "phase2", "phase3", "all_to_all"]
+
+    def test_program_dedicated_assignment(self, torus_444):
+        duration = _endpoint(torus_444).process_phase(_work(), 0.0)
+        endpoint = _endpoint(torus_444)
+        # 16 FSMs dealt round-robin to 5 phases: 4 for phase0, 3 for each of
+        # the rest.  Each phase's group runs that many chunk-phases at once
+        # and queues the next, whatever the other groups are doing.
+        for phase, size in zip(self.PHASES, (4, 3, 3, 3, 3)):
+            finishes = [endpoint.process_phase(_work(phase), 0.0) for _ in range(size + 1)]
+            assert finishes == [pytest.approx(duration)] * size + [pytest.approx(2 * duration)]
+
+    def test_program_shared_when_fewer_fsms_than_phases(self, torus_444):
+        endpoint = _endpoint(torus_444, num_fsms=2)
+        duration = endpoint.process_phase(_work("phase0"), 0.0)
         # Phases time-share the two FSMs: a third chunk-phase waits.
-        pool.acquire("phase0", 0.0, 10.0)
-        pool.acquire("phase3", 0.0, 10.0)
-        assert pool.acquire("phase1", 0.0, 10.0)[1] == 10.0
+        assert endpoint.process_phase(_work("phase3"), 0.0) == pytest.approx(duration)
+        assert endpoint.process_phase(_work("phase1"), 0.0) == pytest.approx(2 * duration)
 
-    def test_acquire_serializes_on_busy_fsms(self):
-        pool = FsmPool(1)
-        pool.program(["phase0"])
-        _, s1, f1 = pool.acquire("phase0", 0.0, 10.0)
-        _, s2, _ = pool.acquire("phase0", 0.0, 10.0)
-        assert s2 == pytest.approx(f1)
+    def test_acquire_serializes_on_busy_fsms(self, torus_444):
+        endpoint = _endpoint(torus_444, num_fsms=1)
+        first = endpoint.process_phase(_work(), 0.0)
+        assert endpoint.process_phase(_work(), 0.0) == pytest.approx(2 * first)
 
-    def test_acquire_unprogrammed_phase_rejected(self):
-        pool = FsmPool(4)
-        pool.program(["phase0"])
+    def test_acquire_unprogrammed_phase_rejected(self, torus_444):
+        endpoint = _endpoint(torus_444)
         with pytest.raises(SchedulingError):
-            pool.acquire("phase9", 0.0, 1.0)
+            endpoint.process_phase(_work("phase9"), 0.0)
 
 
 class TestAluArray:
@@ -54,44 +82,36 @@ class TestAluArray:
 
 
 class TestAceEngine:
-    def _engine(self, torus):
-        engine = AceEngine(make_system("ace"))
-        engine.configure(plan_collective("all_reduce", torus))
-        return engine
-
-    def test_requires_configuration(self):
-        engine = AceEngine(make_system("ace"))
-        with pytest.raises(SchedulingError):
-            engine.ingress(64 * KB, 0.0)
+    """The engine's DMAs, FSM occupancy and SRAM capacity, through the endpoint."""
 
     def test_ingress_limited_by_dma_memory_slice(self, torus_444):
-        engine = self._engine(torus_444)
-        finish = engine.ingress(128 * KB, 0.0)
+        endpoint = _endpoint(torus_444)
+        finish = endpoint.ingress(128 * KB, 0.0)
         # 128 KB at the 128 GB/s ACE DMA slice is ~1 us.
         assert finish == pytest.approx(1024.0, rel=0.1)
-        assert engine.memory_read_bytes == 128 * KB
+        assert endpoint.memory_read_bytes == 128 * KB
 
     def test_process_phase_occupies_fsm(self, torus_444):
-        engine = self._engine(torus_444)
-        f1 = engine.process_phase("phase0", 48 * KB, 48 * KB, 0.0, 3, 0.0)
+        endpoint = _endpoint(torus_444)
+        f1 = endpoint.process_phase(_work(), 0.0)
         assert f1 > 0.0
         # The FSM stays occupied for the slower of the SRAM stream (bytes
         # sent plus reduced) and the ALU stream (bytes reduced), plus its
         # control overhead.
-        ace = engine.ace
+        ace = endpoint.system.ace
         sram = 96 * KB / ace.sram_bandwidth_gbps
         alu = 48 * KB / ace.alu_throughput_gbps
-        control = 3 * engine.PHASE_CONTROL_OVERHEAD_CYCLES * 1e3 / ace.frequency_mhz
+        control = 3 * endpoint.PHASE_CONTROL_OVERHEAD_CYCLES * 1e3 / ace.frequency_mhz
         assert f1 == pytest.approx(max(sram, alu) + control)
 
     def test_egress_writes_memory(self, torus_444):
-        engine = self._engine(torus_444)
-        engine.egress(64 * KB, 0.0)
-        assert engine.memory_write_bytes == 64 * KB
+        endpoint = _endpoint(torus_444)
+        endpoint.egress(64 * KB, 0.0)
+        assert endpoint.memory_write_bytes == 64 * KB
 
     def test_chunk_capacity_matches_sram(self, torus_444):
-        engine = self._engine(torus_444)
-        assert engine.chunk_capacity() == 64
+        endpoint = _endpoint(torus_444)
+        assert endpoint.chunk_capacity() == 64
 
 
 class TestAreaPower:

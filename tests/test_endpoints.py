@@ -7,7 +7,8 @@ from repro.config.presets import make_system
 from repro.endpoint import AceEndpoint, BaselineEndpoint, IdealEndpoint, make_endpoint
 from repro.endpoint.base import PhaseWork
 from repro.errors import ConfigurationError
-from repro.units import KB
+from repro.runner import network_drive_job
+from repro.units import KB, MB
 
 
 def _work(send=64 * KB, reduce=0.0, forward=0.0, kind="all_gather", is_last=False):
@@ -43,6 +44,11 @@ class TestFactory:
         with pytest.raises(ConfigurationError):
             AceEndpoint(make_system("ideal"))
 
+    @pytest.mark.parametrize("cls", [AceEndpoint, BaselineEndpoint, IdealEndpoint])
+    def test_each_endpoint_defines_its_own_stages(self, cls):
+        # The layer profile times each class's own stage methods.
+        assert {"ingress", "process_phase", "egress"} <= set(vars(cls))
+
 
 class TestBaselineEndpoint:
     def test_reduce_step_reads_twice_the_sent_bytes(self):
@@ -74,9 +80,18 @@ class TestBaselineEndpoint:
     def test_chunk_capacity_positive(self):
         assert BaselineEndpoint(make_system("baseline_comm_opt")).chunk_capacity() > 0
 
-    def test_invalid_pipeline_depth(self):
-        with pytest.raises(ConfigurationError):
-            BaselineEndpoint(make_system("baseline_comm_opt"), pipeline_depth=0)
+    def test_reads_serialize_on_the_comm_channel(self):
+        # BaselineCommOpt: 450 GB/s of HBM reads, ~478 GB/s of SM streaming
+        # and the 500 GB/s bus, each with a 20 ns transaction overhead where
+        # it applies, then the 5 us software handoff.
+        endpoint = BaselineEndpoint(make_system("baseline_comm_opt"))
+        latency = endpoint.PHASE_SOFTWARE_LATENCY_NS
+        last = _work(send=4500.0, is_last=True)
+        assert endpoint.process_phase(last, 0.0) == pytest.approx(10.0 + 20.0 + latency)
+        assert endpoint.process_phase(last, 0.0) == pytest.approx(20.0 + 20.0 + latency)
+        # Reads only: the final phase's write-back is counted apart.
+        assert endpoint.memory_read_bytes == 9000.0
+        assert endpoint.memory_write_bytes == 9000.0
 
 
 class TestIdealEndpoint:
@@ -123,7 +138,17 @@ class TestAceEndpoint:
         # The ~3.5x memory bandwidth reduction of the paper's abstract.
         assert baseline.memory_read_bytes / ace.memory_read_bytes == pytest.approx(3.375, rel=0.01)
 
-    def test_utilization_tracks_activity(self, torus_444):
-        endpoint = self._endpoint(torus_444)
-        endpoint.activity.record(0.0, 50.0)
-        assert endpoint.utilization(100.0) == pytest.approx(0.5)
+    def test_hbm_slice_wider_than_the_hbm_fails_at_submission(self):
+        # Decoupled from the communication policy, the ACE slice alone
+        # oversubscribes the 900 GB/s HBM.
+        with pytest.raises(ConfigurationError, match="ace.memory_bandwidth_gbps") as info:
+            network_drive_job(
+                "ace",
+                4 * MB,
+                num_npus=16,
+                overrides={
+                    "ace": {"memory_bandwidth_gbps": 950.0},
+                    "policy": {"comm_memory_bandwidth_gbps": 100.0},
+                },
+            )
+        assert info.value.field == "ace.memory_bandwidth_gbps"

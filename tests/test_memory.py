@@ -1,96 +1,123 @@
-"""HBM partitions, bus and DMA engines."""
+"""The endpoints' memory path: HBM channels, the NPU-AFI bus and the DMAs.
+
+Each endpoint books these pipes itself; the tests drive them through
+:class:`AceEndpoint` and :class:`BaselineEndpoint`.  Defaults (Table V): a
+500 GB/s bus and DMA engines, a 128 GB/s ACE HBM slice and a 20 ns
+transaction overhead on the bus and on each HBM channel.
+"""
 
 import pytest
 
-from repro.errors import ConfigurationError, ResourceError
-from repro.memory.bus import Bus
-from repro.memory.dma import DmaEngine
-from repro.memory.hbm import MemoryPartition, MemorySystem
+from repro.config.presets import make_system
+from repro.config.system import AceConfig, MemoryConfig, ResourcePolicy, SystemConfig
+from repro.endpoint import AceEndpoint, BaselineEndpoint
+from repro.errors import ConfigurationError
+
+OVERHEAD_NS = 20.0
+
+
+def _ace(**fields) -> AceEndpoint:
+    return AceEndpoint(make_system("ace", ace=AceConfig(**fields)))
 
 
 class TestMemoryPartition:
+    """ACE's HBM slice: separate read and write channels of its bandwidth."""
+
     def test_reads_and_writes_tracked_separately(self):
-        part = MemoryPartition("comm", 100.0)
-        part.read(1000.0, 0.0)
-        part.write(500.0, 0.0)
-        assert part.read_bytes == 1000.0
-        assert part.write_bytes == 500.0
+        endpoint = _ace()
+        endpoint.ingress(1000.0, 0.0)
+        endpoint.egress(500.0, 0.0)
+        assert endpoint.memory_read_bytes == 1000.0
+        assert endpoint.memory_write_bytes == 500.0
 
     def test_reads_and_writes_use_separate_channels(self):
-        part = MemoryPartition("comm", 1.0)
-        read_start, _ = part.read(100.0, 0.0)
-        write_start, _ = part.write(100.0, 0.0)
-        # Write does not queue behind the read (separate channel).
-        assert write_start == pytest.approx(0.0)
-        assert read_start == pytest.approx(0.0)
+        endpoint = _ace(memory_bandwidth_gbps=1.0)
+        read_finish = endpoint.ingress(100.0, 0.0)
+        write_finish = endpoint.egress(100.0, 0.0)
+        # The write does not queue behind the read (separate channel).
+        assert read_finish == pytest.approx(100.0 + OVERHEAD_NS)
+        assert write_finish == pytest.approx(100.0 + OVERHEAD_NS)
 
     def test_reads_serialize_with_reads(self):
-        part = MemoryPartition("comm", 1.0)
-        part.read(100.0, 0.0)
-        second_start, _ = part.read(100.0, 0.0)
-        assert second_start == pytest.approx(100.0)
+        endpoint = _ace(memory_bandwidth_gbps=1.0)
+        endpoint.ingress(100.0, 0.0)
+        assert endpoint.ingress(100.0, 0.0) == pytest.approx(200.0 + OVERHEAD_NS)
 
     def test_invalid_bandwidth(self):
         with pytest.raises(ConfigurationError):
-            MemoryPartition("x", 0.0)
+            AceConfig(memory_bandwidth_gbps=0.0)
+        no_comm_memory = make_system("baseline_comm_opt").with_overrides(
+            policy=ResourcePolicy(comm_sms=6, comm_memory_bandwidth_gbps=0.0)
+        )
+        with pytest.raises(ConfigurationError, match="memory bandwidth"):
+            BaselineEndpoint(no_comm_memory)
 
 
 class TestMemorySystem:
+    """The NPU's HBM budget: communication slices fit inside it."""
+
     def test_allocation_within_budget(self):
-        mem = MemorySystem(900.0)
-        comm = mem.allocate("comm", 450.0)
-        mem.allocate("compute", 450.0)
-        assert mem.allocated_bandwidth_gbps == pytest.approx(900.0)
-        assert mem.partition("comm") is comm
-        assert comm.bandwidth_gbps == 450.0
+        for name in ("baseline_comm_opt", "baseline_comp_opt", "ace"):
+            system = make_system(name)
+            assert (
+                system.comm_memory_bandwidth_gbps + system.compute_memory_bandwidth_gbps
+                == pytest.approx(system.memory.npu_memory_bandwidth_gbps)
+            )
+        # A slice as wide as the whole HBM is still within budget.
+        _ace(memory_bandwidth_gbps=900.0)
 
     def test_oversubscription_rejected(self):
-        mem = MemorySystem(900.0)
-        mem.allocate("comm", 600.0)
-        with pytest.raises(ResourceError):
-            mem.allocate("compute", 400.0)
-
-    def test_duplicate_name_rejected(self):
-        mem = MemorySystem(900.0)
-        mem.allocate("comm", 100.0)
-        with pytest.raises(ResourceError):
-            mem.allocate("comm", 100.0)
-
-    def test_unknown_partition(self):
-        with pytest.raises(ResourceError):
-            MemorySystem(900.0).partition("nope")
+        ace = make_system("ace")
+        with pytest.raises(ConfigurationError, match="communication"):
+            ace.with_overrides(policy=ResourcePolicy(comm_memory_bandwidth_gbps=950.0))
+        with pytest.raises(ConfigurationError, match="ace.memory_bandwidth_gbps") as info:
+            ace.with_overrides(ace=AceConfig(memory_bandwidth_gbps=950.0))
+        assert info.value.field == "ace.memory_bandwidth_gbps"
+        # The rule guards the slice the ACE endpoint books, not other systems.
+        baseline = make_system("baseline_comm_opt")
+        assert isinstance(
+            baseline.with_overrides(ace=AceConfig(memory_bandwidth_gbps=950.0)), SystemConfig
+        )
 
 
 class TestBus:
+    """The NPU-AFI bus: FIFO, one transaction overhead per transfer."""
+
     def test_transfer_with_overhead(self):
-        bus = Bus("npu-afi", 500.0, transaction_overhead_ns=20.0)
-        _, finish = bus.transfer(500.0, 0.0)
-        assert finish == pytest.approx(21.0)
-        # FIFO: a second transfer queues behind the first's serialization.
-        assert bus.transfer(500.0, 0.0) == pytest.approx((1.0, 22.0))
+        # An 800 GB/s HBM slice leaves the 500 GB/s bus as the slowest leg.
+        endpoint = _ace(memory_bandwidth_gbps=800.0)
+        assert endpoint.ingress(500.0, 0.0) == pytest.approx(1.0 + OVERHEAD_NS)
+        # FIFO: a second transfer queues behind the first's serialization,
+        # and the overhead is charged once per transfer, not accumulated.
+        assert endpoint.ingress(500.0, 0.0) == pytest.approx(2.0 + OVERHEAD_NS)
+        # Both DMA directions share the one bus.
+        assert endpoint.egress(500.0, 0.0) == pytest.approx(3.0 + OVERHEAD_NS)
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
-            Bus("b", 0.0)
+            MemoryConfig(npu_afi_bus_bandwidth_gbps=0.0)
 
 
 class TestDmaEngine:
+    """ACE's TX / RX DMAs: a transfer finishes with its slowest leg."""
+
     def test_transfer_limited_by_slowest_leg(self):
-        mem = MemoryPartition("ace", 128.0)
-        bus = Bus("npu-afi", 500.0)
-        dma = DmaEngine("tx", 500.0, mem, bus, "tx")
-        _, finish = dma.transfer(128_000.0, 0.0)
-        # 128 KB at 128 GB/s = 1000 ns dominates the bus (256 ns) and engine.
-        assert finish == pytest.approx(1000.0, rel=0.05)
-        assert mem.read_bytes == 128_000.0
+        num_bytes = 128_000.0
+        legs = [
+            # The engine binds: 128 KB at 50 GB/s.
+            ({"tx_dma_bandwidth_gbps": 50.0}, num_bytes / 50.0),
+            # The 500 GB/s bus binds once the HBM slice is wider than it.
+            ({"memory_bandwidth_gbps": 800.0}, num_bytes / 500.0 + OVERHEAD_NS),
+            # The 128 GB/s HBM slice binds (the defaults).
+            ({}, num_bytes / 128.0 + OVERHEAD_NS),
+        ]
+        for fields, finish in legs:
+            endpoint = _ace(**fields)
+            assert endpoint.ingress(num_bytes, 0.0) == pytest.approx(finish), fields
+            assert endpoint.memory_read_bytes == num_bytes
 
     def test_rx_direction_writes_memory(self):
-        mem = MemoryPartition("ace", 128.0)
-        dma = DmaEngine("rx", 500.0, mem, None, "rx")
-        dma.transfer(1000.0, 0.0)
-        assert mem.write_bytes == 1000.0
-        assert mem.read_bytes == 0.0
-
-    def test_invalid_direction(self):
-        with pytest.raises(ConfigurationError):
-            DmaEngine("x", 100.0, None, None, "sideways")
+        endpoint = _ace()
+        endpoint.egress(1000.0, 0.0)
+        assert endpoint.memory_write_bytes == 1000.0
+        assert endpoint.memory_read_bytes == 0.0

@@ -64,12 +64,6 @@ class TestTorus3D:
 
 
 class TestRingTopology:
-    def test_unidirectional(self):
-        # A one-way ring is a different fabric to the planner.
-        ring = RingTopology(4, bidirectional=False)
-        assert ring.cache_key() != RingTopology(4).cache_key()
-        assert ring.active_dimensions() == ["local"]
-
     def test_too_small(self):
         with pytest.raises(TopologyError):
             RingTopology(1)

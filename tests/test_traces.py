@@ -249,7 +249,7 @@ class TestCostTables:
         cost = table.resolve(
             {"kind": "measured", "name": "k", "duration_ns": 5_000.0}, "ctx"
         )
-        assert table.roofline().kernel_time_ns(cost) == pytest.approx(5_000.0)
+        assert table.backend().kernel_time_ns(cost) == pytest.approx(5_000.0)
 
     def test_measured_durations_floor_at_launch_overhead(self):
         table = find_cost_table("paper-npu")
@@ -264,7 +264,7 @@ class TestCostTables:
             {"kind": "measured", "name": "k", "duration_ns": 10_000.0}, "ctx"
         )
         # The same kernel on an H100-calibrated system runs faster.
-        fast = find_cost_table("h100").roofline().kernel_time_ns(cost)
+        fast = find_cost_table("h100").backend().kernel_time_ns(cost)
         assert fast < 10_000.0
 
 
