@@ -61,18 +61,8 @@ from repro.collectives import (
     plan_collective,
     supported_algorithms,
 )
-from repro.compute.backend import (
-    ComputeBackend,
-    compute_backend_names,
-    make_compute_backend,
-    resolve_compute_backend_name,
-)
-from repro.network.backend import (
-    NetworkBackend,
-    backend_names,
-    make_network_backend,
-    resolve_backend_name,
-)
+from repro.compute import COMPUTE_BACKENDS, ComputeBackend, make_compute_backend
+from repro.network import NETWORK_BACKENDS, NetworkBackend, make_network_backend
 from repro.network.topology import (
     FullyConnected,
     RingTopology,
@@ -122,14 +112,12 @@ __all__ = [
     "algorithms",
     "plan_collective",
     "supported_algorithms",
+    "COMPUTE_BACKENDS",
     "ComputeBackend",
-    "compute_backend_names",
     "make_compute_backend",
-    "resolve_compute_backend_name",
+    "NETWORK_BACKENDS",
     "NetworkBackend",
-    "backend_names",
     "make_network_backend",
-    "resolve_backend_name",
     "FullyConnected",
     "RingTopology",
     "SwitchTopology",

@@ -5,13 +5,13 @@ Each algorithm is a plan builder producing a
 accounting the simulator uses to charge endpoint processing, memory traffic
 and link occupancy.  (Step-by-step functional implementations over numpy
 arrays, which check that every node ends with the right data, live with the
-tests in ``tests/oracles.py``.)  Plans are selected by the registry-based
+tests in ``tests/oracles.py``.)  Plans are selected by the table-driven
 :func:`~repro.collectives.planner.plan_collective`: each algorithm
-(hierarchical, direct, ring, tree, halving-doubling) registers a capability
-predicate and is costed per topology, so explicit choices are validated and
-``algorithm="auto"`` picks the cheapest feasible plan — the paper's
-hierarchical 4-phase all-reduce and XYZ-routed direct all-to-all on the 3D
-torus.
+(hierarchical, direct, ring, tree, halving-doubling, p2p) is one table row
+with a capability predicate and is costed per topology, so explicit choices
+are validated and ``algorithm="auto"`` picks the cheapest feasible plan —
+the paper's hierarchical 4-phase all-reduce and XYZ-routed direct all-to-all
+on the 3D torus.
 """
 
 from repro.collectives.base import CollectiveOp, CollectivePlan, PhaseSpec
@@ -21,7 +21,6 @@ from repro.collectives.planner import (
     algorithms,
     estimate_plan_cost,
     plan_collective,
-    register_algorithm,
     supported_algorithms,
 )
 from repro.collectives.hierarchical import hierarchical_all_reduce_plan
@@ -42,7 +41,6 @@ __all__ = [
     "algorithms",
     "estimate_plan_cost",
     "plan_collective",
-    "register_algorithm",
     "supported_algorithms",
     "hierarchical_all_reduce_plan",
     "flat_ring_plan",

@@ -24,8 +24,8 @@ class CollectiveOp(str, enum.Enum):
     REDUCE_SCATTER = "reduce_scatter"
     ALL_GATHER = "all_gather"
     #: Point-to-point transfer between pipeline-stage neighbours.  Not a true
-    #: collective — it is planned as a single one-step phase rather than via
-    #: the algorithm registry — but it rides the same executor/endpoint/fabric
+    #: collective — the planner's ``p2p`` row plans it as a single one-step
+    #: phase — but it rides the same executor/endpoint/fabric
     #: path so activation sends share chunking, admission and accounting with
     #: the real collectives.
     SEND = "send"

@@ -1,13 +1,13 @@
-"""Registry-based collective plan selection.
+"""Table-driven collective plan selection.
 
 :func:`plan_collective` is the single entry point the rest of the simulator
 uses: given a collective operation, a topology and an algorithm name (or
 ``"auto"``) it returns the :class:`~repro.collectives.base.CollectivePlan`
-to execute.  Algorithms self-register through :func:`register_algorithm`
-with a *capability predicate* (which operations and topology classes they
-support, plus node-count constraints such as halving-doubling's
-power-of-two requirement) and are costed with a simple stage-time model
-(:func:`estimate_plan_cost`), so
+to execute.  Each algorithm is one :class:`AlgorithmSpec` row of a fixed
+table, with a *capability predicate* (which operations and topology classes
+it supports, plus node-count constraints such as halving-doubling's
+power-of-two requirement), and plans are costed with a simple stage-time
+model (:func:`estimate_plan_cost`), so
 
 * an explicit ``algorithm=`` choice is honoured, raising a clear
   :class:`~repro.errors.CollectiveError` for unsupported (op, topology)
@@ -15,9 +15,9 @@ power-of-two requirement) and are costed with a simple stage-time model
 * ``algorithm="auto"`` picks the cheapest feasible plan — which on the
   paper's 3D torus reproduces its methodology exactly: the hierarchical
   4-phase all-reduce and the direct XYZ-routed all-to-all win on their home
-  turf (ties break toward earlier registration, i.e. the paper's choices).
+  turf (ties break toward the earlier table row, i.e. the paper's choices).
 
-Registered algorithms:
+The algorithms, in table order:
 
 ==================  =======================================  =====================================
 Name                Operations                               Topologies
@@ -72,12 +72,12 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """One registered collective algorithm.
+    """One collective algorithm: a row of the planner's algorithm table.
 
     Attributes
     ----------
     name:
-        Registry key (what ``plan_collective(..., algorithm=...)`` accepts).
+        Table key (what ``plan_collective(..., algorithm=...)`` accepts).
     ops:
         Collective operations the algorithm implements.
     supports:
@@ -104,70 +104,41 @@ class AlgorithmSpec:
         return self.supports(op, topology)
 
 
-#: Registration order matters: auto-selection breaks cost ties toward the
-#: earliest-registered feasible algorithm, so the paper's choices come first.
-_REGISTRY: Dict[str, AlgorithmSpec] = {}
-
 #: Built plans keyed by (op, algorithm, topology cache key, network); "auto"
 #: entries record the winning plan of a past selection.
 _PLAN_CACHE: Dict[Tuple, CollectivePlan] = {}
 
 
-def register_algorithm(
-    name: str,
-    ops: Tuple[CollectiveOp, ...],
-    supports: Callable[[CollectiveOp, Topology], Optional[str]],
-) -> Callable[[Callable[[CollectiveOp, Topology, NetworkConfig], CollectivePlan]], Callable]:
-    """Class-less decorator registering a plan builder in the algorithm registry.
-
-    >>> @register_algorithm("ring", (CollectiveOp.ALL_REDUCE,), my_predicate)
-    ... def _build(op, topology, network): ...
-    """
-
-    def decorator(build: Callable[[CollectiveOp, Topology, NetworkConfig], CollectivePlan]):
-        if name in _REGISTRY:
-            raise CollectiveError(f"collective algorithm {name!r} already registered")
-        _REGISTRY[name] = AlgorithmSpec(name=name, ops=tuple(ops), supports=supports, build=build)
-        # A newly registered algorithm must be able to win future auto
-        # selections: drop cached "auto" winners (explicit-name entries stay
-        # valid — their plans do not depend on the registry contents).
-        for key in [k for k in _PLAN_CACHE if k[1] == AUTO]:
-            del _PLAN_CACHE[key]
-        return build
-
-    return decorator
-
-
 def algorithms() -> Tuple[str, ...]:
-    """Names of all registered algorithms, in registration order."""
-    return tuple(_REGISTRY)
+    """Names of all algorithms, in table (auto tie-break) order."""
+    return tuple(_ALGORITHMS)
 
 
 def algorithm_capabilities(op: Union[str, CollectiveOp], topology: Topology) -> Dict[str, Optional[str]]:
     """Feasibility map for (op, topology): name -> None (feasible) or reason."""
     op = _normalize_op(op)
-    return {name: spec.rejection(op, topology) for name, spec in _REGISTRY.items()}
+    return {name: spec.rejection(op, topology) for name, spec in _ALGORITHMS.items()}
 
 
 def supported_algorithms(op: Union[str, CollectiveOp], topology: Topology) -> List[str]:
-    """Registered algorithms able to run ``op`` on ``topology``."""
+    """Algorithms able to run ``op`` on ``topology``."""
     return [
         name for name, reason in algorithm_capabilities(op, topology).items() if reason is None
     ]
 
 
 def algorithm_implements(algorithm: str, op: Union[str, CollectiveOp]) -> bool:
-    """Whether registered ``algorithm`` implements ``op`` (on any topology).
+    """Whether ``algorithm`` implements ``op`` (on any topology).
 
     Used by the executor to scope a pinned system-wide algorithm to the
     operations it actually implements (other operations fall back to auto
     selection).  Unknown names raise :class:`CollectiveError`.
     """
-    spec = _REGISTRY.get(algorithm)
+    spec = _ALGORITHMS.get(algorithm)
     if spec is None:
         raise CollectiveError(
             f"unknown collective algorithm {algorithm!r}; expected 'auto' "
-            f"or one of {list(_REGISTRY)}"
+            f"or one of {list(_ALGORITHMS)}"
         )
     return _normalize_op(op) in spec.ops
 
@@ -229,16 +200,16 @@ def _halving_doubling_supports(op: CollectiveOp, topology: Topology) -> Optional
     return None
 
 
+def _p2p_supports(op: CollectiveOp, topology: Topology) -> Optional[str]:
+    # A neighbour-to-neighbour send embeds in every fabric.
+    return None
+
+
 # ---------------------------------------------------------------------------
-# Builders (registration order = auto-selection tie-break priority)
+# Builders
 # ---------------------------------------------------------------------------
 
 
-@register_algorithm(
-    "hierarchical",
-    (CollectiveOp.ALL_REDUCE, CollectiveOp.REDUCE_SCATTER, CollectiveOp.ALL_GATHER),
-    _torus_only,
-)
 def _build_hierarchical(
     op: CollectiveOp, topology: Topology, network: NetworkConfig
 ) -> CollectivePlan:
@@ -250,7 +221,6 @@ def _build_hierarchical(
     return hierarchical_all_gather_plan(topology)
 
 
-@register_algorithm("direct", (CollectiveOp.ALL_TO_ALL,), _direct_supports)
 def _build_direct(
     op: CollectiveOp, topology: Topology, network: NetworkConfig
 ) -> CollectivePlan:
@@ -260,11 +230,6 @@ def _build_direct(
     return single_hop_all_to_all_plan(topology)
 
 
-@register_algorithm(
-    "ring",
-    (CollectiveOp.ALL_REDUCE, CollectiveOp.REDUCE_SCATTER, CollectiveOp.ALL_GATHER),
-    _ring_supports,
-)
 def _build_ring(
     op: CollectiveOp, topology: Topology, network: NetworkConfig
 ) -> CollectivePlan:
@@ -280,7 +245,6 @@ def _build_ring(
     return flat_ring_plan(op, topology.name, dimension, topology.num_nodes)
 
 
-@register_algorithm("tree", (CollectiveOp.ALL_REDUCE,), _tree_supports)
 def _build_tree(
     op: CollectiveOp, topology: Topology, network: NetworkConfig
 ) -> CollectivePlan:
@@ -289,9 +253,6 @@ def _build_tree(
     return double_binary_tree_plan(dimension, topology.num_nodes, topology.name)
 
 
-@register_algorithm(
-    "halving_doubling", (CollectiveOp.ALL_REDUCE,), _halving_doubling_supports
-)
 def _build_halving_doubling(
     op: CollectiveOp, topology: Topology, network: NetworkConfig
 ) -> CollectivePlan:
@@ -300,12 +261,6 @@ def _build_halving_doubling(
     return halving_doubling_plan(dimension, topology.num_nodes, topology.name)
 
 
-def _p2p_supports(op: CollectiveOp, topology: Topology) -> Optional[str]:
-    # A neighbour-to-neighbour send embeds in every fabric.
-    return None
-
-
-@register_algorithm("p2p", (CollectiveOp.SEND,), _p2p_supports)
 def _build_p2p(
     op: CollectiveOp, topology: Topology, network: NetworkConfig
 ) -> CollectivePlan:
@@ -337,6 +292,29 @@ def _build_p2p(
         num_nodes=topology.num_nodes,
         phases=(phase,),
     )
+
+
+#: The operations both the hierarchical and the flat-ring plans implement.
+_BULK = (CollectiveOp.ALL_REDUCE, CollectiveOp.REDUCE_SCATTER, CollectiveOp.ALL_GATHER)
+
+#: Every algorithm, in auto-selection tie-break order: a cost tie goes to the
+#: earlier feasible row, so the paper's choices come first.
+_ALGORITHMS: Dict[str, AlgorithmSpec] = {
+    spec.name: spec
+    for spec in (
+        AlgorithmSpec("hierarchical", _BULK, _torus_only, _build_hierarchical),
+        AlgorithmSpec("direct", (CollectiveOp.ALL_TO_ALL,), _direct_supports, _build_direct),
+        AlgorithmSpec("ring", _BULK, _ring_supports, _build_ring),
+        AlgorithmSpec("tree", (CollectiveOp.ALL_REDUCE,), _tree_supports, _build_tree),
+        AlgorithmSpec(
+            "halving_doubling",
+            (CollectiveOp.ALL_REDUCE,),
+            _halving_doubling_supports,
+            _build_halving_doubling,
+        ),
+        AlgorithmSpec("p2p", (CollectiveOp.SEND,), _p2p_supports, _build_p2p),
+    )
+}
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +385,7 @@ def plan_collective(
 ) -> CollectivePlan:
     """Return the plan for ``op`` on ``topology``.
 
-    ``algorithm`` is either a registered name (the pairing is validated and a
+    ``algorithm`` is either an algorithm name (the pairing is validated and a
     :class:`CollectiveError` explains any mismatch) or ``"auto"``, which
     selects the feasible algorithm with the cheapest
     :func:`estimate_plan_cost` under ``network`` (Table V parameters when
@@ -420,11 +398,11 @@ def plan_collective(
             f"plan_collective needs a Topology instance, got {type(topology).__name__}"
         )
     if algorithm != AUTO:
-        spec = _REGISTRY.get(algorithm)
+        spec = _ALGORITHMS.get(algorithm)
         if spec is None:
             raise CollectiveError(
                 f"unknown collective algorithm {algorithm!r}; expected 'auto' "
-                f"or one of {list(_REGISTRY)}"
+                f"or one of {list(_ALGORITHMS)}"
             )
         reason = spec.rejection(op, topology)
         if reason is not None:
@@ -443,20 +421,19 @@ def plan_collective(
     best: Optional[CollectivePlan] = None
     best_cost = float("inf")
     rejections: List[str] = []
-    for spec in _REGISTRY.values():
+    for spec in _ALGORITHMS.values():
         reason = spec.rejection(op, topology)
         if reason is not None:
             rejections.append(f"{spec.name}: {reason}")
             continue
         plan = _build_plan(spec, op, topology, network)
         cost = estimate_plan_cost(plan, cost_network)
-        if cost < best_cost:  # strict: ties keep the earlier registration
+        if cost < best_cost:  # strict: ties keep the earlier table row
             best, best_cost = plan, cost
     if best is None:
-        detail = "; ".join(rejections) or "no algorithms registered"
         raise CollectiveError(
             f"no registered algorithm can run {op.value} on {topology.name} "
-            f"({detail})"
+            f"({'; '.join(rejections)})"
         )
     _PLAN_CACHE[auto_key] = best
     return best

@@ -8,7 +8,7 @@ Two layers live here:
 
 * **Plan builders** (``flat_ring_plan``) that wrap one phase into a complete
   :class:`~repro.collectives.base.CollectivePlan` for a logical ring spanning
-  an entire topology — the form the planner registry consumes when the flat
+  an entire topology — the form the planner consumes when the flat
   ring algorithm is chosen for a fabric.
 """
 

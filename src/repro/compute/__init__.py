@@ -2,7 +2,7 @@
 
 Kernel-timing models play the role of the paper's SCALE-sim-based compute
 simulator: each kernel is characterised by its FLOP count and its memory
-traffic, and pluggable :class:`~repro.compute.backend.ComputeBackend`
+traffic, and the :class:`~repro.compute.backend.ComputeBackend`
 implementations price it on the resources (SMs and HBM bandwidth) the system
 configuration leaves to the training computation — the roofline model (the
 default: larger of the compute-bound and memory-bound times) or the
@@ -10,17 +10,7 @@ execution-unit model (max over Scalar/Matrix/Vector/DMA units plus exposed
 DMA fill/drain), selected by name via ``SystemConfig.compute_backend``.
 """
 
-from repro.compute.backend import (
-    AUTO_COMPUTE_BACKEND,
-    DEFAULT_COMPUTE_AUTO_NPU_THRESHOLD,
-    DEFAULT_COMPUTE_BACKEND,
-    ComputeBackend,
-    compute_backend_names,
-    make_compute_backend,
-    register_compute_backend,
-    resolve_compute_backend_name,
-    validate_compute_backend_name,
-)
+from repro.compute.backend import DEFAULT_COMPUTE_BACKEND, ComputeBackend
 from repro.compute.kernels import (
     KernelCost,
     conv2d_cost,
@@ -31,25 +21,20 @@ from repro.compute.kernels import (
 )
 from repro.compute.roofline import RooflineModel
 from repro.compute.execution_unit import ExecutionUnitModel
-from repro.compute.npu import NpuComputeEngine
+from repro.compute.npu import COMPUTE_BACKENDS, NpuComputeEngine, make_compute_backend
 
 __all__ = [
-    "AUTO_COMPUTE_BACKEND",
-    "DEFAULT_COMPUTE_AUTO_NPU_THRESHOLD",
+    "COMPUTE_BACKENDS",
     "DEFAULT_COMPUTE_BACKEND",
     "ComputeBackend",
     "ExecutionUnitModel",
     "KernelCost",
-    "compute_backend_names",
     "conv2d_cost",
     "elementwise_cost",
     "embedding_lookup_cost",
     "gemm_cost",
     "lstm_cell_cost",
     "make_compute_backend",
-    "register_compute_backend",
-    "resolve_compute_backend_name",
-    "validate_compute_backend_name",
     "RooflineModel",
     "NpuComputeEngine",
 ]

@@ -30,31 +30,21 @@ With the Table V defaults the model sits a few percent *above* the roofline
 everywhere (occupancy and fill/drain are pure adds), which is exactly the
 disagreement ``experiments/model_agreement.py`` quantifies and bounds.
 All unit parameters live on :class:`~repro.config.system.ComputeConfig`, so
-they thread through ``SimJob`` overrides like every other knob; invalid
-values raise :class:`~repro.errors.ConfigurationError` naming the field.
+they thread through ``SimJob`` overrides like every other knob, and its field
+bounds reject invalid values with a
+:class:`~repro.errors.ConfigurationError` naming the field.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.compute.backend import ComputeBackend, register_compute_backend
+from repro.compute.backend import ComputeBackend
 from repro.compute.kernels import KERNEL_LAUNCH_OVERHEAD_NS, KernelCost
 from repro.errors import ConfigurationError
 from repro.units import SECOND, TERA
 
 
-def _check_fraction(name: str, value: float, minimum_exclusive: bool = True) -> None:
-    """Validate a (0, 1] (or [0, 1]) parameter, naming the offending field."""
-    low_ok = value > 0 if minimum_exclusive else value >= 0
-    if not (low_ok and value <= 1):
-        bounds = "(0, 1]" if minimum_exclusive else "[0, 1]"
-        raise ConfigurationError(
-            f"execution-unit parameter {name!r} must be in {bounds}, got {value}"
-        )
-
-
-@register_compute_backend("execution-unit")
 class ExecutionUnitModel(ComputeBackend):
     """Kernel timing as the max over Scalar/Matrix/Vector/DMA units."""
 
@@ -94,29 +84,6 @@ class ExecutionUnitModel(ComputeBackend):
         self.dma_overlap = float(units.dma_overlap)
         self.unit_sram_bytes = int(units.unit_sram_bytes)
         self.register_file_bytes = int(units.register_file_bytes)
-        _check_fraction("matrix_unit_fraction", self.matrix_unit_fraction)
-        _check_fraction("vector_unit_fraction", self.vector_unit_fraction)
-        _check_fraction("scalar_unit_fraction", self.scalar_unit_fraction)
-        _check_fraction("unit_occupancy", self.unit_occupancy)
-        _check_fraction("dma_overlap", self.dma_overlap, minimum_exclusive=False)
-        _check_fraction(
-            "scalar_flops_fraction", self.scalar_flops_fraction, minimum_exclusive=False
-        )
-        if self.vector_flops_per_byte <= 0:
-            raise ConfigurationError(
-                f"execution-unit parameter 'vector_flops_per_byte' must be "
-                f"positive, got {self.vector_flops_per_byte}"
-            )
-        if self.unit_sram_bytes <= 0:
-            raise ConfigurationError(
-                f"execution-unit parameter 'unit_sram_bytes' must be positive, "
-                f"got {self.unit_sram_bytes}"
-            )
-        if self.register_file_bytes <= 0:
-            raise ConfigurationError(
-                f"execution-unit parameter 'register_file_bytes' must be "
-                f"positive, got {self.register_file_bytes}"
-            )
 
     # ------------------------------------------------------------------
     # Per-unit times

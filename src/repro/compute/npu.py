@@ -5,9 +5,8 @@ Wraps the active compute backend with the resource view of a
 HBM bandwidth that the configuration leaves to the training computation, so
 the same workload automatically runs slower on BaselineCommOpt (74 SMs,
 450 GB/s) than on ACE (80 SMs, 772 GB/s).  Which kernel-timing model prices
-that allocation is ``system.compute_backend`` (``"roofline"``, the default —
-or ``"execution-unit"`` / ``"auto"``), resolved through the registry in
-:mod:`repro.compute.backend`.
+that allocation is ``system.compute_backend`` (``"roofline"``, the default,
+or ``"execution-unit"``), built by :func:`make_compute_backend`.
 
 The engine also records busy intervals so the training loop can report the
 compute-utilization timeline of Fig. 10 and the total-compute bars of
@@ -18,33 +17,56 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.compute.backend import make_compute_backend, resolve_compute_backend_name
-from repro.compute.kernels import KernelCost
-from repro.config.system import SystemConfig
-from repro.errors import SimulationError
+from repro.compute.backend import ComputeBackend
+from repro.compute.execution_unit import ExecutionUnitModel
+from repro.compute.kernels import KERNEL_LAUNCH_OVERHEAD_NS, KernelCost
+from repro.compute.roofline import RooflineModel
+from repro.config.system import ComputeConfig, SystemConfig
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.trace import IntervalTracer
+
+
+#: Every compute model, by the name ``SystemConfig.compute_backend`` and
+#: ``SimJob.compute`` give it; :func:`make_compute_backend` builds each.
+COMPUTE_BACKENDS = ("roofline", "execution-unit")
+
+
+def make_compute_backend(
+    name: str,
+    tflops: float,
+    memory_bandwidth_gbps: float,
+    kernel_launch_overhead_ns: float = KERNEL_LAUNCH_OVERHEAD_NS,
+    units: Optional[ComputeConfig] = None,
+) -> ComputeBackend:
+    """Build the backend ``name`` of :data:`COMPUTE_BACKENDS`.
+
+    ``tflops`` and ``memory_bandwidth_gbps`` are the sustained rates of the
+    resource allocation being modelled.  ``units`` carries the execution-unit
+    parameters (``None`` uses the Table V defaults); the roofline has no unit
+    structure and takes none.  Unknown names raise
+    :class:`~repro.errors.ConfigurationError` naming the valid choices.
+    """
+    if name == "roofline":
+        return RooflineModel(tflops, memory_bandwidth_gbps, kernel_launch_overhead_ns)
+    if name == "execution-unit":
+        return ExecutionUnitModel(
+            tflops, memory_bandwidth_gbps, kernel_launch_overhead_ns, units
+        )
+    raise ConfigurationError(
+        f"unknown compute backend {name!r}; expected one of {list(COMPUTE_BACKENDS)}"
+    )
 
 
 class NpuComputeEngine:
     """Sequential compute engine of the representative NPU."""
 
-    def __init__(
-        self,
-        system: SystemConfig,
-        time_scale: float = 1.0,
-        num_npus: Optional[int] = None,
-    ) -> None:
+    def __init__(self, system: SystemConfig, time_scale: float = 1.0) -> None:
         if time_scale <= 0:
             raise SimulationError("time_scale must be positive")
         self.system = system
         self.time_scale = time_scale
-        # ``num_npus`` only steers ``compute_backend="auto"`` (validate-small
-        # /sweep-large); explicit backend names ignore it.
-        self.backend_name = resolve_compute_backend_name(
-            system.compute_backend, num_npus=num_npus
-        )
         self.backend = make_compute_backend(
-            self.backend_name,
+            system.compute_backend,
             tflops=system.compute_tflops,
             memory_bandwidth_gbps=system.compute_memory_bandwidth_gbps,
             units=system.compute,

@@ -6,20 +6,22 @@ its memory-bound time (bytes moved divided by the HBM bandwidth left to the
 training computation).  This is the standard first-order GPU kernel model and
 captures the effect the paper studies: taking SMs or memory bandwidth away
 from compute slows the computation down, and memory-bound kernels (embedding
-lookups) are hit hardest by bandwidth loss.
+lookups) are hit hardest by bandwidth loss.  It is the ``"roofline"``
+compute backend, the default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.compute.backend import ComputeBackend
 from repro.compute.kernels import KERNEL_LAUNCH_OVERHEAD_NS, KernelCost
 from repro.errors import ConfigurationError
 from repro.units import SECOND, TERA
 
 
 @dataclass(frozen=True)
-class RooflineModel:
+class RooflineModel(ComputeBackend):
     """Roofline with a fixed per-kernel launch overhead."""
 
     tflops: float
@@ -51,3 +53,8 @@ class RooflineModel:
             max(self.compute_time_ns(cost), self.memory_time_ns(cost))
             + self.kernel_launch_overhead_ns
         )
+
+    def invert_duration_ns(self, duration_ns: float) -> float:
+        """FLOPs whose compute-bound time is ``duration_ns`` minus overhead."""
+        compute_ns = max(0.0, duration_ns - self.kernel_launch_overhead_ns)
+        return compute_ns * self.tflops * TERA / SECOND

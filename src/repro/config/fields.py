@@ -31,7 +31,7 @@ POSITIVE = {"bound": ("positive", lambda value: value > 0)}
 NON_NEGATIVE = {"bound": ("non-negative", lambda value: value >= 0)}
 FRACTION = {"bound": ("in (0, 1]", lambda value: 0 < value <= 1)}
 UNIT_INTERVAL = {"bound": ("in [0, 1]", lambda value: 0 <= value <= 1)}
-#: A registry name (or ``"auto"``), looked up where it is used.
+#: A model name, checked against its table where it enters (``SimJob``).
 NAME = {"bound": ("a non-empty name", lambda value: isinstance(value, str) and value != "")}
 
 

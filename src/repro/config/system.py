@@ -290,35 +290,24 @@ class SystemConfig:
     )
     #: Collective algorithm the planner should use: "auto" (cheapest feasible
     #: plan for the topology — the paper's hierarchical/direct choices on the
-    #: torus) or an explicit registered name ("hierarchical", "ring", "tree",
-    #: "halving_doubling", "direct").  An explicit name applies to the
-    #: operations that algorithm implements; a workload's other collectives
-    #: (e.g. DLRM's all-to-all under a pinned all-reduce algorithm) fall back
-    #: to auto selection.  Validated against the registry when the first plan
-    #: is requested.
+    #: torus) or an explicit name from the planner's table ("hierarchical",
+    #: "ring", "tree", "halving_doubling", "direct").  An explicit name applies
+    #: to the operations that algorithm implements; a workload's other
+    #: collectives (e.g. DLRM's all-to-all under a pinned all-reduce
+    #: algorithm) fall back to auto selection.  ``SimJob`` checks the name.
     collective_algorithm: str = field(default="auto", metadata=NAME)
     #: Network model executing the collective traffic: "symmetric" (the fast
     #: representative-NPU analytical model, the default and the paper's sweep
     #: vehicle), "detailed" (per-link FIFO serialization with hop-by-hop
-    #: contention; small-system validation and per-link observability),
+    #: contention; small-system validation and per-link observability), or
     #: "hybrid" (per-link detail on the most-contended dimension, pipes on
-    #: the rest), or "auto" (detailed at or below
-    #: ``network_backend_auto_threshold`` NPUs, hybrid up to the hybrid cap,
-    #: symmetric above).  Validated against the backend registry when the
-    #: executor builds the fabric.
+    #: the rest).  ``SimJob`` checks the name.
     network_backend: str = field(default="symmetric", metadata=NAME)
-    #: Largest NPU count the "auto" backend still simulates with the
-    #: detailed per-link model (the paper validates small, sweeps large).
-    #: Raised from 32 to 64 when the detailed hot path gained coalescing and
-    #: batched reservations.
-    network_backend_auto_threshold: int = field(default=64, metadata=POSITIVE)
     #: Compute model pricing training kernels: "roofline" (max of compute and
-    #: memory bounds, the default and the model every golden value pins),
+    #: memory bounds, the default and the model every golden value pins) or
     #: "execution-unit" (Scalar/Matrix/Vector/DMA units with SRAM staging and
-    #: occupancy/overlap derates — parameters on :class:`ComputeConfig`), or
-    #: "auto" (execution-unit at or below the compute auto threshold, roofline
-    #: above — validate small, sweep large, mirroring ``network_backend``).
-    #: Validated against the compute-backend registry when the engine is built.
+    #: occupancy/overlap derates — parameters on :class:`ComputeConfig`).
+    #: ``SimJob`` checks the name.
     compute_backend: str = field(default="roofline", metadata=NAME)
     #: Fixed overhead from issuing a collective until its first chunk can be
     #: processed.  For the baselines this is the communication-kernel launch
@@ -334,27 +323,32 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         check_bounds(self)
-        if self.policy.comm_sms > self.compute.num_sms:
-            raise ConfigurationError(
-                "cannot allocate more SMs to communication than the NPU has"
-            )
-        if (
-            self.policy.comm_memory_bandwidth_gbps
-            > self.memory.npu_memory_bandwidth_gbps
-        ):
-            raise ConfigurationError(
-                "cannot allocate more memory bandwidth to communication than available"
-            )
-        if (
-            self.endpoint is EndpointKind.ACE
-            and self.ace.memory_bandwidth_gbps > self.memory.npu_memory_bandwidth_gbps
-        ):
+        hbm = self.memory.npu_memory_bandwidth_gbps
+        # Checked before the policy rule: ``SimJob.build_system`` copies an
+        # ACE slice override into the policy, so this names the field the
+        # user set.
+        if self.endpoint is EndpointKind.ACE and self.ace.memory_bandwidth_gbps > hbm:
             # The ACE endpoint books its DMA channels at this bandwidth.
             raise ConfigurationError(
                 f"ace.memory_bandwidth_gbps must be at most "
-                f"memory.npu_memory_bandwidth_gbps ({self.memory.npu_memory_bandwidth_gbps}), "
+                f"memory.npu_memory_bandwidth_gbps ({hbm}), "
                 f"got {self.ace.memory_bandwidth_gbps}",
                 field="ace.memory_bandwidth_gbps",
+            )
+        if self.policy.comm_sms > self.compute.num_sms:
+            raise ConfigurationError(
+                f"cannot allocate more SMs to communication than the NPU has: "
+                f"policy.comm_sms must be at most compute.num_sms "
+                f"({self.compute.num_sms}), got {self.policy.comm_sms}",
+                field="policy.comm_sms",
+            )
+        if self.policy.comm_memory_bandwidth_gbps > hbm:
+            raise ConfigurationError(
+                f"cannot allocate more memory bandwidth to communication than "
+                f"available: policy.comm_memory_bandwidth_gbps must be at most "
+                f"memory.npu_memory_bandwidth_gbps ({hbm}), "
+                f"got {self.policy.comm_memory_bandwidth_gbps}",
+                field="policy.comm_memory_bandwidth_gbps",
             )
         if self.parallelism is not None:
             # Imported lazily: training.parallelism (via workloads.base)
@@ -399,15 +393,6 @@ class SystemConfig:
         elif self.policy.comm_uses_memory:
             reserved = self.policy.comm_memory_bandwidth_gbps
         return max(0.0, self.memory.npu_memory_bandwidth_gbps - reserved)
-
-    @property
-    def comm_memory_bandwidth_gbps(self) -> float:
-        """HBM bandwidth available for collective traffic."""
-        if self.endpoint is EndpointKind.IDEAL:
-            return self.memory.npu_memory_bandwidth_gbps
-        if self.endpoint is EndpointKind.ACE:
-            return self.ace.memory_bandwidth_gbps
-        return self.policy.comm_memory_bandwidth_gbps
 
     @property
     def comm_sm_bandwidth_gbps(self) -> float:

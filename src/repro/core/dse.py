@@ -1,11 +1,12 @@
 """ACE design-space exploration (Fig. 9a).
 
-Sweeps the SRAM capacity and FSM count of the ACE configuration, simulates the
-training workloads on each design point, and reports iteration time normalised
-to the paper's selected design (4 MB SRAM, 16 FSMs).  Smaller SRAMs admit
-fewer chunks concurrently and fewer FSMs process fewer chunk-phases in
-parallel, so both starve the network pipeline; beyond the selected point the
-returns diminish because the inter-package links are already saturated.
+Sweeps the SRAM capacity and FSM count of the ACE configuration, drives a
+large all-reduce through each design point, and reports its performance
+normalised to the paper's selected design (4 MB SRAM, 16 FSMs).  Smaller
+SRAMs admit fewer chunks concurrently and fewer FSMs process fewer
+chunk-phases in parallel, so both starve the network pipeline; beyond the
+selected point the returns diminish because the inter-package links are
+already saturated.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ def ace_config_for(sram_mb: float, num_fsms: int) -> AceConfig:
 
 def sweep_design_space(
     design_points: Sequence[DesignPoint],
-    workloads: Sequence[str] = ("resnet50",),
     sizes: Sequence[int] = (16, 64),
     reference: DesignPoint = (4, 16),
-    iterations: int = 2,
     fast: bool = True,
     runner=None,
 ) -> List[Dict[str, object]]:
@@ -41,17 +40,13 @@ def sweep_design_space(
     (64 MB) all-reduce — the quantity the SRAM capacity (number of in-flight
     chunks) and the FSM count (number of chunk-phases processed in parallel)
     directly govern — geometrically averaged across platform sizes, and
-    normalised to the paper's selected design point.  ``workloads`` and
-    ``iterations`` are accepted for API compatibility with the full
-    (training-loop based) sweep, which the same function performs when the
-    caller passes ``fast=False`` workload sweeps through
-    :func:`repro.experiments.fig9_dse.run_fig9a`.  The (design point x size)
-    grid runs as one batch through ``runner``.
+    normalised to the paper's selected design point.  ``fast`` drives 16 MB
+    instead of 64 MB.  The (design point x size) grid runs as one batch
+    through ``runner``.
     """
     from repro.runner import default_runner, network_drive_job
     from repro.units import KB, MB as _MB
 
-    del workloads, iterations  # collective-drive proxy; see docstring
     runner = runner or default_runner()
     points = list(dict.fromkeys([tuple(p) for p in design_points] + [tuple(reference)]))
     chunk = 64 * KB

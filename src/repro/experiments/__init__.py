@@ -28,7 +28,7 @@ table4    table4-area      Table IV — ACE area and power
 
 :mod:`repro.experiments.cross_topology` extends past the paper: it sweeps
 (topology x collective algorithm x platform size) through the planner
-registry and the sweep runner; see ``cross_topology_jobs``.
+and the sweep runner; see ``cross_topology_jobs``.
 :mod:`repro.experiments.model_agreement` reproduces the paper's
 model-validation methodology: every cell runs on both models of a pair
 (network backends or compute models) and the fast model must track the

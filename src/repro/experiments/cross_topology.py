@@ -5,7 +5,7 @@ all-reduce and direct all-to-all on the 3D torus (Section V) — and this
 experiment opens that choice up.  For every platform size it enumerates the
 shipped fabrics (the canonical ``LxVxH`` torus, the degenerate 2D torus, a
 flat ring, a switch group, and a fully-connected fabric), asks the planner
-registry which algorithms can run the collective on each
+which algorithms can run the collective on each
 (:func:`repro.collectives.planner.supported_algorithms`), and drives every
 feasible (topology x algorithm x system) cell through the
 :class:`~repro.runner.SweepRunner` as one parallel, cached batch of

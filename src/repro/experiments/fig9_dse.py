@@ -39,7 +39,6 @@ REFERENCE_POINT: Tuple[float, int] = (4, 16)
 
 def run_fig9a(
     fast: bool = True,
-    workloads: Sequence[str] = ("resnet50",),
     sizes: Sequence[int] = (16,),
     runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, object]]:
@@ -49,7 +48,6 @@ def run_fig9a(
         points.append(REFERENCE_POINT)
     return sweep_design_space(
         design_points=points,
-        workloads=workloads,
         sizes=sizes,
         reference=REFERENCE_POINT,
         fast=fast,

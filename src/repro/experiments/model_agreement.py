@@ -28,12 +28,10 @@ disagree beyond noise, trust the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.compute.backend import validate_compute_backend_name
 from repro.errors import ConfigurationError
 from repro.experiments.common import FAST_CHUNK_BYTES
-from repro.network.backend import validate_backend_name
 from repro.runner import SimJob, SweepRunner, default_runner
 from repro.units import MB
 
@@ -57,8 +55,6 @@ class AgreementKnob:
     training_cells: Tuple[Tuple[str, int], ...]
     #: Default (fabric spec, collective op) network-drive cells.
     drive_cells: Tuple[Tuple[str, str], ...]
-    #: Rejects a model name the registry does not know.
-    validate: Callable[[str], object]
 
 
 #: GNMT is validated at 8 NPUs only on the network axis because its
@@ -84,7 +80,6 @@ KNOBS: Dict[str, AgreementKnob] = {
             ("switch:16", "all_reduce"),
             ("fc:16", "all_reduce"),
         ),
-        validate=validate_backend_name,
     ),
     "compute": AgreementKnob(
         models=("roofline", "execution-unit"),
@@ -99,7 +94,6 @@ KNOBS: Dict[str, AgreementKnob] = {
             ("gnmt", 16),
         ),
         drive_cells=(),
-        validate=validate_compute_backend_name,
     ),
 }
 
@@ -114,7 +108,8 @@ def agreement_jobs(
 ) -> List[SimJob]:
     """Paired job specs: each cell once per model, first-of-pair first.
 
-    ``backends`` is the model pair (default: the knob's); cells left unset
+    ``backends`` is the model pair (default: the knob's), whose names each
+    :class:`~repro.runner.SimJob` checks as it is built; cells left unset
     take the knob's defaults.  Training cells larger than
     :data:`MAX_VALIDATED_NPUS` are rejected up front.
     """
@@ -126,8 +121,6 @@ def agreement_jobs(
         raise ConfigurationError(
             f"{knob} agreement needs exactly two distinct models, got {pair!r}"
         )
-    for name in pair:
-        spec.validate(name)
     if training_cells is None:
         training_cells = spec.training_cells
     if drive_cells is None:

@@ -50,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config.system import DIMENSION_LINK_CLASS, NetworkConfig
 from repro.errors import TopologyError
-from repro.network.backend import NetworkBackend, mean_utilization, register_backend
+from repro.network.backend import NetworkBackend, mean_utilization
 from repro.network.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthResource, Reservation
@@ -72,7 +72,6 @@ MAX_MESSAGES_PER_STEP = 8
 Carving = Tuple[BandwidthResource, int, int, float, List[float]]
 
 
-@register_backend("detailed")
 class DetailedBackend(NetworkBackend):
     """Per-port, per-message network model for the representative NPU.
 

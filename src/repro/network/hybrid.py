@@ -22,7 +22,7 @@ bounds the disagreement).
 Hot-dimension selection
 -----------------------
 :func:`most_contended_dimension` plans a representative all-reduce with the
-registry planner, takes each dimension's injected-bytes fraction
+planner, takes each dimension's injected-bytes fraction
 (:meth:`~repro.collectives.base.CollectivePlan.per_dimension_injected_fraction`)
 and divides by the dimension's provisioned bandwidth — bytes per unit
 bandwidth is the serialization pressure that creates queuing.  The argmax
@@ -36,7 +36,7 @@ from typing import Callable, Dict, List
 
 from repro.config.system import NetworkConfig
 from repro.errors import TopologyError
-from repro.network.backend import NetworkBackend, mean_utilization, register_backend
+from repro.network.backend import NetworkBackend, mean_utilization
 from repro.network.detailed import DetailedBackend
 from repro.network.symmetric import SymmetricFabric
 from repro.network.topology import Topology
@@ -74,7 +74,6 @@ def most_contended_dimension(topology: Topology, network: NetworkConfig) -> str:
     return best
 
 
-@register_backend("hybrid")
 class HybridBackend(NetworkBackend):
     """Detailed model on the most-contended dimension, pipes elsewhere.
 

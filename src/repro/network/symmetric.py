@@ -27,13 +27,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.config.system import NetworkConfig
 from repro.errors import TopologyError
-from repro.network.backend import NetworkBackend, mean_utilization, register_backend
+from repro.network.backend import NetworkBackend, mean_utilization
 from repro.network.topology import Topology
 from repro.sim.resources import BandwidthResource, Reservation
 from repro.sim.trace import IntervalTracer, UtilizationTrace
 
 
-@register_backend("symmetric")
 class SymmetricFabric(NetworkBackend):
     """Per-dimension pipes for the representative NPU of a symmetric fabric.
 

@@ -28,13 +28,13 @@ from typing import Dict, Mapping, Optional, Tuple
 from repro.analysis.bandwidth import measure_network_drive
 from repro.collectives.base import CollectiveOp
 from repro.collectives.planner import AUTO, algorithms
-from repro.compute.backend import resolve_compute_backend_name, validate_compute_backend_name
+from repro.compute.npu import COMPUTE_BACKENDS
 from repro.config.fields import POSITIVE, check
 from repro.config.presets import make_system, torus_shape_for_npus
 from repro.config.system import AceConfig, SystemConfig
 from repro.core.area_power import AceAreaPowerModel
 from repro.errors import ConfigurationError
-from repro.network.backend import validate_backend_name
+from repro.network import NETWORK_BACKENDS
 from repro.network.topology import Topology, topology_from_spec, torus_from_shape
 from repro.training.loop import simulate_training
 from repro.workloads.registry import build_workload
@@ -44,12 +44,7 @@ JOB_KINDS = ("training", "network_drive", "area_power")
 #: Override sections that map onto the nested :class:`SystemConfig` dataclasses.
 _CONFIG_SECTIONS = ("compute", "memory", "network", "ace", "policy")
 #: Top-level scalar SystemConfig fields that may be overridden directly.
-_CONFIG_SCALARS = (
-    "name",
-    "collective_scheduling",
-    "collective_launch_overhead_ns",
-    "network_backend_auto_threshold",
-)
+_CONFIG_SCALARS = ("name", "collective_scheduling", "collective_launch_overhead_ns")
 _OVERRIDE_KEYS = frozenset(_CONFIG_SECTIONS + _CONFIG_SCALARS)
 #: (SimJob field, SystemConfig field) of each model knob a sweep cell pins.
 _JOB_KNOBS = (
@@ -57,6 +52,13 @@ _JOB_KNOBS = (
     ("backend", "network_backend"),
     ("compute", "compute_backend"),
     ("parallelism", "parallelism"),
+)
+#: (SimJob field, what its value names, the names it accepts) of each knob
+#: that picks a model from a fixed table.
+_MODEL_NAMES = (
+    ("algorithm", "collective algorithm", (AUTO,) + algorithms()),
+    ("backend", "network backend", NETWORK_BACKENDS),
+    ("compute", "compute backend", COMPUTE_BACKENDS),
 )
 
 
@@ -100,7 +102,7 @@ class SimJob:
     #: Collective algorithm for the planner ("auto" = cheapest feasible).
     algorithm: str = AUTO
     #: Network backend executing the job ("symmetric" | "detailed" |
-    #: "hybrid" | "auto"); ``None`` keeps the preset's symmetric model.
+    #: "hybrid"); ``None`` keeps the preset's symmetric model.
     backend: Optional[str] = None
     chunk_bytes: Optional[int] = field(default=None, metadata=POSITIVE)
     # -- training jobs ---------------------------------------------------
@@ -120,7 +122,7 @@ class SimJob:
     #: workload's native strategy.
     parallelism: Optional[str] = None
     #: Compute backend pricing training kernels ("roofline" |
-    #: "execution-unit" | "auto"); ``None`` keeps the preset's roofline model.
+    #: "execution-unit"); ``None`` keeps the preset's roofline model.
     compute: Optional[str] = None
     # -- network-drive jobs ----------------------------------------------
     payload_bytes: Optional[int] = field(default=None, metadata=POSITIVE)
@@ -149,20 +151,18 @@ class SimJob:
             raise ConfigurationError(
                 f"unknown job kind {self.kind!r}; expected one of {JOB_KINDS}"
             )
-        if self.algorithm != AUTO and self.algorithm not in algorithms():
-            raise ConfigurationError(
-                f"unknown collective algorithm {self.algorithm!r}; expected "
-                f"'auto' or one of {list(algorithms())}"
-            )
-        if self.backend is not None:
-            validate_backend_name(self.backend)
         for knob in ("compute", "parallelism"):
             if getattr(self, knob) is not None and self.kind != "training":
                 raise ConfigurationError(
                     f"{knob} only applies to training jobs, not {self.kind!r}"
                 )
-        if self.compute is not None:
-            validate_compute_backend_name(self.compute)
+        for knob, what, names in _MODEL_NAMES:
+            value = getattr(self, knob)
+            if value is not None and value not in names:
+                raise ConfigurationError(
+                    f"unknown {what} {value!r}; expected one of {list(names)}",
+                    field=knob,
+                )
         if self.fabric is not None:
             # Validate eagerly so a bad spec fails at submission, not in a worker.
             topology_from_spec(self.fabric)
@@ -185,7 +185,7 @@ class SimJob:
                     "cost_table only applies to trace-driven training jobs; "
                     "set a trace name"
                 )
-            # Registry lookup only — no filesystem IO at submission time; the
+            # Table lookup only — no filesystem IO at submission time; the
             # trace file itself is resolved in the worker at execute().
             from repro.traces.cost import find_cost_table
 
@@ -316,9 +316,7 @@ class SimJob:
                 workload = lower_trace(
                     find_trace(self.trace),
                     self.cost_table,
-                    compute_backend=resolve_compute_backend_name(
-                        system.compute_backend, num_npus=topology.num_nodes
-                    ),
+                    compute_backend=system.compute_backend,
                 )
             else:
                 workload = build_workload(self.workload)

@@ -9,8 +9,7 @@ DLRM variants, pipeline-staged models — become JSON files instead of Python:
   validation and ``traces/`` directory discovery.
 * :mod:`repro.traces.cost` — per-device cost tables mapping op descriptors
   to :class:`~repro.compute.kernels.KernelCost` via the existing roofline,
-  with a measured-duration passthrough mode and a registration extension
-  point.
+  with a measured-duration passthrough mode.
 * :mod:`repro.traces.schedule` — the DAG scheduler lowering a trace into
   the training loop's layer/collective stream
   (:class:`~repro.workloads.base.Workload`), so traces ride the planner,
@@ -31,7 +30,6 @@ from repro.traces.cost import (
     DeviceCostTable,
     cost_table_names,
     find_cost_table,
-    register_cost_table,
 )
 from repro.traces.format import (
     TRACE_DIR_ENV,
@@ -61,7 +59,6 @@ __all__ = [
     "find_trace",
     "load_trace_file",
     "lower_trace",
-    "register_cost_table",
     "topological_order",
     "workload_to_trace",
 ]

@@ -22,10 +22,9 @@ into :class:`~repro.compute.kernels.KernelCost` objects:
   floor at the overhead: the training loop skips zero-cost kernels
   entirely.)
 
-The registry ships the paper's NPU plus the NVIDIA data-center parts that
-public per-GPU cost tables (byteprofile-analysis ``gpu_models_info`` style)
-commonly describe; :func:`register_cost_table` is the extension point for
-adding in-house devices without touching this module.
+The devices are a fixed table: the paper's NPU plus the NVIDIA data-center
+parts that public per-GPU cost tables (byteprofile-analysis
+``gpu_models_info`` style) commonly describe.
 """
 
 from __future__ import annotations
@@ -65,11 +64,12 @@ class DeviceCostTable:
     def backend(self, compute_backend: Optional[str] = None):
         """This device's compute backend (used to invert measured durations).
 
-        ``compute_backend`` is a registered backend name or ``"auto"``
-        (``None`` = the roofline default).  No platform size is in scope at
-        cost-table time, so ``"auto"`` resolves to the roofline model.
+        ``compute_backend`` is a name of
+        :data:`~repro.compute.npu.COMPUTE_BACKENDS` (``None`` = the roofline
+        default).
         """
-        from repro.compute.backend import DEFAULT_COMPUTE_BACKEND, make_compute_backend
+        from repro.compute.backend import DEFAULT_COMPUTE_BACKEND
+        from repro.compute.npu import make_compute_backend
 
         return make_compute_backend(
             compute_backend or DEFAULT_COMPUTE_BACKEND,
@@ -131,60 +131,38 @@ class DeviceCostTable:
         raise TraceError(f"{context}: cost table {self.name!r} cannot resolve op kind {kind!r}")
 
 
-#: The built-in device registry.  ``paper-npu`` matches the paper's NPU
+#: Every device a trace job can name.  ``paper-npu`` matches the paper's NPU
 #: (Section V: 80 SMs, 120 FP16 TFLOPS, HBM2) and is the default; the NVIDIA
 #: entries use the public datasheet dense-FP16 rates.
-_COST_TABLES: Dict[str, DeviceCostTable] = {}
-
-
-def register_cost_table(table: DeviceCostTable) -> DeviceCostTable:
-    """Add a device to the registry (the extension point for new hardware).
-
-    Raises :class:`~repro.errors.TraceError` on a duplicate name, so two
-    extensions cannot silently fight over the same table.
-    """
-    if table.name in _COST_TABLES:
-        raise TraceError(f"cost table {table.name!r} is already registered")
-    _COST_TABLES[table.name] = table
-    return table
-
-
-def _register_builtins() -> None:
-    register_cost_table(
+_COST_TABLES: Dict[str, DeviceCostTable] = {
+    table.name: table
+    for table in (
         DeviceCostTable(
             name="paper-npu",
             tflops=120.0,
             memory_bandwidth_gbps=900.0,
             description="the paper's NPU: 80 SMs, 120 FP16 TFLOPS, HBM2 (Section V)",
-        )
-    )
-    register_cost_table(
+        ),
         DeviceCostTable(
             name="v100",
             tflops=125.0,
             memory_bandwidth_gbps=900.0,
             description="NVIDIA V100 SXM2: 125 FP16 TFLOPS, 900 GB/s HBM2",
-        )
-    )
-    register_cost_table(
+        ),
         DeviceCostTable(
             name="a100",
             tflops=312.0,
             memory_bandwidth_gbps=1555.0,
             description="NVIDIA A100 SXM4 40GB: 312 FP16 TFLOPS, 1555 GB/s HBM2e",
-        )
-    )
-    register_cost_table(
+        ),
         DeviceCostTable(
             name="h100",
             tflops=989.0,
             memory_bandwidth_gbps=3350.0,
             description="NVIDIA H100 SXM5: 989 FP16 TFLOPS, 3350 GB/s HBM3",
-        )
+        ),
     )
-
-
-_register_builtins()
+}
 
 
 def cost_table_names() -> List[str]:

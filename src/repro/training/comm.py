@@ -27,7 +27,8 @@ from repro.config.system import SystemConfig
 from repro.endpoint.base import Endpoint, PhaseWork
 from repro.endpoint.factory import make_endpoint
 from repro.errors import ConfigurationError, SchedulingError
-from repro.network.backend import NetworkBackend, make_network_backend
+from repro.network import make_network_backend
+from repro.network.backend import NetworkBackend
 from repro.network.messages import split_payload
 from repro.network.topology import Topology
 from repro.sim.engine import Simulator
@@ -111,14 +112,13 @@ class _StageJoin:
 
 
 class CollectiveExecutor:
-    """Chunk-level collective execution over a pluggable network backend.
+    """Chunk-level collective execution over a network backend.
 
     The backend is ``system.network_backend``: ``"symmetric"`` for the fast
     analytical model, ``"detailed"`` for the contention-aware per-link model,
-    ``"hybrid"`` for per-link detail on one dimension, ``"auto"`` for the
-    size heuristic.  A pre-built backend instance may be passed as
-    ``fabric=``; it must have been built for the same topology the executor
-    is given.
+    ``"hybrid"`` for per-link detail on one dimension.  A pre-built backend
+    instance may be passed as ``fabric=``; it must have been built for the
+    same topology the executor is given.
     """
 
     def __init__(
@@ -153,10 +153,7 @@ class CollectiveExecutor:
             self.fabric = fabric
         else:
             self.fabric = make_network_backend(
-                system.network_backend,
-                topology,
-                system.network,
-                auto_threshold=system.network_backend_auto_threshold,
+                system.network_backend, topology, system.network
             )
         self.chunk_bytes = chunk_bytes or system.ace.chunk_bytes
         if self.chunk_bytes <= 0:

@@ -79,13 +79,7 @@ class TrainingLoop:
             )
 
         self.sim = Simulator()
-        # The platform size steers ``compute_backend="auto"`` (execution-unit
-        # at small scale, roofline for the big sweeps).
-        self.compute = NpuComputeEngine(
-            system,
-            time_scale=workload.compute_time_scale,
-            num_npus=self.topology.num_nodes,
-        )
+        self.compute = NpuComputeEngine(system, time_scale=workload.compute_time_scale)
         self.executor = CollectiveExecutor(self.sim, system, self.topology, chunk_bytes=chunk_bytes)
 
         self._exposed_comm_ns = 0.0

@@ -1,4 +1,4 @@
-"""Network-backend registry, protocol, and cross-backend equivalence tests."""
+"""Network-backend table, protocol, and cross-backend equivalence tests."""
 
 from __future__ import annotations
 
@@ -17,16 +17,12 @@ from repro.experiments.model_agreement import (
 )
 from oracles import max_disagreement
 from repro.network import (
-    DEFAULT_AUTO_NPU_THRESHOLD,
     MAX_DETAILED_NPUS,
-    MAX_HYBRID_NPUS,
+    NETWORK_BACKENDS,
     DetailedBackend,
-    HybridBackend,
     NetworkBackend,
     SymmetricFabric,
-    backend_names,
     make_network_backend,
-    resolve_backend_name,
     topology_from_spec,
 )
 from repro.runner import ResultCache, SimJob, SweepRunner
@@ -37,15 +33,13 @@ from repro.units import KB, MB
 
 
 # ---------------------------------------------------------------------------
-# Registry and auto heuristic
+# The backend table
 # ---------------------------------------------------------------------------
 
 
 class TestBackendRegistry:
     def test_builtin_backends_are_registered(self):
-        names = backend_names()
-        assert "symmetric" in names
-        assert "detailed" in names
+        assert list(NETWORK_BACKENDS) == ["symmetric", "detailed", "hybrid"]
 
     def test_make_backend_builds_the_named_class(self, torus_422):
         network = NetworkConfig()
@@ -60,27 +54,6 @@ class TestBackendRegistry:
         with pytest.raises(ConfigurationError, match="unknown network backend"):
             make_network_backend("garnet", torus_422, NetworkConfig())
 
-    def test_auto_ladder_detailed_hybrid_symmetric(self):
-        small = topology_from_spec("torus:4x2x2")
-        at_threshold = topology_from_spec("torus:4x4x4")
-        mid = topology_from_spec("torus:8x4x4")
-        large = topology_from_spec("torus:8x16x8")
-        huge = topology_from_spec("torus:16x16x16")
-        assert at_threshold.num_nodes == DEFAULT_AUTO_NPU_THRESHOLD
-        assert large.num_nodes <= MAX_HYBRID_NPUS < huge.num_nodes
-        assert resolve_backend_name("auto", small) == "detailed"
-        assert resolve_backend_name("auto", at_threshold) == "detailed"
-        assert resolve_backend_name("auto", mid) == "hybrid"
-        assert resolve_backend_name("auto", large) == "hybrid"
-        assert resolve_backend_name("auto", huge) == "symmetric"
-
-    def test_auto_threshold_is_configurable(self, torus_422):
-        # Above the detailed threshold (but under the hybrid cap) "auto"
-        # lands on the hybrid rung.
-        assert resolve_backend_name("auto", torus_422, auto_threshold=8) == "hybrid"
-        with pytest.raises(ConfigurationError, match="threshold must be positive"):
-            resolve_backend_name("auto", torus_422, auto_threshold=0)
-
     def test_explicit_detailed_above_cap_is_infeasible(self):
         huge = topology_from_spec("torus:8x16x8")
         assert huge.num_nodes > MAX_DETAILED_NPUS
@@ -91,7 +64,7 @@ class TestBackendRegistry:
         for name in ("symmetric", "detailed"):
             backend = make_network_backend(name, torus_422, NetworkConfig())
             assert isinstance(backend, NetworkBackend)
-            assert backend.name == name
+            assert type(backend) is NETWORK_BACKENDS[name]
             assert backend.has_dimension("local")
             assert not backend.has_dimension("nonexistent")
             assert set(backend.dimensions) == {"local", "vertical", "horizontal"}
@@ -227,20 +200,14 @@ class TestBackendKnob:
         )
         assert isinstance(overridden.fabric, SymmetricFabric)
 
-    def test_auto_backend_respects_system_threshold(self):
-        topology = topology_from_spec("torus:4x2x2")
-        system = make_system("ace").with_overrides(network_backend="auto").with_overrides(
-            network_backend_auto_threshold=8
-        )
-        executor = CollectiveExecutor(Simulator(), system, topology)
-        assert isinstance(executor.fabric, HybridBackend)
-
     def test_simjob_backend_round_trip_and_conflict(self):
         job = SimJob(workload="resnet50", num_npus=16, backend="detailed")
         assert SimJob.from_json(job.to_json()) == job
         assert job.build_system().network_backend == "detailed"
-        with pytest.raises(ConfigurationError, match="unknown network backend"):
-            SimJob(workload="resnet50", num_npus=16, backend="garnet")
+        for name in ("garnet", "auto"):
+            with pytest.raises(ConfigurationError, match="unknown network backend") as info:
+                SimJob(workload="resnet50", num_npus=16, backend=name)
+            assert info.value.field == "backend"
         # The job field is the only job-level spelling of the backend.
         with pytest.raises(ConfigurationError, match="unknown override section 'network_backend'"):
             SimJob(

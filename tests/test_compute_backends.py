@@ -1,6 +1,6 @@
 """Tests for the pluggable compute-backend layer.
 
-Covers the registry and its typed errors, the execution-unit model's edge
+Covers the backend table and its typed errors, the execution-unit model's edge
 cases (zero-flop kernels, the roofline ridge point, the never-faster
 invariant), the measured-op inversion round trip on both backends, the
 ``SimJob.compute`` knob, the scenario plumbing, and the ``docs/KNOBS.md``
@@ -12,24 +12,17 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from repro.compute import (
-    AUTO_COMPUTE_BACKEND,
-    DEFAULT_COMPUTE_AUTO_NPU_THRESHOLD,
+    COMPUTE_BACKENDS,
     DEFAULT_COMPUTE_BACKEND,
-    ComputeBackend,
     ExecutionUnitModel,
     KernelCost,
     NpuComputeEngine,
     RooflineModel,
-    compute_backend_names,
     make_compute_backend,
-    register_compute_backend,
-    resolve_compute_backend_name,
-    validate_compute_backend_name,
 )
 from repro.config.presets import make_system
 from repro.config.system import ComputeConfig
@@ -73,63 +66,27 @@ KERNEL_GRID = (
 
 class TestRegistry:
     def test_builtin_backends_are_registered(self):
-        names = compute_backend_names()
-        assert set(names) == {"roofline", "execution-unit"}
-        assert DEFAULT_COMPUTE_BACKEND in names
+        assert COMPUTE_BACKENDS == ("roofline", "execution-unit")
+        assert DEFAULT_COMPUTE_BACKEND in COMPUTE_BACKENDS
 
     def test_unknown_name_raises_typed_error_naming_choices(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            validate_compute_backend_name("systolic")
+            training_job("ace", "resnet50", num_npus=16, compute="systolic")
+        assert excinfo.value.field == "compute"
         message = str(excinfo.value)
         assert "systolic" in message
         assert "roofline" in message
         assert "execution-unit" in message
-        assert AUTO_COMPUTE_BACKEND in message
-
-    def test_auto_is_reserved(self):
-        with pytest.raises(ConfigurationError, match="reserved"):
-            @register_compute_backend(AUTO_COMPUTE_BACKEND)
-            class Bad(ComputeBackend):  # pragma: no cover - never registered
-                def kernel_time_ns(self, cost):
-                    return 0.0
-
-                def invert_duration_ns(self, duration_ns):
-                    return 0.0
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            @register_compute_backend("roofline")
-            class Clash(ComputeBackend):  # pragma: no cover - never registered
-                def kernel_time_ns(self, cost):
-                    return 0.0
-
-                def invert_duration_ns(self, duration_ns):
-                    return 0.0
-
-    def test_auto_resolution_validates_small_and_sweeps_large(self):
-        threshold = DEFAULT_COMPUTE_AUTO_NPU_THRESHOLD
-        assert resolve_compute_backend_name("auto", num_npus=8) == "execution-unit"
-        assert resolve_compute_backend_name("auto", num_npus=threshold) == "execution-unit"
-        assert resolve_compute_backend_name("auto", num_npus=threshold + 1) == "roofline"
-        assert resolve_compute_backend_name("auto", num_npus=None) == "roofline"
-        # Explicit names pass through regardless of size.
-        assert resolve_compute_backend_name("roofline", num_npus=2) == "roofline"
-        assert resolve_compute_backend_name("execution-unit", num_npus=512) == "execution-unit"
-
-    def test_auto_threshold_override_and_validation(self):
-        assert resolve_compute_backend_name("auto", num_npus=64, auto_threshold=64) == (
-            "execution-unit"
-        )
-        with pytest.raises(ConfigurationError, match="threshold"):
-            resolve_compute_backend_name("auto", num_npus=4, auto_threshold=0)
 
     def test_factory_builds_by_name_and_resolves_auto(self):
-        roofline = make_compute_backend("roofline", TFLOPS, BW_GBPS)
-        assert roofline.name == "roofline"
-        auto_small = make_compute_backend("auto", TFLOPS, BW_GBPS, num_npus=8)
-        assert isinstance(auto_small, ExecutionUnitModel)
-        with pytest.raises(ConfigurationError, match="unknown compute backend"):
-            make_compute_backend("nope", TFLOPS, BW_GBPS)
+        assert isinstance(make_compute_backend("roofline", TFLOPS, BW_GBPS), RooflineModel)
+        assert isinstance(
+            make_compute_backend("execution-unit", TFLOPS, BW_GBPS), ExecutionUnitModel
+        )
+        # "auto" names no model: no size heuristic picks one any more.
+        for name in ("auto", "nope"):
+            with pytest.raises(ConfigurationError, match="unknown compute backend"):
+                make_compute_backend(name, TFLOPS, BW_GBPS)
 
 
 class TestRooflineBackend:
@@ -215,6 +172,8 @@ class TestExecutionUnitModel:
             assert eu.kernel_time_ns(replay) == pytest.approx(duration_ns, rel=1e-9)
 
     def test_invalid_unit_parameters_name_the_field(self):
+        # The model takes its units from a ComputeConfig, whose field bounds
+        # are the one check of these parameters.
         for field, value in (
             ("matrix_unit_fraction", 0.0),
             ("vector_unit_fraction", 1.5),
@@ -226,9 +185,9 @@ class TestExecutionUnitModel:
             ("unit_sram_bytes", 0),
             ("register_file_bytes", -1),
         ):
-            units = SimpleNamespace(**{**ComputeConfig().__dict__, field: value})
-            with pytest.raises(ConfigurationError, match=field):
-                ExecutionUnitModel(TFLOPS, BW_GBPS, units=units)
+            with pytest.raises(ConfigurationError, match=field) as excinfo:
+                ComputeConfig(**{field: value})
+            assert excinfo.value.field == field
 
     def test_compute_config_validates_unit_fields(self):
         with pytest.raises(ConfigurationError, match="unit_occupancy"):
@@ -252,19 +211,10 @@ class TestSystemThreading:
         assert make_system("ace").compute_backend == DEFAULT_COMPUTE_BACKEND
         system = make_system("ace").with_overrides(compute_backend="execution-unit")
         assert system.compute_backend == "execution-unit"
-        assert make_system("ace").with_overrides(compute_backend="auto").compute_backend == "auto"
 
     def test_system_config_rejects_empty_backend_name(self):
         with pytest.raises(ConfigurationError, match="compute_backend"):
             make_system("ace").with_overrides(compute_backend="")
-
-    def test_engine_resolves_auto_by_platform_size(self):
-        system = make_system("ace").with_overrides(compute_backend="auto")
-        small = NpuComputeEngine(system, num_npus=8)
-        large = NpuComputeEngine(system, num_npus=128)
-        assert small.backend_name == "execution-unit"
-        assert isinstance(small.backend, ExecutionUnitModel)
-        assert large.backend_name == "roofline"
 
     def test_engine_execution_unit_prices_above_roofline(self):
         roofline_engine = NpuComputeEngine(make_system("ace"))
@@ -293,8 +243,10 @@ class TestSimJobCompute:
             )
 
     def test_unknown_compute_name_rejected_at_submission(self):
-        with pytest.raises(ConfigurationError, match="unknown compute backend"):
-            training_job("ace", "resnet50", num_npus=16, compute="bogus")
+        for name in ("bogus", "auto"):
+            with pytest.raises(ConfigurationError, match="unknown compute backend") as info:
+                training_job("ace", "resnet50", num_npus=16, compute=name)
+            assert info.value.field == "compute"
 
     def test_conflicting_compute_override_rejected(self):
         # ``compute`` is the only job-level spelling of the compute backend.
@@ -582,12 +534,24 @@ class TestKnobsDocCrossReference:
             )
 
     def test_every_backend_name_is_documented(self, knob_tokens):
-        from repro.network.backend import backend_names
+        from repro.network import NETWORK_BACKENDS
 
-        for name in compute_backend_names() + backend_names() + ("auto",):
-            assert name in knob_tokens, (
-                f"backend name {name!r} is not documented in docs/KNOBS.md"
-            )
+        for names in (NETWORK_BACKENDS, COMPUTE_BACKENDS):
+            for name in names:
+                assert name in knob_tokens, (
+                    f"backend name {name!r} is not documented in docs/KNOBS.md"
+                )
+        # ...and the Values cell of each model row lists exactly the table,
+        # so a deleted value cannot stay documented.
+        rows = {}
+        for line in (REPO / "docs" / "KNOBS.md").read_text(encoding="utf-8").splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            rows[cells[0]] = cells[-1]
+        for row, names in (
+            ("Network model", NETWORK_BACKENDS),
+            ("Kernel-timing model", COMPUTE_BACKENDS),
+        ):
+            assert re.findall(r"`([^`]+)`", rows[row]) == list(names), row
 
     def test_every_suite_kind_is_documented(self, knob_tokens):
         from repro.scenarios.schema import SUITE_KINDS

@@ -108,13 +108,13 @@ class TestSystemConfig:
     def test_comp_opt_resource_split(self):
         system = make_system("baseline_comp_opt")
         assert system.policy.comm_sms == 2
-        assert system.comm_memory_bandwidth_gbps == pytest.approx(128.0)
+        assert system.policy.comm_memory_bandwidth_gbps == pytest.approx(128.0)
         assert system.compute_memory_bandwidth_gbps == pytest.approx(772.0)
 
     def test_ace_keeps_all_sms_for_compute(self):
         system = make_system("ace")
         assert system.compute_sms == 80
-        assert system.comm_memory_bandwidth_gbps == pytest.approx(128.0)
+        assert system.ace.memory_bandwidth_gbps == pytest.approx(128.0)
         assert system.compute_memory_bandwidth_gbps == pytest.approx(772.0)
 
     def test_ideal_charges_nothing(self):

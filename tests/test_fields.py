@@ -25,12 +25,7 @@ BASE_JOB = {"workload": "resnet50", "num_npus": 16}
 NAN = float("nan")
 
 SECTIONS = ("compute", "memory", "network", "ace", "policy")
-SCALAR_OVERRIDES = (
-    "name",
-    "collective_scheduling",
-    "collective_launch_overhead_ns",
-    "network_backend_auto_threshold",
-)
+SCALAR_OVERRIDES = ("name", "collective_scheduling", "collective_launch_overhead_ns")
 
 
 def _accepts(hint, value) -> bool:
@@ -124,6 +119,30 @@ def test_any_json_value_in_any_field_builds_or_names_the_field(target, value):
         ({"iterations": 1.5}, "iterations"),
         ({"chunk_bytes": 1.5}, "chunk_bytes"),
         ({"topology": [4, 2]}, "topology"),
+        # Cross-field rules name the field within the system config.
+        (
+            {"system": "baseline_comm_opt", "overrides": {"policy": {"comm_sms": 90}}},
+            "policy.comm_sms",
+        ),
+        (
+            {
+                "system": "baseline_comm_opt",
+                "overrides": {"policy": {"comm_memory_bandwidth_gbps": 950.0}},
+            },
+            "policy.comm_memory_bandwidth_gbps",
+        ),
+        # The job copies an ACE slice override into the policy; the error
+        # still names the field that was set.
+        ({"overrides": {"ace": {"memory_bandwidth_gbps": 950.0}}}, "ace.memory_bandwidth_gbps"),
+        # Model names are checked against their tables; no size heuristic
+        # ("auto" backend, or its threshold) picks a model any more.
+        ({"backend": "auto"}, "backend"),
+        ({"compute": "auto"}, "compute"),
+        ({"algorithm": "bruck"}, "algorithm"),
+        (
+            {"overrides": {"network_backend_auto_threshold": 8}},
+            "overrides.network_backend_auto_threshold",
+        ),
     ],
 )
 def test_job_probe_is_rejected_naming_its_field(spec, field):

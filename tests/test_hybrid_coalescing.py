@@ -21,9 +21,9 @@ from repro.experiments.model_agreement import run_model_agreement
 from repro.network import (
     MAX_DETAILED_NPUS,
     MAX_HYBRID_NPUS,
+    make_network_backend,
     topology_from_spec,
 )
-from repro.network.backend import make_network_backend
 from repro.network.detailed import DetailedBackend
 from repro.network.hybrid import HybridBackend, most_contended_dimension
 from repro.network.symmetric import SymmetricFabric

@@ -59,9 +59,13 @@ class TestMemorySystem:
     def test_allocation_within_budget(self):
         for name in ("baseline_comm_opt", "baseline_comp_opt", "ace"):
             system = make_system(name)
-            assert (
-                system.comm_memory_bandwidth_gbps + system.compute_memory_bandwidth_gbps
-                == pytest.approx(system.memory.npu_memory_bandwidth_gbps)
+            comm = (
+                system.ace.memory_bandwidth_gbps
+                if name == "ace"
+                else system.policy.comm_memory_bandwidth_gbps
+            )
+            assert comm + system.compute_memory_bandwidth_gbps == pytest.approx(
+                system.memory.npu_memory_bandwidth_gbps
             )
         # A slice as wide as the whole HBM is still within budget.
         _ace(memory_bandwidth_gbps=900.0)

@@ -352,7 +352,7 @@ def test_network_drive_simjob_roundtrips_and_distinct_specs_differ(payload, shap
     system=st.sampled_from(SYSTEM_CONFIG_NAMES),
     workload=st.sampled_from(("resnet50", "gnmt", "dlrm")),
     num_npus=st.sampled_from((8, 16, 32)),
-    backend=st.one_of(st.none(), st.sampled_from(("symmetric", "detailed", "auto"))),
+    backend=st.one_of(st.none(), st.sampled_from(("symmetric", "detailed", "hybrid"))),
 )
 def test_simjob_backend_round_trips(system, workload, num_npus, backend):
     job = SimJob(system=system, workload=workload, num_npus=num_npus, backend=backend)

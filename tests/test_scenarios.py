@@ -279,12 +279,18 @@ class TestLoader:
         assert set(_figure_registry()) <= used
 
     def test_unknown_figure_option(self):
-        data = minimal_manifest(
-            suites=[{"kind": "figure", "figure": "fig10", "options": {"bogus": 1}}]
-        )
-        scenario = Scenario.from_dict(data)
-        with pytest.raises(ScenarioError, match=r"does not accept option\(s\) \['bogus'\]"):
-            compile_scenario(scenario)
+        # fig9a's sweep drives one collective per design point; it takes no
+        # workloads.
+        for figure, options, name in (
+            ("fig10", {"bogus": 1}, "bogus"),
+            ("fig9a", {"sizes": [16], "workloads": ["gnmt"]}, "workloads"),
+        ):
+            data = minimal_manifest(
+                suites=[{"kind": "figure", "figure": figure, "options": options}]
+            )
+            scenario = Scenario.from_dict(data)
+            with pytest.raises(ScenarioError, match=rf"does not accept option\(s\) \['{name}'\]"):
+                compile_scenario(scenario)
 
     def test_every_shipped_manifest_compiles(self):
         for scenario in discover_scenarios(SCENARIO_DIR):

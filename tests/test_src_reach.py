@@ -1,9 +1,8 @@
 """Every definition in ``src/repro`` is reached by something other than tests.
 
 An ``ast`` scan collects the module-level functions and classes of
-``src/repro`` and their methods (dunder methods and registry-decorated
-definitions aside: the decorator is their caller).  A definition counts as
-reached when its name appears
+``src/repro`` and their methods (dunder methods aside).  A definition counts
+as reached when its name appears
 
 * in a ``src/`` file as a name, an attribute, an import alias or an
   identifier string (``getattr(obj, "name")``) -- except the imports and
@@ -28,9 +27,6 @@ REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 HARNESSES = ("perfbench", "benchmarks", "examples")
 
-#: Decorators that register a definition with a registry, which then calls it.
-REGISTRY_DECORATORS = {"register_algorithm", "register_backend", "register_compute_backend"}
-
 #: ``path:qualname`` -> why the definition stays although only tests or
 #: users name it.  At most five entries.
 ALLOWLIST = {
@@ -38,26 +34,15 @@ ALLOWLIST = {
         "library call for cache maintenance that README.md documents"
     ),
     "repro/collectives/planner.py:clear_plan_cache": (
-        "tests drop the process-wide plan cache to isolate planner registrations"
+        "library call that drops the process-wide plan cache of a long-lived process"
     ),
 }
-
-
-def _registered(node: ast.AST) -> bool:
-    for decorator in getattr(node, "decorator_list", ()):
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-        if name in REGISTRY_DECORATORS:
-            return True
-    return False
 
 
 def _definitions(tree: ast.Module) -> Iterator[Tuple[str, str]]:
     """``(qualname, name)`` of every module-level definition and method."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if _registered(node):
             continue
         yield node.name, node.name
         if isinstance(node, ast.ClassDef):
@@ -66,8 +51,7 @@ def _definitions(tree: ast.Module) -> Iterator[Tuple[str, str]]:
                     continue
                 if item.name.startswith("__") and item.name.endswith("__"):
                     continue
-                if not _registered(item):
-                    yield f"{node.name}.{item.name}", item.name
+                yield f"{node.name}.{item.name}", item.name
 
 
 def _names(tree: ast.Module, reexports_only: bool, split_dotted: bool) -> Set[str]:

@@ -33,7 +33,6 @@ from repro.runner import SimJob, SweepRunner, trace_job
 from repro.scenarios import find_scenario, run_scenario
 from repro.traces import (
     DEFAULT_COST_TABLE,
-    DeviceCostTable,
     Trace,
     convert_workload,
     cost_table_names,
@@ -41,7 +40,6 @@ from repro.traces import (
     find_cost_table,
     find_trace,
     lower_trace,
-    register_cost_table,
     topological_order,
     workload_to_trace,
 )
@@ -236,10 +234,6 @@ class TestCostTables:
     def test_unknown_table_lists_available(self):
         with pytest.raises(TraceError, match="paper-npu"):
             find_cost_table("tpu-v9")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(TraceError, match="already registered"):
-            register_cost_table(DeviceCostTable(name="a100", tflops=1.0, memory_bandwidth_gbps=1.0))
 
     def test_measured_descriptor_inverts_the_roofline_exactly(self):
         # A measured duration replayed on the table's own device reproduces
