@@ -4,10 +4,11 @@
 The concurrent-runs CI job runs the same scenario in two processes at once
 on one cache directory, then feeds both reports here.  One run simulates a
 spec and the other serves it from the cache, and the two must still report
-*byte-identical results*: every row's ``spec_hash`` and every simulation
-metric must match exactly — not approximately — between the two runs.  Only
-fields that describe *how* a row was obtained rather than *what* was
-simulated are ignored:
+*byte-identical results*.  The committed-reports CI job likewise compares a
+fresh run of each manifest against its reference in ``benchmarks/reports/``.
+Every row's ``spec_hash`` and every simulation metric must match exactly —
+not approximately — between the two reports.  Only fields that describe
+*how* a row was obtained rather than *what* was simulated are ignored:
 
 * per-row ``wall_s`` (timing) and ``from_cache`` (provenance),
 * the top-level ``wall_s`` and ``runner`` counter block.

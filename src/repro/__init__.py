@@ -46,11 +46,6 @@ from repro.config import (
     NetworkConfig,
     ResourcePolicy,
     SystemConfig,
-    ace_system,
-    baseline_comm_opt,
-    baseline_comp_opt,
-    baseline_no_overlap,
-    ideal_system,
     make_system,
     torus_shape_for_npus,
 )
@@ -100,11 +95,6 @@ __all__ = [
     "NetworkConfig",
     "ResourcePolicy",
     "SystemConfig",
-    "ace_system",
-    "baseline_comm_opt",
-    "baseline_comp_opt",
-    "baseline_no_overlap",
-    "ideal_system",
     "make_system",
     "torus_shape_for_npus",
     "CollectiveOp",

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 from repro.collectives.base import CollectiveOp
 from repro.collectives.planner import plan_collective
-from repro.config.system import ResourcePolicy, SystemConfig
+from repro.config.system import SystemConfig
 from repro.errors import ConfigurationError
 from repro.network.topology import Topology, Torus3D
 from repro.sim.engine import Simulator
@@ -98,19 +98,18 @@ def memory_bw_sweep(
     memory_bandwidths_gbps: List[float],
     payload_bytes: int = 64 * MB,
     chunk_bytes: Optional[int] = None,
-    comm_sms_for_baseline: int = 80,
     runner=None,
 ) -> List[Dict[str, float]]:
     """Fig. 5: achieved network BW vs memory BW available for communication.
 
-    The baseline uses all SMs for communication (as in the paper's Fig. 5
+    The baseline uses all 80 SMs for communication (as in the paper's Fig. 5
     setup) so that memory bandwidth is the only bottleneck being swept; ACE
     sweeps its DMA memory-bandwidth slice; the ideal system is the horizontal
     upper-bound line.  The whole sweep is dispatched as one job batch through
     ``runner`` (the shared default runner when omitted).
     """
     # Imported here: repro.runner itself simulates through this module.
-    from repro.runner import default_runner, network_drive_job, section_overrides
+    from repro.runner import default_runner, network_drive_job
 
     runner = runner or default_runner()
     shape = topology.shape
@@ -122,14 +121,7 @@ def memory_bw_sweep(
                 payload_bytes,
                 topology=shape,
                 chunk_bytes=chunk_bytes,
-                overrides=section_overrides(
-                    policy=ResourcePolicy(
-                        comm_sms=comm_sms_for_baseline,
-                        comm_memory_bandwidth_gbps=bw,
-                        comm_uses_npu_sms=True,
-                        comm_uses_memory=True,
-                    )
-                ),
+                overrides={"policy": {"comm_sms": 80, "comm_memory_bandwidth_gbps": bw}},
             )
         )
         jobs.append(
@@ -138,15 +130,7 @@ def memory_bw_sweep(
                 payload_bytes,
                 topology=shape,
                 chunk_bytes=chunk_bytes,
-                overrides={
-                    "ace": {"memory_bandwidth_gbps": bw},
-                    "policy": {
-                        "comm_sms": 0,
-                        "comm_memory_bandwidth_gbps": bw,
-                        "comm_uses_npu_sms": False,
-                        "comm_uses_memory": True,
-                    },
-                },
+                overrides={"ace": {"memory_bandwidth_gbps": bw}},
             )
         )
     drives = runner.run_values(jobs)
@@ -176,15 +160,15 @@ def sm_sweep(
     sm_counts: List[int],
     payload_bytes: int = 64 * MB,
     chunk_bytes: Optional[int] = None,
-    memory_bw_gbps: float = 900.0,
     runner=None,
 ) -> List[Dict[str, float]]:
     """Fig. 6: achieved network BW vs number of SMs used for communication.
 
-    All memory bandwidth is made available to communication (as in the paper),
-    so the SM streaming throughput (~80 GB/s per SM) is the swept bottleneck.
+    All 900 GB/s of memory bandwidth is made available to communication (as
+    in the paper), so the SM streaming throughput (~80 GB/s per SM) is the
+    swept bottleneck.
     """
-    from repro.runner import default_runner, network_drive_job, section_overrides
+    from repro.runner import default_runner, network_drive_job
 
     runner = runner or default_runner()
     jobs = [
@@ -193,14 +177,7 @@ def sm_sweep(
             payload_bytes,
             topology=topology.shape,
             chunk_bytes=chunk_bytes,
-            overrides=section_overrides(
-                policy=ResourcePolicy(
-                    comm_sms=sms,
-                    comm_memory_bandwidth_gbps=memory_bw_gbps,
-                    comm_uses_npu_sms=True,
-                    comm_uses_memory=True,
-                )
-            ),
+            overrides={"policy": {"comm_sms": sms, "comm_memory_bandwidth_gbps": 900.0}},
         )
         for sms in sm_counts
     ]

@@ -17,11 +17,6 @@ from repro.config.system import (
 )
 from repro.config.presets import (
     SYSTEM_CONFIG_NAMES,
-    ace_system,
-    baseline_comm_opt,
-    baseline_comp_opt,
-    baseline_no_overlap,
-    ideal_system,
     make_system,
     torus_shape_for_npus,
 )
@@ -35,11 +30,6 @@ __all__ = [
     "ResourcePolicy",
     "SystemConfig",
     "SYSTEM_CONFIG_NAMES",
-    "ace_system",
-    "baseline_comm_opt",
-    "baseline_comp_opt",
-    "baseline_no_overlap",
-    "ideal_system",
     "make_system",
     "torus_shape_for_npus",
 ]

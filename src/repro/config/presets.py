@@ -1,9 +1,11 @@
-"""Factory functions for the five system configurations of Table VI.
+"""The five system configurations of Table VI, one row each.
 
-The paper evaluates five systems on the same hardware (Table V):
+The paper evaluates five systems on the same hardware (Table V).  They differ
+in what each takes from the NPU for communication:
 
 * **BaselineNoOverlap** — all resources go to compute; all collectives are
-  issued in one blocking batch at the end of back-propagation.
+  issued in one blocking batch at the end of back-propagation, and while they
+  run they get the CommOpt allocation.
 * **BaselineCommOpt** — 6 SMs and 450 GB/s of memory bandwidth are reserved
   for communication, which is enough to reach 90 % of the ideal network drive
   (Figs. 5 and 6).
@@ -11,13 +13,14 @@ The paper evaluates five systems on the same hardware (Table V):
   reserved for communication so the training computation runs faster, at the
   cost of slower collectives.
 * **ACE** — the proposed collectives engine; no NPU SMs are used for
-  communication and only 128 GB/s of DMA bandwidth is drawn from HBM.
+  communication and only its 128 GB/s DMA slice
+  (``AceConfig.memory_bandwidth_gbps``) is drawn from HBM.
 * **Ideal** — endpoint processing is free; an upper bound.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from repro.config.system import (
     AceConfig,
@@ -40,19 +43,42 @@ _TORUS_SHAPES: Dict[int, Tuple[int, int, int]] = {
     256: (4, 8, 8),
 }
 
-SYSTEM_CONFIG_NAMES = (
-    "baseline_no_overlap",
-    "baseline_comm_opt",
-    "baseline_comp_opt",
-    "ace",
-    "ideal",
-)
-
 #: Launch/scheduling overhead per collective on the baseline (a NCCL-class
 #: kernel launch plus CUDA scheduling on a busy GPU, Section III) and on ACE
 #: (the NPU-AFI command interface plus the completion interrupt, Section IV-G).
 BASELINE_LAUNCH_OVERHEAD_NS = 10_000.0
 ACE_LAUNCH_OVERHEAD_NS = 1_500.0
+
+
+class _System(NamedTuple):
+    """One Table VI row: what the system takes from the NPU for communication."""
+
+    label: str
+    endpoint: EndpointKind
+    comm_sms: int
+    comm_memory_bandwidth_gbps: float
+    launch_overhead_ns: float
+
+
+#: The Table VI systems, keyed by the one name jobs and manifests spell.
+_SYSTEMS: Dict[str, _System] = {
+    "baseline_no_overlap": _System(
+        "BaselineNoOverlap", EndpointKind.BASELINE_NO_OVERLAP, 6, 450.0,
+        BASELINE_LAUNCH_OVERHEAD_NS,
+    ),
+    "baseline_comm_opt": _System(
+        "BaselineCommOpt", EndpointKind.BASELINE_COMM_OPT, 6, 450.0,
+        BASELINE_LAUNCH_OVERHEAD_NS,
+    ),
+    "baseline_comp_opt": _System(
+        "BaselineCompOpt", EndpointKind.BASELINE_COMP_OPT, 2, 128.0,
+        BASELINE_LAUNCH_OVERHEAD_NS,
+    ),
+    "ace": _System("ACE", EndpointKind.ACE, 0, 0.0, ACE_LAUNCH_OVERHEAD_NS),
+    "ideal": _System("Ideal", EndpointKind.IDEAL, 0, 0.0, 0.0),
+}
+
+SYSTEM_CONFIG_NAMES = tuple(_SYSTEMS)
 
 
 def torus_shape_for_npus(num_npus: int) -> Tuple[int, int, int]:
@@ -66,143 +92,35 @@ def torus_shape_for_npus(num_npus: int) -> Tuple[int, int, int]:
         ) from None
 
 
-def _base_kwargs(
-    compute: ComputeConfig = None,
-    memory: MemoryConfig = None,
-    network: NetworkConfig = None,
-    ace: AceConfig = None,
-) -> Dict[str, object]:
-    return {
-        "compute": compute or ComputeConfig(),
-        "memory": memory or MemoryConfig(),
-        "network": network or NetworkConfig(),
-        "ace": ace or AceConfig(),
-    }
+def make_system(
+    name: str,
+    *,
+    compute: ComputeConfig = ComputeConfig(),
+    memory: MemoryConfig = MemoryConfig(),
+    network: NetworkConfig = NetworkConfig(),
+    ace: AceConfig = AceConfig(),
+) -> SystemConfig:
+    """Build one of the Table VI configurations by its exact name.
 
-
-def baseline_no_overlap(**overrides) -> SystemConfig:
-    """Table VI BaselineNoOverlap: no compute/communication overlap.
-
-    All collectives are issued in a single blocking phase at the end of
-    back-propagation, so both compute and communication see the full NPU
-    (communication gets the CommOpt resource allocation while it runs, but
-    compute never shares with it).
-    """
-    kwargs = _base_kwargs(**overrides)
-    return SystemConfig(
-        name="BaselineNoOverlap",
-        endpoint=EndpointKind.BASELINE_NO_OVERLAP,
-        policy=ResourcePolicy(
-            comm_sms=6,
-            comm_memory_bandwidth_gbps=450.0,
-            comm_uses_npu_sms=True,
-            comm_uses_memory=True,
-        ),
-        collective_launch_overhead_ns=BASELINE_LAUNCH_OVERHEAD_NS,
-        **kwargs,
-    )
-
-
-def baseline_comm_opt(**overrides) -> SystemConfig:
-    """Table VI BaselineCommOpt: 6 SMs + 450 GB/s memory BW for communication."""
-    kwargs = _base_kwargs(**overrides)
-    return SystemConfig(
-        name="BaselineCommOpt",
-        endpoint=EndpointKind.BASELINE_COMM_OPT,
-        policy=ResourcePolicy(
-            comm_sms=6,
-            comm_memory_bandwidth_gbps=450.0,
-            comm_uses_npu_sms=True,
-            comm_uses_memory=True,
-        ),
-        collective_launch_overhead_ns=BASELINE_LAUNCH_OVERHEAD_NS,
-        **kwargs,
-    )
-
-
-def baseline_comp_opt(**overrides) -> SystemConfig:
-    """Table VI BaselineCompOpt: 2 SMs + 128 GB/s memory BW for communication."""
-    kwargs = _base_kwargs(**overrides)
-    return SystemConfig(
-        name="BaselineCompOpt",
-        endpoint=EndpointKind.BASELINE_COMP_OPT,
-        policy=ResourcePolicy(
-            comm_sms=2,
-            comm_memory_bandwidth_gbps=128.0,
-            comm_uses_npu_sms=True,
-            comm_uses_memory=True,
-        ),
-        collective_launch_overhead_ns=BASELINE_LAUNCH_OVERHEAD_NS,
-        **kwargs,
-    )
-
-
-def ace_system(**overrides) -> SystemConfig:
-    """Table VI ACE: collectives run on the endpoint engine, NPU untouched."""
-    kwargs = _base_kwargs(**overrides)
-    return SystemConfig(
-        name="ACE",
-        endpoint=EndpointKind.ACE,
-        policy=ResourcePolicy(
-            comm_sms=0,
-            comm_memory_bandwidth_gbps=kwargs["ace"].memory_bandwidth_gbps,
-            comm_uses_npu_sms=False,
-            comm_uses_memory=True,
-        ),
-        collective_launch_overhead_ns=ACE_LAUNCH_OVERHEAD_NS,
-        **kwargs,
-    )
-
-
-def ideal_system(**overrides) -> SystemConfig:
-    """Table VI Ideal: endpoint processing is free (1-cycle), upper bound."""
-    kwargs = _base_kwargs(**overrides)
-    return SystemConfig(
-        name="Ideal",
-        endpoint=EndpointKind.IDEAL,
-        policy=ResourcePolicy(
-            comm_sms=0,
-            comm_memory_bandwidth_gbps=0.0,
-            comm_uses_npu_sms=False,
-            comm_uses_memory=False,
-        ),
-        **kwargs,
-    )
-
-
-_FACTORIES = {
-    "baseline_no_overlap": baseline_no_overlap,
-    "baseline_comm_opt": baseline_comm_opt,
-    "baseline_comp_opt": baseline_comp_opt,
-    "ace": ace_system,
-    "ideal": ideal_system,
-}
-
-
-def make_system(name: str, **sections) -> SystemConfig:
-    """Build one of the Table VI configurations by name.
-
-    ``name`` accepts the canonical snake_case identifiers
-    (``baseline_comm_opt``, ``ace``, ...) as well as the paper's CamelCase
-    labels (``BaselineCommOpt``, ``ACE``, ``Ideal``).  ``sections`` replace
-    whole configuration sections (``compute=ComputeConfig(...)``,
-    ``memory=``, ``network=``, ``ace=``).  Set a top-level field such as
-    ``network_backend`` on the result:
+    ``name`` is one of :data:`SYSTEM_CONFIG_NAMES` (``baseline_comm_opt``,
+    ``ace``, ...).  The keywords replace whole configuration sections (the
+    defaults are frozen, so every preset may share them).  Set a top-level
+    field such as ``network_backend`` on the result:
     ``make_system("ace").with_overrides(network_backend="detailed")``.
     """
-    key = name.strip()
-    normalized = {
-        "baselinenooverlap": "baseline_no_overlap",
-        "baselinecommopt": "baseline_comm_opt",
-        "baselinecompopt": "baseline_comp_opt",
-        "ace": "ace",
-        "ideal": "ideal",
-    }.get(key.replace("_", "").lower(), key.lower())
-    try:
-        factory = _FACTORIES[normalized]
-    except KeyError:
+    if name not in _SYSTEMS:
         raise ConfigurationError(
             f"unknown system configuration {name!r}; "
-            f"expected one of {sorted(_FACTORIES)}"
-        ) from None
-    return factory(**sections)
+            f"expected one of {list(SYSTEM_CONFIG_NAMES)}"
+        )
+    row = _SYSTEMS[name]
+    return SystemConfig(
+        name=row.label,
+        endpoint=row.endpoint,
+        compute=compute,
+        memory=memory,
+        network=network,
+        ace=ace,
+        policy=ResourcePolicy(row.comm_sms, row.comm_memory_bandwidth_gbps),
+        collective_launch_overhead_ns=row.launch_overhead_ns,
+    )

@@ -254,19 +254,17 @@ class AceConfig:
 
 @dataclass(frozen=True)
 class ResourcePolicy:
-    """How a system configuration splits NPU resources between compute and comms.
+    """What a baseline reserves from the NPU for its collective kernels.
 
-    These splits implement Table VI: e.g. BaselineCommOpt dedicates 6 SMs and
-    450 GB/s of memory bandwidth to communication; BaselineCompOpt and ACE
-    leave 128 GB/s for communication traffic; the ideal system charges nothing.
+    Table VI: BaselineCommOpt reserves 6 SMs and 450 GB/s of HBM bandwidth
+    (BaselineNoOverlap gets the same while its collectives run), and
+    BaselineCompOpt 2 SMs and 128 GB/s.  ACE draws only its DMA slice
+    (``AceConfig.memory_bandwidth_gbps``) and Ideal nothing, so both carry
+    the empty policy; :class:`SystemConfig` rejects any other.
     """
 
     comm_sms: int = field(default=0, metadata=NON_NEGATIVE)
     comm_memory_bandwidth_gbps: float = field(default=0.0, metadata=NON_NEGATIVE)
-    #: Whether collective processing consumes NPU SMs at all (False for ACE/Ideal).
-    comm_uses_npu_sms: bool = True
-    #: Whether collective traffic touches main memory per step (False for Ideal).
-    comm_uses_memory: bool = True
 
     def __post_init__(self) -> None:
         check_bounds(self)
@@ -291,9 +289,9 @@ class SystemConfig:
     #: Collective algorithm the planner should use: "auto" (cheapest feasible
     #: plan for the topology — the paper's hierarchical/direct choices on the
     #: torus) or an explicit name from the planner's table ("hierarchical",
-    #: "ring", "tree", "halving_doubling", "direct").  An explicit name applies
-    #: to the operations that algorithm implements; a workload's other
-    #: collectives (e.g. DLRM's all-to-all under a pinned all-reduce
+    #: "direct", "ring", "tree", "halving_doubling", "p2p").  An explicit
+    #: name applies to the operations that algorithm implements; a workload's
+    #: other collectives (e.g. DLRM's all-to-all under a pinned all-reduce
     #: algorithm) fall back to auto selection.  ``SimJob`` checks the name.
     collective_algorithm: str = field(default="auto", metadata=NAME)
     #: Network model executing the collective traffic: "symmetric" (the fast
@@ -324,9 +322,6 @@ class SystemConfig:
     def __post_init__(self) -> None:
         check_bounds(self)
         hbm = self.memory.npu_memory_bandwidth_gbps
-        # Checked before the policy rule: ``SimJob.build_system`` copies an
-        # ACE slice override into the policy, so this names the field the
-        # user set.
         if self.endpoint is EndpointKind.ACE and self.ace.memory_bandwidth_gbps > hbm:
             # The ACE endpoint books its DMA channels at this bandwidth.
             raise ConfigurationError(
@@ -335,21 +330,45 @@ class SystemConfig:
                 f"got {self.ace.memory_bandwidth_gbps}",
                 field="ace.memory_bandwidth_gbps",
             )
-        if self.policy.comm_sms > self.compute.num_sms:
-            raise ConfigurationError(
-                f"cannot allocate more SMs to communication than the NPU has: "
-                f"policy.comm_sms must be at most compute.num_sms "
-                f"({self.compute.num_sms}), got {self.policy.comm_sms}",
-                field="policy.comm_sms",
-            )
-        if self.policy.comm_memory_bandwidth_gbps > hbm:
-            raise ConfigurationError(
-                f"cannot allocate more memory bandwidth to communication than "
-                f"available: policy.comm_memory_bandwidth_gbps must be at most "
-                f"memory.npu_memory_bandwidth_gbps ({hbm}), "
-                f"got {self.policy.comm_memory_bandwidth_gbps}",
-                field="policy.comm_memory_bandwidth_gbps",
-            )
+        policy = self.policy
+        if not self.endpoint.is_baseline:
+            for name in ("comm_sms", "comm_memory_bandwidth_gbps"):
+                if getattr(policy, name):
+                    raise ConfigurationError(
+                        f"only a baseline reserves NPU resources for communication: "
+                        f"policy.{name} must be 0 on {self.endpoint.value}, "
+                        f"got {getattr(policy, name)}",
+                        field=f"policy.{name}",
+                    )
+        else:
+            if policy.comm_sms < 1:
+                raise ConfigurationError(
+                    f"baseline endpoint needs at least one communication SM: "
+                    f"policy.comm_sms must be at least 1, got {policy.comm_sms}",
+                    field="policy.comm_sms",
+                )
+            if policy.comm_sms > self.compute.num_sms:
+                raise ConfigurationError(
+                    f"cannot allocate more SMs to communication than the NPU has: "
+                    f"policy.comm_sms must be at most compute.num_sms "
+                    f"({self.compute.num_sms}), got {policy.comm_sms}",
+                    field="policy.comm_sms",
+                )
+            if policy.comm_memory_bandwidth_gbps <= 0:
+                raise ConfigurationError(
+                    f"baseline endpoint needs a positive communication memory bandwidth: "
+                    f"policy.comm_memory_bandwidth_gbps must be positive, "
+                    f"got {policy.comm_memory_bandwidth_gbps}",
+                    field="policy.comm_memory_bandwidth_gbps",
+                )
+            if policy.comm_memory_bandwidth_gbps > hbm:
+                raise ConfigurationError(
+                    f"cannot allocate more memory bandwidth to communication than "
+                    f"available: policy.comm_memory_bandwidth_gbps must be at most "
+                    f"memory.npu_memory_bandwidth_gbps ({hbm}), "
+                    f"got {policy.comm_memory_bandwidth_gbps}",
+                    field="policy.comm_memory_bandwidth_gbps",
+                )
         if self.parallelism is not None:
             # Imported lazily: training.parallelism (via workloads.base)
             # imports this module.
@@ -367,8 +386,6 @@ class SystemConfig:
         BaselineNoOverlap time-shares the NPU: compute and communication never
         run concurrently, so the training computation sees every SM.
         """
-        if not self.policy.comm_uses_npu_sms:
-            return self.compute.num_sms
         if self.endpoint is EndpointKind.BASELINE_NO_OVERLAP:
             return self.compute.num_sms
         return self.compute.num_sms - self.policy.comm_sms
@@ -383,23 +400,15 @@ class SystemConfig:
         """HBM bandwidth left for the training computation.
 
         BaselineNoOverlap time-shares the NPU (no concurrent communication),
-        so compute keeps the full HBM bandwidth.
+        so compute keeps the full HBM bandwidth; ACE gives up its DMA slice.
         """
         if self.endpoint is EndpointKind.BASELINE_NO_OVERLAP:
             return self.memory.npu_memory_bandwidth_gbps
-        reserved = 0.0
         if self.endpoint is EndpointKind.ACE:
             reserved = self.ace.memory_bandwidth_gbps
-        elif self.policy.comm_uses_memory:
+        else:
             reserved = self.policy.comm_memory_bandwidth_gbps
         return max(0.0, self.memory.npu_memory_bandwidth_gbps - reserved)
-
-    @property
-    def comm_sm_bandwidth_gbps(self) -> float:
-        """Memory bandwidth the communication SMs can drive (baseline only)."""
-        if not self.policy.comm_uses_npu_sms:
-            return float("inf")
-        return self.policy.comm_sms * self.compute.sm_memory_bandwidth_gbps
 
     def with_overrides(self, **changes) -> "SystemConfig":
         """Return a copy of this config with the given fields replaced."""

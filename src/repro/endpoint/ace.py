@@ -18,8 +18,8 @@ walk-through of Fig. 8c):
 
 The decisive differences from the baseline:
 
-* no NPU SMs are consumed (``comm_uses_npu_sms`` is False in the system
-  policy, so the training computation keeps all 80 SMs),
+* no NPU SMs are consumed (ACE carries the empty ``ResourcePolicy``, so the
+  training computation keeps all 80 SMs),
 * main memory sees exactly one read (TX DMA) and one write (RX DMA) of the
   payload per collective, instead of per-step traffic (Section VI-A),
 * multi-hop forwarding (all-to-all) is absorbed by the SRAM, costing no HBM
@@ -39,7 +39,12 @@ from repro.units import cycles_to_ns
 
 
 class AceEndpoint(Endpoint):
-    """Endpoint backed by the Accelerator Collectives Engine."""
+    """Endpoint backed by the Accelerator Collectives Engine.
+
+    Everything it books comes from ``system.ace`` and ``system.memory``: its
+    HBM slice is ``ace.memory_bandwidth_gbps``, and it reads no ``policy``
+    field (ACE's policy is always empty).
+    """
 
     #: Fixed FSM control overhead charged per processed phase, in ACE cycles.
     PHASE_CONTROL_OVERHEAD_CYCLES = 64.0

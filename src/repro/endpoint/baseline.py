@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from repro.config.system import SystemConfig
 from repro.endpoint.base import Endpoint, PhaseWork
-from repro.errors import ConfigurationError
 from repro.sim.resources import BandwidthResource
 
 
@@ -47,12 +46,6 @@ class BaselineEndpoint(Endpoint):
     def __init__(self, system: SystemConfig) -> None:
         super().__init__(system)
         policy = system.policy
-        if policy.comm_memory_bandwidth_gbps <= 0:
-            raise ConfigurationError(
-                "baseline endpoint needs a positive communication memory bandwidth"
-            )
-        if policy.comm_sms <= 0:
-            raise ConfigurationError("baseline endpoint needs at least one communication SM")
         overhead = system.memory.transaction_overhead_ns
         # The read channel of the HBM bandwidth reserved for communication.
         self._hbm_read = BandwidthResource(
@@ -60,7 +53,9 @@ class BaselineEndpoint(Endpoint):
         )
         # The SMs running the collective kernels: their aggregate ability to
         # move data between memory and the AFI.
-        self._sm_pipe = BandwidthResource("comm-sms", system.comm_sm_bandwidth_gbps)
+        self._sm_pipe = BandwidthResource(
+            "comm-sms", policy.comm_sms * system.compute.sm_memory_bandwidth_gbps
+        )
         self._bus = BandwidthResource(
             "bus[npu-afi]", system.memory.npu_afi_bus_bandwidth_gbps, overhead
         )

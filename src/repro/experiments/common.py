@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.config.presets import torus_shape_for_npus
+from repro.config.presets import SYSTEM_CONFIG_NAMES, torus_shape_for_npus
 from repro.errors import ConfigurationError
 from repro.network.topology import Torus3D, torus_from_shape
 from repro.runner import SimJob, SweepRunner, default_runner
@@ -30,14 +30,6 @@ FAST_CHUNK_BYTES: Dict[str, int] = {
     "megatron": 1024 * KB,
 }
 
-PAPER_SYSTEMS = (
-    "baseline_no_overlap",
-    "baseline_comm_opt",
-    "baseline_comp_opt",
-    "ace",
-    "ideal",
-)
-
 
 def topology_for(num_npus: int) -> Torus3D:
     """The canonical LxVxH torus for a paper platform size."""
@@ -52,7 +44,7 @@ def chunk_bytes_for(workload_name: str, fast: bool) -> Optional[int]:
 
 
 def grid_jobs(
-    systems: Sequence[str] = PAPER_SYSTEMS,
+    systems: Sequence[str] = SYSTEM_CONFIG_NAMES,
     workloads: Sequence[str] = ("resnet50", "gnmt", "dlrm"),
     sizes: Sequence[int] = (16, 32, 64, 128),
     fast: bool = True,

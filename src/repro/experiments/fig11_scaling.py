@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.speedup import compute_speedups
-from repro.experiments.common import PAPER_SYSTEMS, run_grid
+from repro.config.presets import SYSTEM_CONFIG_NAMES
+from repro.experiments.common import run_grid
 from repro.runner import SweepRunner
 from repro.training.results import TrainingResult
 
@@ -31,7 +32,7 @@ PAPER_WORKLOADS = ("resnet50", "gnmt", "dlrm")
 
 def run_fig11(
     fast: bool = True,
-    systems: Sequence[str] = PAPER_SYSTEMS,
+    systems: Sequence[str] = SYSTEM_CONFIG_NAMES,
     workloads: Sequence[str] = None,
     sizes: Sequence[int] = None,
     iterations: int = 2,

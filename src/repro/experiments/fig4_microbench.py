@@ -40,20 +40,6 @@ _STANDALONE_SMS = 8
 _STANDALONE_MEM_BW = 600.0
 
 
-def _v100_policy(comm_sms: int, comm_mem_bw: float) -> ResourcePolicy:
-    return ResourcePolicy(
-        comm_sms=comm_sms,
-        comm_memory_bandwidth_gbps=comm_mem_bw,
-        comm_uses_npu_sms=True,
-        comm_uses_memory=True,
-    )
-
-
-def _v100_baseline(comm_sms: int, comm_mem_bw: float) -> SystemConfig:
-    base = make_system("baseline_comm_opt", network=_V100_NET)
-    return base.with_overrides(policy=_v100_policy(comm_sms, comm_mem_bw))
-
-
 def _v100_job(comm_sms: int, comm_mem_bw: float, payload_bytes: int, chunk: int):
     """A network-drive job on the Fig. 4 testbed with the given comm resources."""
     return network_drive_job(
@@ -62,7 +48,7 @@ def _v100_job(comm_sms: int, comm_mem_bw: float, payload_bytes: int, chunk: int)
         topology=_V100_TOPOLOGY,
         chunk_bytes=chunk,
         overrides=section_overrides(
-            network=_V100_NET, policy=_v100_policy(comm_sms, comm_mem_bw)
+            network=_V100_NET, policy=ResourcePolicy(comm_sms, comm_mem_bw)
         ),
     )
 
@@ -108,9 +94,9 @@ def run_fig4(
     # One standalone drive per distinct payload plus one contended drive per
     # case, all dispatched as a single batch.
     standalone_payloads = list(dict.fromkeys(case.allreduce_bytes for case in cases))
-    contended = [
-        _contended_resources(case.compute, _v100_baseline(8, 600.0)) for case in cases
-    ]
+    # The kernel estimate reads only the NPU's compute and HBM, not the policy.
+    testbed = make_system("baseline_comm_opt", network=_V100_NET)
+    contended = [_contended_resources(case.compute, testbed) for case in cases]
     jobs = [
         _v100_job(_STANDALONE_SMS, _STANDALONE_MEM_BW, payload, chunk)
         for payload in standalone_payloads

@@ -30,21 +30,21 @@ from repro.collectives.base import CollectiveOp
 from repro.collectives.planner import AUTO, algorithms
 from repro.compute.npu import COMPUTE_BACKENDS
 from repro.config.fields import POSITIVE, check
-from repro.config.presets import make_system, torus_shape_for_npus
+from repro.config.presets import SYSTEM_CONFIG_NAMES, make_system, torus_shape_for_npus
 from repro.config.system import AceConfig, SystemConfig
 from repro.core.area_power import AceAreaPowerModel
 from repro.errors import ConfigurationError
 from repro.network import NETWORK_BACKENDS
 from repro.network.topology import Topology, topology_from_spec, torus_from_shape
 from repro.training.loop import simulate_training
-from repro.workloads.registry import build_workload
+from repro.workloads.registry import available_workloads, build_workload
 
 JOB_KINDS = ("training", "network_drive", "area_power")
 
 #: Override sections that map onto the nested :class:`SystemConfig` dataclasses.
 _CONFIG_SECTIONS = ("compute", "memory", "network", "ace", "policy")
 #: Top-level scalar SystemConfig fields that may be overridden directly.
-_CONFIG_SCALARS = ("name", "collective_scheduling", "collective_launch_overhead_ns")
+_CONFIG_SCALARS = ("collective_scheduling", "collective_launch_overhead_ns")
 _OVERRIDE_KEYS = frozenset(_CONFIG_SECTIONS + _CONFIG_SCALARS)
 #: (SimJob field, SystemConfig field) of each model knob a sweep cell pins.
 _JOB_KNOBS = (
@@ -56,6 +56,8 @@ _JOB_KNOBS = (
 #: (SimJob field, what its value names, the names it accepts) of each knob
 #: that picks a model from a fixed table.
 _MODEL_NAMES = (
+    ("system", "system configuration", SYSTEM_CONFIG_NAMES),
+    ("workload", "workload", tuple(available_workloads())),
     ("algorithm", "collective algorithm", (AUTO,) + algorithms()),
     ("backend", "network backend", NETWORK_BACKENDS),
     ("compute", "compute backend", COMPUTE_BACKENDS),
@@ -86,10 +88,10 @@ class SimJob:
     """
 
     kind: str = "training"
-    #: System preset name accepted by :func:`repro.config.presets.make_system`.
+    #: Table VI system, one of :data:`repro.config.presets.SYSTEM_CONFIG_NAMES`.
     system: str = "ace"
     #: Per-section field overrides applied on top of the preset, e.g.
-    #: ``{"ace": {"sram_bytes": 2097152}, "policy": {"comm_sms": 4}}``.
+    #: ``{"ace": {"sram_bytes": 2097152}}``; ``policy`` applies to baselines only.
     overrides: Mapping[str, object] = field(default_factory=dict)
     #: Platform size; resolved to the paper's canonical torus shape.
     num_npus: Optional[int] = None
@@ -206,8 +208,8 @@ class SimJob:
                     f"unknown collective op {self.op!r}; expected one of "
                     f"{[o.value for o in CollectiveOp]}"
                 ) from None
-        # Presets, override fields and their values (and a parallelism spec)
-        # fail here, at submission, rather than in a worker.
+        # Override fields, their values and the cross-field rules (and a
+        # parallelism spec) fail here, at submission, rather than in a worker.
         self.build_system()
 
     # ------------------------------------------------------------------
@@ -263,21 +265,6 @@ class SimJob:
                 changes[key] = replace(getattr(system, key), **value)
             else:
                 changes[key] = value
-        # The ACE preset couples policy.comm_memory_bandwidth_gbps to the
-        # engine's DMA slice (see presets.ace_system).  Preserve that coupling
-        # when only the ace section is overridden, so
-        # ``overrides={"ace": {"memory_bandwidth_gbps": ...}}`` behaves like
-        # ``make_system("ace", ace=AceConfig(memory_bandwidth_gbps=...))``.
-        if (
-            "ace" in changes
-            and system.endpoint.value == "ace"
-            and "comm_memory_bandwidth_gbps" not in self.overrides.get("policy", {})
-        ):
-            policy = changes.get("policy", system.policy)
-            changes["policy"] = replace(
-                policy,
-                comm_memory_bandwidth_gbps=changes["ace"].memory_bandwidth_gbps,
-            )
         for knob, config_field in _JOB_KNOBS:
             value = getattr(self, knob)
             if value is not None and value != getattr(system, config_field):

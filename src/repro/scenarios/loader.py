@@ -256,9 +256,10 @@ def _compile_grid(spec: Mapping[str, object]) -> List[SimJob]:
     ``traces/<name>.json`` fails ``repro validate`` with the offending node
     named instead of dying in a worker process.
     """
-    from repro.experiments.common import PAPER_SYSTEMS, grid_jobs
+    from repro.config.presets import SYSTEM_CONFIG_NAMES
+    from repro.experiments.common import grid_jobs
 
-    systems = tuple(spec.get("systems", PAPER_SYSTEMS))
+    systems = tuple(spec.get("systems", SYSTEM_CONFIG_NAMES))
     _check_systems(systems)
     sizes = tuple(spec.get("sizes", (16,)))
     axes = {field: tuple(spec.get(name, ())) or (None,) for name, field in GRID_AXES}

@@ -23,9 +23,6 @@ _BUILDERS: Dict[str, Callable[..., Workload]] = {
     "megatron": build_megatron,
 }
 
-#: Workloads evaluated in the paper's result figures (Figs. 10-12).
-PAPER_WORKLOADS = ("resnet50", "gnmt", "dlrm")
-
 
 def available_workloads() -> List[str]:
     """Names accepted by :func:`build_workload`."""
@@ -33,10 +30,9 @@ def available_workloads() -> List[str]:
 
 
 def build_workload(name: str, **kwargs) -> Workload:
-    """Build a workload by name with optional builder overrides."""
-    key = name.strip().lower().replace("-", "")
-    if key not in _BUILDERS:
+    """Build a workload by its exact name with optional builder overrides."""
+    if name not in _BUILDERS:
         raise WorkloadError(
             f"unknown workload {name!r}; available: {available_workloads()}"
         )
-    return _BUILDERS[key](**kwargs)
+    return _BUILDERS[name](**kwargs)

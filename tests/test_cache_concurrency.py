@@ -31,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import ResultCache, SweepRunner, network_drive_job, training_job
+from repro.runner import ResultCache, SweepRunner, network_drive_job, trace_job
 from repro.runner.cache import CLAIM_POLL_S
 from repro.runner.serialization import encode_result
 from repro.units import MB
@@ -254,7 +254,7 @@ class TestSingleFlight:
         assert claim_files(cache_dir) == []
 
     def test_failed_job_releases_its_claim_and_is_not_cached(self, tmp_path):
-        bad = training_job("ace", "no_such_workload", num_npus=8, iterations=1)
+        bad = trace_job("ace", "no_such_trace", num_npus=8, iterations=1)
         first = SweepRunner(workers=1, cache=ResultCache(tmp_path))
         assert not first.run([bad])[0].ok
         assert claim_files(tmp_path) == []
@@ -262,7 +262,7 @@ class TestSingleFlight:
         second = SweepRunner(workers=1, cache=ResultCache(tmp_path))
         outcome = second.run([bad])[0]
         assert not outcome.ok and not outcome.from_cache
-        assert "no_such_workload" in outcome.error
+        assert "no_such_trace" in outcome.error
         assert second.stats.executed == 1  # retried, not served from cache
         assert claim_files(tmp_path) == []
 

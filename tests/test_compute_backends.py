@@ -541,17 +541,25 @@ class TestKnobsDocCrossReference:
                 assert name in knob_tokens, (
                     f"backend name {name!r} is not documented in docs/KNOBS.md"
                 )
-        # ...and the Values cell of each model row lists exactly the table,
-        # so a deleted value cannot stay documented.
+
+    def test_each_model_row_lists_exactly_its_table(self):
+        """A deleted value cannot stay documented, nor a new one go missing."""
+        from repro.collectives.planner import AUTO, algorithms
+        from repro.config.presets import SYSTEM_CONFIG_NAMES
+        from repro.network import NETWORK_BACKENDS
+
         rows = {}
         for line in (REPO / "docs" / "KNOBS.md").read_text(encoding="utf-8").splitlines():
             cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-            rows[cells[0]] = cells[-1]
+            rows[cells[0]] = re.findall(r"`([^`]+)`", cells[-1])
         for row, names in (
             ("Network model", NETWORK_BACKENDS),
             ("Kernel-timing model", COMPUTE_BACKENDS),
+            ("Collective algorithm", (AUTO,) + algorithms()),
         ):
-            assert re.findall(r"`([^`]+)`", rows[row]) == list(names), row
+            assert rows[row] == list(names), row
+        # The preset row lists the SimJob default (``ace``) first.
+        assert sorted(rows["System preset"]) == sorted(SYSTEM_CONFIG_NAMES)
 
     def test_every_suite_kind_is_documented(self, knob_tokens):
         from repro.scenarios.schema import SUITE_KINDS

@@ -89,11 +89,6 @@ class TestSystemConfig:
         system = make_system(name)
         assert isinstance(system, SystemConfig)
 
-    def test_paper_labels_accepted(self):
-        assert make_system("BaselineCommOpt").endpoint is EndpointKind.BASELINE_COMM_OPT
-        assert make_system("ACE").endpoint is EndpointKind.ACE
-        assert make_system("Ideal").endpoint is EndpointKind.IDEAL
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
             make_system("turbo")

@@ -139,16 +139,9 @@ class TestAceEndpoint:
         assert baseline.memory_read_bytes / ace.memory_read_bytes == pytest.approx(3.375, rel=0.01)
 
     def test_hbm_slice_wider_than_the_hbm_fails_at_submission(self):
-        # Decoupled from the communication policy, the ACE slice alone
-        # oversubscribes the 900 GB/s HBM.
+        # The ACE slice alone oversubscribes the 900 GB/s HBM.
         with pytest.raises(ConfigurationError, match="ace.memory_bandwidth_gbps") as info:
             network_drive_job(
-                "ace",
-                4 * MB,
-                num_npus=16,
-                overrides={
-                    "ace": {"memory_bandwidth_gbps": 950.0},
-                    "policy": {"comm_memory_bandwidth_gbps": 100.0},
-                },
+                "ace", 4 * MB, num_npus=16, overrides={"ace": {"memory_bandwidth_gbps": 950.0}}
             )
         assert info.value.field == "ace.memory_bandwidth_gbps"

@@ -25,7 +25,7 @@ BASE_JOB = {"workload": "resnet50", "num_npus": 16}
 NAN = float("nan")
 
 SECTIONS = ("compute", "memory", "network", "ace", "policy")
-SCALAR_OVERRIDES = ("name", "collective_scheduling", "collective_launch_overhead_ns")
+SCALAR_OVERRIDES = ("collective_scheduling", "collective_launch_overhead_ns")
 
 
 def _accepts(hint, value) -> bool:
@@ -131,8 +131,7 @@ def test_any_json_value_in_any_field_builds_or_names_the_field(target, value):
             },
             "policy.comm_memory_bandwidth_gbps",
         ),
-        # The job copies an ACE slice override into the policy; the error
-        # still names the field that was set.
+        # The ACE endpoint books its HBM slice at this bandwidth.
         ({"overrides": {"ace": {"memory_bandwidth_gbps": 950.0}}}, "ace.memory_bandwidth_gbps"),
         # Model names are checked against their tables; no size heuristic
         # ("auto" backend, or its threshold) picks a model any more.
@@ -143,6 +142,34 @@ def test_any_json_value_in_any_field_builds_or_names_the_field(target, value):
             {"overrides": {"network_backend_auto_threshold": 8}},
             "overrides.network_backend_auto_threshold",
         ),
+        # Only a baseline carries a policy, and it reserves at least one SM
+        # and some HBM bandwidth.
+        ({"overrides": {"policy": {"comm_sms": 4}}}, "policy.comm_sms"),
+        (
+            {"system": "ideal", "overrides": {"policy": {"comm_memory_bandwidth_gbps": 300.0}}},
+            "policy.comm_memory_bandwidth_gbps",
+        ),
+        (
+            {"system": "baseline_comm_opt", "overrides": {"policy": {"comm_sms": 0}}},
+            "policy.comm_sms",
+        ),
+        (
+            {
+                "system": "baseline_comm_opt",
+                "overrides": {"policy": {"comm_memory_bandwidth_gbps": 0.0}},
+            },
+            "policy.comm_memory_bandwidth_gbps",
+        ),
+        (
+            {"overrides": {"policy": {"comm_uses_npu_sms": True}}},
+            "overrides.policy.comm_uses_npu_sms",
+        ),
+        ({"overrides": {"name": "x"}}, "overrides.name"),
+        # System and workload names have one spelling each.
+        ({"system": "ACE"}, "system"),
+        ({"system": "turbo"}, "system"),
+        ({"workload": "ResNet-50"}, "workload"),
+        ({"workload": "resnet5O"}, "workload"),
     ],
 )
 def test_job_probe_is_rejected_naming_its_field(spec, field):

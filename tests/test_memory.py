@@ -1,16 +1,16 @@
 """The endpoints' memory path: HBM channels, the NPU-AFI bus and the DMAs.
 
 Each endpoint books these pipes itself; the tests drive them through
-:class:`AceEndpoint` and :class:`BaselineEndpoint`.  Defaults (Table V): a
-500 GB/s bus and DMA engines, a 128 GB/s ACE HBM slice and a 20 ns
-transaction overhead on the bus and on each HBM channel.
+:class:`AceEndpoint` and check the HBM budget on :class:`SystemConfig`.
+Defaults (Table V): a 500 GB/s bus and DMA engines, a 128 GB/s ACE HBM
+slice and a 20 ns transaction overhead on the bus and on each HBM channel.
 """
 
 import pytest
 
 from repro.config.presets import make_system
 from repro.config.system import AceConfig, MemoryConfig, ResourcePolicy, SystemConfig
-from repro.endpoint import AceEndpoint, BaselineEndpoint
+from repro.endpoint import AceEndpoint
 from repro.errors import ConfigurationError
 
 OVERHEAD_NS = 20.0
@@ -46,11 +46,10 @@ class TestMemoryPartition:
     def test_invalid_bandwidth(self):
         with pytest.raises(ConfigurationError):
             AceConfig(memory_bandwidth_gbps=0.0)
-        no_comm_memory = make_system("baseline_comm_opt").with_overrides(
-            policy=ResourcePolicy(comm_sms=6, comm_memory_bandwidth_gbps=0.0)
-        )
         with pytest.raises(ConfigurationError, match="memory bandwidth"):
-            BaselineEndpoint(no_comm_memory)
+            make_system("baseline_comm_opt").with_overrides(
+                policy=ResourcePolicy(comm_sms=6, comm_memory_bandwidth_gbps=0.0)
+            )
 
 
 class TestMemorySystem:
@@ -72,8 +71,9 @@ class TestMemorySystem:
 
     def test_oversubscription_rejected(self):
         ace = make_system("ace")
-        with pytest.raises(ConfigurationError, match="communication"):
+        with pytest.raises(ConfigurationError, match="communication") as info:
             ace.with_overrides(policy=ResourcePolicy(comm_memory_bandwidth_gbps=950.0))
+        assert info.value.field == "policy.comm_memory_bandwidth_gbps"
         with pytest.raises(ConfigurationError, match="ace.memory_bandwidth_gbps") as info:
             ace.with_overrides(ace=AceConfig(memory_bandwidth_gbps=950.0))
         assert info.value.field == "ace.memory_bandwidth_gbps"

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import FAST_CHUNK_BYTES, PAPER_SYSTEMS, run_grid
+from repro.config.presets import SYSTEM_CONFIG_NAMES
+from repro.experiments.common import FAST_CHUNK_BYTES, run_grid
 from repro.experiments.fig4_microbench import run_fig4
 from repro.experiments.fig5_membw_sweep import run_fig5
 from repro.experiments.fig6_sm_sweep import run_fig6
@@ -49,7 +50,7 @@ def compute_golden_values() -> dict:
     values: dict = {}
 
     grid = run_grid(
-        systems=PAPER_SYSTEMS, workloads=("resnet50",), sizes=(16,), fast=True,
+        systems=SYSTEM_CONFIG_NAMES, workloads=("resnet50",), sizes=(16,), fast=True,
         runner=runner,
     )
     values["grid_resnet50_16npus_iteration_us"] = {

@@ -257,24 +257,24 @@ class TestErrorCapture:
     def test_failing_job_does_not_abort_the_sweep(self):
         jobs = [
             area_power_job(),
-            training_job("ace", "no_such_workload", num_npus=16, iterations=1),
+            trace_job("ace", "no_such_trace", num_npus=16, iterations=1),
             network_drive_job("ideal", 4 * MB, topology=(2, 2, 2), chunk_bytes=MB),
         ]
         runner = SweepRunner(workers=2)
         outcomes = runner.run(jobs)
         assert [o.ok for o in outcomes] == [True, False, True]
-        assert "no_such_workload" in outcomes[1].error
+        assert "no_such_trace" in outcomes[1].error
         assert runner.stats.errors == 1
 
     def test_run_values_raises_with_context(self):
-        bad = training_job("ace", "no_such_workload", num_npus=16, iterations=1)
-        with pytest.raises(SimulationError, match="no_such_workload"):
+        bad = trace_job("ace", "no_such_trace", num_npus=16, iterations=1)
+        with pytest.raises(SimulationError, match="no_such_trace"):
             SweepRunner(workers=1).run_values([bad])
 
     def test_errors_are_not_cached(self):
         cache = ResultCache()
         runner = SweepRunner(workers=1, cache=cache)
-        bad = training_job("ace", "no_such_workload", num_npus=16, iterations=1)
+        bad = trace_job("ace", "no_such_trace", num_npus=16, iterations=1)
         runner.run([bad])
         runner.run([bad])
         assert cache.hits == 0
@@ -368,7 +368,7 @@ class TestSimJobValidation:
         assert system.ace.sram_bytes == 2 * MB
         assert system.collective_scheduling == "fifo"
 
-    def test_ace_memory_bandwidth_override_keeps_policy_coupling(self):
+    def test_ace_memory_bandwidth_override_matches_make_system(self):
         from repro.config.presets import make_system
         from repro.config.system import AceConfig
 
@@ -377,17 +377,17 @@ class TestSimJobValidation:
             overrides={"ace": {"memory_bandwidth_gbps": 256.0}},
         )
         system = job.build_system()
-        assert system.policy.comm_memory_bandwidth_gbps == 256.0
         assert system == make_system("ace", ace=AceConfig(memory_bandwidth_gbps=256.0))
-        # An explicit policy override still wins over the derived coupling.
-        pinned = SimJob(
-            system="ace", workload="resnet50", num_npus=16,
-            overrides={
-                "ace": {"memory_bandwidth_gbps": 256.0},
-                "policy": {"comm_memory_bandwidth_gbps": 64.0},
-            },
-        ).build_system()
-        assert pinned.policy.comm_memory_bandwidth_gbps == 64.0
+        # ACE's only HBM knob is its slice; a policy pin is rejected, naming its field.
+        with pytest.raises(ConfigurationError) as info:
+            SimJob(
+                system="ace", workload="resnet50", num_npus=16,
+                overrides={
+                    "ace": {"memory_bandwidth_gbps": 256.0},
+                    "policy": {"comm_memory_bandwidth_gbps": 64.0},
+                },
+            )
+        assert info.value.field == "policy.comm_memory_bandwidth_gbps"
 
     def test_json_results_normalise_tuples_like_a_disk_roundtrip(self):
         payload = encode_result({"rows": [(1, 2.5), (3, 4.5)]})

@@ -20,8 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.config.presets import SYSTEM_CONFIG_NAMES
 from repro.errors import ConfigurationError, InvariantViolation, ScenarioError
-from repro.experiments.common import PAPER_SYSTEMS, grid_jobs
+from repro.experiments.common import grid_jobs
 from repro.experiments.model_agreement import agreement_jobs
 from repro.runner import ResultCache, SimJob, SweepRunner
 from repro.scenarios import (
@@ -302,7 +303,7 @@ class TestLoader:
         scenario = find_scenario("paper-fast", SCENARIO_DIR)
         manifest_jobs = scenario_jobs(scenario)
         harness_jobs = grid_jobs(
-            systems=PAPER_SYSTEMS, workloads=("resnet50",), sizes=(16,), fast=True
+            systems=SYSTEM_CONFIG_NAMES, workloads=("resnet50",), sizes=(16,), fast=True
         )
         assert [job.to_json() for job in manifest_jobs] == [
             job.to_json() for job in harness_jobs
@@ -315,7 +316,7 @@ class TestLoader:
         scenario = find_scenario("fig11-scaling", SCENARIO_DIR)
         manifest_jobs = scenario_jobs(scenario)
         harness_jobs = grid_jobs(
-            systems=PAPER_SYSTEMS,
+            systems=SYSTEM_CONFIG_NAMES,
             workloads=("resnet50", "dlrm"),
             sizes=(16, 64),
             fast=True,
@@ -699,7 +700,7 @@ class TestCli:
 # ---------------------------------------------------------------------------
 
 _SYSTEMS = st.lists(
-    st.sampled_from(sorted(PAPER_SYSTEMS)), min_size=1, max_size=3, unique=True
+    st.sampled_from(sorted(SYSTEM_CONFIG_NAMES)), min_size=1, max_size=3, unique=True
 )
 _WORKLOADS = st.lists(
     st.sampled_from(["resnet50", "gnmt", "dlrm", "megatron"]),
