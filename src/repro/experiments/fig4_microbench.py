@@ -17,13 +17,14 @@ than compute-bound GEMMs of comparable size.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Dict, List, Optional
 
 from repro.compute.kernels import KernelCost
 from repro.compute.roofline import RooflineModel
 from repro.config.presets import make_system
-from repro.config.system import NetworkConfig, ResourcePolicy, SystemConfig
-from repro.runner import SweepRunner, default_runner, network_drive_job, section_overrides
+from repro.config.system import NetworkConfig, SystemConfig
+from repro.runner import SweepRunner, default_runner, network_drive_job
 from repro.units import MB
 from repro.workloads import microbench
 
@@ -47,9 +48,10 @@ def _v100_job(comm_sms: int, comm_mem_bw: float, payload_bytes: int, chunk: int)
         payload_bytes,
         topology=_V100_TOPOLOGY,
         chunk_bytes=chunk,
-        overrides=section_overrides(
-            network=_V100_NET, policy=ResourcePolicy(comm_sms, comm_mem_bw)
-        ),
+        overrides={
+            "network": asdict(_V100_NET),
+            "policy": {"comm_sms": comm_sms, "comm_memory_bandwidth_gbps": comm_mem_bw},
+        },
     )
 
 

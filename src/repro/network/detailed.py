@@ -25,7 +25,12 @@ transfer hop by hop:
   byte-identical request sequences, so one resource per dimension is
   booked and stands for all of its ports;
 * every port records busy intervals, so per-link utilization timelines and
-  per-dimension byte counts are observable after a run.
+  per-dimension byte counts are observable after a run;
+* under contention a message's hops wait in the dimension's
+  :class:`~repro.sim.engine.HopLane`, which books each one at the place in
+  the simulator's ``(time, seq)`` order that its own event would have had,
+  but books every hop that comes before the next heap event inline, without
+  a heap entry of its own.
 
 Symmetry argument
 -----------------
@@ -49,10 +54,10 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config.system import DIMENSION_LINK_CLASS, NetworkConfig
-from repro.errors import TopologyError
+from repro.errors import ResourceError, SimulationError, TopologyError
 from repro.network.backend import NetworkBackend, mean_utilization
 from repro.network.topology import Topology
-from repro.sim.engine import Simulator
+from repro.sim.engine import HopLane, Simulator
 from repro.sim.resources import BandwidthResource, Reservation
 from repro.sim.trace import IntervalTracer, UtilizationTrace
 
@@ -104,8 +109,8 @@ class DetailedBackend(NetworkBackend):
         self.network = network
         self.message_bytes = message_bytes
         #: Whether uncontended steps may be booked in bulk (one reservation
-        #: per step).  ``False`` forces the per-message event path
-        #: for every transfer — the reference behaviour the equivalence
+        #: per step).  ``False`` walks every transfer per message through
+        #: the hop lanes — the reference behaviour the equivalence
         #: property tests compare against.
         self.coalesce = coalesce
         active = topology.active_dimensions()
@@ -158,6 +163,10 @@ class DetailedBackend(NetworkBackend):
         self._issuing: Dict[str, int] = {dim: 0 for dim in self._links}
         #: :meth:`_carve` results by ``(dimension, num_bytes, steps)``.
         self._carvings: Dict[Tuple[str, float, int], Carving] = {}
+        #: The simulator of the first :meth:`transfer`, and one
+        #: :class:`~repro.sim.engine.HopLane` per dimension bound to it.
+        self._sim: Optional[Simulator] = None
+        self._lanes: Dict[str, HopLane] = {}
 
     # ------------------------------------------------------------------
     # NetworkBackend protocol
@@ -250,14 +259,19 @@ class DetailedBackend(NetworkBackend):
     ) -> None:
         """Walk ``num_bytes`` around ``dimension``'s ring as simulator events.
 
-        Every message's next hop is reserved at the event time the message
-        actually arrives, so port FIFO requests are chronological across all
-        in-flight chunks and collectives: another transfer issued before this
-        one's step ``s + 1`` becomes ready serialises into the latency gap
-        instead of queueing behind a pre-booked reservation.  This is the
-        contention behaviour the timeline-mode :meth:`reserve` cannot
-        express, and the reason the executor drives this backend in event
-        mode.
+        Every message's next hop is reserved at the simulated time the
+        message actually arrives, so port FIFO requests are chronological
+        across all in-flight chunks and collectives: another transfer issued
+        before this one's step ``s + 1`` becomes ready serialises into the
+        latency gap instead of queueing behind a pre-booked reservation.
+        This is the contention behaviour the timeline-mode :meth:`reserve`
+        cannot express, and the reason the executor drives this backend in
+        event mode.  The per-message walk (:meth:`_hop_messages`) queues
+        each hop in the dimension's :class:`~repro.sim.engine.HopLane`,
+        which books it at the place in the event order where a heap event
+        of its own would fire.  The backend is bound to the simulator of
+        its first transfer; driving it from another raises
+        :class:`~repro.errors.SimulationError`.
 
         Coalescing (``self.coalesce``, default on): when this transfer is
         the dimension's sole *issuer* — every other transfer on the
@@ -265,7 +279,7 @@ class DetailedBackend(NetworkBackend):
         messages are booked as one batch reservation
         (:meth:`~repro.sim.resources.BandwidthResource.reserve_batch`) and
         the walk advances one *step* event at a time instead of one
-        *message* event, cutting the event count per transfer by the
+        *message* hop at a time, cutting the bookings per transfer by the
         messages-per-step factor.  Within a step the
         messages' ready times are spaced exactly one message serialization
         apart, and fully-booked predecessors only occupy the FIFO tails, so
@@ -279,6 +293,8 @@ class DetailedBackend(NetworkBackend):
         by at most one step's serialization — the pipeline-fill bound (see
         :data:`MAX_MESSAGES_PER_STEP`).
         """
+        if sim is not self._sim:
+            self._bind(sim)
         carving = self._carve(dimension, num_bytes, steps)
         issuing = self._issuing
         issuing[dimension] += 1
@@ -287,6 +303,17 @@ class DetailedBackend(NetworkBackend):
             self._bulk_step(sim, dimension, carving, 0, ready, on_complete)
             return
         self._hop_messages(sim, dimension, carving, 0, None, on_complete)
+
+    def _bind(self, sim: Simulator) -> None:
+        """Build the dimensions' hop lanes on ``sim``, the only simulator
+        this backend may then be driven by."""
+        if self._sim is not None:
+            raise SimulationError(
+                f"{self!r} already runs on another simulator; build one "
+                f"backend per simulator"
+            )
+        self._sim = sim
+        self._lanes = {dim: HopLane(sim, link) for dim, link in self._links.items()}
 
     def _bulk_step(
         self,
@@ -328,40 +355,40 @@ class DetailedBackend(NetworkBackend):
         ready: Optional[List[float]],
         on_complete: Callable[[float], None],
     ) -> None:
-        """Walk steps ``step`` onwards one message event per hop.
+        """Walk steps ``step`` onwards one message at a time through the
+        dimension's :class:`~repro.sim.engine.HopLane`.
 
         With ``ready=None`` every message's first hop is booked now;
-        otherwise message ``m`` re-enters at ``ready[m]``.
+        otherwise message ``m`` re-enters at ``ready[m]`` as an ordinary
+        event and books its first hop then: those arrivals come from an
+        earlier batch and may precede hops the lane already holds.  Every
+        later hop waits in the lane, which books it at the place in the
+        event order its own event would have had.  ``done`` runs once per
+        message, at its last hop.
         """
-        link, steps, num_messages, bytes_per_port, _ = carving
-        reserve_times = link.reserve_times
-        schedule_at = sim.schedule_at
+        _, steps, num_messages, bytes_per_port, _ = carving
         issuing = self._issuing
         outstanding = num_messages
         finish = sim.now
 
-        def hop(step: int) -> None:
+        def done(arrival: float) -> None:
             nonlocal outstanding, finish
-            # A message's finish is never before sim.now, so the reservation
-            # finish is the arrival at the next hop.
-            _, arrival = reserve_times(bytes_per_port, sim.now)
-            if step + 1 < steps:
-                schedule_at(arrival, hop, step + 1)
-                return
             outstanding -= 1
             if arrival > finish:
                 finish = arrival
             if outstanding == 0:
                 # Last request booked: successors may coalesce from here on.
                 issuing[dimension] -= 1
-                schedule_at(finish, on_complete, finish)
+                sim.schedule_at(finish, on_complete, finish)
 
+        walk = self._lanes[dimension].walk
+        hops = steps - step
         if ready is None:
             for _ in range(num_messages):
-                hop(step)
+                walk(bytes_per_port, hops, done)
         else:
             for ready_m in ready:
-                schedule_at(ready_m, hop, step)
+                sim.schedule_at(ready_m, walk, bytes_per_port, hops, done)
 
     # ------------------------------------------------------------------
     # Observability
@@ -422,8 +449,20 @@ class DetailedBackend(NetworkBackend):
         return max((link.trace.last_end for link in self._links.values()), default=0.0)
 
     def check_accounting(self, horizon_ns: float) -> None:
-        """Assert every booked port's busy time fits in ``horizon_ns``."""
-        for link in self._links.values():
+        """Assert every booked port's busy time fits in ``horizon_ns`` and
+        no transfer was left mid-walk.
+
+        After a run drains, no lane holds hops and no transfer still
+        issues requests; either one means a walk was dropped or never run.
+        """
+        for dim, link in self._links.items():
+            lane = self._lanes.get(dim)
+            if lane or self._issuing[dim]:
+                raise ResourceError(
+                    f"{link.name}: dimension {dim!r} was left mid-walk "
+                    f"({len(lane) if lane else 0} hop(s) queued, "
+                    f"{self._issuing[dim]} transfer(s) still issuing)"
+                )
             link.check_accounting(horizon_ns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

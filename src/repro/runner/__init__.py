@@ -27,7 +27,6 @@ from repro.runner.job import (
     SimJob,
     area_power_job,
     network_drive_job,
-    section_overrides,
     trace_job,
     training_job,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "default_runner",
     "encode_result",
     "network_drive_job",
-    "section_overrides",
     "trace_job",
     "training_job",
 ]

@@ -31,7 +31,7 @@ from repro.collectives.planner import AUTO, algorithms
 from repro.compute.npu import COMPUTE_BACKENDS
 from repro.config.fields import POSITIVE, check
 from repro.config.presets import SYSTEM_CONFIG_NAMES, make_system, torus_shape_for_npus
-from repro.config.system import AceConfig, SystemConfig
+from repro.config.system import AceConfig, ResourcePolicy, SystemConfig
 from repro.core.area_power import AceAreaPowerModel
 from repro.errors import ConfigurationError
 from repro.network import NETWORK_BACKENDS
@@ -62,20 +62,6 @@ _MODEL_NAMES = (
     ("backend", "network backend", NETWORK_BACKENDS),
     ("compute", "compute backend", COMPUTE_BACKENDS),
 )
-
-
-def section_overrides(**configs) -> Dict[str, Dict[str, object]]:
-    """Build an overrides mapping from config dataclass instances.
-
-    >>> section_overrides(network=NetworkConfig(link_efficiency=1.0))
-    {'network': {...'link_efficiency': 1.0...}}
-    """
-    out: Dict[str, Dict[str, object]] = {}
-    for section, config in configs.items():
-        if section not in _CONFIG_SECTIONS:
-            raise ConfigurationError(f"unknown config section {section!r}")
-        out[section] = asdict(config)
-    return out
 
 
 @dataclass(frozen=True)
@@ -211,6 +197,15 @@ class SimJob:
         # Override fields, their values and the cross-field rules (and a
         # parallelism spec) fail here, at submission, rather than in a worker.
         self.build_system()
+        if "policy" in self.overrides and make_system(self.system).policy == ResourcePolicy():
+            # Even an empty or all-zero section would only change the spec
+            # hash, and so the cache key, of an identical simulation.
+            raise ConfigurationError(
+                f"only a baseline reserves NPU resources for communication: "
+                f"{self.system!r} carries the empty policy, so a 'policy' "
+                f"override section changes nothing",
+                field="overrides.policy",
+            )
 
     # ------------------------------------------------------------------
     # Canonical serialization and hashing

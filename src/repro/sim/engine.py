@@ -5,6 +5,11 @@ callbacks held in a binary heap.  Model code schedules callbacks with
 :meth:`Simulator.schedule` (relative delay) or :meth:`Simulator.schedule_at`
 (absolute time) and :meth:`Simulator.run` drains the heap in time order.
 
+A :class:`HopLane` holds the store-and-forward hops queued on one FIFO
+:class:`~repro.sim.resources.BandwidthResource` and books them at their
+places in that same ``(time, seq)`` order, most of them without a heap
+entry of their own.
+
 The same engine drives both the detailed multi-node fabric model and the fast
 symmetric-node model, so every experiment in the paper runs on top of this
 module.
@@ -12,10 +17,12 @@ module.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, List
+from typing import Any, Callable, Deque, List
 
 from repro.errors import SimulationError
+from repro.sim.resources import BandwidthResource
 
 Callback = Callable[..., None]
 
@@ -68,7 +75,11 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still in the queue."""
+        """Number of events still in the queue.
+
+        A :class:`HopLane` holding hops is one entry here, however many
+        hops it holds.
+        """
         return len(self._queue)
 
     # ------------------------------------------------------------------
@@ -117,3 +128,106 @@ class Simulator:
                 self._processed += 1
         finally:
             self._running = False
+
+
+class HopLane:
+    """The pending store-and-forward hops of one FIFO bandwidth resource.
+
+    A message walking ``hops`` hops over ``resource`` books each hop through
+    :meth:`~repro.sim.resources.BandwidthResource.reserve_times` and is
+    forwarded at that booking's arrival.  :meth:`walk` books a message's
+    first hop at :attr:`Simulator.now`; each later hop is queued here with
+    the ``(time, seq)`` key its own event would have had -- its arrival, and
+    a ``seq`` drawn from the simulator's counter when the hop is queued --
+    and is booked at exactly that place in the simulator's event order.
+    ``done(arrival)`` is called once per message, at its last hop's
+    arrival; it runs inside the lane and may schedule events but must not
+    walk another message.
+
+    Every queued hop arrives from a booking on this one FIFO resource, whose
+    latency is fixed, so arrivals never decrease in booking order, and the
+    ``seq`` of each push is fresh: pushes come in key order and the lane is
+    a deque, not a heap.  While it holds hops, exactly one heap entry sits at
+    its head's key.  When that entry fires, the head is the global minimum;
+    the lane books it and every following head whose key is below the heap's
+    head, then re-arms at its new head's key.  Each queued hop counts as one
+    event when it is booked, and the armed entry itself as none, so
+    :attr:`Simulator.events_processed` reads as if every queued hop had been
+    its own event.
+
+    A lane is bound to the simulator it was built with.
+    """
+
+    __slots__ = ("sim", "name", "_reserve", "_hops")
+
+    def __init__(self, sim: Simulator, resource: BandwidthResource) -> None:
+        self.sim = sim
+        self.name = resource.name
+        self._reserve = resource.reserve_times
+        #: ``[time, seq, num_bytes, hops_left, done]`` per queued hop, in
+        #: ``(time, seq)`` order.  A list, like a heap entry, so the two
+        #: compare by time and then by the unique ``seq``.
+        self._hops: Deque[List[Any]] = deque()
+
+    def __len__(self) -> int:
+        """Number of hops queued and not yet booked."""
+        return len(self._hops)
+
+    def walk(self, num_bytes: float, hops: int, done: Callable[[float], None]) -> None:
+        """Book a message's first of ``hops`` hops now and queue the rest."""
+        sim = self.sim
+        _, arrival = self._reserve(num_bytes, sim._now)
+        if hops == 1:
+            done(arrival)
+            return
+        seq = sim._seq
+        sim._seq = seq + 1
+        hop = [arrival, seq, num_bytes, hops - 1, done]
+        queued = self._hops
+        queued.append(hop)
+        if len(queued) == 1:
+            self._arm(hop)
+
+    def _arm(self, head: List[Any]) -> None:
+        """Put the one heap entry of this lane at ``head``'s key."""
+        time, seq = head[0], head[1]
+        if not time < _INF:
+            raise SimulationError(
+                f"{self.name}: cannot queue a hop at t={time}: event times must be finite"
+            )
+        heappush(self.sim._queue, [time, seq, self._drain, (seq,)])
+
+    def _drain(self, seq: int) -> None:
+        """The armed entry fired: book heads while they precede the heap's head."""
+        queued = self._hops
+        if not queued or queued[0][1] != seq:
+            head = queued[0][1] if queued else None
+            raise SimulationError(
+                f"{self.name}: the lane's entry armed at seq {seq} fired, but "
+                f"its head hop is at seq {head}"
+            )
+        sim = self.sim
+        queue = sim._queue
+        reserve = self._reserve
+        popleft = queued.popleft
+        append = queued.append
+        booked = 0
+        while True:
+            time, _, num_bytes, hops, done = popleft()
+            sim._now = time
+            _, arrival = reserve(num_bytes, time)
+            booked += 1
+            if hops == 1:
+                done(arrival)
+            else:
+                seq = sim._seq
+                sim._seq = seq + 1
+                append([arrival, seq, num_bytes, hops - 1, done])
+            if not queued:
+                break
+            head = queued[0]
+            if queue and queue[0] < head:
+                self._arm(head)
+                break
+        # The run loop counts the armed entry as the first hop's event.
+        sim._processed += booked - 1

@@ -92,8 +92,9 @@ class BandwidthResource:
         """:meth:`reserve` without the :class:`Reservation` wrapper.
 
         Identical FIFO queuing, accounting and tracing; returns the bare
-        ``(start, finish)`` pair.  The detailed backend's per-message event
-        path calls this tens of thousands of times per run and needs only
+        ``(start, finish)`` pair.  The detailed backend's hop lanes
+        (:class:`~repro.sim.engine.HopLane`) call this once per message hop,
+        hundreds of thousands of times in a contended run, and need only
         the two times.
         """
         if not num_bytes >= 0:

@@ -10,15 +10,20 @@
   the closed-form :func:`repro.training.parallelism.pipeline_bubble_fraction`
   is checked against a real schedule.
 * :func:`max_disagreement` is the quantity the model-agreement bounds gate.
+* :class:`PerHopEventBackend` is the detailed network backend with every
+  message hop its own simulator event, the walk that
+  :class:`~repro.sim.engine.HopLane` must book identically.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CollectiveError, WorkloadError
+from repro.network.detailed import Carving, DetailedBackend
+from repro.sim.engine import Simulator
 
 
 def _check_same_shape(arrays: Sequence[np.ndarray]) -> None:
@@ -370,3 +375,53 @@ def one_f_one_b_schedule(
 def max_disagreement(rows: Sequence[Dict[str, object]]) -> float:
     """The largest agreement metric across model-agreement rows."""
     return max(max(float(row["time_rel_err"]), float(row["exposed_delta_frac"])) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# Per-hop event walk
+# ---------------------------------------------------------------------------
+
+
+class PerHopEventBackend(DetailedBackend):
+    """:class:`DetailedBackend` with one heap event per message hop.
+
+    Its contended walk schedules a ``hop`` closure at every hop's arrival
+    and books the hop through ``reserve_times`` when that event fires; the
+    coalesced ``_bulk_step`` path is inherited unchanged.
+    """
+
+    def _hop_messages(
+        self,
+        sim: Simulator,
+        dimension: str,
+        carving: Carving,
+        step: int,
+        ready: Optional[List[float]],
+        on_complete: Callable[[float], None],
+    ) -> None:
+        link, steps, num_messages, bytes_per_port, _ = carving
+        reserve_times = link.reserve_times
+        schedule_at = sim.schedule_at
+        issuing = self._issuing
+        outstanding = num_messages
+        finish = sim.now
+
+        def hop(step: int) -> None:
+            nonlocal outstanding, finish
+            _, arrival = reserve_times(bytes_per_port, sim.now)
+            if step + 1 < steps:
+                schedule_at(arrival, hop, step + 1)
+                return
+            outstanding -= 1
+            if arrival > finish:
+                finish = arrival
+            if outstanding == 0:
+                issuing[dimension] -= 1
+                schedule_at(finish, on_complete, finish)
+
+        if ready is None:
+            for _ in range(num_messages):
+                hop(step)
+        else:
+            for ready_m in ready:
+                schedule_at(ready_m, hop, step)

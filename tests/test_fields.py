@@ -170,6 +170,16 @@ def test_any_json_value_in_any_field_builds_or_names_the_field(target, value):
         ({"system": "turbo"}, "system"),
         ({"workload": "ResNet-50"}, "workload"),
         ({"workload": "resnet5O"}, "workload"),
+        # On ACE and Ideal even an empty or all-zero policy section is
+        # rejected: it would only change the spec hash.
+        ({"overrides": {"policy": {}}}, "overrides.policy"),
+        (
+            {
+                "system": "ideal",
+                "overrides": {"policy": {"comm_sms": 0, "comm_memory_bandwidth_gbps": 0.0}},
+            },
+            "overrides.policy",
+        ),
     ],
 )
 def test_job_probe_is_rejected_naming_its_field(spec, field):
