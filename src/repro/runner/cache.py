@@ -166,7 +166,9 @@ class ResultCache:
             )
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(entry, handle)
+                    # One dumps() and one write: json.dump never uses the C
+                    # encoder and writes every token separately.
+                    handle.write(json.dumps(entry))
                 os.replace(tmp_name, path)
             except BaseException:
                 try:

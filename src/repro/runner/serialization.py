@@ -40,7 +40,7 @@ def _is_plain_json(value: object) -> bool:
 def _jsonify(value: object) -> object:
     """Copy plain data, normalising tuples to lists.
 
-    A disk-cache round trip goes through ``json.dump``/``json.load``, which
+    A disk-cache round trip goes through ``json.dumps``/``json.load``, which
     turns tuples into lists; normalising at encode time keeps memory-cached
     and disk-cached payloads identical.
     """

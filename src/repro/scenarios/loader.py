@@ -200,27 +200,31 @@ class CompiledSuite:
         return self.figure is not None
 
 
-def _check_names(values: Sequence[str], allowed: Sequence[str], what: str) -> None:
-    """Reject unknown preset/workload names at compile time, not in a worker."""
+def _check_names(values: Sequence[str], allowed: Sequence[str], what: str, field: str) -> None:
+    """Reject unknown preset/workload names at compile time, not in a worker.
+
+    ``field`` is the suite key that listed them.
+    """
     from repro.errors import ConfigurationError
 
     unknown = sorted(set(values) - set(allowed))
     if unknown:
         raise ConfigurationError(
-            f"unknown {what} name(s) {unknown}; expected one of {sorted(allowed)}"
+            f"unknown {what} name(s) {unknown}; expected one of {sorted(allowed)}",
+            field=field,
         )
 
 
-def _check_systems(values: Sequence[str]) -> None:
+def _check_systems(values: Sequence[str], field: str = "systems") -> None:
     from repro.config.presets import SYSTEM_CONFIG_NAMES
 
-    _check_names(values, SYSTEM_CONFIG_NAMES, "system")
+    _check_names(values, SYSTEM_CONFIG_NAMES, "system", field)
 
 
 def _check_workloads(values: Sequence[str]) -> None:
     from repro.workloads.registry import available_workloads
 
-    _check_names(values, available_workloads(), "workload")
+    _check_names(values, available_workloads(), "workload", "workloads")
 
 
 def _check_pipeline_compat(workloads: Sequence[str], parallelism: Optional[str]) -> None:
@@ -372,7 +376,7 @@ def _resolve_model_agreement(suite: Suite) -> "CompiledFigure":
     from repro.experiments.model_agreement import agreement_jobs, run_model_agreement
 
     options: Dict[str, object] = {"system": "ace", **suite.spec}
-    _check_systems((options["system"],))
+    _check_systems((options["system"],), field="system")
     for name in ("training_cells", "drive_cells"):
         if name in options:
             options[name] = [tuple(cell) for cell in options[name]]

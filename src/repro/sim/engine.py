@@ -6,9 +6,9 @@ callbacks held in a binary heap.  Model code schedules callbacks with
 (absolute time) and :meth:`Simulator.run` drains the heap in time order.
 
 A :class:`HopLane` holds the store-and-forward hops queued on one FIFO
-:class:`~repro.sim.resources.BandwidthResource` and books them at their
-places in that same ``(time, seq)`` order, most of them without a heap
-entry of their own.
+:class:`~repro.sim.resources.BandwidthResource` and books them on it at
+their places in that same ``(time, seq)`` order, most of them without a
+heap entry of their own.
 
 The same engine drives both the detailed multi-node fabric model and the fast
 symmetric-node model, so every experiment in the paper runs on top of this
@@ -21,7 +21,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Deque, List
 
-from repro.errors import SimulationError
+from repro.errors import ResourceError, SimulationError
 from repro.sim.resources import BandwidthResource
 
 Callback = Callable[..., None]
@@ -133,16 +133,25 @@ class Simulator:
 class HopLane:
     """The pending store-and-forward hops of one FIFO bandwidth resource.
 
-    A message walking ``hops`` hops over ``resource`` books each hop through
-    :meth:`~repro.sim.resources.BandwidthResource.reserve_times` and is
-    forwarded at that booking's arrival.  :meth:`walk` books a message's
-    first hop at :attr:`Simulator.now`; each later hop is queued here with
-    the ``(time, seq)`` key its own event would have had -- its arrival, and
-    a ``seq`` drawn from the simulator's counter when the hop is queued --
-    and is booked at exactly that place in the simulator's event order.
-    ``done(arrival)`` is called once per message, at its last hop's
-    arrival; it runs inside the lane and may schedule events but must not
-    walk another message.
+    A message walking ``hops`` hops over ``resource`` books each hop on it
+    and is forwarded at that booking's arrival.  :meth:`walk` books a
+    message's first hop at :attr:`Simulator.now`; each later hop is queued
+    here with the ``(time, seq)`` key its own event would have had -- its
+    arrival, and a ``seq`` drawn from the simulator's counter when the hop
+    is queued -- and is booked at exactly that place in the simulator's
+    event order.  ``done(arrival)`` is called once per message, at its last
+    hop's arrival; it runs inside the lane and may schedule events but must
+    not walk another message or book the lane's resource.
+
+    The lane books every hop itself, with
+    :meth:`~repro.sim.resources.BandwidthResource.reserve_times`' arithmetic
+    in its order and :meth:`~repro.sim.trace.IntervalTracer.record`'s
+    merging rules, and calls neither: a contended run books hundreds of
+    thousands of hops, and each call would add a Python frame to every one.
+    A drain keeps the resource's FIFO tail, busy time and byte count in
+    locals and writes them back before every ``done`` call and before it
+    returns, so the resource reads the same at every event boundary as if
+    each hop had been booked through ``reserve_times``.
 
     Every queued hop arrives from a booking on this one FIFO resource, whose
     latency is fixed, so arrivals never decrease in booking order, and the
@@ -158,12 +167,12 @@ class HopLane:
     A lane is bound to the simulator it was built with.
     """
 
-    __slots__ = ("sim", "name", "_reserve", "_hops")
+    __slots__ = ("sim", "name", "_link", "_hops")
 
     def __init__(self, sim: Simulator, resource: BandwidthResource) -> None:
         self.sim = sim
         self.name = resource.name
-        self._reserve = resource.reserve_times
+        self._link = resource
         #: ``[time, seq, num_bytes, hops_left, done]`` per queued hop, in
         #: ``(time, seq)`` order.  A list, like a heap entry, so the two
         #: compare by time and then by the unique ``seq``.
@@ -175,8 +184,32 @@ class HopLane:
 
     def walk(self, num_bytes: float, hops: int, done: Callable[[float], None]) -> None:
         """Book a message's first of ``hops`` hops now and queue the rest."""
+        link = self._link
+        if not num_bytes >= 0:
+            raise ResourceError(f"{link.name}: cannot transfer {num_bytes} bytes")
         sim = self.sim
-        _, arrival = self._reserve(num_bytes, sim._now)
+        time = sim._now
+        tail = link._next_free
+        start = time if time > tail else tail
+        serialization = num_bytes / link.bandwidth_gbps
+        end = start + serialization
+        link._next_free = end
+        link._busy_time += serialization
+        link._bytes_moved += num_bytes
+        tracer = link.trace
+        # ``end > start`` is false for a zero serialization and for one that
+        # the start time absorbs: record() drops both.
+        if tracer is not None and end > start:
+            starts = tracer._starts
+            ends = tracer._ends
+            if ends and starts[-1] <= start <= ends[-1]:
+                if end > ends[-1]:
+                    ends[-1] = end
+            else:
+                starts.append(start)
+                ends.append(end)
+            tracer._merged = None
+        arrival = end + link.latency_ns
         if hops == 1:
             done(arrival)
             return
@@ -208,26 +241,53 @@ class HopLane:
             )
         sim = self.sim
         queue = sim._queue
-        reserve = self._reserve
+        link = self._link
+        bandwidth = link.bandwidth_gbps
+        latency = link.latency_ns
+        tracer = link.trace
+        if tracer is not None:
+            starts = tracer._starts
+            ends = tracer._ends
         popleft = queued.popleft
         append = queued.append
+        # The link's FIFO tail, busy time and byte count, in locals until
+        # the next write-back.
+        tail = link._next_free
+        busy = link._busy_time
+        moved = link._bytes_moved
         booked = 0
         while True:
             time, _, num_bytes, hops, done = popleft()
             sim._now = time
-            _, arrival = reserve(num_bytes, time)
+            start = time if time > tail else tail
+            serialization = num_bytes / bandwidth
+            tail = start + serialization
+            busy += serialization
+            moved += num_bytes
+            if tracer is not None and tail > start:
+                if ends and starts[-1] <= start <= ends[-1]:
+                    if tail > ends[-1]:
+                        ends[-1] = tail
+                else:
+                    starts.append(start)
+                    ends.append(tail)
+                tracer._merged = None
             booked += 1
             if hops == 1:
-                done(arrival)
+                link._next_free = tail
+                link._busy_time = busy
+                link._bytes_moved = moved
+                done(tail + latency)
             else:
                 seq = sim._seq
                 sim._seq = seq + 1
-                append([arrival, seq, num_bytes, hops - 1, done])
-            if not queued:
+                append([tail + latency, seq, num_bytes, hops - 1, done])
+            if not queued or (queue and queue[0] < queued[0]):
                 break
-            head = queued[0]
-            if queue and queue[0] < head:
-                self._arm(head)
-                break
+        link._next_free = tail
+        link._busy_time = busy
+        link._bytes_moved = moved
+        if queued:
+            self._arm(queued[0])
         # The run loop counts the armed entry as the first hop's event.
         sim._processed += booked - 1

@@ -92,10 +92,11 @@ class BandwidthResource:
         """:meth:`reserve` without the :class:`Reservation` wrapper.
 
         Identical FIFO queuing, accounting and tracing; returns the bare
-        ``(start, finish)`` pair.  The detailed backend's hop lanes
-        (:class:`~repro.sim.engine.HopLane`) call this once per message hop,
-        hundreds of thousands of times in a contended run, and need only
-        the two times.
+        ``(start, finish)`` pair.  The endpoints and the symmetric backend
+        book their pipes through it.  The detailed backend's hop lanes
+        (:class:`~repro.sim.engine.HopLane`) do not call it: they apply
+        this arithmetic, in this order, inline on the resource's FIFO tail,
+        busy time and byte count, so a change here must be made there too.
         """
         if not num_bytes >= 0:
             raise ResourceError(f"{self.name}: cannot transfer {num_bytes} bytes")

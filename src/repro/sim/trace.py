@@ -36,7 +36,11 @@ class IntervalTracer:
         self._merged: "Tuple[np.ndarray, np.ndarray] | None" = None
 
     def record(self, start: float, end: float) -> None:
-        """Record a busy interval; zero-length intervals are ignored."""
+        """Record a busy interval; zero-length intervals are ignored.
+
+        :class:`~repro.sim.engine.HopLane` applies these rules inline to
+        its resource's tracer, so a change here must be made there too.
+        """
         if end <= start:
             return
         ends = self._ends

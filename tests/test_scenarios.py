@@ -250,15 +250,29 @@ class TestLoader:
         data = minimal_manifest(
             suites=[{"kind": "grid", "systems": ["acee"], "sizes": [16]}]
         )
-        with pytest.raises(ScenarioError, match=r"unknown system name\(s\) \['acee'\]"):
+        with pytest.raises(
+            ScenarioError, match=r"unknown system name\(s\) \['acee'\]"
+        ) as excinfo:
             compile_scenario(Scenario.from_dict(data))
+        assert excinfo.value.field == "systems"
 
     def test_unknown_workload_name_fails_at_compile_time(self):
         data = minimal_manifest(
             suites=[{"kind": "grid", "workloads": ["resnet51"], "sizes": [16]}]
         )
-        with pytest.raises(ScenarioError, match="unknown workload name"):
+        with pytest.raises(ScenarioError, match="unknown workload name") as excinfo:
             compile_scenario(Scenario.from_dict(data))
+        assert excinfo.value.field == "workloads"
+
+    def test_unknown_agreement_system_names_its_field(self):
+        data = minimal_manifest(
+            suites=[{"kind": "model_agreement", "knob": "backend", "system": "acee"}]
+        )
+        with pytest.raises(
+            ScenarioError, match=r"suite #0.*unknown system name\(s\) \['acee'\]"
+        ) as excinfo:
+            compile_scenario(Scenario.from_dict(data))
+        assert excinfo.value.field == "system"
 
     def test_unknown_ace_override_field_fails_at_compile_time(self):
         data = minimal_manifest(suites=[{"kind": "area_power", "ace": {"sram_mbz": 8}}])
