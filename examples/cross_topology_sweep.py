@@ -4,9 +4,11 @@
 Runs the ``cross-topology`` scenario: every feasible (topology x algorithm)
 all-reduce pairing at 16 and 64 NPUs — the paper's canonical torus, a 2D
 torus, a flat ring, a switch group, and a fully-connected fabric — as one
-parallel, cached sweep.  On the torus the paper's hierarchical algorithm
-wins; on single-hop fabrics the logarithmic algorithms take over
-(``tests/test_cross_topology.py`` asserts the rankings).
+parallel, cached sweep.  The manifest declares the pairings as drive
+``grid`` suites, one per group of fabrics that accept the same algorithms
+(``tests/test_cross_topology.py`` checks that they are exactly the
+planner-feasible ones).  On the torus the paper's hierarchical algorithm
+wins; on single-hop fabrics the logarithmic algorithms take over.
 
 Thin wrapper over the scenario CLI; equivalent to::
 

@@ -49,13 +49,7 @@ from repro.config import (
     make_system,
     torus_shape_for_npus,
 )
-from repro.collectives import (
-    CollectiveOp,
-    CollectivePlan,
-    algorithms,
-    plan_collective,
-    supported_algorithms,
-)
+from repro.collectives import CollectiveOp, CollectivePlan, algorithms, plan_collective
 from repro.compute import COMPUTE_BACKENDS, ComputeBackend, make_compute_backend
 from repro.network import NETWORK_BACKENDS, NetworkBackend, make_network_backend
 from repro.network.topology import (
@@ -101,7 +95,6 @@ __all__ = [
     "CollectivePlan",
     "algorithms",
     "plan_collective",
-    "supported_algorithms",
     "COMPUTE_BACKENDS",
     "ComputeBackend",
     "make_compute_backend",

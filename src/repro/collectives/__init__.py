@@ -17,11 +17,9 @@ on the 3D torus.
 from repro.collectives.base import CollectiveOp, CollectivePlan, PhaseSpec
 from repro.collectives.planner import (
     AlgorithmSpec,
-    algorithm_capabilities,
     algorithms,
     estimate_plan_cost,
     plan_collective,
-    supported_algorithms,
 )
 from repro.collectives.hierarchical import hierarchical_all_reduce_plan
 from repro.collectives.ring import (
@@ -37,11 +35,9 @@ __all__ = [
     "CollectivePlan",
     "PhaseSpec",
     "AlgorithmSpec",
-    "algorithm_capabilities",
     "algorithms",
     "estimate_plan_cost",
     "plan_collective",
-    "supported_algorithms",
     "hierarchical_all_reduce_plan",
     "flat_ring_plan",
     "ring_all_gather_phase",

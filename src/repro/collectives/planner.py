@@ -114,19 +114,6 @@ def algorithms() -> Tuple[str, ...]:
     return tuple(_ALGORITHMS)
 
 
-def algorithm_capabilities(op: Union[str, CollectiveOp], topology: Topology) -> Dict[str, Optional[str]]:
-    """Feasibility map for (op, topology): name -> None (feasible) or reason."""
-    op = _normalize_op(op)
-    return {name: spec.rejection(op, topology) for name, spec in _ALGORITHMS.items()}
-
-
-def supported_algorithms(op: Union[str, CollectiveOp], topology: Topology) -> List[str]:
-    """Algorithms able to run ``op`` on ``topology``."""
-    return [
-        name for name, reason in algorithm_capabilities(op, topology).items() if reason is None
-    ]
-
-
 def algorithm_implements(algorithm: str, op: Union[str, CollectiveOp]) -> bool:
     """Whether ``algorithm`` implements ``op`` (on any topology).
 

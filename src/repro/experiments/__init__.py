@@ -26,9 +26,6 @@ fig12     fig12-dlrm-opt   Fig. 12 — DLRM embedding-overlap optimisation
 table4    table4-area      Table IV — ACE area and power
 ========  ===============  ==================================================
 
-:mod:`repro.experiments.cross_topology` extends past the paper: it sweeps
-(topology x collective algorithm x platform size) through the planner
-and the sweep runner; see ``cross_topology_jobs``.
 :mod:`repro.experiments.model_agreement` reproduces the paper's
 model-validation methodology: every cell runs on both models of a pair
 (network backends or compute models) and the fast model must track the

@@ -10,7 +10,7 @@ links for ``local``/``switch``, two 25 GB/s inter-package links for
 transfer hop by hop:
 
 * a phase of ``steps`` ring steps moves its bytes as Table III *messages*
-  (8 KB by default): a message of step ``s + 1`` cannot start serialising
+  (8 KB): a message of step ``s + 1`` cannot start serialising
   until the corresponding message of step ``s`` has fully arrived at the
   next hop (serialization **plus** link latency) — hop-by-hop
   store-and-forward at message granularity, with consecutive messages of
@@ -62,7 +62,7 @@ from repro.sim.resources import BandwidthResource, Reservation
 from repro.sim.trace import IntervalTracer, UtilizationTrace
 
 
-#: Default store-and-forward message size (Table III: 8 KB messages).
+#: Store-and-forward message size (Table III: 8 KB messages).
 DEFAULT_MESSAGE_BYTES = 8 * 1024
 
 #: Upper bound on messages simulated per ring step.  Very large transfers
@@ -97,22 +97,10 @@ class DetailedBackend(NetworkBackend):
         self,
         topology: Topology,
         network: NetworkConfig,
-        message_bytes: int = DEFAULT_MESSAGE_BYTES,
         dimensions: Optional[Sequence[str]] = None,
-        coalesce: bool = True,
     ) -> None:
-        if message_bytes <= 0:
-            raise TopologyError(
-                f"message_bytes must be positive, got {message_bytes}"
-            )
         self.topology = topology
         self.network = network
-        self.message_bytes = message_bytes
-        #: Whether uncontended steps may be booked in bulk (one reservation
-        #: per step).  ``False`` walks every transfer per message through
-        #: the hop lanes — the reference behaviour the equivalence
-        #: property tests compare against.
-        self.coalesce = coalesce
         active = topology.active_dimensions()
         if dimensions is None:
             selected = active
@@ -202,7 +190,7 @@ class DetailedBackend(NetworkBackend):
                 )
             steps = max(1, steps)
             step_bytes = num_bytes / steps
-            num_messages = max(1, int(-(-step_bytes // self.message_bytes)))
+            num_messages = max(1, int(-(-step_bytes // DEFAULT_MESSAGE_BYTES)))
             num_messages = min(num_messages, MAX_MESSAGES_PER_STEP)
             bytes_per_port = step_bytes / (num_messages * self._port_counts[dimension])
             carving = self._carvings[key] = (
@@ -273,10 +261,9 @@ class DetailedBackend(NetworkBackend):
         its first transfer; driving it from another raises
         :class:`~repro.errors.SimulationError`.
 
-        Coalescing (``self.coalesce``, default on): when this transfer is
-        the dimension's sole *issuer* — every other transfer on the
-        dimension has already booked its last port request — a step's
-        messages are booked as one batch reservation
+        Coalescing: when this transfer is the dimension's sole *issuer* —
+        every other transfer on the dimension has already booked its last
+        port request — a step's messages are booked as one batch reservation
         (:meth:`~repro.sim.resources.BandwidthResource.reserve_batch`) and
         the walk advances one *step* event at a time instead of one
         *message* hop at a time, cutting the bookings per transfer by the
@@ -298,7 +285,7 @@ class DetailedBackend(NetworkBackend):
         carving = self._carve(dimension, num_bytes, steps)
         issuing = self._issuing
         issuing[dimension] += 1
-        if self.coalesce and issuing[dimension] == 1:
+        if issuing[dimension] == 1:
             ready = [sim.now] * carving[2]
             self._bulk_step(sim, dimension, carving, 0, ready, on_complete)
             return

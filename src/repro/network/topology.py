@@ -24,8 +24,9 @@ count.
 from __future__ import annotations
 
 import abc
+import re
 from dataclasses import dataclass
-from typing import Hashable, List, Sequence, Tuple, Union
+from typing import Hashable, List, Sequence, Tuple
 
 from repro.errors import TopologyError
 
@@ -292,73 +293,47 @@ def torus_from_shape(shape: Sequence[int]) -> Torus3D:
     return Torus3D(int(shape[0]), int(shape[1]), int(shape[2]))
 
 
-#: Spec-string prefixes accepted by :func:`topology_from_spec`.
-TOPOLOGY_KINDS = ("torus", "torus2d", "ring", "switch", "fc")
+#: Spec-string kinds accepted by :func:`topology_from_spec`, each with the
+#: form of its ``x``-separated dimensions and the class they build.
+_SPEC_KINDS = {
+    "torus": ("LxVxH", Torus3D),
+    "torus2d": ("VxH", Torus2D),
+    "ring": ("N", RingTopology),
+    "switch": ("N", SwitchTopology),
+    "fc": ("N", FullyConnected),
+}
+TOPOLOGY_KINDS = tuple(_SPEC_KINDS)
+#: A dimension: a positive decimal integer without leading zeros.
+_DIMENSION = re.compile(r"[1-9][0-9]*")
 
 
-def _parse_dims(text: str, expected: int, spec: str) -> List[int]:
-    parts = text.split("x")
-    if len(parts) != expected or not all(p.isdigit() for p in parts):
-        raise TopologyError(
-            f"invalid topology spec {spec!r}: expected {expected} 'x'-separated "
-            f"integer dimensions, got {text!r}"
-        )
-    return [int(p) for p in parts]
+def topology_from_spec(spec: str) -> Topology:
+    """Parse a ``"<kind>:<dims>"`` topology spec into a :class:`Topology`.
 
+    ========== ========================= =========================
+    Spec       Meaning                   Example
+    ========== ========================= =========================
+    torus      ``LxVxH`` 3D torus        ``torus:4x4x4``
+    torus2d    ``VxH`` 2D torus          ``torus2d:8x8``
+    ring       flat ring of N NPUs       ``ring:16``
+    switch     N NPUs on one switch      ``switch:64``
+    fc         N fully-connected NPUs    ``fc:16``
+    ========== ========================= =========================
 
-def topology_from_spec(spec: Union[str, Sequence[int], Topology]) -> Topology:
-    """Parse a topology specification into a :class:`Topology` instance.
-
-    Accepted forms:
-
-    * a :class:`Topology` instance (returned unchanged),
-    * an ``(L, V, H)`` sequence (a 3D torus shape),
-    * a string ``"<kind>:<params>"``:
-
-      ========== ========================= =========================
-      Spec       Meaning                   Example
-      ========== ========================= =========================
-      torus      ``LxVxH`` 3D torus        ``torus:4x4x4``
-      torus2d    ``VxH`` 2D torus          ``torus2d:8x8``
-      ring       flat ring of N NPUs       ``ring:16``
-      switch     N NPUs on one switch      ``switch:64``
-      fc         N fully-connected NPUs    ``fc:16``
-      ========== ========================= =========================
-
-    A bare ``"LxVxH"`` string (no prefix) is accepted as a 3D torus for
-    symmetry with the paper's notation.
+    A fabric has exactly one spelling -- a lowercase kind, no spaces, no
+    leading zeros -- so one fabric is one job spec hash and one cache key.
     """
-    if isinstance(spec, Topology):
-        return spec
-    if not isinstance(spec, str):
-        return torus_from_shape(tuple(spec))
-    text = spec.strip().lower()
-    if ":" not in text:
-        if "x" in text:
-            return torus_from_shape(_parse_dims(text, 3, spec))
+    kind, colon, dims = spec.partition(":") if isinstance(spec, str) else ("", "", "")
+    if not colon or kind not in _SPEC_KINDS:
         raise TopologyError(
-            f"invalid topology spec {spec!r}; expected '<kind>:<params>' with "
-            f"kind in {TOPOLOGY_KINDS} or a bare 'LxVxH' torus shape"
+            f"invalid topology spec {spec!r}; expected '<kind>:<dims>' with "
+            f"kind in {TOPOLOGY_KINDS}"
         )
-    kind, _, params = text.partition(":")
-    if kind == "torus":
-        return torus_from_shape(_parse_dims(params, 3, spec))
-    if kind == "torus2d":
-        v, h = _parse_dims(params, 2, spec)
-        return Torus2D(v, h)
-    if kind in ("ring", "switch", "fc", "fully_connected"):
-        if not params.isdigit():
-            raise TopologyError(
-                f"invalid topology spec {spec!r}: {kind!r} takes a single "
-                f"integer node count, got {params!r}"
-            )
-        size = int(params)
-        if kind == "ring":
-            return RingTopology(size)
-        if kind == "switch":
-            return SwitchTopology(size)
-        return FullyConnected(size)
-    raise TopologyError(
-        f"unknown topology kind {kind!r} in spec {spec!r}; "
-        f"expected one of {TOPOLOGY_KINDS}"
-    )
+    form, build = _SPEC_KINDS[kind]
+    parts = dims.split("x")
+    if len(parts) != len(form.split("x")) or not all(map(_DIMENSION.fullmatch, parts)):
+        raise TopologyError(
+            f"invalid topology spec {spec!r}: {kind!r} takes {form!r} as positive "
+            f"integers without leading zeros, got {dims!r}"
+        )
+    return build(*map(int, parts))

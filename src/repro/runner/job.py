@@ -33,7 +33,7 @@ from repro.config.fields import POSITIVE, check
 from repro.config.presets import SYSTEM_CONFIG_NAMES, make_system, torus_shape_for_npus
 from repro.config.system import AceConfig, ResourcePolicy, SystemConfig
 from repro.core.area_power import AceAreaPowerModel
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.network import NETWORK_BACKENDS
 from repro.network.topology import Topology, topology_from_spec, torus_from_shape
 from repro.training.loop import simulate_training
@@ -153,7 +153,10 @@ class SimJob:
                 )
         if self.fabric is not None:
             # Validate eagerly so a bad spec fails at submission, not in a worker.
-            topology_from_spec(self.fabric)
+            try:
+                topology_from_spec(self.fabric)
+            except TopologyError as exc:
+                raise TopologyError(f"fabric: {exc}", field="fabric") from None
         if self.kind in ("training", "network_drive"):
             if self.fabric is None and self.topology is None:
                 if self.num_npus is None:
@@ -192,7 +195,8 @@ class SimJob:
             except ValueError:
                 raise ConfigurationError(
                     f"unknown collective op {self.op!r}; expected one of "
-                    f"{[o.value for o in CollectiveOp]}"
+                    f"{[o.value for o in CollectiveOp]}",
+                    field="op",
                 ) from None
         # Override fields, their values and the cross-field rules (and a
         # parallelism spec) fail here, at submission, rather than in a worker.

@@ -7,14 +7,13 @@ variable or the CLI's ``--dir`` flag.
 
 Compilation turns a validated :class:`~repro.scenarios.schema.Scenario` into
 the exact :class:`~repro.runner.SimJob` batch the hand-written harnesses
-build: ``grid`` suites compile through
-:func:`repro.experiments.common.grid_jobs`, ``cross_topology`` through
-:func:`repro.experiments.cross_topology.cross_topology_jobs`, and so on — so
-a manifest-driven run produces byte-identical job specs (and therefore cache
-keys) to the corresponding figure harness.  ``figure`` suites delegate to a
-harness run function (see :func:`_figure_registry`) for the figures whose job
-parameters are computed rather than declared (e.g. Fig. 4's contended
-resource estimates).
+build: a ``grid`` suite's workload cells compile through
+:func:`repro.experiments.common.grid_jobs` and its drive cells through
+:func:`repro.runner.network_drive_job`, so a manifest-driven run produces
+byte-identical job specs (and therefore cache keys) to the corresponding
+harness.  ``figure`` suites delegate to a harness run function (see
+:func:`_figure_registry`) for the figures whose job parameters are computed
+rather than declared (e.g. Fig. 4's contended resource estimates).
 """
 
 from __future__ import annotations
@@ -248,17 +247,19 @@ def _check_pipeline_compat(workloads: Sequence[str], parallelism: Optional[str])
 
 
 def _compile_grid(spec: Mapping[str, object]) -> List[SimJob]:
-    """The (model x size x system) grid once per outer-axis cell.
+    """The inner grid once per outer-axis cell.
 
     The outer axes (:data:`~repro.scenarios.schema.GRID_AXES`) wrap the
     inner grid; an absent or empty axis list, or a ``null`` entry, means the
-    job field's default.  Workload cells route through
-    :func:`repro.experiments.common.grid_jobs`, so the expansion is
-    byte-identical to hand-enumerating one harness batch per combination, and
-    identical specs hit identical cache keys.  Every trace file is loaded —
-    and therefore fully validated — before any job is built, so a broken
-    ``traces/<name>.json`` fails ``repro validate`` with the offending node
-    named instead of dying in a worker process.
+    job field's default.  The inner grid is (workload x size x system),
+    routed through :func:`repro.experiments.common.grid_jobs`, so the
+    expansion is byte-identical to hand-enumerating one harness batch per
+    combination and identical specs hit identical cache keys; with
+    ``traces`` it is (trace x size x system), and with ``payload_bytes``
+    (op x size x system) single-collective drives.  Every trace file is
+    loaded -- and therefore fully validated -- before any job is built, so a
+    broken ``traces/<name>.json`` fails ``repro validate`` with the
+    offending node named instead of dying in a worker process.
     """
     from repro.config.presets import SYSTEM_CONFIG_NAMES
     from repro.experiments.common import grid_jobs
@@ -274,94 +275,67 @@ def _compile_grid(spec: Mapping[str, object]) -> List[SimJob]:
             f"a fabric spec fixes the platform size; pass a single-entry "
             f"sizes instead of {sizes} (one fabric spec per size)"
         )
-    traces = tuple(spec.get("traces", ()))
-    cost_table = spec.get("cost_table")
-    workloads = tuple(spec.get("workloads", ("resnet50", "gnmt", "dlrm")))
+    cells = [
+        {field: value for field, value in zip(axes, cell) if value is not None}
+        for cell in itertools.product(*axes.values())
+    ]
+    chunk_bytes = spec.get("chunk_bytes")
+    if "payload_bytes" in spec:
+        ops = tuple(spec.get("ops", ("all_reduce",)))
+        return [
+            network_drive_job(
+                system,
+                int(spec["payload_bytes"]),
+                op=op,
+                num_npus=None if "fabric" in knobs else num_npus,
+                chunk_bytes=chunk_bytes,
+                **knobs,
+            )
+            for knobs in cells
+            for op, num_npus, system in itertools.product(ops, sizes, systems)
+        ]
+    iterations = int(spec.get("iterations", 2))
     if "traces" in spec:
         from repro.traces import find_trace
         from repro.traces.cost import find_cost_table
 
+        traces = tuple(spec["traces"])
+        cost_table = spec.get("cost_table")
         for name in traces:
             find_trace(name)
         if cost_table is not None:
             find_cost_table(str(cost_table))
-    else:
-        _check_workloads(workloads)
-        for parallelism in axes["parallelism"]:
-            _check_pipeline_compat(workloads, parallelism)
-    iterations = int(spec.get("iterations", 2))
-    jobs: List[SimJob] = []
-    for cell in itertools.product(*axes.values()):
-        knobs = {field: value for field, value in zip(axes, cell) if value is not None}
-        if "traces" in spec:
-            jobs.extend(
-                trace_job(
-                    system,
-                    trace,
-                    num_npus=None if "fabric" in knobs else num_npus,
-                    iterations=iterations,
-                    chunk_bytes=spec.get("chunk_bytes"),
-                    cost_table=cost_table,
-                    **knobs,
-                )
-                for trace, num_npus, system in itertools.product(traces, sizes, systems)
+        return [
+            trace_job(
+                system,
+                trace,
+                num_npus=None if "fabric" in knobs else num_npus,
+                iterations=iterations,
+                chunk_bytes=chunk_bytes,
+                cost_table=cost_table,
+                **knobs,
             )
-        else:
-            jobs.extend(
-                grid_jobs(
-                    systems=systems,
-                    workloads=workloads,
-                    sizes=sizes,
-                    fast=bool(spec.get("fast", True)),
-                    chunk_bytes=spec.get("chunk_bytes"),
-                    iterations=iterations,
-                    overlap_embedding=bool(spec.get("overlap_embedding", False)),
-                    **knobs,
-                )
-            )
-    return jobs
-
-
-def _compile_network_drive(spec: Mapping[str, object]) -> List[SimJob]:
-    systems = tuple(spec.get("systems", ("ace",)))
-    _check_systems(systems)
-    cells = itertools.product(
-        spec["fabrics"],
-        spec.get("ops", ("all_reduce",)),
-        spec.get("algorithms", ("auto",)),
-        spec.get("backends", (None,)),
-        systems,
-    )
+            for knobs in cells
+            for trace, num_npus, system in itertools.product(traces, sizes, systems)
+        ]
+    workloads = tuple(spec.get("workloads", ("resnet50", "gnmt", "dlrm")))
+    _check_workloads(workloads)
+    for parallelism in axes["parallelism"]:
+        _check_pipeline_compat(workloads, parallelism)
     return [
-        network_drive_job(
-            system,
-            int(spec["payload_bytes"]),
-            op=op,
-            fabric=fabric,
-            algorithm=algorithm,
-            backend=backend,
-            chunk_bytes=spec.get("chunk_bytes"),
-            overrides=spec.get("overrides", {}),
+        job
+        for knobs in cells
+        for job in grid_jobs(
+            systems=systems,
+            workloads=workloads,
+            sizes=sizes,
+            fast=bool(spec.get("fast", True)),
+            chunk_bytes=chunk_bytes,
+            iterations=iterations,
+            overlap_embedding=bool(spec.get("overlap_embedding", False)),
+            **knobs,
         )
-        for fabric, op, algorithm, backend, system in cells
     ]
-
-
-def _compile_cross_topology(spec: Mapping[str, object]) -> List[SimJob]:
-    from repro.experiments.cross_topology import (
-        DEFAULT_CHUNK_BYTES,
-        DEFAULT_PAYLOAD_BYTES,
-        cross_topology_jobs,
-    )
-
-    _check_systems(tuple(spec.get("systems", ("ace",))))
-    return cross_topology_jobs(
-        op=str(spec.get("op", "all_reduce")),
-        sizes=tuple(spec.get("sizes", (16,))),
-        systems=tuple(spec.get("systems", ("ace",))),
-        payload_bytes=int(spec.get("payload_bytes", DEFAULT_PAYLOAD_BYTES)),
-        chunk_bytes=int(spec.get("chunk_bytes", DEFAULT_CHUNK_BYTES)),
-    )
 
 
 def _resolve_model_agreement(suite: Suite) -> "CompiledFigure":
@@ -396,8 +370,6 @@ def _compile_area_power(spec: Mapping[str, object]) -> List[SimJob]:
 
 _COMPILERS: Dict[str, Callable[[Mapping[str, object]], List[SimJob]]] = {
     "grid": _compile_grid,
-    "network_drive": _compile_network_drive,
-    "cross_topology": _compile_cross_topology,
     "area_power": _compile_area_power,
 }
 

@@ -41,7 +41,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.config.fields import REQUIRED, check, check_object
+from repro.config.fields import POSITIVE, REQUIRED, check, check_object
 from repro.errors import ScenarioError
 
 #: Manifest schema version understood by this package.
@@ -71,7 +71,8 @@ GRID_AXES = (
 @dataclass(frozen=True)
 class _GridSuite:
     # The (system x workload-or-trace x size) grid once per cell of the
-    # product of the GRID_AXES lists.
+    # product of the GRID_AXES lists; with ``payload_bytes``, the
+    # (op x size x system) grid of single-collective drives instead.
     systems: Tuple[str, ...]
     workloads: Tuple[str, ...]
     traces: Tuple[str, ...]
@@ -86,28 +87,21 @@ class _GridSuite:
     fast: bool
     overlap_embedding: bool
     cost_table: Optional[str]
-
-
-@dataclass(frozen=True)
-class _NetworkDriveSuite:
-    systems: Tuple[str, ...]
-    payload_bytes: int = field(metadata=REQUIRED)
-    chunk_bytes: Optional[int]
-    fabrics: Tuple[str, ...] = field(metadata=REQUIRED)
-    algorithms: Tuple[str, ...]
-    backends: Tuple[Optional[str], ...]
+    payload_bytes: int = field(metadata=POSITIVE)
     ops: Tuple[str, ...]
-    #: Checked against the config sections when the jobs are built.
-    overrides: Mapping[str, object]
 
 
-@dataclass(frozen=True)
-class _CrossTopologySuite:
-    op: str
-    sizes: Tuple[int, ...]
-    systems: Tuple[str, ...]
-    payload_bytes: int
-    chunk_bytes: int
+#: ``grid`` fields only workload cells read.
+_WORKLOAD_FIELDS = ("workloads", "fast", "overlap_embedding")
+#: The fields that turn a ``grid`` suite from workload cells into drive or
+#: trace cells, each with the fields those cells cannot use.
+_GRID_EXCLUDES = {
+    "payload_bytes": _WORKLOAD_FIELDS + ("traces", "iterations", "cost_table"),
+    "traces": _WORKLOAD_FIELDS,
+}
+#: ``grid`` fields read by one kind of cell only: the field that selects
+#: those cells, and what it holds.
+_GRID_NEEDS = {"cost_table": ("traces", "list"), "ops": ("payload_bytes", "size")}
 
 
 @dataclass(frozen=True)
@@ -138,8 +132,6 @@ class _FigureSuite:
 #: fields marked REQUIRED must be present; the loader fills absent ones.
 _SUITE_TABLES = {
     "grid": _GridSuite,
-    "network_drive": _NetworkDriveSuite,
-    "cross_topology": _CrossTopologySuite,
     "model_agreement": _ModelAgreementSuite,
     "area_power": _AreaPowerSuite,
     "figure": _FigureSuite,
@@ -147,6 +139,22 @@ _SUITE_TABLES = {
 
 #: Suite kinds a manifest may declare.
 SUITE_KINDS = tuple(_SUITE_TABLES)
+
+
+def _check_grid_source(spec: Mapping[str, object], context: str) -> None:
+    """Reject ``grid`` fields that the suite's job source does not use."""
+    for source, excluded in _GRID_EXCLUDES.items():
+        if source in spec:
+            for name in excluded:
+                if name in spec:
+                    raise ScenarioError(
+                        f"{context}: field {name!r} does not apply to {source!r} grids",
+                        field=name,
+                    )
+            break
+    for name, (needed, noun) in _GRID_NEEDS.items():
+        if name in spec and needed not in spec:
+            raise ScenarioError(f"{context}: field {name!r} needs a {needed!r} {noun}", field=name)
 
 
 @dataclass(frozen=True, eq=True)
@@ -172,14 +180,8 @@ class Suite:
         context = f"{context} ({kind})"
         spec = {key: value for key, value in data.items() if key != "kind"}
         check(_SUITE_TABLES[kind], spec, context, ScenarioError)
-        if kind == "grid" and "traces" in spec:
-            for name in ("workloads", "fast", "overlap_embedding"):
-                if name in spec:
-                    raise ScenarioError(
-                        f"{context}: field {name!r} does not apply to 'traces' grids"
-                    )
-        elif kind == "grid" and "cost_table" in spec:
-            raise ScenarioError(f"{context}: field 'cost_table' needs a 'traces' list")
+        if kind == "grid":
+            _check_grid_source(spec, context)
         return cls(kind=kind, spec=json.loads(json.dumps(spec)))
 
     def to_dict(self) -> Dict[str, object]:

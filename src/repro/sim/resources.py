@@ -116,9 +116,13 @@ class BandwidthResource:
     ) -> Tuple[List[float], List[float]]:
         """Book a whole sequence of FIFO requests in one call.
 
-        Bit-identical to calling :meth:`reserve` once per element in order
-        (same arithmetic in the same order, same accounting, same final
-        FIFO tail); returns the ``(starts, finishes)`` lists.  The
+        Returns the ``(starts, finishes)`` lists.  The starts, the finishes,
+        the final FIFO tail and the merged trace are bit-identical to
+        calling :meth:`reserve` once per element in order: the same
+        arithmetic runs in the same order.  ``busy_time`` and
+        ``bytes_moved`` are not: the batch sums its requests first and adds
+        that sum once, so on a resource that already carries load they can
+        differ from per-request accumulation in the last bits.  The
         detailed backend books one ring step's messages (at most
         ``MAX_MESSAGES_PER_STEP``) per call.
 

@@ -12,17 +12,24 @@
 * :func:`max_disagreement` is the quantity the model-agreement bounds gate.
 * :class:`PerHopEventBackend` is the detailed network backend with every
   message hop its own simulator event, the walk that
-  :class:`~repro.sim.engine.HopLane` must book identically.
+  :class:`~repro.sim.engine.HopLane` must book identically;
+  :class:`PerMessageWalk` turns off coalescing in either backend, so every
+  transfer walks message by message.
+* :func:`feasible_algorithms` asks the planner which algorithms run an
+  operation on a fabric.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.collectives.base import CollectiveOp
+from repro.collectives.planner import algorithms, plan_collective
 from repro.errors import CollectiveError, WorkloadError
 from repro.network.detailed import Carving, DetailedBackend
+from repro.network.topology import Topology
 from repro.sim.engine import Simulator
 
 
@@ -425,3 +432,52 @@ class PerHopEventBackend(DetailedBackend):
         else:
             for ready_m in ready:
                 schedule_at(ready_m, hop, step)
+
+
+class PerMessageWalk:
+    """Mixin for a :class:`DetailedBackend` that never coalesces.
+
+    Every transfer walks message by message from its first step, even as its
+    dimension's sole issuer: the reference the coalesced ``_bulk_step`` path
+    is compared against.
+    """
+
+    def transfer(
+        self,
+        sim: Simulator,
+        dimension: str,
+        num_bytes: float,
+        steps: int,
+        on_complete: Callable[[float], None],
+    ) -> None:
+        if sim is not self._sim:
+            self._bind(sim)
+        carving = self._carve(dimension, num_bytes, steps)
+        self._issuing[dimension] += 1
+        self._hop_messages(sim, dimension, carving, 0, None, on_complete)
+
+
+class PerMessageBackend(PerMessageWalk, DetailedBackend):
+    """:class:`DetailedBackend` walking every transfer per message."""
+
+
+class PerMessageHopEventBackend(PerMessageWalk, PerHopEventBackend):
+    """:class:`PerHopEventBackend` walking every transfer per message."""
+
+
+# ---------------------------------------------------------------------------
+# Planner feasibility
+# ---------------------------------------------------------------------------
+
+
+def feasible_algorithms(op: Union[str, CollectiveOp], topology: Topology) -> List[str]:
+    """The algorithms :func:`plan_collective` accepts for ``op`` on
+    ``topology``, in the planner's table order."""
+    feasible = []
+    for name in algorithms():
+        try:
+            plan_collective(op, topology, algorithm=name)
+        except CollectiveError:
+            continue
+        feasible.append(name)
+    return feasible

@@ -2,12 +2,9 @@
 
 import pytest
 
+from oracles import feasible_algorithms
 from repro.collectives.base import CollectiveOp, CollectivePlan
-from repro.collectives.planner import (
-    algorithm_implements,
-    algorithms,
-    supported_algorithms,
-)
+from repro.collectives.planner import algorithm_implements, algorithms
 from repro.config.presets import make_system
 from repro.endpoint.base import PhaseWork
 from repro.errors import SchedulingError
@@ -190,7 +187,7 @@ def _algorithm_cases():
             fabric = next(
                 spec
                 for spec in fabrics
-                if algorithm in supported_algorithms(op, topology_from_spec(spec))
+                if algorithm in feasible_algorithms(op, topology_from_spec(spec))
             )
             cases.append((algorithm, op, fabric))
     return cases

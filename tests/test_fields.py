@@ -180,6 +180,14 @@ def test_any_json_value_in_any_field_builds_or_names_the_field(target, value):
             },
             "overrides.policy",
         ),
+        # A fabric has one spelling, and a drive names its bad collective.
+        ({"fabric": "mesh:4x4"}, "fabric"),
+        ({"fabric": "fully_connected:16"}, "fabric"),
+        ({"fabric": "FC:16"}, "fabric"),
+        (
+            {"kind": "network_drive", "workload": None, "payload_bytes": 1024, "op": "broadcast"},
+            "op",
+        ),
     ],
 )
 def test_job_probe_is_rejected_naming_its_field(spec, field):
@@ -226,16 +234,7 @@ def _manifest(**fields):
     "manifest, field, text",
     [
         (
-            _manifest(
-                suites=[
-                    {
-                        "kind": "network_drive",
-                        "payload_bytes": 1048576,
-                        "fabrics": ["switch:8"],
-                        "overrides": {"ace": {"num_fsms": 2.5}},
-                    }
-                ]
-            ),
+            _manifest(suites=[{"kind": "area_power", "ace": {"num_fsms": 2.5}}]),
             "overrides.ace.num_fsms",
             "overrides.ace.num_fsms must be an integer, got 2.5",
         ),

@@ -20,9 +20,13 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import PerHopEventBackend
+from oracles import (
+    PerHopEventBackend,
+    PerMessageBackend,
+    PerMessageHopEventBackend,
+    feasible_algorithms,
+)
 from repro.collectives.base import CollectiveOp
-from repro.collectives.planner import supported_algorithms
 from repro.config.presets import make_system
 from repro.errors import ResourceError, SimulationError
 from repro.network import topology_from_spec
@@ -263,7 +267,7 @@ def _torus():
 @pytest.mark.parametrize("coalesce", (True, False))
 def test_a_transfer_never_run_fails_the_accounting_check(coalesce):
     topology, network = _torus()
-    backend = DetailedBackend(topology, network, coalesce=coalesce)
+    backend = (DetailedBackend if coalesce else PerMessageBackend)(topology, network)
     dim = backend.dimensions[0]
     backend.transfer(Simulator(), dim, 1 * MB, 3, lambda finish: None)
     with pytest.raises(ResourceError, match=f"'{dim}'.*mid-walk"):
@@ -301,7 +305,7 @@ def _contended_cases(draw):
     a booking finish gets a probe (0: never) and which probes are late."""
     fabric = draw(st.sampled_from(_FABRICS))
     topology = topology_from_spec(fabric)
-    accepted = {op: supported_algorithms(op, topology) for op in _OPS}
+    accepted = {op: feasible_algorithms(op, topology) for op in _OPS}
     algorithm = draw(
         st.sampled_from(sorted({name for names in accepted.values() for name in names}))
     )
@@ -390,7 +394,7 @@ def _simulate(backend_class, case, bookings=(), log_bookings=False):
     every booking's ``(start, finish)``."""
     topology = topology_from_spec(case["fabric"])
     system = make_system("ace").with_overrides(collective_algorithm=case["algorithm"])
-    fabric = backend_class(topology, system.network, coalesce=case["coalesce"])
+    fabric = backend_class(topology, system.network)
     sim = Simulator()
     booked = []
     if log_bookings:
@@ -426,9 +430,13 @@ def _check_lane_books_like_per_hop_events(case):
     """Probed at the per-hop walk's booking finishes, before and after the
     hops queued there, both walks show every link in the same state; their
     end states, completion times and event counts match too."""
-    _, bookings = _simulate(PerHopEventBackend, case, log_bookings=True)
-    lane, _ = _simulate(DetailedBackend, case, bookings)
-    hop, _ = _simulate(PerHopEventBackend, case, bookings)
+    if case["coalesce"]:
+        lane_backend, hop_backend = DetailedBackend, PerHopEventBackend
+    else:
+        lane_backend, hop_backend = PerMessageBackend, PerMessageHopEventBackend
+    _, bookings = _simulate(hop_backend, case, log_bookings=True)
+    lane, _ = _simulate(lane_backend, case, bookings)
+    hop, _ = _simulate(hop_backend, case, bookings)
     assert lane == hop
 
 

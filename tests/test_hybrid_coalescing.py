@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import PerMessageBackend
 from repro.collectives.base import CollectiveOp
 from repro.config.presets import make_system
 from repro.errors import ConfigurationError, ResourceError
@@ -55,12 +56,12 @@ ALGORITHM_CELLS = (
 PIPELINE_FILL_REL_BOUND = 0.03
 
 
-def _drive_collective(algorithm, fabric_spec, op, chunk_bytes, coalesce):
-    """Completion time of one collective on a fresh detailed backend."""
+def _drive_collective(algorithm, fabric_spec, op, chunk_bytes, backend_class):
+    """Completion time of one collective on a fresh ``backend_class`` fabric."""
     topology = topology_from_spec(fabric_spec)
     sim = Simulator()
     system = make_system("ace").with_overrides(collective_algorithm=algorithm)
-    fabric = DetailedBackend(topology, system.network, coalesce=coalesce)
+    fabric = backend_class(topology, system.network)
     executor = CollectiveExecutor(
         sim, system, topology, fabric=fabric, chunk_bytes=chunk_bytes
     )
@@ -79,8 +80,8 @@ class TestCoalescingEquivalence:
         """With one transfer in flight per step the coalesced path books the
         same FIFO timeline as per-message events — exactly, not just within
         tolerance."""
-        coalesced = _drive_collective(algorithm, fabric, op, 8 * MB, True)
-        reference = _drive_collective(algorithm, fabric, op, 8 * MB, False)
+        coalesced = _drive_collective(algorithm, fabric, op, 8 * MB, DetailedBackend)
+        reference = _drive_collective(algorithm, fabric, op, 8 * MB, PerMessageBackend)
         assert coalesced == reference
 
     @pytest.mark.parametrize(
@@ -96,8 +97,8 @@ class TestCoalescingEquivalence:
     def test_chunked_within_pipeline_fill_bound(self, algorithm, fabric, op):
         """Pipelined chunks create genuine concurrency; the coalesced path may
         diverge by at most the documented pipeline-fill bound."""
-        coalesced = _drive_collective(algorithm, fabric, op, 1 * MB, True)
-        reference = _drive_collective(algorithm, fabric, op, 1 * MB, False)
+        coalesced = _drive_collective(algorithm, fabric, op, 1 * MB, DetailedBackend)
+        reference = _drive_collective(algorithm, fabric, op, 1 * MB, PerMessageBackend)
         assert coalesced == pytest.approx(reference, rel=PIPELINE_FILL_REL_BOUND)
 
 

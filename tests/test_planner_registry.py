@@ -2,13 +2,12 @@
 
 import pytest
 
+from oracles import feasible_algorithms
 from repro.collectives.planner import (
-    algorithm_capabilities,
     algorithms,
     clear_plan_cache,
     estimate_plan_cost,
     plan_collective,
-    supported_algorithms,
 )
 from repro.config.system import NetworkConfig
 from repro.errors import CollectiveError
@@ -37,23 +36,23 @@ class TestRegistry:
         assert algorithms()[:2] == ("hierarchical", "direct")
 
     def test_capabilities_on_torus(self, torus_444):
-        caps = algorithm_capabilities("all_reduce", torus_444)
-        assert caps["hierarchical"] is None
-        assert caps["ring"] is None
-        assert caps["tree"] is not None  # needs a single-hop fabric
-        assert caps["direct"] is not None  # does not implement all_reduce
+        assert feasible_algorithms("all_reduce", torus_444) == ["hierarchical", "ring"]
+        with pytest.raises(CollectiveError, match="requires a single-hop fabric"):
+            plan_collective("all_reduce", torus_444, algorithm="tree")
+        with pytest.raises(CollectiveError, match="does not implement all_reduce"):
+            plan_collective("all_reduce", torus_444, algorithm="direct")
 
     def test_supported_algorithms_on_switch(self):
-        assert supported_algorithms("all_reduce", SwitchTopology(16)) == [
+        assert feasible_algorithms("all_reduce", SwitchTopology(16)) == [
             "ring",
             "tree",
             "halving_doubling",
         ]
 
     def test_halving_doubling_needs_power_of_two(self):
-        caps = algorithm_capabilities("all_reduce", SwitchTopology(12))
-        assert "power-of-two" in caps["halving_doubling"]
-        assert caps["ring"] is None
+        with pytest.raises(CollectiveError, match="power-of-two"):
+            plan_collective("all_reduce", SwitchTopology(12), algorithm="halving_doubling")
+        assert feasible_algorithms("all_reduce", SwitchTopology(12)) == ["ring", "tree"]
 
 
 class TestExplicitSelection:
@@ -103,7 +102,7 @@ class TestAutoSelection:
 
     def test_auto_beats_or_matches_every_explicit_choice(self, torus_444):
         auto_cost = estimate_plan_cost(plan_collective("all_reduce", torus_444))
-        for name in supported_algorithms("all_reduce", torus_444):
+        for name in feasible_algorithms("all_reduce", torus_444):
             explicit = plan_collective("all_reduce", torus_444, algorithm=name)
             assert auto_cost <= estimate_plan_cost(explicit) + 1e-9
 

@@ -24,7 +24,7 @@ from repro.config.presets import SYSTEM_CONFIG_NAMES
 from repro.errors import ConfigurationError, InvariantViolation, ScenarioError
 from repro.experiments.common import grid_jobs
 from repro.experiments.model_agreement import agreement_jobs
-from repro.runner import ResultCache, SimJob, SweepRunner
+from repro.runner import ResultCache, SimJob, SweepRunner, network_drive_job
 from repro.scenarios import (
     SUITE_KINDS,
     Invariant,
@@ -139,9 +139,13 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="'sizes' must be a list of integers"):
             Scenario.from_dict(data)
 
-    def test_network_drive_requires_payload_and_fabrics(self):
-        data = minimal_manifest(suites=[{"kind": "network_drive", "fabrics": ["ring:4"]}])
-        with pytest.raises(ScenarioError, match="'payload_bytes' is missing"):
+    def test_drive_grid_needs_a_positive_payload(self):
+        suite = {"kind": "grid", "fabrics": ["ring:4"], "ops": ["all_reduce"]}
+        data = minimal_manifest(suites=[suite])
+        with pytest.raises(ScenarioError, match="field 'ops' needs a 'payload_bytes' size"):
+            Scenario.from_dict(data)
+        data = minimal_manifest(suites=[{"kind": "grid", "payload_bytes": 0}])
+        with pytest.raises(ScenarioError, match="'payload_bytes' must be positive, got 0"):
             Scenario.from_dict(data)
 
     def test_unknown_invariant_kind(self):
@@ -166,15 +170,9 @@ class TestSchema:
             Scenario.from_dict(minimal_manifest(suites=[]))
 
     def test_folded_suite_kinds_are_unknown(self):
-        assert SUITE_KINDS == (
-            "grid",
-            "network_drive",
-            "cross_topology",
-            "model_agreement",
-            "area_power",
-            "figure",
-        )
-        for kind in ("training_grid", "sweep", "trace", "backend_validation", "compute_validation"):
+        assert SUITE_KINDS == ("grid", "model_agreement", "area_power", "figure")
+        folded = ("training_grid", "sweep", "trace", "backend_validation", "compute_validation")
+        for kind in folded + ("network_drive", "cross_topology"):
             data = minimal_manifest(suites=[{"kind": kind}])
             with pytest.raises(ScenarioError, match=rf"unknown suite kind '{kind}'; expected"):
                 Scenario.from_dict(data)
@@ -186,12 +184,19 @@ class TestSchema:
             ({"traces": ["t"], "fast": True}, "field 'fast' does not apply"),
             ({"traces": ["t"], "overlap_embedding": True}, "field 'overlap_embedding' does not"),
             ({"cost_table": "paper-npu"}, "field 'cost_table' needs a 'traces' list"),
+            ({"payload_bytes": 1024, "workloads": ["gnmt"]}, "field 'workloads' does not apply"),
+            ({"payload_bytes": 1024, "traces": ["t"]}, "field 'traces' does not apply"),
+            ({"payload_bytes": 1024, "fast": True}, "field 'fast' does not apply"),
+            ({"payload_bytes": 1024, "overlap_embedding": True}, "field 'overlap_embedding' does"),
+            ({"payload_bytes": 1024, "iterations": 1}, "field 'iterations' does not apply"),
+            ({"payload_bytes": 1024, "cost_table": "paper-npu"}, "field 'cost_table' does not"),
         ],
     )
     def test_grid_rejects_fields_of_the_other_model_source(self, suite, message):
         data = minimal_manifest(suites=[{"kind": "grid", **suite}])
-        with pytest.raises(ScenarioError, match=rf"suite #0 \(grid\): {message}"):
+        with pytest.raises(ScenarioError, match=rf"suite #0 \(grid\): {message}") as excinfo:
             Scenario.from_dict(data)
+        assert excinfo.value.field == message.split("'")[1]
 
     def test_model_agreement_requires_a_known_knob(self):
         data = minimal_manifest(suites=[{"kind": "model_agreement"}])
@@ -230,15 +235,24 @@ class TestLoader:
         data = minimal_manifest(
             suites=[
                 {
-                    "kind": "network_drive",
+                    "kind": "grid",
                     "payload_bytes": 1024,
                     "fabrics": ["torus:not-a-shape"],
                 }
             ]
         )
         scenario = Scenario.from_dict(data)
-        with pytest.raises(ScenarioError, match="suite #0"):
+        with pytest.raises(ScenarioError, match="suite #0") as excinfo:
             compile_scenario(scenario)
+        assert excinfo.value.field == "fabric"
+
+    def test_unknown_drive_op_names_its_field(self):
+        data = minimal_manifest(
+            suites=[{"kind": "grid", "payload_bytes": 1024, "ops": ["broadcast"]}]
+        )
+        with pytest.raises(ScenarioError, match=r"suite #0 \(grid\).*'broadcast'") as excinfo:
+            compile_scenario(Scenario.from_dict(data))
+        assert excinfo.value.field == "op"
 
     def test_unknown_figure_name(self):
         data = minimal_manifest(suites=[{"kind": "figure", "figure": "fig99"}])
@@ -388,6 +402,37 @@ class TestLoader:
         assert [job.spec_hash() for job in manifest_jobs] == [
             job.spec_hash() for job in harness_jobs
         ]
+
+    def test_drive_grid_expands_op_size_system_in_each_outer_cell(self):
+        suite = {
+            "kind": "grid",
+            "systems": ["ace", "ideal"],
+            "payload_bytes": 1048576,
+            "chunk_bytes": 262144,
+            "sizes": [16, 32],
+            "backends": [None, "detailed"],
+            "algorithms": ["auto", "ring"],
+            "ops": ["all_reduce", "all_gather"],
+        }
+        manifest_jobs = scenario_jobs(Scenario.from_dict(minimal_manifest(suites=[suite])))
+        hand_jobs = [
+            network_drive_job(
+                system,
+                1048576,
+                op=op,
+                num_npus=num_npus,
+                chunk_bytes=262144,
+                backend=backend,
+                algorithm=algorithm,
+            )
+            for backend in (None, "detailed")
+            for algorithm in ("auto", "ring")
+            for op in ("all_reduce", "all_gather")
+            for num_npus in (16, 32)
+            for system in ("ace", "ideal")
+        ]
+        assert len(manifest_jobs) == 32
+        assert [job.to_json() for job in manifest_jobs] == [job.to_json() for job in hand_jobs]
 
     def test_grid_rejects_sizes_without_a_canonical_torus(self):
         data = minimal_manifest(
@@ -663,21 +708,16 @@ class TestCli:
         assert "extra_field" in proc.stdout + proc.stderr
 
     def test_validate_reports_misspelled_override_field(self, tmp_path):
-        suite = {
-            "kind": "network_drive",
-            "payload_bytes": 1048576,
-            "fabrics": ["switch:8"],
-            "overrides": {"network": {"link_efficency": 0.9}},
-        }
+        suite = {"kind": "area_power", "ace": {"num_fsmz": 2}}
         (tmp_path / "bad.json").write_text(
             json.dumps(minimal_manifest(name="bad", suites=[suite])), encoding="utf-8"
         )
         proc = run_cli("validate", "--dir", str(tmp_path))
         assert proc.returncode == 1
         output = proc.stdout + proc.stderr
-        assert "suite #0 (network_drive)" in output
-        assert "invalid override for section 'network'" in output
-        assert "link_efficency" in output
+        assert "suite #0 (area_power)" in output
+        assert "invalid override for section 'ace'" in output
+        assert "num_fsmz" in output
 
     def test_run_writes_report(self, tmp_path):
         (tmp_path / "tiny.json").write_text(
@@ -742,7 +782,8 @@ def manifests(draw):
     if draw(st.booleans()):
         suites.append(
             {
-                "kind": "network_drive",
+                "kind": "grid",
+                "systems": draw(_SYSTEMS),
                 "payload_bytes": draw(st.sampled_from([1 << 20, 8 << 20])),
                 "fabrics": draw(
                     st.lists(
