@@ -28,7 +28,7 @@ The decisive differences from the baseline:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.collectives.base import CollectivePlan
 from repro.config.system import EndpointKind, SystemConfig
@@ -133,12 +133,12 @@ class AceEndpoint(Endpoint):
         """TX DMA the chunk from main memory into the ACE SRAM."""
         return self._dma(self._tx_dma, self._hbm_read, chunk_bytes, earliest_start)
 
-    def process_phase(self, work: PhaseWork, earliest_start: float) -> float:
-        """Run one chunk-phase through an FSM, the SRAM datapath and the ALUs.
+    def phase_cost(self, work: PhaseWork) -> Tuple[SlotResource, float]:
+        """The FSMs programmed for ``work``'s phase and one chunk-phase's occupancy.
 
-        The SRAM and ALU streams run under the FSM occupancy, so only the FSM
-        is booked.  Returns the time at which the phase's outgoing data has
-        been handed to the port buffers (i.e. is ready for link injection).
+        The SRAM and ALU streams run under the FSM occupancy: an FSM is held
+        for the slower of the two plus its control overhead.  The FSMs are
+        the ones :meth:`configure` programmed last.
         """
         try:
             fsms = self._fsms[work.phase_name]
@@ -152,7 +152,16 @@ class AceEndpoint(Endpoint):
         control_time = (
             self.PHASE_CONTROL_OVERHEAD_CYCLES * self._cycle_ns * (steps if steps > 1 else 1)
         )
-        duration = (alu_time if alu_time > sram_time else sram_time) + control_time
+        return fsms, (alu_time if alu_time > sram_time else sram_time) + control_time
+
+    def process_phase(self, cost: Tuple[SlotResource, float], earliest_start: float) -> float:
+        """Run one chunk-phase through an FSM, the SRAM datapath and the ALUs.
+
+        Only the FSM is booked.  Returns the time at which the phase's
+        outgoing data has been handed to the port buffers (i.e. is ready for
+        link injection).
+        """
+        fsms, duration = cost
         return fsms.acquire(earliest_start, duration)[2]
 
     def egress(self, chunk_bytes: float, earliest_start: float) -> float:

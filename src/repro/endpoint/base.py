@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Any
 
 from repro.collectives.base import CollectivePlan, PhaseSpec
 from repro.config.system import SystemConfig
@@ -52,6 +53,12 @@ class PhaseWork:
         )
 
 
+#: What an endpoint's :meth:`Endpoint.phase_cost` prepares for one
+#: chunk-phase and its :meth:`Endpoint.process_phase` books; only the
+#: endpoint that built it reads it.
+PhaseCost = Any
+
+
 class Endpoint(abc.ABC):
     """Per-NPU collective-processing model.
 
@@ -64,7 +71,9 @@ class Endpoint(abc.ABC):
 
     Each method returns the time at which the stage completes; resource
     contention between chunks is handled inside the endpoint via its own
-    FIFO-queued resources.
+    FIFO-queued resources.  Every chunk of one size walks the same phases,
+    so a phase's cost is prepared once by :meth:`phase_cost` (after
+    :meth:`configure`) and :meth:`process_phase` books it per chunk.
     """
 
     def __init__(self, system: SystemConfig) -> None:
@@ -90,8 +99,16 @@ class Endpoint(abc.ABC):
         """Return the time at which the chunk is staged for its first phase."""
 
     @abc.abstractmethod
-    def process_phase(self, work: PhaseWork, earliest_start: float) -> float:
-        """Return the time at which the phase's outgoing data is injection-ready."""
+    def phase_cost(self, work: PhaseWork) -> PhaseCost:
+        """What one chunk-phase of ``work`` books, prepared for :meth:`process_phase`."""
+
+    @abc.abstractmethod
+    def process_phase(self, cost: PhaseCost, earliest_start: float) -> float:
+        """Book one chunk-phase of ``cost`` (from :meth:`phase_cost`).
+
+        Returns the time at which the phase's outgoing data is
+        injection-ready.
+        """
 
     @abc.abstractmethod
     def egress(self, chunk_bytes: float, earliest_start: float) -> float:

@@ -24,6 +24,8 @@ communication: each SM can drive roughly 80 GB/s of memory traffic
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.config.system import SystemConfig
 from repro.endpoint.base import Endpoint, PhaseWork
 from repro.sim.resources import BandwidthResource
@@ -75,22 +77,32 @@ class BaselineEndpoint(Endpoint):
         """No staging: the baseline reads from main memory on every step."""
         return earliest_start
 
-    def process_phase(self, work: PhaseWork, earliest_start: float) -> float:
-        """Prepare one phase's traffic: HBM reads, SM streaming and bus crossing."""
-        read_bytes = work.send_bytes + work.reduce_bytes + work.forward_bytes
+    def phase_cost(self, work: PhaseWork) -> Tuple[float, float, float]:
+        """One chunk-phase's ``(read, bus, write)`` bytes.
+
+        Reads are everything sent, reduced or forwarded; the bus carries what
+        leaves for the AFI; writes stage what is reduced or forwarded.
+        """
         write_bytes = work.reduce_bytes + work.forward_bytes
         if work.is_last:
             # The final phase also stores the gathered result back to memory.
             write_bytes += work.send_bytes
+        return (
+            work.send_bytes + work.reduce_bytes + work.forward_bytes,
+            work.send_bytes + work.forward_bytes,
+            write_bytes,
+        )
+
+    def process_phase(self, cost: Tuple[float, float, float], earliest_start: float) -> float:
+        """Prepare one phase's traffic: HBM reads, SM streaming and bus crossing."""
+        read_bytes, bus_bytes, write_bytes = cost
         finish = earliest_start
         if read_bytes > 0:
             finish = self._hbm_read.reserve_times(read_bytes, earliest_start)[1]
             sm_finish = self._sm_pipe.reserve_times(read_bytes, earliest_start)[1]
             if sm_finish > finish:
                 finish = sm_finish
-            bus_finish = self._bus.reserve_times(
-                work.send_bytes + work.forward_bytes, earliest_start
-            )[1]
+            bus_finish = self._bus.reserve_times(bus_bytes, earliest_start)[1]
             if bus_finish > finish:
                 finish = bus_finish
         self._write_bytes += write_bytes

@@ -31,7 +31,11 @@ class IdealEndpoint(Endpoint):
         """One cycle to stage the chunk."""
         return earliest_start + self._cycle_ns
 
-    def process_phase(self, work: PhaseWork, earliest_start: float) -> float:
+    def phase_cost(self, work: PhaseWork) -> None:
+        """Nothing: every phase costs the same one cycle."""
+        return None
+
+    def process_phase(self, cost: None, earliest_start: float) -> float:
         """One cycle to prepare the phase's traffic."""
         return earliest_start + self._cycle_ns
 

@@ -16,6 +16,12 @@ walking ``steps`` ring steps, when does the transfer start and finish?"*
 (:meth:`NetworkBackend.reserve`).  Around that it exposes the observability
 surface the training loop reports on: injected bytes, link utilization, a
 windowed utilization series, and the time of last activity.
+
+The collective executor does not call ``reserve``.  It walks each transfer
+of an event-driven backend through ``transfer``.  A timeline backend
+(``event_driven = False``) hands it, once per stage-table row, the pipe a
+``(dimension, steps)`` transfer books and the latency its later steps add
+(``booking``), and the executor books that pipe itself per chunk.
 """
 
 from __future__ import annotations
@@ -55,8 +61,10 @@ class NetworkBackend(abc.ABC):
 
     #: Whether the executor should drive this backend through the event-mode
     #: ``transfer(sim, dimension, num_bytes, steps, on_complete)`` API
-    #: instead of the timeline-mode :meth:`reserve`; only event-driven
-    #: backends define ``transfer``.  It starts the transfer at ``sim.now``
+    #: instead of booking the pipes of the timeline-mode
+    #: ``booking(dimension, steps) -> (pipe, tail)`` itself; only
+    #: event-driven backends define ``transfer``, and only timeline backends
+    #: ``booking``.  ``transfer`` starts the transfer at ``sim.now``
     #: and walks it hop by hop as simulator events, requesting every link
     #: resource at the simulated time the data actually becomes ready, which
     #: keeps per-link FIFOs chronological (work-conserving) when transfers

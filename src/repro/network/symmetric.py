@@ -23,7 +23,7 @@ model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config.system import NetworkConfig
 from repro.errors import TopologyError
@@ -39,7 +39,12 @@ class SymmetricFabric(NetworkBackend):
     This is the ``"symmetric"`` :class:`~repro.network.backend.NetworkBackend`:
     the fast analytical model the paper uses for every large sweep, validated
     against the ``"detailed"`` per-link backend on small systems
-    (``experiments/model_agreement.py``).
+    (``experiments/model_agreement.py``).  It is the timeline backend: the
+    collective executor takes each phase's pipe and latency tail from
+    :meth:`booking` once per stage-table row and books the pipe itself, so
+    a chunk-phase builds no :class:`~repro.sim.resources.Reservation`;
+    :meth:`reserve` answers the same question for the hybrid backend's cold
+    dimensions.
     """
 
     def __init__(
@@ -94,6 +99,19 @@ class SymmetricFabric(NetworkBackend):
         """Whether ``dimension`` has an active pipe in this fabric."""
         return dimension in self._pipes
 
+    def booking(self, dimension: str, steps: int) -> Tuple[BandwidthResource, float]:
+        """``(pipe, tail)`` of a ``steps``-step transfer on ``dimension``.
+
+        The transfer serialises through ``pipe``, whose FIFO charges
+        serialization plus one link latency, and finishes ``tail`` later:
+        the remaining ``steps - 1`` ring-step latencies are additive (the
+        phase's data pipelines around the ring, so only latency — not
+        bandwidth — is paid again per extra step).  The collective executor
+        asks once per stage-table row and books ``pipe`` itself per chunk.
+        """
+        pipe = self.pipe(dimension)
+        return pipe, (steps - 1) * pipe.latency_ns if steps > 1 else 0.0
+
     # ------------------------------------------------------------------
     # NetworkBackend protocol
     # ------------------------------------------------------------------
@@ -106,18 +124,12 @@ class SymmetricFabric(NetworkBackend):
     ) -> Reservation:
         """Serialise ``num_bytes`` through ``dimension``'s aggregated pipe.
 
-        The pipe's FIFO charges serialization plus one link latency; the
-        remaining ``steps - 1`` ring-step latencies are additive (the phase's
-        data pipelines around the ring, so only latency — not bandwidth — is
-        paid again per extra step).
+        Books what :meth:`booking` describes: the hybrid backend's cold
+        dimensions reserve through here, the collective executor does not.
         """
-        pipe = self._pipes.get(dimension)
-        if pipe is None:
-            pipe = self.pipe(dimension)  # raises TopologyError
+        pipe, tail = self.booking(dimension, steps)
         start, finish = pipe.reserve_times(num_bytes, earliest_start)
-        if steps > 1:
-            finish += (steps - 1) * pipe.latency_ns
-        return Reservation(start, finish, num_bytes)
+        return Reservation(start, finish + tail, num_bytes)
 
     # ------------------------------------------------------------------
     # Aggregate statistics

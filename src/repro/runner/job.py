@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.analysis.bandwidth import measure_network_drive
@@ -71,6 +71,8 @@ class SimJob:
     The spec is deliberately built from plain JSON types (strings, numbers,
     bools, dicts, and an ``(L, V, H)`` tuple) so that the canonical JSON form
     — and hence :meth:`spec_hash` — is stable across processes and sessions.
+    A field the job's kind never reads must keep its default, so that one
+    simulation has one spec hash.
     """
 
     kind: str = "training"
@@ -139,11 +141,7 @@ class SimJob:
             raise ConfigurationError(
                 f"unknown job kind {self.kind!r}; expected one of {JOB_KINDS}"
             )
-        for knob in ("compute", "parallelism"):
-            if getattr(self, knob) is not None and self.kind != "training":
-                raise ConfigurationError(
-                    f"{knob} only applies to training jobs, not {self.kind!r}"
-                )
+        self._check_unread_fields()
         for knob, what, names in _MODEL_NAMES:
             value = getattr(self, knob)
             if value is not None and value not in names:
@@ -166,10 +164,6 @@ class SimJob:
                     )
                 # Sizes without a canonical torus fail here, not in a worker.
                 torus_shape_for_npus(self.num_npus)
-        if self.trace is not None and self.kind != "training":
-            raise ConfigurationError(
-                f"traces only apply to training jobs, not {self.kind!r}"
-            )
         if self.cost_table is not None:
             if self.trace is None:
                 raise ConfigurationError(
@@ -210,6 +204,27 @@ class SimJob:
                 f"override section changes nothing",
                 field="overrides.policy",
             )
+
+    def _check_unread_fields(self) -> None:
+        """Reject a non-default value in a field this job's kind never reads.
+
+        Such a value would only change the spec hash, and so the cache key,
+        of an identical simulation.
+        """
+        for name in _FIELD_NAMES:
+            readers = _READ_BY[name]
+            if self.kind not in readers and getattr(self, name) != _DEFAULTS[name]:
+                raise ConfigurationError(
+                    f"{name} only applies to {' and '.join(readers)} jobs, not {self.kind!r}",
+                    field=name,
+                )
+        if self.kind == "area_power":
+            for key in self.overrides:
+                if key != "ace":
+                    raise ConfigurationError(
+                        f"area_power jobs read only the 'ace' override section, not {key!r}",
+                        field=f"overrides.{key}",
+                    )
 
     # ------------------------------------------------------------------
     # Canonical serialization and hashing
@@ -345,6 +360,25 @@ def _simjob_hash(self: SimJob) -> int:
 SimJob.__hash__ = _simjob_hash  # type: ignore[method-assign]
 
 _FIELD_NAMES = tuple(f.name for f in fields(SimJob))
+_DEFAULTS = {
+    f.name: f.default_factory() if f.default is MISSING else f.default for f in fields(SimJob)
+}
+#: The job kinds whose :meth:`SimJob.execute` reads each field.  An
+#: ``area_power`` job reads only the ``ace`` override section.
+_READ_BY = dict.fromkeys(_FIELD_NAMES, ("training", "network_drive"))
+_READ_BY.update(
+    kind=JOB_KINDS,
+    overrides=JOB_KINDS,
+    workload=("training",),
+    trace=("training",),
+    cost_table=("training",),
+    iterations=("training",),
+    overlap_embedding=("training",),
+    parallelism=("training",),
+    compute=("training",),
+    payload_bytes=("network_drive",),
+    op=("network_drive",),
+)
 
 
 # ---------------------------------------------------------------------------

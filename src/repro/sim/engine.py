@@ -54,7 +54,10 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current simulation time in nanoseconds.  A plain attribute, read
+        #: on every chunk stage; only :meth:`run` and :class:`HopLane` move
+        #: it, and nothing else may write it.
+        self.now: float = 0.0
         self._queue: List[List[Any]] = []
         self._seq: int = 0
         self._processed: int = 0
@@ -63,11 +66,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in nanoseconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Number of events executed so far."""
@@ -91,7 +89,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event in the past or at a NaN delay (delay={delay})"
             )
-        self.schedule_at(self._now + delay, callback, *args)
+        self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callback, *args: Any) -> None:
         """Schedule ``callback(*args)`` at an absolute simulation time.
@@ -100,10 +98,10 @@ class Simulator:
         infinite time is a model bug, and the heap would otherwise fire it
         out of order.
         """
-        if not self._now <= time < _INF:
+        if not self.now <= time < _INF:
             raise SimulationError(
                 f"cannot schedule event at t={time}: event times must be finite "
-                f"and no earlier than the current time t={self._now}"
+                f"and no earlier than the current time t={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -123,7 +121,7 @@ class Simulator:
             # comm-heavy job runs about a million events through here.
             while queue:
                 time, _, callback, args = heappop(queue)
-                self._now = time
+                self.now = time
                 callback(*args)
                 self._processed += 1
         finally:
@@ -188,7 +186,7 @@ class HopLane:
         if not num_bytes >= 0:
             raise ResourceError(f"{link.name}: cannot transfer {num_bytes} bytes")
         sim = self.sim
-        time = sim._now
+        time = sim.now
         tail = link._next_free
         start = time if time > tail else tail
         serialization = num_bytes / link.bandwidth_gbps
@@ -258,7 +256,7 @@ class HopLane:
         booked = 0
         while True:
             time, _, num_bytes, hops, done = popleft()
-            sim._now = time
+            sim.now = time
             start = time if time > tail else tail
             serialization = num_bytes / bandwidth
             tail = start + serialization

@@ -19,12 +19,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from repro.collectives.base import CollectiveOp, CollectivePlan, PhaseSpec
+from repro.collectives.base import CollectiveOp, CollectivePlan
 from repro.collectives.planner import AUTO, algorithm_implements, plan_collective
 from repro.config.system import SystemConfig
-from repro.endpoint.base import Endpoint, PhaseWork
+from repro.endpoint.base import Endpoint, PhaseCost, PhaseWork
 from repro.endpoint.factory import make_endpoint
 from repro.errors import ConfigurationError, SchedulingError
 from repro.network import make_network_backend
@@ -33,10 +33,25 @@ from repro.network.messages import split_payload
 from repro.network.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.process import Signal
+from repro.sim.resources import BandwidthResource
 
-#: One phase of a chunk's stage table: the plan phase, the endpoint work it
-#: costs at that chunk size, and whether it puts bytes on the fabric.
-StageRow = Tuple[PhaseSpec, PhaseWork, bool]
+
+class StageRow(NamedTuple):
+    """One phase of a chunk's stage table, compiled for the executor's
+    endpoint and fabric: what each chunk-phase books, prepared once."""
+
+    #: The phase's endpoint-visible work at the table's chunk size.
+    work: PhaseWork
+    #: ``endpoint.phase_cost(work)``, which ``endpoint.process_phase`` books.
+    cost: PhaseCost
+    #: Whether the phase sends bytes on a dimension the fabric has.
+    on_fabric: bool
+    #: On a timeline fabric, an on-fabric phase's pipe, which the executor
+    #: books itself; ``None`` otherwise.
+    pipe: Optional[BandwidthResource]
+    #: The latency the phase's later ring steps add to the pipe's finish.
+    tail: float
+
 
 #: A plan's phases at one chunk size, grouped into sequential stages.
 StageTable = Tuple[Tuple[StageRow, ...], ...]
@@ -164,6 +179,8 @@ class CollectiveExecutor:
         self._plans: Dict[CollectiveOp, CollectivePlan] = {}
         if topology.num_nodes > 1:
             self.endpoint.configure(self._plan(CollectiveOp.ALL_REDUCE))
+        # Fixed by the endpoint's configuration; admission reads it per chunk.
+        self._capacity = self.endpoint.chunk_capacity()
         self._stage_tables: Dict[Tuple[CollectiveOp, int], StageTable] = {}
         # Collectives with chunks left to admit, in issue order.  A
         # collective leaves the list when its last chunk is admitted, so
@@ -202,14 +219,17 @@ class CollectiveExecutor:
         """The stage rows of ``op``'s plan at ``chunk_size``, built once per executor.
 
         Every chunk of that size walks the same table, so the plan's stage
-        grouping and each phase's :class:`PhaseWork` are computed once, not
-        per chunk.  The table lives on the executor rather than on the
-        (process-wide, cached) plan, so what one job builds never depends on
-        the jobs that ran before it.
+        grouping, each phase's :class:`PhaseWork` and endpoint cost, and on
+        a timeline fabric each on-fabric phase's pipe and latency tail are
+        computed once, not per chunk.  The table lives on the executor
+        rather than on the (process-wide, cached) plan, so what one job
+        builds never depends on the jobs that ran before it.
         """
         key = (op, chunk_size)
         table = self._stage_tables.get(key)
         if table is None:
+            fabric = self.fabric
+            timeline = not fabric.event_driven
             # Called through the classes, so wrappers installed on them see
             # every table build.
             stages = CollectivePlan.stages(self._plan(op))
@@ -226,10 +246,14 @@ class CollectiveExecutor:
                         is_first=stage_index == 0,
                         is_last=stage_index == last,
                     )
-                    on_fabric = work.send_bytes > 0 and self.fabric.has_dimension(
-                        phase.dimension
+                    on_fabric = work.send_bytes > 0 and fabric.has_dimension(phase.dimension)
+                    pipe, tail = (
+                        fabric.booking(phase.dimension, phase.steps)
+                        if on_fabric and timeline
+                        else (None, 0.0)
                     )
-                    stage_rows.append((phase, work, on_fabric))
+                    cost = self.endpoint.phase_cost(work)
+                    stage_rows.append(StageRow(work, cost, on_fabric, pipe, tail))
                     phase_index += 1
                 rows.append(tuple(stage_rows))
             table = self._stage_tables[key] = tuple(rows)
@@ -288,7 +312,7 @@ class CollectiveExecutor:
     # ------------------------------------------------------------------
     def _try_admit(self) -> None:
         """Admit chunks while the endpoint has room, LIFO or FIFO by collective."""
-        capacity = self.endpoint.chunk_capacity()
+        capacity = self._capacity
         pending = self._pending
         index = -1 if self.scheduling == "lifo" else 0
         while self._inflight_chunks < capacity and pending:
@@ -342,15 +366,14 @@ class CollectiveExecutor:
             self._start_event_stage(handle, table, chunk_size, stage_index, admitted_at)
             return
         # Timeline mode: the stage ends when its slowest phase has both
-        # cleared the endpoint and crossed the fabric.  The comparisons
-        # return exactly what ``max`` would.
+        # cleared the endpoint and crossed the fabric (its pipe, then the
+        # row's tail).  The comparisons return exactly what ``max`` would.
+        process_phase = self.endpoint.process_phase
         stage_finish = now
-        for phase, work, on_fabric in table[stage_index]:
-            finish = self.endpoint.process_phase(work, now)
-            if on_fabric:
-                network_finish = self.fabric.reserve(
-                    phase.dimension, work.send_bytes, now, phase.steps
-                ).finish
+        for work, cost, _, pipe, tail in table[stage_index]:
+            finish = process_phase(cost, now)
+            if pipe is not None:
+                network_finish = pipe.reserve_times(work.send_bytes, now)[1] + tail
                 if network_finish > finish:
                     finish = network_finish
             if finish > stage_finish:
@@ -388,14 +411,14 @@ class CollectiveExecutor:
             (self._start_stage, handle, table, chunk_size, stage_index + 1, admitted_at),
         )
         stage_finish = now
-        for phase, work, on_fabric in table[stage_index]:
-            ready = self.endpoint.process_phase(work, now)
+        for work, cost, on_fabric, _, _ in table[stage_index]:
+            ready = self.endpoint.process_phase(cost, now)
             if ready > stage_finish:
                 stage_finish = ready
             if on_fabric:
                 join.outstanding += 1
                 self.fabric.transfer(
-                    self.sim, phase.dimension, work.send_bytes, phase.steps, join.done
+                    self.sim, work.dimension, work.send_bytes, work.steps, join.done
                 )
         join.done(stage_finish)
 

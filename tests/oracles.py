@@ -15,6 +15,12 @@
   :class:`~repro.sim.engine.HopLane` must book identically;
   :class:`PerMessageWalk` turns off coalescing in either backend, so every
   transfer walks message by message.
+* :class:`ReserveStageExecutor` is the collective executor's timeline stage
+  before stage rows carried prepared bookings: per chunk it prices each
+  phase, books the fabric through ``reserve`` and reads the endpoint's
+  capacity.  :func:`per_chunk_endpoint` builds the endpoint it prices with,
+  whose :class:`PerChunkAceEndpoint` and :class:`PerChunkBaselineEndpoint`
+  keep the per-chunk phase arithmetic the prepared costs must reproduce.
 * :func:`feasible_algorithms` asks the planner which algorithms run an
   operation on a fabric.
 """
@@ -27,10 +33,13 @@ import numpy as np
 
 from repro.collectives.base import CollectiveOp
 from repro.collectives.planner import algorithms, plan_collective
-from repro.errors import CollectiveError, WorkloadError
+from repro.config.system import EndpointKind, SystemConfig
+from repro.endpoint import AceEndpoint, BaselineEndpoint, Endpoint, PhaseWork, make_endpoint
+from repro.errors import CollectiveError, SchedulingError, WorkloadError
 from repro.network.detailed import Carving, DetailedBackend
 from repro.network.topology import Topology
 from repro.sim.engine import Simulator
+from repro.training.comm import CollectiveExecutor, StageTable
 
 
 def _check_same_shape(arrays: Sequence[np.ndarray]) -> None:
@@ -463,6 +472,128 @@ class PerMessageBackend(PerMessageWalk, DetailedBackend):
 
 class PerMessageHopEventBackend(PerMessageWalk, PerHopEventBackend):
     """:class:`PerHopEventBackend` walking every transfer per message."""
+
+
+# ---------------------------------------------------------------------------
+# Per-chunk timeline stage
+# ---------------------------------------------------------------------------
+
+
+class PerChunkAceEndpoint(AceEndpoint):
+    """:class:`AceEndpoint` that prices every chunk-phase as it runs it.
+
+    ``phase_cost`` hands the work through; ``process_phase`` looks the
+    phase's FSMs up and computes the occupancy from the work each time.
+    """
+
+    def phase_cost(self, work: PhaseWork) -> PhaseWork:
+        return work
+
+    def process_phase(self, work: PhaseWork, earliest_start: float) -> float:
+        try:
+            fsms = self._fsms[work.phase_name]
+        except KeyError:
+            raise SchedulingError(f"no FSM programmed for phase {work.phase_name!r}") from None
+        reduce_bytes = work.reduce_bytes
+        touched_bytes = work.send_bytes + reduce_bytes + work.forward_bytes
+        sram_time = touched_bytes / self._sram_bandwidth_gbps if touched_bytes else 0.0
+        alu_time = reduce_bytes / self._alu_throughput_gbps if reduce_bytes else 0.0
+        steps = work.steps
+        control_time = (
+            self.PHASE_CONTROL_OVERHEAD_CYCLES * self._cycle_ns * (steps if steps > 1 else 1)
+        )
+        duration = (alu_time if alu_time > sram_time else sram_time) + control_time
+        return fsms.acquire(earliest_start, duration)[2]
+
+
+class PerChunkBaselineEndpoint(BaselineEndpoint):
+    """:class:`BaselineEndpoint` that prices every chunk-phase as it runs it.
+
+    ``phase_cost`` hands the work through; ``process_phase`` computes the
+    Section VI-A read, bus and write bytes from the work each time.
+    """
+
+    def phase_cost(self, work: PhaseWork) -> PhaseWork:
+        return work
+
+    def process_phase(self, work: PhaseWork, earliest_start: float) -> float:
+        read_bytes = work.send_bytes + work.reduce_bytes + work.forward_bytes
+        write_bytes = work.reduce_bytes + work.forward_bytes
+        if work.is_last:
+            write_bytes += work.send_bytes
+        finish = earliest_start
+        if read_bytes > 0:
+            finish = self._hbm_read.reserve_times(read_bytes, earliest_start)[1]
+            sm_finish = self._sm_pipe.reserve_times(read_bytes, earliest_start)[1]
+            if sm_finish > finish:
+                finish = sm_finish
+            bus_finish = self._bus.reserve_times(
+                work.send_bytes + work.forward_bytes, earliest_start
+            )[1]
+            if bus_finish > finish:
+                finish = bus_finish
+        self._write_bytes += write_bytes
+        return finish + self.PHASE_SOFTWARE_LATENCY_NS
+
+
+def per_chunk_endpoint(system: SystemConfig) -> Endpoint:
+    """The endpoint of ``system`` that prices each chunk-phase as it runs it
+    (the ideal endpoint's one cycle has nothing to price)."""
+    if system.endpoint is EndpointKind.ACE:
+        return PerChunkAceEndpoint(system)
+    if system.endpoint.is_baseline:
+        return PerChunkBaselineEndpoint(system)
+    return make_endpoint(system)
+
+
+class ReserveStageExecutor(CollectiveExecutor):
+    """:class:`CollectiveExecutor` whose timeline stage books per chunk.
+
+    Each chunk-phase calls ``process_phase(phase_cost(work), now)`` and
+    ``fabric.reserve(dimension, send_bytes, now, steps).finish``, and each
+    admission round reads ``endpoint.chunk_capacity()``; it takes only each
+    row's ``work`` and ``on_fabric`` from the stage table.  The executor's
+    compiled rows (prepared cost, pipe and tail) must book identically.
+    """
+
+    def _try_admit(self) -> None:
+        self._capacity = self.endpoint.chunk_capacity()
+        super()._try_admit()
+
+    def _start_stage(
+        self,
+        handle,
+        table: StageTable,
+        chunk_size: int,
+        stage_index: int,
+        admitted_at: float,
+    ) -> None:
+        if stage_index == len(table) or self.fabric.event_driven:
+            super()._start_stage(handle, table, chunk_size, stage_index, admitted_at)
+            return
+        now = self.sim.now
+        endpoint = self.endpoint
+        stage_finish = now
+        for row in table[stage_index]:
+            work = row.work
+            finish = endpoint.process_phase(endpoint.phase_cost(work), now)
+            if row.on_fabric:
+                network_finish = self.fabric.reserve(
+                    work.dimension, work.send_bytes, now, work.steps
+                ).finish
+                if network_finish > finish:
+                    finish = network_finish
+            if finish > stage_finish:
+                stage_finish = finish
+        self.sim.schedule_at(
+            stage_finish,
+            self._start_stage,
+            handle,
+            table,
+            chunk_size,
+            stage_index + 1,
+            admitted_at,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,11 @@ def _endpoint(torus, **ace_fields) -> AceEndpoint:
     return endpoint
 
 
+def _process(endpoint: AceEndpoint, work: PhaseWork, earliest_start: float = 0.0) -> float:
+    """One chunk-phase of ``work`` through ``endpoint``, as the executor books it."""
+    return endpoint.process_phase(endpoint.phase_cost(work), earliest_start)
+
+
 def _work(phase_name="phase0", send=48 * KB, reduce=48 * KB, steps=3) -> PhaseWork:
     return PhaseWork(
         phase_index=0,
@@ -47,31 +52,33 @@ class TestFsmPool:
     PHASES = ["phase0", "phase1", "phase2", "phase3", "all_to_all"]
 
     def test_program_dedicated_assignment(self, torus_444):
-        duration = _endpoint(torus_444).process_phase(_work(), 0.0)
+        duration = _process(_endpoint(torus_444), _work())
         endpoint = _endpoint(torus_444)
         # 16 FSMs dealt round-robin to 5 phases: 4 for phase0, 3 for each of
         # the rest.  Each phase's group runs that many chunk-phases at once
         # and queues the next, whatever the other groups are doing.
         for phase, size in zip(self.PHASES, (4, 3, 3, 3, 3)):
-            finishes = [endpoint.process_phase(_work(phase), 0.0) for _ in range(size + 1)]
+            finishes = [_process(endpoint, _work(phase)) for _ in range(size + 1)]
             assert finishes == [pytest.approx(duration)] * size + [pytest.approx(2 * duration)]
 
     def test_program_shared_when_fewer_fsms_than_phases(self, torus_444):
         endpoint = _endpoint(torus_444, num_fsms=2)
-        duration = endpoint.process_phase(_work("phase0"), 0.0)
+        duration = _process(endpoint, _work("phase0"))
         # Phases time-share the two FSMs: a third chunk-phase waits.
-        assert endpoint.process_phase(_work("phase3"), 0.0) == pytest.approx(duration)
-        assert endpoint.process_phase(_work("phase1"), 0.0) == pytest.approx(2 * duration)
+        assert _process(endpoint, _work("phase3")) == pytest.approx(duration)
+        assert _process(endpoint, _work("phase1")) == pytest.approx(2 * duration)
 
     def test_acquire_serializes_on_busy_fsms(self, torus_444):
         endpoint = _endpoint(torus_444, num_fsms=1)
-        first = endpoint.process_phase(_work(), 0.0)
-        assert endpoint.process_phase(_work(), 0.0) == pytest.approx(2 * first)
+        first = _process(endpoint, _work())
+        assert _process(endpoint, _work()) == pytest.approx(2 * first)
 
     def test_acquire_unprogrammed_phase_rejected(self, torus_444):
         endpoint = _endpoint(torus_444)
-        with pytest.raises(SchedulingError):
-            endpoint.process_phase(_work("phase9"), 0.0)
+        # The phase's cost is prepared once per stage-table row, so an
+        # unprogrammed phase fails there, before any chunk books an FSM.
+        with pytest.raises(SchedulingError, match="phase9"):
+            endpoint.phase_cost(_work("phase9"))
 
 
 class TestAluArray:
@@ -93,7 +100,7 @@ class TestAceEngine:
 
     def test_process_phase_occupies_fsm(self, torus_444):
         endpoint = _endpoint(torus_444)
-        f1 = endpoint.process_phase(_work(), 0.0)
+        f1 = _process(endpoint, _work())
         assert f1 > 0.0
         # The FSM stays occupied for the slower of the SRAM stream (bytes
         # sent plus reduced) and the ALU stream (bytes reduced), plus its

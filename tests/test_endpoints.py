@@ -53,24 +53,27 @@ class TestFactory:
 class TestBaselineEndpoint:
     def test_reduce_step_reads_twice_the_sent_bytes(self):
         endpoint = BaselineEndpoint(make_system("baseline_comm_opt"))
-        endpoint.process_phase(_work(send=100.0, reduce=100.0, kind="reduce_scatter"), 0.0)
+        endpoint.process_phase(
+            endpoint.phase_cost(_work(send=100.0, reduce=100.0, kind="reduce_scatter")), 0.0
+        )
         assert endpoint.memory_read_bytes == pytest.approx(200.0)
 
     def test_all_gather_step_reads_once(self):
         endpoint = BaselineEndpoint(make_system("baseline_comm_opt"))
-        endpoint.process_phase(_work(send=100.0), 0.0)
+        endpoint.process_phase(endpoint.phase_cost(_work(send=100.0)), 0.0)
         assert endpoint.memory_read_bytes == pytest.approx(100.0)
 
     def test_final_phase_writes_results(self):
         endpoint = BaselineEndpoint(make_system("baseline_comm_opt"))
-        endpoint.process_phase(_work(send=100.0, is_last=True), 0.0)
+        endpoint.process_phase(endpoint.phase_cost(_work(send=100.0, is_last=True)), 0.0)
         assert endpoint.memory_write_bytes == pytest.approx(100.0)
 
     def test_comp_opt_is_slower_than_comm_opt(self):
         comm_opt = BaselineEndpoint(make_system("baseline_comm_opt"))
         comp_opt = BaselineEndpoint(make_system("baseline_comp_opt"))
         big = _work(send=4 * 1024 * 1024, reduce=4 * 1024 * 1024, kind="reduce_scatter")
-        assert comp_opt.process_phase(big, 0.0) > comm_opt.process_phase(big, 0.0)
+        comp_finish = comp_opt.process_phase(comp_opt.phase_cost(big), 0.0)
+        assert comp_finish > comm_opt.process_phase(comm_opt.phase_cost(big), 0.0)
 
     def test_ingress_and_egress_are_free(self):
         endpoint = BaselineEndpoint(make_system("baseline_comm_opt"))
@@ -86,7 +89,7 @@ class TestBaselineEndpoint:
         # it applies, then the 5 us software handoff.
         endpoint = BaselineEndpoint(make_system("baseline_comm_opt"))
         latency = endpoint.PHASE_SOFTWARE_LATENCY_NS
-        last = _work(send=4500.0, is_last=True)
+        last = endpoint.phase_cost(_work(send=4500.0, is_last=True))
         assert endpoint.process_phase(last, 0.0) == pytest.approx(10.0 + 20.0 + latency)
         assert endpoint.process_phase(last, 0.0) == pytest.approx(20.0 + 20.0 + latency)
         # Reads only: the final phase's write-back is counted apart.
@@ -99,7 +102,8 @@ class TestIdealEndpoint:
         endpoint = IdealEndpoint(make_system("ideal"))
         cycle = 1e3 / 1245.0
         assert endpoint.ingress(64 * KB, 0.0) == pytest.approx(cycle)
-        assert endpoint.process_phase(_work(), 10.0) == pytest.approx(10.0 + cycle)
+        finish = endpoint.process_phase(endpoint.phase_cost(_work()), 10.0)
+        assert finish == pytest.approx(10.0 + cycle)
         assert endpoint.egress(64 * KB, 20.0) == pytest.approx(20.0 + cycle)
         assert endpoint.memory_read_bytes == 0.0
         assert endpoint.memory_write_bytes == 0.0
@@ -115,7 +119,8 @@ class TestAceEndpoint:
         endpoint = self._endpoint(torus_444)
         chunk = 64 * KB
         t = endpoint.ingress(chunk, 0.0)
-        t = endpoint.process_phase(_work(send=48 * KB, reduce=48 * KB, kind="reduce_scatter"), t)
+        work = _work(send=48 * KB, reduce=48 * KB, kind="reduce_scatter")
+        t = endpoint.process_phase(endpoint.phase_cost(work), t)
         t = endpoint.egress(chunk, t)
         assert endpoint.memory_read_bytes == pytest.approx(chunk)
         assert endpoint.memory_write_bytes == pytest.approx(chunk)
@@ -129,8 +134,8 @@ class TestAceEndpoint:
         t_b = 0.0
         for index, phase in enumerate(plan.phases):
             work = PhaseWork.from_phase(phase, index, chunk, index == 0, index == len(plan.phases) - 1)
-            ace.process_phase(work, 0.0)
-            t_b = baseline.process_phase(work, t_b)
+            ace.process_phase(ace.phase_cost(work), 0.0)
+            t_b = baseline.process_phase(baseline.phase_cost(work), t_b)
         ace.egress(chunk, 0.0)
         injected = chunk * plan.total_injected_fraction
         assert baseline.memory_read_bytes / injected == pytest.approx(1.5, rel=0.01)

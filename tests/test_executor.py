@@ -155,8 +155,10 @@ class TestEndpointInteraction:
         assert times["ideal"] < times["baseline_comp_opt"]
 
 
-def _per_chunk_stages(plan, chunk_size, fabric):
-    """The stage rows as the executor once rebuilt them for every chunk."""
+def _per_chunk_stages(plan, chunk_size, endpoint, fabric):
+    """The stage rows as a chunk once rebuilt them: each phase's work, its
+    endpoint cost, whether it goes on the fabric and, on the symmetric
+    fabric, the pipe it books and the latency its later steps add there."""
     stages = plan.stages()
     table = []
     for stage_index, stage in enumerate(stages):
@@ -171,7 +173,11 @@ def _per_chunk_stages(plan, chunk_size, fabric):
                 is_last=stage_index == len(stages) - 1,
             )
             on_fabric = work.send_bytes > 0 and fabric.has_dimension(phase.dimension)
-            rows.append((phase, work, on_fabric))
+            pipe, tail = None, 0.0
+            if on_fabric and not fabric.event_driven:
+                pipe = fabric.pipe(phase.dimension)
+                tail = (phase.steps - 1) * pipe.latency_ns if phase.steps > 1 else 0.0
+            rows.append((work, endpoint.phase_cost(work), on_fabric, pipe, tail))
         table.append(tuple(rows))
     return tuple(table)
 
@@ -193,18 +199,30 @@ def _algorithm_cases():
     return cases
 
 
+def _check_table_matches_per_chunk_construction(system_name, backend, algorithm, op, fabric):
+    system = make_system(system_name).with_overrides(
+        collective_algorithm=algorithm, network_backend=backend
+    )
+    executor = CollectiveExecutor(
+        Simulator(), system, topology_from_spec(fabric), chunk_bytes=64 * KB
+    )
+    plan = executor.issue(op, 160 * KB).plan
+    for chunk_size in (64 * KB, 32 * KB):
+        assert executor.stage_table(op, chunk_size) == _per_chunk_stages(
+            plan, chunk_size, executor.endpoint, executor.fabric
+        )
+
+
 class TestStageTables:
     @pytest.mark.parametrize("algorithm,op,fabric", _algorithm_cases())
     def test_table_matches_per_chunk_construction(self, algorithm, op, fabric):
-        system = make_system("ideal").with_overrides(collective_algorithm=algorithm)
-        executor = CollectiveExecutor(
-            Simulator(), system, topology_from_spec(fabric), chunk_bytes=64 * KB
-        )
-        plan = executor.issue(op, 160 * KB).plan
-        for chunk_size in (64 * KB, 32 * KB):
-            assert executor.stage_table(op, chunk_size) == _per_chunk_stages(
-                plan, chunk_size, executor.fabric
-            )
+        _check_table_matches_per_chunk_construction("ideal", "symmetric", algorithm, op, fabric)
+
+    @pytest.mark.parametrize("system_name", ["ace", "baseline_comm_opt"])
+    @pytest.mark.parametrize("backend", ["symmetric", "detailed"])
+    @pytest.mark.parametrize("algorithm,op,fabric", _algorithm_cases())
+    def test_rows_match_per_chunk_costs(self, algorithm, op, fabric, backend, system_name):
+        _check_table_matches_per_chunk_construction(system_name, backend, algorithm, op, fabric)
 
     def test_remainder_payload_builds_exactly_two_tables(self, monkeypatch):
         sim, executor = _executor("ace")

@@ -188,6 +188,42 @@ def test_any_json_value_in_any_field_builds_or_names_the_field(target, value):
             {"kind": "network_drive", "workload": None, "payload_bytes": 1024, "op": "broadcast"},
             "op",
         ),
+        # A field its kind never reads keeps its default: another value would
+        # only give an identical simulation a new spec hash.
+        ({"op": "all_to_all"}, "op"),
+        ({"payload_bytes": 3}, "payload_bytes"),
+        ({"kind": "network_drive", "payload_bytes": 1024}, "workload"),
+        (
+            {"kind": "network_drive", "workload": None, "payload_bytes": 1024, "iterations": 7},
+            "iterations",
+        ),
+        (
+            {
+                "kind": "network_drive",
+                "workload": None,
+                "payload_bytes": 1024,
+                "overlap_embedding": True,
+            },
+            "overlap_embedding",
+        ),
+        (
+            {"kind": "area_power", "workload": None, "fabric": "ring:8", "backend": "detailed"},
+            "num_npus",
+        ),
+        ({"kind": "area_power", "workload": None, "num_npus": None, "system": "ideal"}, "system"),
+        (
+            {"kind": "area_power", "workload": None, "num_npus": None, "chunk_bytes": 65536},
+            "chunk_bytes",
+        ),
+        (
+            {
+                "kind": "area_power",
+                "workload": None,
+                "num_npus": None,
+                "overrides": {"memory": {"transaction_overhead_ns": 10.0}},
+            },
+            "overrides.memory",
+        ),
     ],
 )
 def test_job_probe_is_rejected_naming_its_field(spec, field):

@@ -308,8 +308,10 @@ class TestSimJobValidation:
     @pytest.mark.parametrize("kind", ["training", "network_drive"])
     @pytest.mark.parametrize("num_npus", [12, 3, 0, -8])
     def test_size_without_a_canonical_torus_rejected(self, kind, num_npus):
+        # Each kind gets only the field it reads: the other would be rejected.
+        spec = {"workload": "resnet50"} if kind == "training" else {"payload_bytes": 1024}
         with pytest.raises(ConfigurationError, match=f"no canonical torus shape for {num_npus}"):
-            SimJob(kind=kind, workload="resnet50", payload_bytes=1024, num_npus=num_npus)
+            SimJob(kind=kind, num_npus=num_npus, **spec)
 
     def test_fabric_or_topology_skips_the_canonical_torus(self):
         assert SimJob(workload="resnet50", num_npus=12, fabric="switch:12").fabric == "switch:12"

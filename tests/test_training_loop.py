@@ -10,6 +10,7 @@ from repro.network.symmetric import SymmetricFabric
 from repro.network.topology import Torus3D
 from repro.sim.resources import BandwidthResource, Reservation
 from repro.sim.trace import IntervalTracer
+from repro.training.comm import CollectiveExecutor
 from repro.training.loop import TrainingLoop, simulate_training
 from repro.training.results import IterationBreakdown, TrainingResult
 from repro.units import KB
@@ -177,10 +178,10 @@ class TestRecordedTracers:
 
 
 class TestChunkPathAllocations:
-    """The chunk hot path builds one ``Reservation`` per fabric booking and no more."""
+    """A symmetric chunk-phase books its endpoint cost and its pipe, and nothing else."""
 
     @pytest.mark.parametrize("system_name", ["ace", "baseline_comm_opt"])
-    def test_one_reservation_per_symmetric_booking(self, small_resnet, monkeypatch, system_name):
+    def test_phase_books_pipe_directly(self, small_resnet, monkeypatch, system_name):
         counts = Counter()
         new = Reservation.__new__
 
@@ -195,6 +196,23 @@ class TestChunkPathAllocations:
 
             return wrapper
 
+        reserve_times = BandwidthResource.reserve_times
+
+        def counting_reserve_times(resource, num_bytes, earliest_start):
+            counts[resource.name] += 1
+            return reserve_times(resource, num_bytes, earliest_start)
+
+        stage_table = CollectiveExecutor.stage_table
+
+        def counting_stage_table(executor, op, chunk_size):
+            # Every chunk looks its table up once, when it starts.
+            table = stage_table(executor, op, chunk_size)
+            for stage in table:
+                for row in stage:
+                    if row.on_fabric:
+                        counts[f"phases[{row.work.dimension}]"] += 1
+            return table
+
         monkeypatch.setattr(Reservation, "__new__", staticmethod(counting_new))
         monkeypatch.setattr(
             SymmetricFabric, "reserve", counted("fabric", SymmetricFabric.reserve)
@@ -202,11 +220,15 @@ class TestChunkPathAllocations:
         monkeypatch.setattr(
             BandwidthResource, "reserve", counted("resource", BandwidthResource.reserve)
         )
+        monkeypatch.setattr(BandwidthResource, "reserve_times", counting_reserve_times)
+        monkeypatch.setattr(CollectiveExecutor, "stage_table", counting_stage_table)
         system = make_system(system_name).with_overrides(network_backend="symmetric")
         TrainingLoop(system, 16, small_resnet, iterations=1, chunk_bytes=CHUNK).run()
-        assert counts["fabric"] > 0
-        assert counts["reservations"] == counts["fabric"]
-        assert counts["resource"] == 0
+        assert counts["reservations"] == counts["fabric"] == counts["resource"] == 0
+        phases = {key[6:]: n for key, n in counts.items() if key.startswith("phases[")}
+        pipes = {key[4:]: n for key, n in counts.items() if key.startswith("pipe[")}
+        # Each pipe is booked exactly once per on-fabric chunk-phase.
+        assert phases and pipes == phases
 
 
 class TestTrainingResult:
