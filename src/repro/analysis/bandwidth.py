@@ -27,7 +27,7 @@ from repro.errors import ConfigurationError
 from repro.network.topology import Topology, Torus3D
 from repro.sim.engine import Simulator
 from repro.training.comm import CollectiveExecutor
-from repro.units import MB
+from repro.units import MB, left_sum
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def analytical_memory_traffic(topology: Torus3D) -> MemoryBandwidthRequirement:
     """
     plan = plan_collective(CollectiveOp.ALL_REDUCE, topology, algorithm="hierarchical")
     injected = plan.total_injected_fraction
-    baseline_reads = sum(
+    baseline_reads = left_sum(
         p.bytes_sent_fraction + p.reduced_bytes_fraction for p in plan.phases
     )
     ace_reads = 1.0 if plan.phases else 0.0

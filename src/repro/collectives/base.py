@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import CollectiveError
+from repro.units import left_sum
 
 
 class CollectiveOp(str, enum.Enum):
@@ -125,7 +126,7 @@ class CollectivePlan:
     @property
     def total_injected_fraction(self) -> float:
         """Total bytes injected into the network per payload byte (e.g. 2.25 for 4x4x4 all-reduce)."""
-        return sum(p.bytes_sent_fraction for p in self.phases)
+        return left_sum(p.bytes_sent_fraction for p in self.phases)
 
     def per_dimension_injected_fraction(self) -> Dict[str, float]:
         """Bytes injected per payload byte, broken down by torus dimension."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import WorkloadError
+from repro.units import left_sum
 
 #: Bytes per element for FP16 compute / communication (Section V).
 FP16_BYTES = 2
@@ -195,11 +196,11 @@ def combine(name: str, *costs: KernelCost) -> KernelCost:
     """Sum several kernel costs into one (efficiency is FLOP-weighted)."""
     if not costs:
         raise WorkloadError("combine() needs at least one kernel cost")
-    flops = sum(c.flops for c in costs)
-    reads = sum(c.bytes_read for c in costs)
-    writes = sum(c.bytes_written for c in costs)
+    flops = left_sum(c.flops for c in costs)
+    reads = left_sum(c.bytes_read for c in costs)
+    writes = left_sum(c.bytes_written for c in costs)
     if flops > 0:
-        efficiency = sum(c.compute_efficiency * c.flops for c in costs) / flops
+        efficiency = left_sum(c.compute_efficiency * c.flops for c in costs) / flops
     else:
         efficiency = min(c.compute_efficiency for c in costs)
     return KernelCost(name, flops, reads, writes, min(1.0, max(1e-6, efficiency)))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.config.system import AceConfig
-from repro.units import MB
+from repro.units import MB, left_sum
 
 # Published per-component reference values (28 nm) at the default design point.
 _REFERENCE_SRAM_BYTES = 4 * MB
@@ -99,8 +99,8 @@ class AceAreaPowerModel:
         parts = self.components()
         return ComponentEstimate(
             "ACE (Total)",
-            sum(p.area_um2 for p in parts),
-            sum(p.power_mw for p in parts),
+            left_sum(p.area_um2 for p in parts),
+            left_sum(p.power_mw for p in parts),
         )
 
     def area_overhead_fraction(

@@ -33,9 +33,11 @@ from typing import Dict, Tuple
 from repro.collectives.base import CollectivePlan
 from repro.config.system import EndpointKind, SystemConfig
 from repro.endpoint.base import Endpoint, PhaseWork
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError, ResourceError, SchedulingError
 from repro.sim.resources import BandwidthResource, SlotResource
 from repro.units import cycles_to_ns
+
+_INF = float("inf")
 
 
 class AceEndpoint(Endpoint):
@@ -119,14 +121,31 @@ class AceEndpoint(Endpoint):
         num_bytes: float,
         earliest_start: float,
     ) -> float:
-        """Book a DMA's engine, the bus and an HBM channel; the slowest leg finishes it."""
-        finish = engine.reserve_times(num_bytes, earliest_start)[1]
-        leg = self._bus.reserve_times(num_bytes, earliest_start)[1]
-        if leg > finish:
-            finish = leg
-        leg = channel.reserve_times(num_bytes, earliest_start)[1]
-        if leg > finish:
-            finish = leg
+        """Book a DMA's engine, the bus and an HBM channel; the slowest leg finishes it.
+
+        Each leg books what ``leg.reserve_times(num_bytes, earliest_start)``
+        would, in that order and with its arithmetic in its order, but
+        inline: every chunk runs two DMAs, and a call per leg would add six
+        frames to it.  A negative or NaN byte count raises
+        :class:`~repro.errors.ResourceError` naming the engine before any
+        leg is booked, as the engine's ``reserve_times`` would.
+        """
+        if not num_bytes >= 0:
+            raise ResourceError(f"{engine.name}: cannot transfer {num_bytes} bytes")
+        finish = -_INF
+        for leg in (engine, self._bus, channel):
+            free = leg._next_free
+            start = earliest_start if earliest_start > free else free
+            serialization = num_bytes / leg.bandwidth_gbps
+            end = start + serialization
+            leg._next_free = end
+            leg._busy_time += serialization
+            leg._bytes_moved += num_bytes
+            if leg.trace is not None and serialization > 0:
+                leg.trace.record(start, end)
+            end += leg.latency_ns
+            if end > finish:
+                finish = end
         return finish
 
     def ingress(self, chunk_bytes: float, earliest_start: float) -> float:

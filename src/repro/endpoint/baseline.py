@@ -28,7 +28,10 @@ from typing import Tuple
 
 from repro.config.system import SystemConfig
 from repro.endpoint.base import Endpoint, PhaseWork
+from repro.errors import ResourceError
 from repro.sim.resources import BandwidthResource
+
+_INF = float("inf")
 
 
 class BaselineEndpoint(Endpoint):
@@ -94,17 +97,42 @@ class BaselineEndpoint(Endpoint):
         )
 
     def process_phase(self, cost: Tuple[float, float, float], earliest_start: float) -> float:
-        """Prepare one phase's traffic: HBM reads, SM streaming and bus crossing."""
+        """Prepare one phase's traffic: HBM reads, SM streaming and bus crossing.
+
+        A phase that reads nothing books nothing.  Otherwise the HBM read
+        channel and the comm SMs each take the read bytes and the bus the
+        bus bytes, in that order and all from ``earliest_start``, and the
+        slowest leg finishes the phase.  Each leg books what
+        ``leg.reserve_times(num_bytes, earliest_start)`` would, with its
+        arithmetic in its order, but inline, without a call per leg.  A
+        negative or NaN byte count raises
+        :class:`~repro.errors.ResourceError` naming its leg.
+        """
         read_bytes, bus_bytes, write_bytes = cost
         finish = earliest_start
         if read_bytes > 0:
-            finish = self._hbm_read.reserve_times(read_bytes, earliest_start)[1]
-            sm_finish = self._sm_pipe.reserve_times(read_bytes, earliest_start)[1]
-            if sm_finish > finish:
-                finish = sm_finish
-            bus_finish = self._bus.reserve_times(bus_bytes, earliest_start)[1]
-            if bus_finish > finish:
-                finish = bus_finish
+            finish = -_INF
+            num_bytes = read_bytes
+            bus = self._bus
+            for leg in (self._hbm_read, self._sm_pipe, bus):
+                if leg is bus:
+                    num_bytes = bus_bytes
+                    if not num_bytes >= 0:
+                        raise ResourceError(f"{leg.name}: cannot transfer {num_bytes} bytes")
+                free = leg._next_free
+                start = earliest_start if earliest_start > free else free
+                serialization = num_bytes / leg.bandwidth_gbps
+                end = start + serialization
+                leg._next_free = end
+                leg._busy_time += serialization
+                leg._bytes_moved += num_bytes
+                if leg.trace is not None and serialization > 0:
+                    leg.trace.record(start, end)
+                end += leg.latency_ns
+                if end > finish:
+                    finish = end
+        elif read_bytes != 0:
+            raise ResourceError(f"{self._hbm_read.name}: cannot transfer {read_bytes} bytes")
         self._write_bytes += write_bytes
         return finish + self.PHASE_SOFTWARE_LATENCY_NS
 

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.experiments.common import chunk_bytes_for
 from repro.runner import SweepRunner, default_runner, training_job
 from repro.training.results import TrainingResult
+from repro.units import left_sum
 
 #: Systems plotted in Fig. 10 (columns a-d).
 FIG10_SYSTEMS = ("baseline_comm_opt", "baseline_comp_opt", "ace", "ideal")
@@ -53,11 +54,11 @@ def run_fig10(
     for (workload_name, system_name), result in results.items():
         ideal = results[(workload_name, "ideal")]
         mean_net_util = (
-            sum(u for _, u in result.network_utilization_series)
+            left_sum(u for _, u in result.network_utilization_series)
             / max(1, len(result.network_utilization_series))
         )
         mean_compute_util = (
-            sum(u for _, u in result.compute_utilization_series)
+            left_sum(u for _, u in result.compute_utilization_series)
             / max(1, len(result.compute_utilization_series))
         )
         rows.append(

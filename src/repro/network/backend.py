@@ -32,21 +32,14 @@ from typing import Iterable, List
 from repro.config.system import NetworkConfig
 from repro.network.topology import Topology
 from repro.sim.resources import Reservation
+from repro.units import left_sum
 
 
 def mean_utilization(values: Iterable[float]) -> float:
-    """Mean of per-dimension utilizations, added strictly left to right.
-
-    Not :func:`sum`: Python 3.12 made ``sum()`` over floats compensated,
-    which moves the last bit of some means.  This order gives the same bits
-    on every Python version.
-    """
-    total = 0.0
-    count = 0
-    for value in values:
-        total += value
-        count += 1
-    return total / count
+    """Mean of per-dimension utilizations, added by :func:`~repro.units.left_sum`
+    so it has the same bits on every Python version."""
+    values = list(values)
+    return left_sum(values) / len(values)
 
 
 class NetworkBackend(abc.ABC):

@@ -60,6 +60,7 @@ from repro.network.topology import Topology
 from repro.sim.engine import HopLane, Simulator
 from repro.sim.resources import BandwidthResource, Reservation
 from repro.sim.trace import IntervalTracer, UtilizationTrace
+from repro.units import left_sum
 
 
 #: Store-and-forward message size (Table III: 8 KB messages).
@@ -387,7 +388,7 @@ class DetailedBackend(NetworkBackend):
         Each dimension's ports carry identical timelines, so the booked
         link's bytes times the port count is the dimension's total.
         """
-        return sum(
+        return left_sum(
             link.bytes_moved * self._port_counts[dim]
             for dim, link in self._links.items()
         )

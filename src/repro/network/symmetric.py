@@ -31,6 +31,7 @@ from repro.network.backend import NetworkBackend, mean_utilization
 from repro.network.topology import Topology
 from repro.sim.resources import BandwidthResource, Reservation
 from repro.sim.trace import IntervalTracer, UtilizationTrace
+from repro.units import left_sum
 
 
 class SymmetricFabric(NetworkBackend):
@@ -41,7 +42,7 @@ class SymmetricFabric(NetworkBackend):
     against the ``"detailed"`` per-link backend on small systems
     (``experiments/model_agreement.py``).  It is the timeline backend: the
     collective executor takes each phase's pipe and latency tail from
-    :meth:`booking` once per stage-table row and books the pipe itself, so
+    :meth:`booking` once per stage-table row and books the pipe inline, so
     a chunk-phase builds no :class:`~repro.sim.resources.Reservation`;
     :meth:`reserve` answers the same question for the hybrid backend's cold
     dimensions.
@@ -107,7 +108,7 @@ class SymmetricFabric(NetworkBackend):
         the remaining ``steps - 1`` ring-step latencies are additive (the
         phase's data pipelines around the ring, so only latency — not
         bandwidth — is paid again per extra step).  The collective executor
-        asks once per stage-table row and books ``pipe`` itself per chunk.
+        asks once per stage-table row and books ``pipe`` inline per chunk.
         """
         pipe = self.pipe(dimension)
         return pipe, (steps - 1) * pipe.latency_ns if steps > 1 else 0.0
@@ -137,7 +138,7 @@ class SymmetricFabric(NetworkBackend):
     @property
     def bytes_injected(self) -> float:
         """Total bytes the representative NPU injected into the fabric."""
-        return sum(p.bytes_moved for p in self._pipes.values())
+        return left_sum(p.bytes_moved for p in self._pipes.values())
 
     def utilization(self, horizon_ns: float) -> float:
         """Average fraction of links busy, irrespective of their bandwidth (Fig. 10)."""

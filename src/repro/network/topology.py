@@ -322,6 +322,7 @@ def topology_from_spec(spec: str) -> Topology:
 
     A fabric has exactly one spelling -- a lowercase kind, no spaces, no
     leading zeros -- so one fabric is one job spec hash and one cache key.
+    A torus with ``L = 1`` is the 2D torus and is spelled ``torus2d:VxH``.
     """
     kind, colon, dims = spec.partition(":") if isinstance(spec, str) else ("", "", "")
     if not colon or kind not in _SPEC_KINDS:
@@ -335,5 +336,10 @@ def topology_from_spec(spec: str) -> Topology:
         raise TopologyError(
             f"invalid topology spec {spec!r}: {kind!r} takes {form!r} as positive "
             f"integers without leading zeros, got {dims!r}"
+        )
+    if kind == "torus" and parts[0] == "1":
+        raise TopologyError(
+            f"invalid topology spec {spec!r}: a torus with L = 1 is the 2D torus; "
+            f"spell it 'torus2d:{parts[1]}x{parts[2]}'"
         )
     return build(*map(int, parts))

@@ -83,11 +83,11 @@ class SimJob:
     overrides: Mapping[str, object] = field(default_factory=dict)
     #: Platform size; resolved to the paper's canonical torus shape.
     num_npus: Optional[int] = None
-    #: Explicit ``(L, V, H)`` torus shape; takes precedence over ``num_npus``.
+    #: Explicit ``(L, V, H)`` torus shape, set instead of ``num_npus``.
     topology: Optional[Tuple[int, int, int]] = None
     #: Topology spec string (``"torus:4x4x4"``, ``"ring:16"``, ``"switch:64"``,
-    #: ``"fc:16"``, ``"torus2d:8x8"``); takes precedence over ``topology`` and
-    #: ``num_npus`` and is how non-torus fabrics are requested.
+    #: ``"fc:16"``, ``"torus2d:8x8"``), set instead of ``topology`` and
+    #: ``num_npus``; it is how non-torus fabrics are requested.
     fabric: Optional[str] = None
     #: Collective algorithm for the planner ("auto" = cheapest feasible).
     algorithm: str = AUTO
@@ -155,6 +155,7 @@ class SimJob:
                 topology_from_spec(self.fabric)
             except TopologyError as exc:
                 raise TopologyError(f"fabric: {exc}", field="fabric") from None
+        self._check_overridden_fabric_fields()
         if self.kind in ("training", "network_drive"):
             if self.fabric is None and self.topology is None:
                 if self.num_npus is None:
@@ -226,6 +227,25 @@ class SimJob:
                         field=f"overrides.{key}",
                     )
 
+    def _check_overridden_fabric_fields(self) -> None:
+        """Reject a ``num_npus`` or ``topology`` that :meth:`build_topology` ignores.
+
+        ``fabric`` takes precedence over ``topology`` and ``topology`` over
+        ``num_npus``, so a field set beside one that overrides it would only
+        give the same simulation a second spec hash.
+        """
+        for name, beside in (
+            ("num_npus", "fabric"),
+            ("topology", "fabric"),
+            ("num_npus", "topology"),
+        ):
+            if getattr(self, name) is not None and getattr(self, beside) is not None:
+                raise ConfigurationError(
+                    f"{name} is ignored beside {beside}={getattr(self, beside)!r}, which "
+                    f"fixes the platform; leave {name} unset",
+                    field=name,
+                )
+
     # ------------------------------------------------------------------
     # Canonical serialization and hashing
     # ------------------------------------------------------------------
@@ -288,8 +308,9 @@ class SimJob:
     def build_topology(self) -> Topology:
         """The fabric this job runs on.
 
-        Precedence: the ``fabric`` spec string, then the explicit ``(L, V, H)``
-        torus shape, then the paper's canonical shape for ``num_npus``.
+        The ``fabric`` spec string, else the explicit ``(L, V, H)`` torus
+        shape, else the paper's canonical shape for ``num_npus``; a spec sets
+        only one of the three.
         """
         if self.fabric is not None:
             return topology_from_spec(self.fabric)

@@ -8,7 +8,9 @@ callbacks held in a binary heap.  Model code schedules callbacks with
 A :class:`HopLane` holds the store-and-forward hops queued on one FIFO
 :class:`~repro.sim.resources.BandwidthResource` and books them on it at
 their places in that same ``(time, seq)`` order, most of them without a
-heap entry of their own.
+heap entry of their own.  The collective executor's chunk loop
+(``training/comm.py``) likewise runs its chunk events back to back while
+they are at the heap's head.
 
 The same engine drives both the detailed multi-node fabric model and the fast
 symmetric-node model, so every experiment in the paper runs on top of this
@@ -40,6 +42,13 @@ class Simulator:
     nothing beyond that list and its argument tuple -- a comm-heavy job
     schedules about a million events.
 
+    :meth:`run` is not the only consumer of the heap.  A :class:`HopLane`
+    and the collective executor's chunk loop each pop (or never push)
+    entries of their own while those are the heap's head, move :attr:`now`
+    and count each as one event, so the events run in the same order, at
+    the same times and with the same :attr:`events_processed` as if
+    :meth:`run` had popped each.
+
     Example
     -------
     >>> sim = Simulator()
@@ -55,8 +64,9 @@ class Simulator:
 
     def __init__(self) -> None:
         #: Current simulation time in nanoseconds.  A plain attribute, read
-        #: on every chunk stage; only :meth:`run` and :class:`HopLane` move
-        #: it, and nothing else may write it.
+        #: on every chunk stage; only :meth:`run`, :class:`HopLane` and the
+        #: collective executor's chunk loop move it, each to the time of the
+        #: event it runs, and nothing else may write it.
         self.now: float = 0.0
         self._queue: List[List[Any]] = []
         self._seq: int = 0

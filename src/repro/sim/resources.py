@@ -73,30 +73,32 @@ class BandwidthResource:
     def reserve(self, num_bytes: float, earliest_start: float) -> Reservation:
         """Reserve the pipe for ``num_bytes`` starting no earlier than ``earliest_start``.
 
-        Returns the FIFO-consistent start and finish times and advances the
-        internal "next free" pointer.
+        Books through :meth:`reserve_times` and wraps its FIFO-consistent
+        start and finish in a :class:`Reservation`.
         """
-        if not num_bytes >= 0:
-            raise ResourceError(f"{self.name}: cannot transfer {num_bytes} bytes")
-        start = max(earliest_start, self._next_free)
-        serialization = num_bytes / self.bandwidth_gbps
-        end = start + serialization
-        self._next_free = end
-        self._busy_time += serialization
-        self._bytes_moved += num_bytes
-        if self.trace is not None and serialization > 0:
-            self.trace.record(start, end)
-        return Reservation(start, end + self.latency_ns, num_bytes)
+        start, finish = self.reserve_times(num_bytes, earliest_start)
+        return Reservation(start, finish, num_bytes)
 
     def reserve_times(self, num_bytes: float, earliest_start: float) -> Tuple[float, float]:
-        """:meth:`reserve` without the :class:`Reservation` wrapper.
+        """Book ``num_bytes`` FIFO from ``earliest_start``; return ``(start, finish)``.
 
-        Identical FIFO queuing, accounting and tracing; returns the bare
-        ``(start, finish)`` pair.  The endpoints and the symmetric backend
-        book their pipes through it.  The detailed backend's hop lanes
-        (:class:`~repro.sim.engine.HopLane`) do not call it: they apply
-        this arithmetic, in this order, inline on the resource's FIFO tail,
-        busy time and byte count, so a change here must be made there too.
+        The one booking rule: start at the later of ``earliest_start`` and
+        the FIFO tail, serialise ``num_bytes / bandwidth``, move the tail
+        there, add the serialization and the bytes to the totals, record
+        the busy interval, and finish one latency later.  A negative or NaN
+        byte count raises :class:`~repro.errors.ResourceError` naming the
+        resource before anything is booked.
+
+        The symmetric backend's ``reserve`` books through it.  The hot paths
+        apply this arithmetic, in this order, inline on the resource's FIFO
+        tail, busy time and byte count: the detailed backend's hop lanes
+        (:class:`~repro.sim.engine.HopLane`) and the collective executor's
+        pipe legs, which also merge the busy interval inline by
+        :meth:`~repro.sim.trace.IntervalTracer.record`'s rules, and
+        ``AceEndpoint._dma`` and ``BaselineEndpoint.process_phase``.  A
+        change here must be made there too; ``tests/test_fifo_rule.py``,
+        ``tests/test_stage_rows.py`` and ``tests/test_hop_lane.py`` hold
+        them to it.
         """
         if not num_bytes >= 0:
             raise ResourceError(f"{self.name}: cannot transfer {num_bytes} bytes")

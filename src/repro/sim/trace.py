@@ -38,8 +38,9 @@ class IntervalTracer:
     def record(self, start: float, end: float) -> None:
         """Record a busy interval; zero-length intervals are ignored.
 
-        :class:`~repro.sim.engine.HopLane` applies these rules inline to
-        its resource's tracer, so a change here must be made there too.
+        :class:`~repro.sim.engine.HopLane` and the collective executor's
+        pipe leg (``training/comm.py``) apply these rules inline to their
+        resource's tracer, so a change here must be made there too.
         """
         if end <= start:
             return

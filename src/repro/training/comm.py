@@ -6,7 +6,9 @@ collective operations from the training loop, splits them into chunks
 (Table III), admits chunks into the endpoint pipeline subject to the
 endpoint's capacity, and walks each chunk through the phases of its
 topology-aware plan, reserving endpoint processing and link bandwidth as it
-goes.
+goes.  Each step of that walk is one chunk event, and one handler runs
+every chunk event of an executor that reaches the heap's head
+(:func:`_chunk_step`).
 
 Scheduling follows the paper: pending collectives are served LIFO by default
 (the collectives of the first layers, issued last during back-propagation,
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.collectives.base import CollectiveOp, CollectivePlan
@@ -26,7 +29,7 @@ from repro.collectives.planner import AUTO, algorithm_implements, plan_collectiv
 from repro.config.system import SystemConfig
 from repro.endpoint.base import Endpoint, PhaseCost, PhaseWork
 from repro.endpoint.factory import make_endpoint
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.network import make_network_backend
 from repro.network.backend import NetworkBackend
 from repro.network.messages import split_payload
@@ -34,6 +37,8 @@ from repro.network.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.process import Signal
 from repro.sim.resources import BandwidthResource
+
+_INF = float("inf")
 
 
 class StageRow(NamedTuple):
@@ -47,7 +52,7 @@ class StageRow(NamedTuple):
     #: Whether the phase sends bytes on a dimension the fabric has.
     on_fabric: bool
     #: On a timeline fabric, an on-fabric phase's pipe, which the executor
-    #: books itself; ``None`` otherwise.
+    #: books inline; ``None`` otherwise.  Set only for positive send bytes.
     pipe: Optional[BandwidthResource]
     #: The latency the phase's later ring steps add to the pipe's finish.
     tail: float
@@ -323,7 +328,7 @@ class CollectiveExecutor:
             self._admit_chunk(served.handle, chunk_size)
 
     def _admit_chunk(self, handle: CollectiveHandle, chunk_size: int) -> None:
-        """Admit one chunk: it will walk its plan stages as an event chain.
+        """Admit one chunk: it will walk its plan stages as chunk events.
 
         Every resource reservation is made at the simulation time the stage
         actually starts (not at admission time), so FIFO resources are always
@@ -338,97 +343,7 @@ class CollectiveExecutor:
             start += self.system.collective_launch_overhead_ns
             handle.launched = True
         admitted_at = self.sim.now
-        self.sim.schedule_at(start, self._start_chunk, handle, chunk_size, admitted_at)
-
-    def _start_chunk(self, handle: CollectiveHandle, chunk_size: int, admitted_at: float) -> None:
-        staged = self.endpoint.ingress(chunk_size, self.sim.now)
-        table = self.stage_table(handle.op, chunk_size)
-        self.sim.schedule_at(
-            staged, self._start_stage, handle, table, chunk_size, 0, admitted_at
-        )
-
-    def _start_stage(
-        self,
-        handle: CollectiveHandle,
-        table: StageTable,
-        chunk_size: int,
-        stage_index: int,
-        admitted_at: float,
-    ) -> None:
-        """Run one stage of the chunk's plan; chain the next stage at its finish."""
-        now = self.sim.now
-        if stage_index == len(table):
-            done_at = self.endpoint.egress(chunk_size, now)
-            self.endpoint.activity.record(admitted_at, done_at)
-            self.sim.schedule_at(done_at, self._chunk_done, handle)
-            return
-        if self.fabric.event_driven:
-            self._start_event_stage(handle, table, chunk_size, stage_index, admitted_at)
-            return
-        # Timeline mode: the stage ends when its slowest phase has both
-        # cleared the endpoint and crossed the fabric (its pipe, then the
-        # row's tail).  The comparisons return exactly what ``max`` would.
-        process_phase = self.endpoint.process_phase
-        stage_finish = now
-        for work, cost, _, pipe, tail in table[stage_index]:
-            finish = process_phase(cost, now)
-            if pipe is not None:
-                network_finish = pipe.reserve_times(work.send_bytes, now)[1] + tail
-                if network_finish > finish:
-                    finish = network_finish
-            if finish > stage_finish:
-                stage_finish = finish
-        self.sim.schedule_at(
-            stage_finish,
-            self._start_stage,
-            handle,
-            table,
-            chunk_size,
-            stage_index + 1,
-            admitted_at,
-        )
-
-    def _start_event_stage(
-        self,
-        handle: CollectiveHandle,
-        table: StageTable,
-        chunk_size: int,
-        stage_index: int,
-        admitted_at: float,
-    ) -> None:
-        """:meth:`_start_stage` on an event-driven backend.
-
-        Each on-fabric phase is handed to ``fabric.transfer``; a
-        :class:`_StageJoin` chains the next stage once the last transfer
-        has completed.  Every endpoint-ready time is folded in at issue and
-        every network finish on completion: the stage finish is the largest
-        of them, whatever the order.
-        """
-        now = self.sim.now
-        join = _StageJoin(
-            self.sim,
-            now,
-            (self._start_stage, handle, table, chunk_size, stage_index + 1, admitted_at),
-        )
-        stage_finish = now
-        for work, cost, on_fabric, _, _ in table[stage_index]:
-            ready = self.endpoint.process_phase(cost, now)
-            if ready > stage_finish:
-                stage_finish = ready
-            if on_fabric:
-                join.outstanding += 1
-                self.fabric.transfer(
-                    self.sim, work.dimension, work.send_bytes, work.steps, join.done
-                )
-        join.done(stage_finish)
-
-    def _chunk_done(self, handle: CollectiveHandle) -> None:
-        self._inflight_chunks -= 1
-        handle.chunks_completed += 1
-        if handle.chunks_completed >= handle.num_chunks and not handle.finished:
-            handle.completed_at = self.sim.now
-            handle.done.fire(self.sim, handle)
-        self._try_admit()
+        self.sim.schedule_at(start, _chunk_step, self, handle, None, chunk_size, -1, admitted_at)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -436,3 +351,143 @@ class CollectiveExecutor:
     @property
     def handles(self) -> List[CollectiveHandle]:
         return list(self._handles)
+
+
+def _chunk_step(
+    executor: CollectiveExecutor,
+    handle: CollectiveHandle,
+    table: Optional[StageTable],
+    chunk_size: int,
+    step: int,
+    admitted_at: float,
+) -> None:
+    """Run one chunk event of ``executor``, then every one that reaches the heap's head.
+
+    A chunk's events are its steps: ``-1`` stages it (``ingress``, which
+    also looks its stage table up), ``0 .. len(table) - 1`` run its stages,
+    ``len(table)`` commits it (``egress``) and ``len(table) + 1`` retires
+    it and admits more chunks.  Each step but the last schedules the next
+    at its finish, with the ``seq`` draw and the time check of
+    :meth:`Simulator.schedule_at`; an event-mode stage leaves that to its
+    :class:`_StageJoin`, once the stage's transfers are done, and returns.
+
+    After any other step, while the heap's head is a chunk event of this
+    executor, the handler pops it, moves the clock, counts it as
+    :meth:`Simulator.run` would and runs it here, without a return to the
+    run loop; a continuation that would itself be the head is run without
+    the push and the pop.  Events still run in ``(time, seq)`` order with
+    the keys and the count they would have had one by one, so every
+    booking, result and :attr:`Simulator.events_processed` is what the run
+    loop would give.  An event-mode stage does not look at the head: the
+    events its transfers just scheduled are nearly always next, and the
+    look would cost more than the pops it saves.  The handler is a plain
+    function taking the executor, so heap entries hold no bound method of
+    it.
+    """
+    sim = executor.sim
+    queue = sim._queue
+    endpoint = executor.endpoint
+    while True:
+        now = sim.now
+        if step < 0:
+            finish = endpoint.ingress(chunk_size, now)
+            table = executor.stage_table(handle.op, chunk_size)
+        elif step < len(table):
+            fabric = executor.fabric
+            if fabric.event_driven:
+                # Each on-fabric phase is handed to ``fabric.transfer``; the
+                # join folds in every endpoint-ready time at issue and every
+                # network finish on completion, and schedules the next step
+                # at the largest, whatever the order.
+                join = _StageJoin(
+                    sim,
+                    now,
+                    (_chunk_step, executor, handle, table, chunk_size, step + 1, admitted_at),
+                )
+                stage_finish = now
+                for work, cost, on_fabric, _, _ in table[step]:
+                    ready = endpoint.process_phase(cost, now)
+                    if ready > stage_finish:
+                        stage_finish = ready
+                    if on_fabric:
+                        join.outstanding += 1
+                        fabric.transfer(sim, work.dimension, work.send_bytes, work.steps, join.done)
+                join.done(stage_finish)
+                return
+            # Timeline mode: the stage ends when its slowest phase has both
+            # cleared the endpoint and crossed the fabric (its pipe, then the
+            # row's tail).  The comparisons return exactly what ``max`` would.
+            finish = now
+            for work, cost, _, pipe, tail in table[step]:
+                phase_finish = endpoint.process_phase(cost, now)
+                if pipe is not None:
+                    # ``pipe.reserve_times(work.send_bytes, now)``, booked here
+                    # with its arithmetic in its order.  A row holds a pipe
+                    # only for positive send bytes, so its ``not num_bytes >=
+                    # 0`` check cannot fail.
+                    num_bytes = work.send_bytes
+                    free = pipe._next_free
+                    start = now if now > free else free
+                    serialization = num_bytes / pipe.bandwidth_gbps
+                    end = start + serialization
+                    pipe._next_free = end
+                    pipe._busy_time += serialization
+                    pipe._bytes_moved += num_bytes
+                    tracer = pipe.trace
+                    # ``end > start`` is false for a serialization the
+                    # start time absorbs: record() drops it.
+                    if tracer is not None and end > start:
+                        starts = tracer._starts
+                        ends = tracer._ends
+                        if ends and starts[-1] <= start <= ends[-1]:
+                            if end > ends[-1]:
+                                ends[-1] = end
+                        else:
+                            starts.append(start)
+                            ends.append(end)
+                        tracer._merged = None
+                    network_finish = end + pipe.latency_ns + tail
+                    if network_finish > phase_finish:
+                        phase_finish = network_finish
+                if phase_finish > finish:
+                    finish = phase_finish
+        elif step == len(table):
+            finish = endpoint.egress(chunk_size, now)
+            endpoint.activity.record(admitted_at, finish)
+        else:
+            executor._inflight_chunks -= 1
+            handle.chunks_completed += 1
+            if handle.chunks_completed >= handle.num_chunks and not handle.finished:
+                handle.completed_at = now
+                handle.done.fire(sim, handle)
+            executor._try_admit()
+            finish = None
+        if finish is not None:
+            if not now <= finish < _INF:
+                raise SimulationError(
+                    f"cannot schedule event at t={finish}: event times must be finite "
+                    f"and no earlier than the current time t={now}"
+                )
+            seq = sim._seq
+            sim._seq = seq + 1
+            step += 1
+            # The fresh ``seq`` is the largest drawn, so the continuation
+            # would be the heap's head exactly when it is earlier.
+            if not queue or finish < queue[0][0]:
+                sim.now = finish
+                sim._processed += 1
+                continue
+            heappush(
+                queue,
+                [finish, seq, _chunk_step, (executor, handle, table, chunk_size, step, admitted_at)],
+            )
+        if not queue:
+            return
+        head = queue[0]
+        args = head[3]
+        if head[2] is not _chunk_step or args[0] is not executor:
+            return
+        heappop(queue)
+        sim.now = head[0]
+        sim._processed += 1
+        _, handle, table, chunk_size, step, admitted_at = args

@@ -42,6 +42,7 @@ from repro.training.parallelism import (
     pipeline_stages,
 )
 from repro.training.results import IterationBreakdown, TrainingResult
+from repro.units import left_sum
 from repro.workloads.base import Workload
 
 
@@ -325,7 +326,7 @@ class TrainingLoop:
 
     def _stage_time(self, stage_layers) -> float:
         """Estimated per-iteration compute time of one pipeline stage."""
-        return sum(
+        return left_sum(
             self.compute.task_time_ns(layer.forward)
             + self.compute.task_time_ns(layer.input_grad)
             + self.compute.task_time_ns(layer.weight_grad)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, WorkloadError
+from repro.units import left_sum
 from repro.workloads.base import PARALLELISM_STRATEGIES, Layer
 
 #: Default 1F1B geometry for a bare ``"pipeline"`` spec.
@@ -139,7 +140,7 @@ def pipeline_stages(
             stages.append(tuple(remaining))
             remaining = []
             break
-        total = sum(layer.total_flops for layer in remaining)
+        total = left_sum(layer.total_flops for layer in remaining)
         target = total / stages_left
         max_take = len(remaining) - (stages_left - 1)
         take, accumulated = 0, 0.0

@@ -17,6 +17,8 @@ bandwidths in GB/s, link latencies in cycles of a 1245 MHz clock).
 
 from __future__ import annotations
 
+from typing import Iterable
+
 # ---------------------------------------------------------------------------
 # Data sizes
 # ---------------------------------------------------------------------------
@@ -49,3 +51,21 @@ def cycles_to_ns(cycles: float, frequency_mhz: float) -> float:
 def ns_to_us(time_ns: float) -> float:
     """Convert nanoseconds to microseconds."""
     return time_ns / US
+
+
+# ---------------------------------------------------------------------------
+# Totals
+# ---------------------------------------------------------------------------
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added strictly left to right, from ``0``.
+
+    Not :func:`sum`: Python 3.12 made ``sum()`` over floats compensated,
+    which can move the last bit of a total.  This is Python 3.11's order
+    and start, so a result added here has the same bits on every version.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total

@@ -15,12 +15,14 @@
   :class:`~repro.sim.engine.HopLane` must book identically;
   :class:`PerMessageWalk` turns off coalescing in either backend, so every
   transfer walks message by message.
-* :class:`ReserveStageExecutor` is the collective executor's timeline stage
-  before stage rows carried prepared bookings: per chunk it prices each
-  phase, books the fabric through ``reserve`` and reads the endpoint's
+* :class:`EventChainExecutor` is the collective executor with one heap
+  event per chunk step, run from :meth:`Simulator.run`, and the timeline
+  stage before stage rows carried prepared bookings: per chunk it prices
+  each phase, books the fabric through ``reserve`` and reads the endpoint's
   capacity.  :func:`per_chunk_endpoint` builds the endpoint it prices with,
   whose :class:`PerChunkAceEndpoint` and :class:`PerChunkBaselineEndpoint`
-  keep the per-chunk phase arithmetic the prepared costs must reproduce.
+  keep the per-chunk phase arithmetic the prepared costs must reproduce and
+  book every DMA and phase leg through ``reserve_times``.
 * :func:`feasible_algorithms` asks the planner which algorithms run an
   operation on a fabric.
 """
@@ -39,7 +41,7 @@ from repro.errors import CollectiveError, SchedulingError, WorkloadError
 from repro.network.detailed import Carving, DetailedBackend
 from repro.network.topology import Topology
 from repro.sim.engine import Simulator
-from repro.training.comm import CollectiveExecutor, StageTable
+from repro.training.comm import CollectiveExecutor, StageTable, _StageJoin
 
 
 def _check_same_shape(arrays: Sequence[np.ndarray]) -> None:
@@ -484,7 +486,19 @@ class PerChunkAceEndpoint(AceEndpoint):
 
     ``phase_cost`` hands the work through; ``process_phase`` looks the
     phase's FSMs up and computes the occupancy from the work each time.
+    Each DMA books its engine, the bus and its HBM channel through
+    ``reserve_times``, one call per leg.
     """
+
+    def _dma(self, engine, channel, num_bytes: float, earliest_start: float) -> float:
+        finish = engine.reserve_times(num_bytes, earliest_start)[1]
+        leg = self._bus.reserve_times(num_bytes, earliest_start)[1]
+        if leg > finish:
+            finish = leg
+        leg = channel.reserve_times(num_bytes, earliest_start)[1]
+        if leg > finish:
+            finish = leg
+        return finish
 
     def phase_cost(self, work: PhaseWork) -> PhaseWork:
         return work
@@ -510,7 +524,8 @@ class PerChunkBaselineEndpoint(BaselineEndpoint):
     """:class:`BaselineEndpoint` that prices every chunk-phase as it runs it.
 
     ``phase_cost`` hands the work through; ``process_phase`` computes the
-    Section VI-A read, bus and write bytes from the work each time.
+    Section VI-A read, bus and write bytes from the work each time and books
+    each leg through ``reserve_times``.
     """
 
     def phase_cost(self, work: PhaseWork) -> PhaseWork:
@@ -546,19 +561,38 @@ def per_chunk_endpoint(system: SystemConfig) -> Endpoint:
     return make_endpoint(system)
 
 
-class ReserveStageExecutor(CollectiveExecutor):
-    """:class:`CollectiveExecutor` whose timeline stage books per chunk.
+class EventChainExecutor(CollectiveExecutor):
+    """:class:`CollectiveExecutor` with every chunk step its own heap event.
 
-    Each chunk-phase calls ``process_phase(phase_cost(work), now)`` and
+    The executor's callback chain before its chunk events ran back to back:
+    admission schedules ``_start_chunk`` (``ingress``), which schedules
+    ``_start_stage`` per stage and ``_chunk_done`` after ``egress``, each
+    through ``schedule_at`` and each run from :meth:`Simulator.run`.  A
+    timeline stage prices each chunk-phase as it runs it
+    (``process_phase(phase_cost(work), now)``) and books the fabric through
     ``fabric.reserve(dimension, send_bytes, now, steps).finish``, and each
     admission round reads ``endpoint.chunk_capacity()``; it takes only each
     row's ``work`` and ``on_fabric`` from the stage table.  The executor's
-    compiled rows (prepared cost, pipe and tail) must book identically.
+    chunk loop and compiled rows (prepared cost, pipe and tail, booked
+    inline) must book identically.
     """
 
     def _try_admit(self) -> None:
         self._capacity = self.endpoint.chunk_capacity()
         super()._try_admit()
+
+    def _admit_chunk(self, handle, chunk_size: int) -> None:
+        self._inflight_chunks += 1
+        start = self.sim.now
+        if not handle.launched:
+            start += self.system.collective_launch_overhead_ns
+            handle.launched = True
+        self.sim.schedule_at(start, self._start_chunk, handle, chunk_size, self.sim.now)
+
+    def _start_chunk(self, handle, chunk_size: int, admitted_at: float) -> None:
+        staged = self.endpoint.ingress(chunk_size, self.sim.now)
+        table = self.stage_table(handle.op, chunk_size)
+        self.sim.schedule_at(staged, self._start_stage, handle, table, chunk_size, 0, admitted_at)
 
     def _start_stage(
         self,
@@ -568,10 +602,15 @@ class ReserveStageExecutor(CollectiveExecutor):
         stage_index: int,
         admitted_at: float,
     ) -> None:
-        if stage_index == len(table) or self.fabric.event_driven:
-            super()._start_stage(handle, table, chunk_size, stage_index, admitted_at)
-            return
         now = self.sim.now
+        if stage_index == len(table):
+            done_at = self.endpoint.egress(chunk_size, now)
+            self.endpoint.activity.record(admitted_at, done_at)
+            self.sim.schedule_at(done_at, self._chunk_done, handle)
+            return
+        if self.fabric.event_driven:
+            self._start_event_stage(handle, table, chunk_size, stage_index, admitted_at)
+            return
         endpoint = self.endpoint
         stage_finish = now
         for row in table[stage_index]:
@@ -594,6 +633,40 @@ class ReserveStageExecutor(CollectiveExecutor):
             stage_index + 1,
             admitted_at,
         )
+
+    def _start_event_stage(
+        self,
+        handle,
+        table: StageTable,
+        chunk_size: int,
+        stage_index: int,
+        admitted_at: float,
+    ) -> None:
+        now = self.sim.now
+        join = _StageJoin(
+            self.sim,
+            now,
+            (self._start_stage, handle, table, chunk_size, stage_index + 1, admitted_at),
+        )
+        stage_finish = now
+        for work, cost, on_fabric, _, _ in table[stage_index]:
+            ready = self.endpoint.process_phase(cost, now)
+            if ready > stage_finish:
+                stage_finish = ready
+            if on_fabric:
+                join.outstanding += 1
+                self.fabric.transfer(
+                    self.sim, work.dimension, work.send_bytes, work.steps, join.done
+                )
+        join.done(stage_finish)
+
+    def _chunk_done(self, handle) -> None:
+        self._inflight_chunks -= 1
+        handle.chunks_completed += 1
+        if handle.chunks_completed >= handle.num_chunks and not handle.finished:
+            handle.completed_at = self.sim.now
+            handle.done.fire(self.sim, handle)
+        self._try_admit()
 
 
 # ---------------------------------------------------------------------------

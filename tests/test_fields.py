@@ -224,6 +224,22 @@ def test_any_json_value_in_any_field_builds_or_names_the_field(target, value):
             },
             "overrides.memory",
         ),
+        # One spec per fabric: a field that ``fabric`` or ``topology``
+        # overrides is rejected, and so is the L = 1 torus spelling of a 2D
+        # torus.
+        ({"fabric": "ring:8", "iterations": 1}, "num_npus"),
+        ({"num_npus": None, "fabric": "ring:8", "topology": [4, 2, 2]}, "topology"),
+        ({"topology": [4, 2, 2]}, "num_npus"),
+        (
+            {
+                "kind": "network_drive",
+                "workload": None,
+                "num_npus": None,
+                "payload_bytes": 1048576,
+                "fabric": "torus:1x4x4",
+            },
+            "fabric",
+        ),
     ],
 )
 def test_job_probe_is_rejected_naming_its_field(spec, field):

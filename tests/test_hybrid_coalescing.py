@@ -184,12 +184,11 @@ class TestHybridBackend:
         job = SimJob(
             system="ace",
             workload="resnet50",
-            num_npus=1024,
             iterations=1,
             fabric="torus:8x16x8",
             backend="hybrid",
         )
-        assert topology_from_spec("torus:8x16x8").num_nodes > MAX_DETAILED_NPUS
+        assert topology_from_spec("torus:8x16x8").num_nodes == 1024 > MAX_DETAILED_NPUS
         result = job.execute()
         assert result.iteration_time_us > 0
 

@@ -30,15 +30,16 @@ PARALLELISM_CELLS = (
 
 
 def _run(backend, parallelism, workload, npus, fabric):
+    # The fabric fixes the size; a num_npus beside it would be rejected.
     job = SimJob(
         system="ace",
         workload=workload,
-        num_npus=npus,
         fabric=fabric,
         iterations=1,
         backend=backend,
         parallelism=parallelism,
     )
+    assert job.build_topology().num_nodes == npus
     return job.execute()
 
 

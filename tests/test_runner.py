@@ -313,9 +313,15 @@ class TestSimJobValidation:
         with pytest.raises(ConfigurationError, match=f"no canonical torus shape for {num_npus}"):
             SimJob(kind=kind, num_npus=num_npus, **spec)
 
-    def test_fabric_or_topology_skips_the_canonical_torus(self):
-        assert SimJob(workload="resnet50", num_npus=12, fabric="switch:12").fabric == "switch:12"
-        assert SimJob(workload="resnet50", num_npus=12, topology=(3, 2, 2)).topology == (3, 2, 2)
+    def test_fabric_or_topology_sets_the_size_without_num_npus(self):
+        # A fabric or a torus shape needs no canonical torus for its size,
+        # and a num_npus beside it would be ignored: it is rejected.
+        assert SimJob(workload="resnet50", fabric="switch:12").fabric == "switch:12"
+        assert SimJob(workload="resnet50", topology=(3, 2, 2)).topology == (3, 2, 2)
+        for beside in ({"fabric": "switch:12"}, {"topology": (3, 2, 2)}):
+            with pytest.raises(ConfigurationError, match="num_npus is ignored") as info:
+                SimJob(workload="resnet50", num_npus=12, **beside)
+            assert info.value.field == "num_npus"
 
     def test_unknown_override_section_rejected(self):
         with pytest.raises(ConfigurationError, match="override section"):
@@ -396,9 +402,11 @@ class TestSimJobValidation:
         assert payload == json.loads(json.dumps(payload))
         assert decode_result(payload) == {"rows": [[1, 2.5], [3, 4.5]]}
 
-    def test_topology_takes_precedence_over_num_npus(self):
-        job = network_drive_job("ideal", MB, num_npus=16, topology=(2, 2, 2))
-        assert job.build_topology().num_nodes == 8
+    def test_num_npus_beside_topology_rejected(self):
+        assert network_drive_job("ideal", MB, topology=(2, 2, 2)).build_topology().num_nodes == 8
+        with pytest.raises(ConfigurationError, match=r"beside topology=\(2, 2, 2\)") as info:
+            network_drive_job("ideal", MB, num_npus=16, topology=(2, 2, 2))
+        assert info.value.field == "num_npus"
 
     def test_outcome_ok_property(self):
         assert JobOutcome(job=area_power_job()).ok
@@ -557,9 +565,12 @@ class TestFabricAndAlgorithmKnobs:
         job = network_drive_job("ace", MB, fabric="switch:16")
         assert isinstance(job.build_topology(), SwitchTopology)
 
-    def test_fabric_takes_precedence_over_num_npus(self):
-        job = network_drive_job("ace", MB, num_npus=64, fabric="ring:8")
-        assert job.build_topology().num_nodes == 8
+    def test_num_npus_or_topology_beside_fabric_rejected(self):
+        assert network_drive_job("ace", MB, fabric="ring:8").build_topology().num_nodes == 8
+        for name, value in (("num_npus", 64), ("topology", (2, 2, 2))):
+            with pytest.raises(ConfigurationError, match="beside fabric='ring:8'") as info:
+                network_drive_job("ace", MB, fabric="ring:8", **{name: value})
+            assert info.value.field == name
 
     def test_invalid_fabric_spec_fails_at_submission(self):
         with pytest.raises(ConfigurationError):

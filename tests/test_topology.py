@@ -146,3 +146,10 @@ class TestTopologyFromSpec:
     def test_invalid_specs_rejected(self, spec):
         with pytest.raises(TopologyError):
             topology_from_spec(spec)
+
+    def test_a_one_layer_torus_is_spelled_torus2d(self):
+        # Both would build the same fabric under two spec hashes.
+        assert topology_from_spec("torus2d:4x4").cache_key() == Torus3D(1, 4, 4).cache_key()
+        with pytest.raises(TopologyError, match="spell it 'torus2d:4x4'"):
+            topology_from_spec("torus:1x4x4")
+        assert topology_from_spec("torus:2x4x4").num_nodes == 32

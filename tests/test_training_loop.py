@@ -178,7 +178,7 @@ class TestRecordedTracers:
 
 
 class TestChunkPathAllocations:
-    """A symmetric chunk-phase books its endpoint cost and its pipe, and nothing else."""
+    """A symmetric chunk-phase books its endpoint cost and its pipe inline, and nothing else."""
 
     @pytest.mark.parametrize("system_name", ["ace", "baseline_comm_opt"])
     def test_phase_books_pipe_directly(self, small_resnet, monkeypatch, system_name):
@@ -199,10 +199,17 @@ class TestChunkPathAllocations:
         reserve_times = BandwidthResource.reserve_times
 
         def counting_reserve_times(resource, num_bytes, earliest_start):
-            counts[resource.name] += 1
+            counts[f"reserve_times:{resource.name}"] += 1
             return reserve_times(resource, num_bytes, earliest_start)
 
+        record = IntervalTracer.record
+
+        def counting_record(tracer, start, end):
+            counts[f"record:{tracer.name}"] += 1
+            return record(tracer, start, end)
+
         stage_table = CollectiveExecutor.stage_table
+        sent = Counter()
 
         def counting_stage_table(executor, op, chunk_size):
             # Every chunk looks its table up once, when it starts.
@@ -210,7 +217,7 @@ class TestChunkPathAllocations:
             for stage in table:
                 for row in stage:
                     if row.on_fabric:
-                        counts[f"phases[{row.work.dimension}]"] += 1
+                        sent[row.work.dimension] += row.work.send_bytes
             return table
 
         monkeypatch.setattr(Reservation, "__new__", staticmethod(counting_new))
@@ -221,14 +228,25 @@ class TestChunkPathAllocations:
             BandwidthResource, "reserve", counted("resource", BandwidthResource.reserve)
         )
         monkeypatch.setattr(BandwidthResource, "reserve_times", counting_reserve_times)
+        monkeypatch.setattr(IntervalTracer, "record", counting_record)
         monkeypatch.setattr(CollectiveExecutor, "stage_table", counting_stage_table)
         system = make_system(system_name).with_overrides(network_backend="symmetric")
-        TrainingLoop(system, 16, small_resnet, iterations=1, chunk_bytes=CHUNK).run()
+        loop = TrainingLoop(system, 16, small_resnet, iterations=1, chunk_bytes=CHUNK)
+        loop.run()
         assert counts["reservations"] == counts["fabric"] == counts["resource"] == 0
-        phases = {key[6:]: n for key, n in counts.items() if key.startswith("phases[")}
-        pipes = {key[4:]: n for key, n in counts.items() if key.startswith("pipe[")}
-        # Each pipe is booked exactly once per on-fabric chunk-phase.
-        assert phases and pipes == phases
+        # No pipe, DMA or phase leg is booked through reserve_times, and no
+        # pipe's busy interval through record(): the executor and the
+        # endpoint book them inline.  Only the NPU's compute tracer and the
+        # endpoint's activity tracer record.
+        assert not [key for key in counts if key.startswith("reserve_times:")]
+        recorded = {key[7:] for key in counts if key.startswith("record:")}
+        assert recorded == {"npu-compute", f"endpoint-{system.name}"}
+        # Each pipe carries the bytes of its on-fabric chunk-phases: booked
+        # once per phase, none dropped or doubled.
+        pipes = loop.executor.fabric._pipes
+        assert sent and set(sent) == set(pipes)
+        for dimension, num_bytes in sent.items():
+            assert pipes[dimension].bytes_moved == pytest.approx(num_bytes, rel=1e-12)
 
 
 class TestTrainingResult:
