@@ -1,9 +1,9 @@
 """pytest-benchmark configuration for the experiment harnesses.
 
-Each benchmark regenerates one of the paper's tables or figures in the fast
-experiment mode (reduced sweep breadth and larger collective chunks so the
-whole suite finishes in minutes).  Passing ``--paper-scale`` switches every
-benchmark to the full paper-scale sweep.
+Each benchmark regenerates one of the paper's tables or figures with the
+options its shipped manifest (``scenarios/fig*.json``) gives the harness:
+the sweep breadth and collective chunks that keep the whole suite to
+minutes.  Paper scale is each harness's defaults (see the README).
 
 All benchmarks share one parallel :class:`~repro.runner.SweepRunner` so the
 grid fans out over worker processes and cells that appear in several figures
@@ -13,30 +13,23 @@ here: a wall-time bound on the detailed backend, run with ``-m slow``.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.runner import ResultCache, SweepRunner
+from repro.scenarios import discover_scenarios
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def pytest_addoption(parser):
-    parser.addoption(
-        "--paper-scale",
-        action="store_true",
-        default=False,
-        help="run the experiments at full paper scale (slow)",
-    )
     parser.addoption(
         "--serial-runner",
         action="store_true",
         default=False,
         help="run every sweep in-process instead of on the worker pool",
     )
-
-
-@pytest.fixture(scope="session")
-def fast_mode(request) -> bool:
-    return not request.config.getoption("--paper-scale")
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +40,16 @@ def runner(request) -> SweepRunner:
     else:
         workers = min(4, os.cpu_count() or 1)
     return SweepRunner(workers=workers, cache=ResultCache())
+
+
+@pytest.fixture(scope="session")
+def figure_kwargs(runner):
+    """``figure -> keyword arguments``: the options of the shipped manifest
+    suite that runs the figure, plus the shared runner."""
+    options = {
+        suite.spec["figure"]: dict(suite.spec.get("options", {}))
+        for scenario in discover_scenarios(SCENARIO_DIR)
+        for suite in scenario.suites
+        if suite.kind == "figure"
+    }
+    return lambda figure: {**options[figure], "runner": runner}

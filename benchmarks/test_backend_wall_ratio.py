@@ -1,6 +1,6 @@
 """Wall-time price of the detailed network model at 32 NPUs.
 
-Times the ACE ResNet-50 cell (fast-mode chunks, two iterations) on the
+Times the ACE ResNet-50 cell (128 KB chunks, two iterations) on the
 symmetric and on the detailed backend and bounds the detailed/symmetric wall
 ratio.  Each wall is the fastest of three uncached runs, which keeps
 scheduler noise out of sub-second cells.  Both walls come from one process on
@@ -16,8 +16,8 @@ import time
 
 import pytest
 
-from repro.experiments.common import FAST_CHUNK_BYTES
 from repro.runner import training_job
+from repro.units import KB
 
 NUM_NPUS = 32
 REPEATS = 3
@@ -31,7 +31,7 @@ def _wall_s(backend: str) -> float:
         num_npus=NUM_NPUS,
         backend=backend,
         iterations=2,
-        chunk_bytes=FAST_CHUNK_BYTES["resnet50"],
+        chunk_bytes=128 * KB,
     )
     best = float("inf")
     for _ in range(REPEATS):

@@ -4,8 +4,8 @@ from repro.analysis.report import format_table
 from repro.experiments.fig4_microbench import run_fig4
 
 
-def test_fig4_microbench(benchmark, fast_mode, runner):
-    rows = benchmark.pedantic(run_fig4, kwargs={"fast": fast_mode, "runner": runner}, rounds=1, iterations=1)
+def test_fig4_microbench(benchmark, figure_kwargs):
+    rows = benchmark.pedantic(run_fig4, kwargs=figure_kwargs("fig4"), rounds=1, iterations=1)
     print()
     print(
         format_table(

@@ -4,8 +4,8 @@ from repro.analysis.report import format_table
 from repro.experiments.fig5_membw_sweep import run_fig5, run_section6a_analysis
 
 
-def test_fig5_memory_bandwidth_sweep(benchmark, fast_mode, runner):
-    rows = benchmark.pedantic(run_fig5, kwargs={"fast": fast_mode, "runner": runner}, rounds=1, iterations=1)
+def test_fig5_memory_bandwidth_sweep(benchmark, figure_kwargs):
+    rows = benchmark.pedantic(run_fig5, kwargs=figure_kwargs("fig5"), rounds=1, iterations=1)
     print()
     print(
         format_table(

@@ -4,8 +4,8 @@ from repro.analysis.report import format_table
 from repro.experiments.fig6_sm_sweep import run_fig6
 
 
-def test_fig6_sm_sweep(benchmark, fast_mode, runner):
-    rows = benchmark.pedantic(run_fig6, kwargs={"fast": fast_mode, "runner": runner}, rounds=1, iterations=1)
+def test_fig6_sm_sweep(benchmark, figure_kwargs):
+    rows = benchmark.pedantic(run_fig6, kwargs=figure_kwargs("fig6"), rounds=1, iterations=1)
     print()
     print(
         format_table(

@@ -4,8 +4,8 @@ from repro.analysis.report import format_table
 from repro.experiments.fig9_dse import run_fig9a, run_fig9b
 
 
-def test_fig9a_design_space(benchmark, fast_mode, runner):
-    rows = benchmark.pedantic(run_fig9a, kwargs={"fast": fast_mode, "runner": runner}, rounds=1, iterations=1)
+def test_fig9a_design_space(benchmark, figure_kwargs):
+    rows = benchmark.pedantic(run_fig9a, kwargs=figure_kwargs("fig9a"), rounds=1, iterations=1)
     print()
     print(
         format_table(
@@ -22,8 +22,8 @@ def test_fig9a_design_space(benchmark, fast_mode, runner):
             assert row["performance_vs_reference"] <= 1.07
 
 
-def test_fig9b_ace_utilization(benchmark, fast_mode, runner):
-    rows = benchmark.pedantic(run_fig9b, kwargs={"fast": fast_mode, "runner": runner}, rounds=1, iterations=1)
+def test_fig9b_ace_utilization(benchmark, figure_kwargs):
+    rows = benchmark.pedantic(run_fig9b, kwargs=figure_kwargs("fig9b"), rounds=1, iterations=1)
     print()
     print(format_table(rows, title="Fig. 9b — ACE utilization, forward vs backward pass"))
     for row in rows:

@@ -4,8 +4,8 @@ from repro.analysis.report import format_table
 from repro.experiments.fig10_overlap import run_fig10
 
 
-def test_fig10_overlap(benchmark, fast_mode, runner):
-    rows = benchmark.pedantic(run_fig10, kwargs={"fast": fast_mode, "runner": runner}, rounds=1, iterations=1)
+def test_fig10_overlap(benchmark, figure_kwargs):
+    rows = benchmark.pedantic(run_fig10, kwargs=figure_kwargs("fig10"), rounds=1, iterations=1)
     print()
     print(
         format_table(

@@ -4,8 +4,8 @@ from repro.analysis.report import format_table
 from repro.experiments.fig11_scaling import run_fig11
 
 
-def test_fig11_scaling(benchmark, fast_mode, runner):
-    data = benchmark.pedantic(run_fig11, kwargs={"fast": fast_mode, "runner": runner}, rounds=1, iterations=1)
+def test_fig11_scaling(benchmark, figure_kwargs):
+    data = benchmark.pedantic(run_fig11, kwargs=figure_kwargs("fig11"), rounds=1, iterations=1)
     print()
     print(
         format_table(

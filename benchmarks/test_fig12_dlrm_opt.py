@@ -4,8 +4,8 @@ from repro.analysis.report import format_table
 from repro.experiments.fig12_dlrm_opt import run_fig12
 
 
-def test_fig12_dlrm_optimization(benchmark, fast_mode, runner):
-    rows = benchmark.pedantic(run_fig12, kwargs={"fast": fast_mode, "runner": runner}, rounds=1, iterations=1)
+def test_fig12_dlrm_optimization(benchmark, figure_kwargs):
+    rows = benchmark.pedantic(run_fig12, kwargs=figure_kwargs("fig12"), rounds=1, iterations=1)
     print()
     print(
         format_table(

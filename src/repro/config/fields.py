@@ -10,8 +10,9 @@ such as ``overrides.ace.num_fsms``; a config ``__post_init__`` runs only
 declaration order, so the first error does not depend on key order.
 
 ``bool`` is not an ``int``; ``float`` accepts ints but not NaN or ±inf; a
-JSON list is accepted for a ``Tuple``; a nested dataclass is an object
-holding any subset of its fields.  Checking never rewrites a value.
+JSON list is accepted for a ``Tuple``; a ``Union`` accepts what any of its
+members accepts; a nested dataclass is an object holding any subset of its
+fields.  Checking never rewrites a value.
 """
 
 from __future__ import annotations
@@ -77,12 +78,15 @@ def _resolve(annotation: object) -> _Type:
     if annotation in _SCALARS:
         return _SCALARS[annotation]
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
-    if origin is typing.Union:  # Optional[X]
-        (inner,) = [_resolve(arg) for arg in args if arg is not type(None)]
+    if origin is typing.Union:  # Optional[X], Union[int, Mapping[str, int], None], ...
+        members = [_resolve(arg) for arg in args if arg is not type(None)]
+        nullable = type(None) in args
+        nouns = [member.noun for member in members] + ["null"] * nullable
+        plurals = [member.nouns for member in members] + ["nulls"] * nullable
         return _Type(
-            lambda value: value is None or inner.accepts(value),
-            f"{inner.noun} or null",
-            f"{inner.nouns} or nulls",
+            lambda value: nullable and value is None or any(m.accepts(value) for m in members),
+            ", ".join(nouns[:-1]) + " or " + nouns[-1],
+            ", ".join(plurals[:-1]) + " or " + plurals[-1],
         )
     if origin is tuple and args[-1] is Ellipsis:
         item = _resolve(args[0])

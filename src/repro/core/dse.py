@@ -31,32 +31,31 @@ def sweep_design_space(
     design_points: Sequence[DesignPoint],
     sizes: Sequence[int] = (16, 64),
     reference: DesignPoint = (4, 16),
-    fast: bool = True,
+    payload_bytes: int = 64 * MB,
     runner=None,
 ) -> List[Dict[str, object]]:
     """Evaluate every design point and normalise performance to ``reference``.
 
     Performance is measured as the time ACE needs to complete a large
-    (64 MB) all-reduce — the quantity the SRAM capacity (number of in-flight
-    chunks) and the FSM count (number of chunk-phases processed in parallel)
-    directly govern — geometrically averaged across platform sizes, and
-    normalised to the paper's selected design point.  ``fast`` drives 16 MB
-    instead of 64 MB.  The (design point x size) grid runs as one batch
-    through ``runner``.
+    (``payload_bytes``, 64 MB by default) all-reduce — the quantity the SRAM
+    capacity (number of in-flight chunks) and the FSM count (number of
+    chunk-phases processed in parallel) directly govern — geometrically
+    averaged across platform sizes, and normalised to the paper's selected
+    design point, which is swept too if ``design_points`` leaves it out.
+    The (design point x size) grid runs as one batch through ``runner``.
     """
     from repro.runner import default_runner, network_drive_job
-    from repro.units import KB, MB as _MB
+    from repro.units import KB
 
     runner = runner or default_runner()
     points = list(dict.fromkeys([tuple(p) for p in design_points] + [tuple(reference)]))
     chunk = 64 * KB
-    payload = 64 * _MB if not fast else 16 * _MB
     for sram_mb, num_fsms in points:
         ace_config_for(sram_mb, num_fsms)  # eager validation of the sweep points
     jobs = [
         network_drive_job(
             "ace",
-            payload,
+            payload_bytes,
             num_npus=num_npus,
             chunk_bytes=chunk,
             overrides={

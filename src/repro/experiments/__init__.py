@@ -3,9 +3,8 @@
 Every module exposes a ``run_*`` function returning plain dict rows, so tests,
 benchmarks and scenario manifests can assert on them.  To regenerate and
 print a figure, run its manifest: ``python -m repro run fig11-scaling``.
-The ``fast`` flag trades sweep breadth for runtime; ``"fast": false`` in a
-manifest (or ``pytest benchmarks --paper-scale``) reproduces the full
-paper-scale sweep.
+A harness's defaults are the paper's scale; each manifest states the
+smaller chunks and sweeps it runs as the harness's options.
 
 Every harness expresses its sweep as :class:`repro.runner.SimJob` batches and
 accepts an optional ``runner=`` (a :class:`repro.runner.SweepRunner`) to

@@ -11,24 +11,16 @@ share :func:`repro.runner.default_runner`, which is configured with the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.config.presets import SYSTEM_CONFIG_NAMES, torus_shape_for_npus
 from repro.errors import ConfigurationError
 from repro.network.topology import Torus3D, torus_from_shape
 from repro.runner import SimJob, SweepRunner, default_runner
 from repro.training.results import TrainingResult
-from repro.units import KB
 
-#: Chunk sizes used by the fast experiment mode, per workload.  Larger chunks
-#: keep the event count (and therefore wall-clock time) manageable without
-#: changing who wins; the full mode uses the paper's 64 KB chunks.
-FAST_CHUNK_BYTES: Dict[str, int] = {
-    "resnet50": 128 * KB,
-    "gnmt": 1024 * KB,
-    "dlrm": 512 * KB,
-    "megatron": 1024 * KB,
-}
+#: One chunk size for every workload, or a ``{workload: bytes}`` map.
+ChunkBytes = Union[int, Mapping[str, int], None]
 
 
 def topology_for(num_npus: int) -> Torus3D:
@@ -36,19 +28,28 @@ def topology_for(num_npus: int) -> Torus3D:
     return torus_from_shape(torus_shape_for_npus(num_npus))
 
 
-def chunk_bytes_for(workload_name: str, fast: bool) -> Optional[int]:
-    """Chunk size used by the experiments for a workload."""
-    if not fast:
-        return None  # paper default (64 KB) from the system configuration
-    return FAST_CHUNK_BYTES.get(workload_name, 256 * KB)
+def chunks_for(chunk_bytes: ChunkBytes, workloads: Sequence[str]) -> Dict[str, Optional[int]]:
+    """The chunk ``chunk_bytes`` sets per workload; ``None`` keeps the preset's 64 KB.
+
+    A map key naming none of ``workloads`` fails rather than run it at 64 KB.
+    """
+    if not isinstance(chunk_bytes, Mapping):
+        return {name: chunk_bytes for name in workloads}
+    unknown = sorted(set(chunk_bytes) - set(workloads))
+    if unknown:
+        raise ConfigurationError(
+            f"chunk_bytes key(s) {unknown} name no workload run here "
+            f"(workloads: {sorted(set(workloads))})",
+            field="chunk_bytes",
+        )
+    return {name: chunk_bytes.get(name) for name in workloads}
 
 
 def grid_jobs(
     systems: Sequence[str] = SYSTEM_CONFIG_NAMES,
     workloads: Sequence[str] = ("resnet50", "gnmt", "dlrm"),
     sizes: Sequence[int] = (16, 32, 64, 128),
-    fast: bool = True,
-    chunk_bytes: Optional[int] = None,
+    chunk_bytes: ChunkBytes = None,
     **knobs,
 ) -> List[SimJob]:
     """Job specs for every (system, workload, size) grid cell, in grid order.
@@ -58,8 +59,7 @@ def grid_jobs(
     ``iterations``, ``overlap_embedding``, ...).  A ``fabric`` spec fixes
     the platform size, so it requires a single-entry ``sizes`` (otherwise
     every "size" cell would silently be the same simulation).
-    ``chunk_bytes`` pins one collective chunk size for every cell, overriding
-    the per-workload ``fast`` / paper default.
+    ``chunk_bytes`` sets the collective chunk size (see :func:`chunks_for`).
     """
     fabric = knobs.get("fabric")
     if fabric is not None and len(set(sizes)) > 1:
@@ -67,16 +67,16 @@ def grid_jobs(
             f"fabric={fabric!r} fixes the platform size; pass a single-entry "
             f"sizes instead of {tuple(sizes)} (one fabric spec per size)"
         )
+    chunks = chunks_for(chunk_bytes, workloads)
     jobs: List[SimJob] = []
     for workload_name in workloads:
-        chunk = chunk_bytes if chunk_bytes is not None else chunk_bytes_for(workload_name, fast)
         jobs.extend(
             SimJob(
                 kind="training",
                 system=system_name,
                 workload=workload_name,
                 num_npus=None if fabric else num_npus,
-                chunk_bytes=chunk,
+                chunk_bytes=chunks[workload_name],
                 **knobs,
             )
             for num_npus in sizes

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.common import chunk_bytes_for
+from repro.experiments.common import ChunkBytes, chunks_for
 from repro.runner import SweepRunner, default_runner, training_job
 from repro.training.results import TrainingResult
 from repro.units import left_sum
@@ -23,17 +23,15 @@ FIG10_SYSTEMS = ("baseline_comm_opt", "baseline_comp_opt", "ace", "ideal")
 
 
 def run_fig10(
-    fast: bool = True,
     workloads: Sequence[str] = ("resnet50", "gnmt", "dlrm"),
     num_npus: int = 128,
     iterations: int = 2,
+    chunk_bytes: ChunkBytes = None,
     runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, object]]:
     """Summary rows (one per system x workload) of the Fig. 10 timelines."""
     runner = runner or default_runner()
-    if fast:
-        num_npus = min(num_npus, 64)
-        workloads = tuple(workloads)[:2] if len(workloads) > 2 else workloads
+    chunks = chunks_for(chunk_bytes, workloads)
     keys = [
         (workload_name, system_name)
         for workload_name in workloads
@@ -45,7 +43,7 @@ def run_fig10(
             workload_name,
             num_npus=num_npus,
             iterations=iterations,
-            chunk_bytes=chunk_bytes_for(workload_name, fast),
+            chunk_bytes=chunks[workload_name],
         )
         for workload_name, system_name in keys
     ]

@@ -20,33 +20,26 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.speedup import compute_speedups
 from repro.config.presets import SYSTEM_CONFIG_NAMES
-from repro.experiments.common import run_grid
+from repro.experiments.common import ChunkBytes, run_grid
 from repro.runner import SweepRunner
 from repro.training.results import TrainingResult
 
-PAPER_SIZES = (16, 32, 64, 128)
-FAST_SIZES = (16, 64)
-FAST_WORKLOADS = ("resnet50", "dlrm")
-PAPER_WORKLOADS = ("resnet50", "gnmt", "dlrm")
-
 
 def run_fig11(
-    fast: bool = True,
     systems: Sequence[str] = SYSTEM_CONFIG_NAMES,
-    workloads: Sequence[str] = None,
-    sizes: Sequence[int] = None,
+    workloads: Sequence[str] = ("resnet50", "gnmt", "dlrm"),
+    sizes: Sequence[int] = (16, 32, 64, 128),
     iterations: int = 2,
+    chunk_bytes: ChunkBytes = None,
     runner: Optional[SweepRunner] = None,
 ) -> Dict[str, List[Dict[str, object]]]:
     """Run the scaling grid; returns {'breakdown': fig11a rows, 'speedups': fig11b rows}."""
-    workloads = workloads or (FAST_WORKLOADS if fast else PAPER_WORKLOADS)
-    sizes = sizes or (FAST_SIZES if fast else PAPER_SIZES)
     results: List[TrainingResult] = run_grid(
         systems=systems,
         workloads=workloads,
         sizes=sizes,
         iterations=iterations,
-        fast=fast,
+        chunk_bytes=chunk_bytes,
         runner=runner,
     )
     breakdown_rows = [

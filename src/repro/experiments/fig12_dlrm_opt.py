@@ -16,24 +16,23 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.common import chunk_bytes_for
+from repro.experiments.common import ChunkBytes, chunks_for
 from repro.runner import SweepRunner, default_runner, training_job
 
 FIG12_SYSTEMS = ("baseline_comp_opt", "ace")
+FIG12_WORKLOADS = ("dlrm",)
 
 
 def run_fig12(
-    fast: bool = True,
     num_npus: int = 128,
     iterations: int = 2,
     systems: Sequence[str] = FIG12_SYSTEMS,
+    chunk_bytes: ChunkBytes = None,
     runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, object]]:
     """Default vs optimised DLRM training loop for the baseline and ACE."""
     runner = runner or default_runner()
-    if fast:
-        num_npus = min(num_npus, 64)
-    chunk = chunk_bytes_for("dlrm", fast)
+    chunk = chunks_for(chunk_bytes, FIG12_WORKLOADS)["dlrm"]
     jobs = [
         training_job(
             system_name,

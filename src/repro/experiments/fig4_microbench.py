@@ -25,7 +25,7 @@ from repro.compute.roofline import RooflineModel
 from repro.config.presets import make_system
 from repro.config.system import NetworkConfig, SystemConfig
 from repro.runner import SweepRunner, default_runner, network_drive_job
-from repro.units import MB
+from repro.units import KB, MB
 from repro.workloads import microbench
 
 #: The Fig. 4 testbed: 8 GPUs behind an NVSwitch with 150 GB/s per GPU.
@@ -84,14 +84,15 @@ def _contended_resources(compute: KernelCost, system: SystemConfig) -> Dict[str,
 
 
 def run_fig4(
-    fast: bool = True, runner: Optional[SweepRunner] = None
+    chunk_bytes: int = 64 * KB,
+    dlrm_replay: bool = True,
+    runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, object]]:
-    """Compute the all-reduce slowdown for every Fig. 4 microbenchmark case."""
+    """The all-reduce slowdown of every Fig. 4a case, and Fig. 4b's if ``dlrm_replay``."""
     runner = runner or default_runner()
     cases = list(microbench.fig4a_cases())
-    if not fast:
+    if dlrm_replay:
         cases += list(microbench.dlrm_replay_cases())
-    chunk = 256 * 1024 if fast else 64 * 1024
 
     # One standalone drive per distinct payload plus one contended drive per
     # case, all dispatched as a single batch.
@@ -100,10 +101,10 @@ def run_fig4(
     testbed = make_system("baseline_comm_opt", network=_V100_NET)
     contended = [_contended_resources(case.compute, testbed) for case in cases]
     jobs = [
-        _v100_job(_STANDALONE_SMS, _STANDALONE_MEM_BW, payload, chunk)
+        _v100_job(_STANDALONE_SMS, _STANDALONE_MEM_BW, payload, chunk_bytes)
         for payload in standalone_payloads
     ] + [
-        _v100_job(int(c["comm_sms"]), c["comm_mem_bw"], case.allreduce_bytes, chunk)
+        _v100_job(int(c["comm_sms"]), c["comm_mem_bw"], case.allreduce_bytes, chunk_bytes)
         for case, c in zip(cases, contended)
     ]
     drives = runner.run_values(jobs)

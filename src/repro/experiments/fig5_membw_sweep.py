@@ -25,18 +25,16 @@ from repro.units import KB, MB
 
 #: Memory bandwidths swept in the paper's Fig. 5 (GB/s).
 PAPER_MEMORY_BW_POINTS = (32.0, 64.0, 96.0, 128.0, 192.0, 256.0, 350.0, 450.0, 600.0, 900.0)
-FAST_MEMORY_BW_POINTS = (64.0, 128.0, 256.0, 450.0, 900.0)
 
 
 def run_fig5(
-    fast: bool = True,
+    points: Sequence[float] = PAPER_MEMORY_BW_POINTS,
     sizes: Sequence[int] = (16, 64),
     payload_bytes: int = 64 * MB,
+    chunk_bytes: int = 64 * KB,
     runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, object]]:
     """Run the memory-bandwidth sweep for each platform size."""
-    points = FAST_MEMORY_BW_POINTS if fast else PAPER_MEMORY_BW_POINTS
-    chunk = 256 * KB if fast else 64 * KB
     rows: List[Dict[str, object]] = []
     for num_npus in sizes:
         topology = topology_for(num_npus)
@@ -45,7 +43,7 @@ def run_fig5(
                 topology,
                 list(points),
                 payload_bytes=payload_bytes,
-                chunk_bytes=chunk,
+                chunk_bytes=chunk_bytes,
                 runner=runner,
             )
         )

@@ -19,18 +19,16 @@ from repro.units import KB, MB
 
 #: SM-count points of Fig. 6 (expressed as absolute counts out of 80).
 PAPER_SM_POINTS = (1, 2, 3, 4, 5, 6, 8, 16, 64)
-FAST_SM_POINTS = (1, 2, 4, 6, 16)
 
 
 def run_fig6(
-    fast: bool = True,
+    points: Sequence[int] = PAPER_SM_POINTS,
     sizes: Sequence[int] = (16, 64),
     payload_bytes: int = 64 * MB,
+    chunk_bytes: int = 64 * KB,
     runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, object]]:
     """Run the SM sweep for each platform size."""
-    points = FAST_SM_POINTS if fast else PAPER_SM_POINTS
-    chunk = 256 * KB if fast else 64 * KB
     rows: List[Dict[str, object]] = []
     for num_npus in sizes:
         topology = topology_for(num_npus)
@@ -39,7 +37,7 @@ def run_fig6(
                 topology,
                 list(points),
                 payload_bytes=payload_bytes,
-                chunk_bytes=chunk,
+                chunk_bytes=chunk_bytes,
                 runner=runner,
             )
         )

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.dse import sweep_design_space
-from repro.experiments.common import chunk_bytes_for
+from repro.core.dse import DesignPoint, sweep_design_space
+from repro.experiments.common import ChunkBytes, chunks_for
 from repro.runner import SweepRunner, default_runner, training_job
+from repro.units import MB
 
 #: (SRAM MB, #FSM) points of the paper's Fig. 9a sweep.
-PAPER_DESIGN_POINTS: Tuple[Tuple[float, int], ...] = (
+PAPER_DESIGN_POINTS: Tuple[DesignPoint, ...] = (
     (0.125, 1),
     (0.25, 1),
     (0.5, 2),
@@ -32,47 +33,37 @@ PAPER_DESIGN_POINTS: Tuple[Tuple[float, int], ...] = (
     (8, 16),
     (8, 20),
 )
-FAST_DESIGN_POINTS: Tuple[Tuple[float, int], ...] = ((0.125, 1), (0.5, 2), (4, 16), (8, 20))
 #: The selected configuration everything is normalised to.
-REFERENCE_POINT: Tuple[float, int] = (4, 16)
+REFERENCE_POINT: DesignPoint = (4, 16)
 
 
 def run_fig9a(
-    fast: bool = True,
+    points: Sequence[DesignPoint] = PAPER_DESIGN_POINTS,
     sizes: Sequence[int] = (16,),
+    payload_bytes: int = 64 * MB,
     runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, object]]:
     """Run the SRAM/FSM design-space sweep and normalise to (4 MB, 16 FSMs)."""
-    points = list(FAST_DESIGN_POINTS if fast else PAPER_DESIGN_POINTS)
-    if REFERENCE_POINT not in points:
-        points.append(REFERENCE_POINT)
     return sweep_design_space(
         design_points=points,
         sizes=sizes,
         reference=REFERENCE_POINT,
-        fast=fast,
+        payload_bytes=payload_bytes,
         runner=runner,
     )
 
 
 def run_fig9b(
-    fast: bool = True,
     workloads: Sequence[str] = ("resnet50", "gnmt", "dlrm"),
     num_npus: int = 128,
+    chunk_bytes: ChunkBytes = None,
     runner: Optional[SweepRunner] = None,
 ) -> List[Dict[str, object]]:
     """ACE utilization during forward vs backward pass for each workload."""
     runner = runner or default_runner()
-    if fast:
-        num_npus = min(num_npus, 64)
+    chunks = chunks_for(chunk_bytes, workloads)
     jobs = [
-        training_job(
-            "ace",
-            name,
-            num_npus=num_npus,
-            iterations=2,
-            chunk_bytes=chunk_bytes_for(name, fast),
-        )
+        training_job("ace", name, num_npus=num_npus, iterations=2, chunk_bytes=chunks[name])
         for name in workloads
     ]
     return [

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.common import FAST_CHUNK_BYTES
 from repro.runner import SimJob, SweepRunner, default_runner
-from repro.units import MB
+from repro.units import KB, MB
 
 #: Largest platform validated (the detailed network backend is the reference
 #: vehicle and is only trustworthy, and affordable, on small systems).
@@ -41,6 +40,8 @@ MAX_VALIDATED_NPUS = 32
 
 DRIVE_PAYLOAD_BYTES = 8 * MB
 DRIVE_CHUNK_BYTES = 1 * MB
+#: Training-cell chunk per workload; any other workload runs the preset's.
+TRAINING_CHUNK_BYTES = {"resnet50": 128 * KB, "gnmt": 1 * MB, "dlrm": 512 * KB, "megatron": 1 * MB}
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def agreement_jobs(
                     workload=workload,
                     num_npus=num_npus,
                     iterations=iterations,
-                    chunk_bytes=FAST_CHUNK_BYTES.get(workload),
+                    chunk_bytes=TRAINING_CHUNK_BYTES.get(workload),
                     **{knob: model},
                 )
             )

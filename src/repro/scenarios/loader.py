@@ -105,11 +105,16 @@ def find_scenario(name: str, directory: Union[str, Path, None] = None) -> Scenar
 
 @dataclass(frozen=True)
 class FigureRunner:
-    """A figure harness usable from a ``figure`` suite: returns result rows."""
+    """A figure harness usable from a ``figure`` suite: returns result rows.
+
+    ``workloads`` are those of a harness without a ``workloads`` option, for
+    :func:`resolve_figure` to check a ``chunk_bytes`` map against.
+    """
 
     name: str
     rows: Callable[..., List[Dict[str, object]]]
     description: str
+    workloads: Sequence[str] = ()
 
 
 def _figure_registry() -> Dict[str, FigureRunner]:
@@ -124,7 +129,7 @@ def _figure_registry() -> Dict[str, FigureRunner]:
     from repro.experiments.fig9_dse import run_fig9a, run_fig9b
     from repro.experiments.fig10_overlap import run_fig10
     from repro.experiments.fig11_scaling import run_fig11
-    from repro.experiments.fig12_dlrm_opt import run_fig12
+    from repro.experiments.fig12_dlrm_opt import FIG12_WORKLOADS, run_fig12
 
     @functools.wraps(run_fig5)
     def fig5_rows(**kwargs) -> List[Dict[str, object]]:
@@ -147,12 +152,16 @@ def _figure_registry() -> Dict[str, FigureRunner]:
         "fig9b": FigureRunner("fig9b", run_fig9b, "ACE utilization, forward vs backward"),
         "fig10": FigureRunner("fig10", run_fig10, "compute/communication overlap summary"),
         "fig11": FigureRunner("fig11", fig11_rows, "scaling breakdown and speedups"),
-        "fig12": FigureRunner("fig12", run_fig12, "DLRM default vs optimised loop"),
+        "fig12": FigureRunner(
+            "fig12", run_fig12, "DLRM default vs optimised loop", FIG12_WORKLOADS
+        ),
     }
 
 
 def resolve_figure(suite: Suite, context: str) -> "CompiledFigure":
     """Validate a ``figure`` suite against the registry and its signature."""
+    from repro.experiments.common import chunks_for
+
     registry = _figure_registry()
     name = str(suite.spec["figure"])
     if name not in registry:
@@ -160,15 +169,20 @@ def resolve_figure(suite: Suite, context: str) -> "CompiledFigure":
             f"{context}: unknown figure {name!r}; expected one of {sorted(registry)}"
         )
     runner = registry[name]
-    parameters = inspect.signature(runner.rows).parameters
+    signature = inspect.signature(runner.rows)
+    accepted = sorted(set(signature.parameters) - {"runner"})
     options = dict(suite.spec.get("options", {}))
-    unknown = sorted(set(options) - set(parameters))
+    unknown = sorted(set(options) - set(accepted))
     if unknown:
         raise ScenarioError(
             f"{context}: figure {name!r} does not accept option(s) {unknown}; "
-            f"accepted: {sorted(set(parameters) - {'runner', 'fast'})}"
+            f"accepted: {accepted}",
+            field=f"options.{unknown[0]}",
         )
-    options.setdefault("fast", bool(suite.spec.get("fast", True)))
+    if "chunk_bytes" in options:
+        call = signature.bind(**options)
+        call.apply_defaults()
+        chunks_for(options["chunk_bytes"], call.arguments.get("workloads", runner.workloads))
     return CompiledFigure(figure=runner, options=options)
 
 
@@ -329,7 +343,6 @@ def _compile_grid(spec: Mapping[str, object]) -> List[SimJob]:
             systems=systems,
             workloads=workloads,
             sizes=sizes,
-            fast=bool(spec.get("fast", True)),
             chunk_bytes=chunk_bytes,
             iterations=iterations,
             overlap_embedding=bool(spec.get("overlap_embedding", False)),

@@ -14,10 +14,10 @@ A manifest looks like::
     {
       "schema": 1,
       "name": "paper-fast",
-      "description": "Fast paper grid: resnet50 @ 16 NPUs, all five systems",
+      "description": "resnet50 @ 16 NPUs, all five systems, 128 KB chunks",
       "tags": ["paper", "fast"],
       "suites": [
-        {"kind": "grid", "workloads": ["resnet50"], "sizes": [16]}
+        {"kind": "grid", "workloads": ["resnet50"], "sizes": [16], "chunk_bytes": 131072}
       ],
       "invariants": [
         {"kind": "ordering", "metric": "iteration_time_us",
@@ -39,7 +39,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro.config.fields import POSITIVE, REQUIRED, check, check_object
 from repro.errors import ScenarioError
@@ -83,8 +83,7 @@ class _GridSuite:
     parallelisms: Tuple[Optional[str], ...]
     computes: Tuple[Optional[str], ...]
     iterations: int
-    chunk_bytes: Optional[int]
-    fast: bool
+    chunk_bytes: Union[int, Mapping[str, int], None]
     overlap_embedding: bool
     cost_table: Optional[str]
     payload_bytes: int = field(metadata=POSITIVE)
@@ -92,7 +91,7 @@ class _GridSuite:
 
 
 #: ``grid`` fields only workload cells read.
-_WORKLOAD_FIELDS = ("workloads", "fast", "overlap_embedding")
+_WORKLOAD_FIELDS = ("workloads", "overlap_embedding")
 #: The fields that turn a ``grid`` suite from workload cells into drive or
 #: trace cells, each with the fields those cells cannot use.
 _GRID_EXCLUDES = {
@@ -124,7 +123,6 @@ class _AreaPowerSuite:
 @dataclass(frozen=True)
 class _FigureSuite:
     figure: str = field(metadata=REQUIRED)
-    fast: bool
     options: Mapping[str, object]
 
 

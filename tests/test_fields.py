@@ -305,6 +305,69 @@ def _manifest(**fields):
             "overrides.ace.message_bytes",
             "invalid override for section 'ace'",
         ),
+        (
+            _manifest(suites=[{"kind": "grid", "fast": True}]),
+            "fast",
+            "unknown field(s) ['fast']",
+        ),
+        (
+            _manifest(suites=[{"kind": "figure", "figure": "fig5", "fast": True}]),
+            "fast",
+            "unknown field(s) ['fast']",
+        ),
+        (
+            _manifest(suites=[{"kind": "grid", "chunk_bytes": "128K"}]),
+            "chunk_bytes",
+            "field 'chunk_bytes' must be an integer, object or null, got '128K'",
+        ),
+        (
+            _manifest(
+                suites=[
+                    {"kind": "grid", "workloads": ["resnet50"], "chunk_bytes": {"resnet5": 131072}}
+                ]
+            ),
+            "chunk_bytes",
+            "chunk_bytes key(s) ['resnet5'] name no workload run here",
+        ),
+        (
+            _manifest(
+                suites=[
+                    {
+                        "kind": "figure",
+                        "figure": "fig10",
+                        "options": {"workloads": ["gnmt"], "chunk_bytes": {"resnet50": 131072}},
+                    }
+                ]
+            ),
+            "chunk_bytes",
+            "chunk_bytes key(s) ['resnet50'] name no workload run here",
+        ),
+        (
+            _manifest(
+                suites=[
+                    {"kind": "figure", "figure": "fig12", "options": {"chunk_bytes": {"gnmt": 1}}}
+                ]
+            ),
+            "chunk_bytes",
+            "chunk_bytes key(s) ['gnmt'] name no workload run here (workloads: ['dlrm'])",
+        ),
+        (
+            _manifest(suites=[{"kind": "figure", "figure": "fig12", "options": {"runner": 1}}]),
+            "options.runner",
+            "figure 'fig12' does not accept option(s) ['runner']",
+        ),
+        (
+            _manifest(suites=[{"kind": "grid", "payload_bytes": 1024, "chunk_bytes": {"a": 1}}]),
+            "chunk_bytes",
+            "chunk_bytes must be an integer or null, got {'a': 1}",
+        ),
+        (
+            _manifest(
+                suites=[{"kind": "grid", "traces": ["moe-transformer"], "chunk_bytes": {"a": 1}}]
+            ),
+            "chunk_bytes",
+            "chunk_bytes must be an integer or null, got {'a': 1}",
+        ),
     ],
 )
 def test_manifest_probe_fails_repro_validate(tmp_path, capsys, manifest, field, text):

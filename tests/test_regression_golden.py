@@ -1,6 +1,6 @@
 """Golden-value regression snapshots for the figure harnesses.
 
-One fast cell per figure (iteration times per system at 16 NPUs, drive
+One small cell per figure (iteration times per system at 16 NPUs, drive
 bandwidths, DSE ratios, Table IV totals) is pinned to the exact values the
 simulator produced when the snapshot was taken.  The simulator is fully
 deterministic, so these comparisons are tight (rel=1e-9): any perf refactor
@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.config.presets import SYSTEM_CONFIG_NAMES
-from repro.experiments.common import FAST_CHUNK_BYTES, run_grid
+from repro.experiments.common import run_grid
 from repro.experiments.fig4_microbench import run_fig4
 from repro.experiments.fig5_membw_sweep import run_fig5
 from repro.experiments.fig6_sm_sweep import run_fig6
@@ -34,7 +34,7 @@ from repro.experiments.fig11_scaling import run_fig11
 from repro.experiments.fig12_dlrm_opt import run_fig12
 from repro.experiments.table4_area import run_table4
 from repro.runner import ResultCache, SweepRunner, encode_result, training_job
-from repro.units import MB
+from repro.units import KB, MB
 
 GOLDEN_PATH = Path(__file__).parent / "golden_values.json"
 UPDATE_ENV = "REPRO_UPDATE_GOLDEN"
@@ -45,12 +45,12 @@ REL_TOL = 1e-9
 
 
 def compute_golden_values() -> dict:
-    """One fast, 16-NPU cell per figure harness."""
+    """One small, 16-NPU cell per figure harness."""
     runner = SweepRunner(workers=1, cache=ResultCache())
     values: dict = {}
 
     grid = run_grid(
-        systems=SYSTEM_CONFIG_NAMES, workloads=("resnet50",), sizes=(16,), fast=True,
+        systems=SYSTEM_CONFIG_NAMES, workloads=("resnet50",), sizes=(16,), chunk_bytes=128 * KB,
         runner=runner,
     )
     values["grid_resnet50_16npus_iteration_us"] = {
@@ -58,7 +58,8 @@ def compute_golden_values() -> dict:
     }
 
     values["fig4_slowdowns"] = {
-        r["case"]: r["slowdown"] for r in run_fig4(fast=True, runner=runner)
+        r["case"]: r["slowdown"]
+        for r in run_fig4(chunk_bytes=256 * KB, dlrm_replay=False, runner=runner)
     }
 
     values["fig5_16npus"] = {
@@ -67,20 +68,39 @@ def compute_golden_values() -> dict:
             "ace_net_bw_gbps": r["ace_net_bw_gbps"],
             "ideal_net_bw_gbps": r["ideal_net_bw_gbps"],
         }
-        for r in run_fig5(fast=True, sizes=(16,), payload_bytes=16 * MB, runner=runner)
+        for r in run_fig5(
+            points=(64.0, 128.0, 256.0, 450.0, 900.0),
+            sizes=(16,),
+            payload_bytes=16 * MB,
+            chunk_bytes=256 * KB,
+            runner=runner,
+        )
     }
 
     values["fig6_16npus"] = {
         str(int(r["comm_sms"])): r["baseline_net_bw_gbps"]
-        for r in run_fig6(fast=True, sizes=(16,), payload_bytes=16 * MB, runner=runner)
+        for r in run_fig6(
+            points=(1, 2, 4, 6, 16),
+            sizes=(16,),
+            payload_bytes=16 * MB,
+            chunk_bytes=256 * KB,
+            runner=runner,
+        )
     }
 
     values["fig9a_performance_vs_reference"] = {
         f"{r['sram_mb']}MB_{r['num_fsms']}fsm": r["performance_vs_reference"]
-        for r in run_fig9a(fast=True, sizes=(16,), runner=runner)
+        for r in run_fig9a(
+            points=((0.125, 1), (0.5, 2), (4, 16), (8, 20)),
+            sizes=(16,),
+            payload_bytes=16 * MB,
+            runner=runner,
+        )
     }
 
-    fig9b = run_fig9b(fast=True, workloads=("resnet50",), num_npus=16, runner=runner)[0]
+    fig9b = run_fig9b(
+        workloads=("resnet50",), num_npus=16, chunk_bytes=128 * KB, runner=runner
+    )[0]
     values["fig9b_resnet50_16npus"] = {
         "forward": fig9b["ace_util_forward"],
         "backward": fig9b["ace_util_backward"],
@@ -88,17 +108,19 @@ def compute_golden_values() -> dict:
 
     values["fig10_dlrm_16npus_iteration_us"] = {
         r["system"]: r["iteration_time_us"]
-        for r in run_fig10(fast=True, workloads=("dlrm",), num_npus=16, runner=runner)
+        for r in run_fig10(
+            workloads=("dlrm",), num_npus=16, chunk_bytes=512 * KB, runner=runner
+        )
     }
 
-    fig11 = run_fig11(fast=True, workloads=("dlrm",), sizes=(16,), runner=runner)
+    fig11 = run_fig11(workloads=("dlrm",), sizes=(16,), chunk_bytes=512 * KB, runner=runner)
     values["fig11_dlrm_16npus_speedup_vs_best_baseline"] = fig11["speedups"][0][
         "speedup_vs_best_baseline"
     ]
 
     values["fig12_16npus_improvements"] = {
         r["system"]: r["total_time_us"]
-        for r in run_fig12(fast=True, num_npus=16, runner=runner)
+        for r in run_fig12(num_npus=16, chunk_bytes=512 * KB, runner=runner)
         if r["loop"] == "improvement"
     }
 
@@ -200,7 +222,7 @@ RESULT_PINS = {
     ),
 }
 
-#: The same digest for the ten ACE ResNet-50 backend cells (fast-mode
+#: The same digest for the ten ACE ResNet-50 backend cells (128 KB
 #: chunks, two iterations): ``(backend, num_npus) -> digest``.  Symmetric
 #: runs at every size, detailed at the sizes ``auto`` gives it and hybrid at
 #: the 64/128 rung.  ``benchmarks/test_backend_wall_ratio.py`` times two of
@@ -238,6 +260,6 @@ def test_backend_cell_is_byte_identical(backend, num_npus):
         num_npus=num_npus,
         backend=backend,
         iterations=2,
-        chunk_bytes=FAST_CHUNK_BYTES["resnet50"],
+        chunk_bytes=128 * KB,
     )
     assert _result_digest(job) == BACKEND_CELL_PINS[backend, num_npus]

@@ -229,7 +229,7 @@ class TestFigureSweep:
         from repro.experiments.common import run_grid
 
         kwargs = dict(
-            systems=("ace", "ideal"), workloads=("resnet50",), sizes=(16, 64), fast=True
+            systems=("ace", "ideal"), workloads=("resnet50",), sizes=(16, 64), chunk_bytes=128 * KB
         )
         serial = run_grid(runner=SweepRunner(workers=1), **kwargs)
 

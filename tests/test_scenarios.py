@@ -72,6 +72,41 @@ PINNED_JOB_LISTS = {
     "torus2d-fc-drive": (13, "082403e4bf44e07fe05bd4e332f4b95ad9e611597a7dfd4996981ba7e8c9a390"),
 }
 
+#: The same (count, digest) pair per ``figure`` suite of each shipped
+#: manifest, in suite order, over the jobs its harness submits to the
+#: runner, recorded while the harnesses still picked their small sweeps
+#: from a ``fast`` flag.
+PINNED_FIGURE_JOB_LISTS = {
+    "fig10-overlap": ((8, "c1561429405d04a7a6f77e296b8072c56929fbcdfa6c36736cedeb642d54cc43"),),
+    "fig11-scaling": ((20, "f1c2204908c4d20c0bc591537ad39b6b09c3717c22505a3715b05422eb992bca"),),
+    "fig12-dlrm-opt": ((4, "d0bce6ba423d8975291a22a9a47f9b8091bf345c9be6c6727edbb10a1a0ca961"),),
+    "fig4-microbench": ((12, "af89616727173f3b9151040d5c54a8ada6baa6601f606478166c0f974ec5db8d"),),
+    "fig5-membw": ((22, "79b3733f6328d61844923cc6cd4605db2ac87abb5be49fa9e93350700cdaadbd"),),
+    "fig6-sm-sweep": ((10, "4131cd7e2a9c0d3799b24d1b66d3e0f6847bbb116dc578451888647cd4e3f656"),),
+    "fig9-dse": (
+        (4, "12a3d63181739ad3297a4f263b1fd305e545bffa1a322183bd01b1df8c4356da"),
+        (2, "6aaaeb8db813a2931e6fb5237fd44291cb5d04ea8ef02e30fa1dc36ce94924ee"),
+    ),
+}
+
+
+def _digest(jobs) -> tuple:
+    text = "\n".join(job.to_json() for job in jobs)
+    return len(jobs), hashlib.sha256(text.encode()).hexdigest()
+
+
+class _LoggingRunner(SweepRunner):
+    """A serial runner, with an in-memory cache, that keeps every job it is handed."""
+
+    def __init__(self):
+        super().__init__(workers=1, cache=ResultCache())
+        self.jobs = []
+
+    def run(self, jobs):
+        jobs = list(jobs)
+        self.jobs.extend(jobs)
+        return super().run(jobs)
+
 
 def minimal_manifest(**overrides) -> dict:
     data = {
@@ -181,12 +216,10 @@ class TestSchema:
         "suite, message",
         [
             ({"traces": ["t"], "workloads": ["resnet50"]}, "field 'workloads' does not apply"),
-            ({"traces": ["t"], "fast": True}, "field 'fast' does not apply"),
             ({"traces": ["t"], "overlap_embedding": True}, "field 'overlap_embedding' does not"),
             ({"cost_table": "paper-npu"}, "field 'cost_table' needs a 'traces' list"),
             ({"payload_bytes": 1024, "workloads": ["gnmt"]}, "field 'workloads' does not apply"),
             ({"payload_bytes": 1024, "traces": ["t"]}, "field 'traces' does not apply"),
-            ({"payload_bytes": 1024, "fast": True}, "field 'fast' does not apply"),
             ({"payload_bytes": 1024, "overlap_embedding": True}, "field 'overlap_embedding' does"),
             ({"payload_bytes": 1024, "iterations": 1}, "field 'iterations' does not apply"),
             ({"payload_bytes": 1024, "cost_table": "paper-npu"}, "field 'cost_table' does not"),
@@ -294,9 +327,9 @@ class TestLoader:
             compile_scenario(Scenario.from_dict(data))
 
     def test_wrapped_figure_accepts_its_harness_options(self):
-        suite = {"kind": "figure", "figure": "fig11", "fast": True, "options": {"sizes": [16]}}
+        suite = {"kind": "figure", "figure": "fig11", "options": {"sizes": [16]}}
         (compiled,) = compile_scenario(Scenario.from_dict(minimal_manifest(suites=[suite])))
-        assert dict(compiled.figure.options) == {"sizes": [16], "fast": True}
+        assert dict(compiled.figure.options) == {"sizes": [16]}
 
     def test_every_figure_is_used_by_a_shipped_manifest(self):
         used = {
@@ -331,7 +364,7 @@ class TestLoader:
         scenario = find_scenario("paper-fast", SCENARIO_DIR)
         manifest_jobs = scenario_jobs(scenario)
         harness_jobs = grid_jobs(
-            systems=SYSTEM_CONFIG_NAMES, workloads=("resnet50",), sizes=(16,), fast=True
+            systems=SYSTEM_CONFIG_NAMES, workloads=("resnet50",), sizes=(16,), chunk_bytes=131072
         )
         assert [job.to_json() for job in manifest_jobs] == [
             job.to_json() for job in harness_jobs
@@ -347,7 +380,7 @@ class TestLoader:
             systems=SYSTEM_CONFIG_NAMES,
             workloads=("resnet50", "dlrm"),
             sizes=(16, 64),
-            fast=True,
+            chunk_bytes={"resnet50": 131072, "dlrm": 524288},
         )
         assert [job.spec_hash() for job in manifest_jobs] == [
             job.spec_hash() for job in harness_jobs
@@ -373,7 +406,7 @@ class TestLoader:
                         "algorithms": ["auto", "ring"],
                         "parallelisms": [None, "zero", "pipeline:4x8"],
                         "iterations": 1,
-                        "fast": True,
+                        "chunk_bytes": {"resnet50": 131072, "gnmt": 1048576},
                     }
                 ],
             }
@@ -389,7 +422,7 @@ class TestLoader:
                             workloads=("resnet50", "gnmt"),
                             sizes=(16, 32),
                             iterations=1,
-                            fast=True,
+                            chunk_bytes={"resnet50": 131072, "gnmt": 1048576},
                             backend=backend,
                             algorithm=algorithm,
                             parallelism=parallelism,
@@ -483,9 +516,23 @@ class TestLoader:
                     jobs.extend(agreement_jobs(**compiled.figure.options))
                 else:
                     jobs.extend(compiled.jobs)
-            text = "\n".join(job.to_json() for job in jobs)
-            digests[scenario.name] = (len(jobs), hashlib.sha256(text.encode()).hexdigest())
+            digests[scenario.name] = _digest(jobs)
         assert digests == PINNED_JOB_LISTS
+
+    def test_every_shipped_figure_suite_submits_its_pinned_jobs(self):
+        """Each figure suite's harness submits the exact, ordered jobs it
+        submitted when the digests were recorded."""
+        digests = {}
+        for scenario in discover_scenarios(SCENARIO_DIR):
+            suites = []
+            for compiled in compile_scenario(scenario):
+                if compiled.suite.kind == "figure":
+                    runner = _LoggingRunner()
+                    compiled.figure.figure.rows(runner=runner, **compiled.figure.options)
+                    suites.append(_digest(runner.jobs))
+            if suites:
+                digests[scenario.name] = tuple(suites)
+        assert digests == PINNED_FIGURE_JOB_LISTS
 
     def test_sweep_rejects_pipeline_over_embedding_workloads(self):
         scenario = Scenario.from_dict(
@@ -767,18 +814,25 @@ _SIZES = st.lists(
 )
 
 
+_CHUNKS = st.sampled_from([65536, 131072, 524288, 1048576])
+
+
 @st.composite
 def manifests(draw):
-    suites = [
-        {
-            "kind": "grid",
-            "systems": draw(_SYSTEMS),
-            "workloads": draw(_WORKLOADS),
-            "sizes": draw(_SIZES),
-            "iterations": draw(st.integers(min_value=1, max_value=4)),
-            "fast": draw(st.booleans()),
-        }
-    ]
+    workloads = draw(_WORKLOADS)
+    grid = {
+        "kind": "grid",
+        "systems": draw(_SYSTEMS),
+        "workloads": workloads,
+        "sizes": draw(_SIZES),
+        "iterations": draw(st.integers(min_value=1, max_value=4)),
+    }
+    chunk_bytes = draw(
+        st.none() | _CHUNKS | st.dictionaries(st.sampled_from(workloads), _CHUNKS, max_size=2)
+    )
+    if chunk_bytes is not None:
+        grid["chunk_bytes"] = chunk_bytes
+    suites = [grid]
     if draw(st.booleans()):
         suites.append(
             {
